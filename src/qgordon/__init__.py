@@ -83,6 +83,17 @@ from .identities import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every cache the package keeps between calls: the Pochhammer
+    products, the partition lists and the S-path enumerations.  Timings
+    taken after this call are cold."""
+    from . import lattice_paths, partitions, qseries
+
+    qseries._poch.cache_clear()
+    partitions.partitions_of.cache_clear()
+    lattice_paths._SPATH_CACHE.clear()
+
 __all__ = [
     "PochSpec",
     "Series",
@@ -138,5 +149,6 @@ __all__ = [
     "eval_product_side",
     "ladder_multisum",
     "verify",
+    "clear_caches",
     "__version__",
 ]

@@ -19,11 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Tuple
 
 from .identities import ladder_multisum
 from .partitions import GordonParams
-from .qseries import PochSpec, Series, invert_poch, mul, poch_finite, poch_infinite
+from .qseries import PochSpec, Series, _div_factor, _div_factors, _mul_factors, _quotient_sums, _slots
+
+# imported for perfbench/tracing.py, which wraps these names on this module
+from .qseries import invert_poch, mul, poch_finite, poch_infinite  # noqa: F401
 
 __all__ = [
     "BaileyPair",
@@ -102,17 +106,38 @@ def unit_pair(n_max: int, order) -> BaileyPair:
     return BaileyPair(tuple(alpha), tuple(beta))
 
 
+def _head(s: Series, length: int) -> Tuple[int, list]:
+    """(v, cs) with s = q^(v/2) * cs on the half grid, v the first
+    nonzero slot and cs known below slot ``length``."""
+    cs = s._promote(2).coeffs[:length]
+    v = next((i for i, c in enumerate(cs) if c), len(cs))
+    return v, list(cs[v:])
+
+
+def _series(v: int, cs: list, order) -> Series:
+    return Series([0] * v + cs, order, 2)
+
+
 def check_pair(bp: BaileyPair) -> bool:
     """Whether the defining relation holds for every n up to n_max,
-    within each series' truncation window."""
+    within each series' truncation window.
+
+    One running quotient alpha_r / ((q; q)_{n-r} (q; q)_{n+r}) per r is
+    divided by the two new factors 1 - q^(n-r), 1 - q^(n+r) as n grows.
+    """
     order = bp.order
+    length = _slots(order, 2)
+    quots = []
     for n in range(bp.n_max + 1):
-        rhs = Series.zero(order, 2)
-        for r in range(n + 1):
-            t = mul(bp.alpha[r], invert_poch(_Q, order, n=n - r, denom=2))
-            t = mul(t, invert_poch(_Q, order, n=n + r, denom=2))
-            rhs = rhs + t
-        if rhs != bp.beta[n]:
+        v, cs = _head(bp.alpha[n], length)
+        quots.append((v, _div_factors(cs, _Q, 2 * n, 2)))
+        rhs = [0] * length
+        for r, (v, cs) in enumerate(quots):
+            if r < n:
+                _div_factor(cs, 1, 2 * (n - r))
+                _div_factor(cs, 1, 2 * (n + r))
+            rhs[v:] = map(add, rhs[v:], cs)
+        if Series(rhs, order, 2) != bp.beta[n]:
             return False
     return True
 
@@ -125,17 +150,14 @@ def apply_S1(bp: BaileyPair) -> BaileyPair:
     alpha'_r = q^(r^2) alpha_r,
     beta'_n = sum_r q^(r^2) beta_r / (q; q)_{n-r}."""
     order = bp.order
+    length = _slots(order, 2)
     alpha = tuple(
         s.shift(r * r).truncate(order) for r, s in enumerate(bp.alpha)
     )
-    beta = []
-    for n in range(bp.n_max + 1):
-        acc = Series.zero(order, 2)
-        for r in range(n + 1):
-            t = mul(bp.beta[r], invert_poch(_Q, order, n=n - r, denom=2))
-            acc = acc + t.shift(r * r).truncate(order)
-        beta.append(acc)
-    return BaileyPair(alpha, tuple(beta))
+    terms = [_head(s, max(length - 2 * r * r, 0)) for r, s in enumerate(bp.beta)]
+    exps = [[2 * r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
+    sums = _quotient_sums(terms, _Q, 2, length, exps)
+    return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
 def apply_S2(bp: BaileyPair) -> BaileyPair:
@@ -144,18 +166,20 @@ def apply_S2(bp: BaileyPair) -> BaileyPair:
     beta'_n = sum_r (-q^(1/2); q)_r q^(r^2/2) beta_r / (q; q)_{n-r}
               all divided by (-q^(1/2); q)_n."""
     order = bp.order
+    length = _slots(order, 2)
     alpha = tuple(
         s.shift(Fraction(r * r, 2)).truncate(order) for r, s in enumerate(bp.alpha)
     )
-    beta = []
-    for n in range(bp.n_max + 1):
-        acc = Series.zero(order, 2)
-        for r in range(n + 1):
-            t = mul(bp.beta[r], poch_finite(_NEG_SQRT_Q, r, order, denom=2))
-            t = mul(t, invert_poch(_Q, order, n=n - r, denom=2))
-            acc = acc + t.shift(Fraction(r * r, 2)).truncate(order)
-        beta.append(mul(acc, invert_poch(_NEG_SQRT_Q, order, n=n, denom=2)))
-    return BaileyPair(alpha, tuple(beta))
+    terms = []
+    for r, s in enumerate(bp.beta):
+        v, cs = _head(s, max(length - r * r, 0))
+        terms.append((v, _mul_factors(cs, _NEG_SQRT_Q, r, 2)))
+    exps = [[r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
+    sums = _quotient_sums(terms, _Q, 2, length, exps)
+    beta = tuple(
+        _series(v, _div_factors(cs, _NEG_SQRT_Q, n, 2), order) for n, (v, cs) in enumerate(sums)
+    )
+    return BaileyPair(alpha, beta)
 
 
 def apply_D1(bp: BaileyPair) -> BaileyPair:
@@ -165,16 +189,15 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     The truncation order doubles along with the exponents.
     """
     order = 2 * bp.order
+    length = _slots(order, 2)
     alpha = tuple(s.rescale(2) for s in bp.alpha)
-    beta = []
-    for n in range(bp.n_max + 1):
-        acc = Series.zero(order, 2)
-        for r in range(n + 1):
-            t = mul(bp.beta[r].rescale(2), poch_finite(_NEG_Q, 2 * r, order, denom=2))
-            t = mul(t, invert_poch(_Q2, order, n=n - r, denom=2))
-            acc = acc + t.shift(n - r).truncate(order)
-        beta.append(acc)
-    return BaileyPair(alpha, tuple(beta))
+    terms = []
+    for r, s in enumerate(bp.beta):
+        v, cs = _head(s.rescale(2), length)
+        terms.append((v, _mul_factors(cs, _NEG_Q, 2 * r, 2)))
+    exps = [[2 * (n - r) for r in range(n + 1)] for n in range(bp.n_max + 1)]
+    sums = _quotient_sums(terms, _Q2, 2, length, exps)
+    return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
 def _p41_template(a_coef: int, m: int, with_linear: bool, order) -> Series:
@@ -298,9 +321,6 @@ def limit_identity(gp, order) -> Tuple[Series, Series]:
         theta.append((e1, sgn))
         theta.append((Fraction((k + 1) * r * r + (k - a + 1) * r, 2), sgn))
         r += 1
-    theta_series = Series.from_terms(theta, order, 2)
-    pref = mul(
-        poch_infinite(_NEG_SQRT_Q, order, denom=2), invert_poch(_Q, order, denom=2)
-    )
-    rhs = mul(pref, theta_series)
-    return lhs, rhs
+    cs = list(Series.from_terms(theta, order, 2).coeffs)
+    _mul_factors(cs, _NEG_SQRT_Q, None, 2)
+    return lhs, Series(_div_factors(cs, _Q, None, 2), order, 2)

@@ -28,11 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Optional, Sequence, Tuple
 
 from .lattice_paths import count_S
 from .partitions import GordonParams
-from .qseries import PochSpec, Series, invert_poch, mul, poch_finite, poch_infinite, triple_product
+from .qseries import PochSpec, Series, _div_factors, _mul_factors, _quotient_sums, _slots, triple_product
+
+# imported for perfbench/tracing.py, which wraps these names on this module
+from .qseries import invert_poch, mul, poch_finite, poch_infinite  # noqa: F401
 
 __all__ = [
     "THEOREMS",
@@ -94,6 +99,9 @@ def ladder_multisum(
 
     The table H[i][N] accumulates levels i..k-1 with N_i = N; each
     level is capped as soon as its own quadratic term passes the order.
+    Table entries are int lists cut to the window their exponent leaves
+    below the order, multiplied and divided by Pochhammer factors in
+    place (see :func:`qgordon.qseries._quotient_sums`).
     """
     order = Fraction(order)
     quad = Fraction(quad)
@@ -108,39 +116,50 @@ def ladder_multisum(
     lin = [Fraction(v) for v in lin]
     nlin = [Fraction(v) for v in nlin]
 
-    def level_range(i: int):
-        n = 0
-        while quad * n * n + lin[i - 1] * n < order:
-            yield n
-            n += 1
+    # Work on a grid holding every exponent; the result keeps the grid of
+    # the symbols and of the exponents that fall below the order.
+    used = lcm(denom, innermost.grid(), numer.grid() if numer else 1)
+    if k > 2:
+        used = lcm(used, level_denom.grid())
+    grid = lcm(used, quad.denominator, *(v.denominator for v in lin + nlin))
+    length = _slots(order, grid)
+    sq = int(quad * grid)
+    li = [int(v * grid) for v in lin]
+    nli = [int(v * grid) for v in nlin]
 
-    table: dict[int, Series] = {}
-    i = k - 1
-    for n in level_range(i):
-        e = quad * n * n + lin[i - 1] * n
-        t = invert_poch(innermost, order, n=n, denom=denom)
+    def level_exps(i: int, width: int):
+        """Exponent slots e(n, m) of level i for every n below the order
+        and m <= n, m < width."""
+        rows = []
+        n = 0
+        while (base := sq * n * n + li[i - 1] * n) < length:
+            row = [base + nli[i - 1] * (n - m) for m in range(min(n + 1, width))]
+            if min(row) < 0:
+                raise ValueError(f"negative exponent in level {i} at N = {n}")
+            rows.append(row)
+            n += 1
+        return rows
+
+    exps = level_exps(k - 1, 1)
+    table = []
+    for n, (e,) in enumerate(exps):
+        cs = [1] + [0] * (length - e - 1)
+        _div_factors(cs, innermost, n, grid)
         if numer is not None:
-            t = mul(t, poch_finite(numer, n, order, denom=denom))
-        table[n] = t.shift(e).truncate(order)
+            _mul_factors(cs, numer, n, grid)
+        table.append((e, cs))
     for i in range(k - 2, 0, -1):
-        nxt: dict[int, Series] = {}
-        for n in level_range(i):
-            e_base = quad * n * n + lin[i - 1] * n
-            acc = Series.zero(order, denom)
-            for m, inner in table.items():
-                if m > n:
-                    continue
-                e = e_base + nlin[i - 1] * (n - m)
-                if e >= order:
-                    continue
-                term = mul(inner, invert_poch(level_denom, order, n=n - m, denom=denom))
-                acc = acc + term.shift(e).truncate(order)
-            nxt[n] = acc
-        table = nxt
-    total = Series.zero(order, denom)
-    for t in table.values():
-        total = total + t
-    return total
+        rows = level_exps(i, len(table))
+        exps += rows
+        table = _quotient_sums(table, level_denom, grid, length, rows)
+    for row in exps:
+        for e in row:
+            if e < length:
+                used = lcm(used, grid // gcd(e, grid))
+    total = [0] * length
+    for v, cs in table:
+        total[v:] = map(add, total[v:], cs)
+    return Series(total[:: grid // used], order, used)
 
 
 # ---------------------------------------------------------------- sum sides
@@ -214,6 +233,14 @@ def eval_multisum_main(gp, order) -> Series:
 # ---------------------------------------------------------------- product sides
 
 
+def _times_over(tp: Series, times: Optional[PochSpec], over: PochSpec) -> Series:
+    """tp * (times)_inf / (over)_inf, multiplied and divided in place."""
+    cs = list(tp.coeffs)
+    if times is not None:
+        _mul_factors(cs, times, None, tp.denom)
+    return Series(_div_factors(cs, over, None, tp.denom), tp.order, tp.denom)
+
+
 def eval_product_side(theorem: str, gp, order) -> Series:
     """Product side for a theorem tag, as a series to ``order``.
 
@@ -225,23 +252,21 @@ def eval_product_side(theorem: str, gp, order) -> Series:
     k, a = gp.k, gp.a
     if theorem == "AG":
         m = 2 * k + 1
-        return mul(triple_product(a, m - a, m, order), invert_poch(_Q, order))
+        return _times_over(triple_product(a, m - a, m, order), None, _Q)
     if theorem == "W_same":
         if (k - a) % 2:
             raise ValueError(f"W_same needs k = a mod 2, got {gp}")
         m = 2 * k + 2
-        t = mul(triple_product(a, m - a, m, order), poch_infinite(_NEG_Q_ODD, order))
-        return mul(t, invert_poch(_Q2, order))
+        return _times_over(triple_product(a, m - a, m, order), _NEG_Q_ODD, _Q2)
     if theorem == "W_diff":
         if (k - a) % 2 == 0:
             raise ValueError(f"W_diff needs k != a mod 2, got {gp}")
         m = 2 * k + 2
-        aux = mul(poch_infinite(_NEG_Q3_ODD, order), invert_poch(_Q2, order))
-        first = mul(triple_product(a + 1, m - a - 1, m, order), aux)
+        first = _times_over(triple_product(a + 1, m - a - 1, m, order), _NEG_Q3_ODD, _Q2)
         if a == 1:
             # the companion product carries (q^{a-1}; ...) = (1; ...) = 0
             return first
-        second = mul(triple_product(a - 1, m - a + 1, m, order), aux)
+        second = _times_over(triple_product(a - 1, m - a + 1, m, order), _NEG_Q3_ODD, _Q2)
         return first + second.shift(1).truncate(order)
     if theorem in ("Wbar_odd_even", "Wbar_even_odd"):
         m = 2 * k + 2
@@ -253,14 +278,12 @@ def eval_product_side(theorem: str, gp, order) -> Series:
             if k % 2 == 1 or a % 2 == 0:
                 raise ValueError(f"Wbar_even_odd needs k even and a odd, got {gp}")
             tp = triple_product(a + 1, m - a - 1, m, order)
-        t = mul(tp, poch_infinite(_NEG_Q_EVEN, order))
-        return mul(t, invert_poch(_Q2, order))
+        return _times_over(tp, _NEG_Q_EVEN, _Q2)
     if theorem in ("Main", "Paths"):
         if (k - a) % 2 == 0:
             raise ValueError(f"{theorem} needs k != a mod 2, got {gp}")
         m = 2 * k + 2
-        t = mul(triple_product(a, m - a, m, order), poch_infinite(_NEG_Q_ODD, order))
-        return mul(t, invert_poch(_Q2, order))
+        return _times_over(triple_product(a, m - a, m, order), _NEG_Q_ODD, _Q2)
     raise ValueError(f"unknown theorem tag {theorem!r}; pick from {THEOREMS}")
 
 
@@ -327,6 +350,10 @@ def verify(spec: IdentitySpec) -> VerificationReport:
     Returns:
         A report carrying both series, whether they agree on the window
         below the order, and the first differing exponent otherwise.
+
+    Raises:
+        ValueError: if either side stops short of the requested order,
+            so that agreement would say nothing about the missing window.
     """
     gp, order = spec.gp, spec.order
     t = spec.theorem
@@ -344,6 +371,11 @@ def verify(spec: IdentitySpec) -> VerificationReport:
         rhs = eval_multisum_main(gp, order)
     else:
         rhs = eval_product_side(t, gp, order)
+    window = min(lhs.order, rhs.order)
+    if window < order:
+        raise ValueError(
+            f"{t} (k={gp.k}, a={gp.a}): the sides are known only below q^{window}, short of q^{order}"
+        )
     return VerificationReport(
         spec=spec,
         lhs=lhs,

@@ -13,6 +13,17 @@ Pochhammer symbols are described by :class:`PochSpec`, a triple
 module-level helpers build finite and infinite products, reciprocals,
 Jacobi triple products and theta sums on whatever exponent grid the
 inputs require.
+
+None of them multiplies series densely or inverts one.  The private
+kernels :func:`_mul_factors` and :func:`_div_factors` multiply and
+divide a plain list of int coefficients by (x; q^b)_n in place, one
+O(length) pass per factor 1 - sign * q^s: a shifted ``zip`` to
+multiply, an ascending ``cs[i] += sign * cs[i - s]`` to divide.
+:func:`_quotient_sums` builds the sums of quotients that the multisums
+and the Bailey transformations need, keeping one running quotient per
+term and cutting it to the window it still needs before each division.
+``Series.__mul__`` and ``Series.inverse`` stay as the dense reference
+the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add as _add
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 QExp = Union[int, Fraction]
@@ -426,23 +438,89 @@ class PochSpec:
         return _lcm(_lcm(self.exponent.denominator, self.base.denominator), denom)
 
 
+def _factor_slots(spec: PochSpec, n: int | None, denom: int, length: int) -> range:
+    """Grid slots s of the factors 1 - sign * q^(s / denom) of (spec)_n
+    that lie below slot ``length`` (n = None: the infinite product)."""
+    first, step = _grid_slots(spec, denom)
+    stop = length if n is None else min(length, first + n * step)
+    return range(first, stop, step)
+
+
+def _grid_slots(spec: PochSpec, denom: int) -> Tuple[int, int]:
+    """The symbol's exponent and base as slots of grid 1/denom."""
+    first, step = spec.exponent * denom, spec.base * denom
+    if first.denominator != 1 or step.denominator != 1:
+        raise ValueError(f"{spec} does not lie on grid 1/{denom}")
+    return int(first), int(step)
+
+
+def _div_factor(cs: list, sign: int, s: int) -> None:
+    """Divide the coefficient list ``cs`` in place by 1 - sign * q^s, s >= 1."""
+    if s == 0:
+        raise ValueError("reciprocal requires constant coefficient 1")
+    # one loop per sign: multiplying by sign costs half as much again
+    if sign == 1:
+        for i in range(s, len(cs)):
+            cs[i] += cs[i - s]
+    else:
+        for i in range(s, len(cs)):
+            cs[i] -= cs[i - s]
+
+
+def _mul_factors(cs: list, spec: PochSpec, n: int | None, denom: int) -> list:
+    """Multiply the coefficient list ``cs`` (grid 1/denom, known below
+    slot len(cs)) by (spec)_n in place: one pass per factor (s = 0
+    pairs each coefficient with itself, giving (1 - sign) * c)."""
+    for s in _factor_slots(spec, n, denom, len(cs)):
+        if spec.sign == 1:
+            cs[s:] = [c - x for c, x in zip(cs[s:], cs)]
+        else:
+            cs[s:] = [c + x for c, x in zip(cs[s:], cs)]
+    return cs
+
+
+def _div_factors(cs: list, spec: PochSpec, n: int | None, denom: int) -> list:
+    """Divide the coefficient list ``cs`` by (spec)_n in place: one
+    ascending pass cs[i] += sign * cs[i - s] per factor."""
+    for s in _factor_slots(spec, n, denom, len(cs)):
+        _div_factor(cs, spec.sign, s)
+    return cs
+
+
+def _quotient_sums(terms: list, spec: PochSpec, denom: int, length: int, exps: list) -> list:
+    """sum_{m <= n} q^(exps[n][m] / denom) * terms[m] / (spec)_{n-m} for
+    each n < len(exps), as (v, cs) pairs standing for q^(v / denom) * cs
+    with cs known below slot ``length``.
+
+    ``terms`` holds (v, cs) pairs of the same form and is consumed: each
+    becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
+    window it still needs before each division, so every (n, m) costs
+    one pass over one factor.  ``exps[n]`` lists the slots for
+    m = 0..min(n, len(terms) - 1); they must not decrease in n.
+    """
+    first, step = _grid_slots(spec, denom)
+    out = []
+    for n, row in enumerate(exps):
+        acc = [0] * length
+        lo = length
+        for m, e in enumerate(row):
+            v, cs = terms[m]
+            del cs[max(length - e - v, 0):]
+            if not cs:
+                continue
+            if m < n:
+                _div_factor(cs, spec.sign, first + (n - m - 1) * step)
+            at, end = e + v, e + v + len(cs)
+            acc[at:end] = map(_add, acc[at:end], cs)
+            lo = min(lo, at)
+        out.append((lo, acc[lo:]))
+    return out
+
+
 @lru_cache(maxsize=4096)
 def _poch(spec: PochSpec, n: int | None, order: Fraction, denom: int) -> Series:
-    out = Series.one(order, denom)
-    j = 0
-    while True:
-        if n is not None and j >= n:
-            break
-        e = spec.exponent + j * spec.base
-        if e >= order:
-            if n is None:
-                break
-            j += 1
-            continue
-        factor = Series.from_terms([(0, 1), (e, -spec.sign)], order, denom)
-        out = out * factor
-        j += 1
-    return out
+    cs = [1] + [0] * (_slots(order, denom) - 1)
+    return Series(_mul_factors(cs, spec, n, denom), order, denom)
 
 
 def poch_finite(spec: PochSpec, n: int, order: QExp, denom: int | None = None) -> Series:
@@ -458,8 +536,7 @@ def poch_finite(spec: PochSpec, n: int, order: QExp, denom: int | None = None) -
     Returns:
         The product of the first n factors, truncated.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"Pochhammer length must be a nonnegative int, got {n!r}")
+    _check_length(n)
     return _poch(spec, n, _frac(order), spec.grid(denom or 1))
 
 
@@ -470,9 +547,18 @@ def poch_infinite(spec: PochSpec, order: QExp, denom: int | None = None) -> Seri
     vanishing factor and the infinite product collapses to 0, which is
     never what a generating-function identity means.
     """
+    _check_infinite(spec)
+    return _poch(spec, None, _frac(order), spec.grid(denom or 1))
+
+
+def _check_length(n) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"Pochhammer length must be a nonnegative int, got {n!r}")
+
+
+def _check_infinite(spec: PochSpec) -> None:
     if spec.sign == 1 and spec.exponent == 0:
         raise ValueError("(q^0; .)_infinity vanishes; refusing the degenerate symbol")
-    return _poch(spec, None, _frac(order), spec.grid(denom or 1))
 
 
 def invert_poch(
@@ -480,10 +566,12 @@ def invert_poch(
 ) -> Series:
     """Reciprocal 1 / (sign * q^e ; q^b)_n (n = None means infinite)."""
     if n is None:
-        f = poch_infinite(spec, order, denom)
+        _check_infinite(spec)
     else:
-        f = poch_finite(spec, n, order, denom)
-    return f.inverse()
+        _check_length(n)
+    order, denom = _frac(order), spec.grid(denom or 1)
+    cs = [1] + [0] * (_slots(order, denom) - 1)
+    return Series(_div_factors(cs, spec, n, denom), order, denom)
 
 
 # ---------------------------------------------------------------- products
@@ -517,10 +605,12 @@ def triple_product(e1: QExp, e2: QExp, e3: QExp, order: QExp) -> Series:
     if e1 + e2 != e3:
         raise ValueError(f"triple product requires e1 + e2 = e3; got {e1} + {e2} != {e3}")
     order = _frac(order)
-    out = poch_infinite(PochSpec(1, e1, e3), order)
-    out = out * poch_infinite(PochSpec(1, e2, e3), order)
-    out = out * poch_infinite(PochSpec(1, e3, e3), order)
-    return out
+    specs = [PochSpec(1, e, e3) for e in (e1, e2, e3)]
+    denom = _lcm(_lcm(specs[0].grid(), specs[1].grid()), specs[2].grid())
+    cs = [1] + [0] * (_slots(order, denom) - 1)
+    for spec in specs:
+        _mul_factors(cs, spec, None, denom)
+    return Series(cs, order, denom)
 
 
 def theta_sum(e1: QExp, e3: QExp, order: QExp) -> Series:

@@ -102,6 +102,12 @@ class TestChain:
             for label, bp in build_chain(gp, 6, 24):
                 assert check_pair(bp), (gp, label)
 
+    def test_every_link_satisfies_relation_at_high_order(self):
+        chain = build_chain((7, 2), 10, 160)
+        assert chain[-1][1].order == 160
+        for label, bp in chain:
+            assert check_pair(bp), label
+
     def test_endpoint_matches_closed_form(self):
         for gp in ((2, 1), (3, 2), (5, 2)):
             fin = build_chain(gp, 6, 24)[-1][1]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from qgordon import identities
 from qgordon.identities import (
     THEOREMS,
     IdentitySpec,
@@ -133,6 +134,37 @@ class TestVerify:
         with pytest.raises(ValueError, match="start at k = 2"):
             IdentitySpec("AG", GordonParams(1, 1), 10)
         assert len(THEOREMS) == 7
+
+    def test_short_side_is_refused(self, monkeypatch):
+        """A side that stops short of the order must not pass vacuously
+        on the window that is left."""
+        true_sum = identities.eval_multisum_AG
+        monkeypatch.setattr(
+            identities, "eval_multisum_AG", lambda gp, order: true_sum(gp, order).truncate(order - 1)
+        )
+        with pytest.raises(ValueError, match="short of q\\^20"):
+            verify(IdentitySpec("AG", GordonParams(3, 1), 20))
+
+
+class TestHighOrder:
+    """Order 400 at k = 8 (k = 7 where the tag needs k odd): far beyond
+    what dense products and inverses could afford."""
+
+    @pytest.mark.parametrize(
+        "theorem,k,a",
+        [
+            ("AG", 8, 3),
+            ("W_same", 8, 4),
+            ("W_diff", 8, 3),
+            ("Wbar_odd_even", 7, 2),
+            ("Wbar_even_odd", 8, 5),
+            ("Main", 8, 1),
+        ],
+    )
+    def test_sum_equals_product_at_order_400(self, theorem, k, a):
+        r = verify(IdentitySpec(theorem, GordonParams(k, a), 400))
+        assert r.equal and r.first_discrepancy is None
+        assert r.lhs.order >= 400 and r.rhs.order >= 400
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from qgordon.qseries import (
     PochSpec,
     Series,
+    _div_factors,
+    _mul_factors,
     invert_poch,
     poch_finite,
     poch_infinite,
@@ -291,6 +293,72 @@ class TestRingProperties:
     @given(f=small_series)
     def test_rescale_round_trip(self, f):
         assert rescale(rescale(f, 2), Fraction(1, 2)) == f
+
+
+# every symbol the package expands or divides by
+PACKAGE_SPECS = (
+    PochSpec(1, 1, 1),  # (q; q)
+    PochSpec(1, 2, 2),  # (q^2; q^2)
+    PochSpec(1, 4, 4),  # (q^4; q^4)
+    PochSpec(-1, 1, 2),  # (-q; q^2)
+    PochSpec(-1, 2, 2),  # (-q^2; q^2)
+    PochSpec(-1, 3, 2),  # (-q^3; q^2)
+    PochSpec(-1, 1, 1),  # (-q; q)
+    PochSpec(-1, Fraction(1, 2), 1),  # (-q^(1/2); q)
+)
+
+
+@st.composite
+def grid_series(draw):
+    """A random integer series on grid 1 or 2 with a window of at most
+    24 slots, so that long symbols run past the truncation."""
+    denom = draw(st.sampled_from((1, 2)))
+    order = Fraction(draw(st.integers(min_value=1, max_value=24)), denom)
+    cs = draw(st.lists(st.integers(min_value=-50, max_value=50), max_size=24))
+    return Series(cs, order, denom)
+
+
+def _dense_symbol(spec, n, order):
+    return poch_infinite(spec, order) if n is None else poch_finite(spec, n, order)
+
+
+def _in_place(kernel, f, spec, n):
+    """Apply a list kernel to f, first moved onto the grid the symbol needs."""
+    g = f._promote(spec.grid(f.denom))
+    return Series(kernel(list(g.coeffs), spec, n, g.denom), g.order, g.denom)
+
+
+def _exact(f: Series):
+    return f.coeffs, f.order, f.denom
+
+
+lengths = st.one_of(st.integers(min_value=0, max_value=12), st.none())
+
+
+class TestInPlaceKernels:
+    """The in-place Pochhammer kernels against the dense Series products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=grid_series(), spec=st.sampled_from(PACKAGE_SPECS), n=lengths)
+    def test_multiply_matches_dense_product(self, f, spec, n):
+        dense = f * _dense_symbol(spec, n, f.order)
+        assert _exact(_in_place(_mul_factors, f, spec, n)) == _exact(dense)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=grid_series(), spec=st.sampled_from(PACKAGE_SPECS), n=lengths)
+    def test_divide_matches_dense_inverse(self, f, spec, n):
+        dense = f * _dense_symbol(spec, n, f.order).inverse()
+        assert _exact(_in_place(_div_factors, f, spec, n)) == _exact(dense)
+
+    def test_symbol_off_the_grid_is_refused(self):
+        with pytest.raises(ValueError, match="does not lie on grid"):
+            _mul_factors([1, 0, 0], PochSpec(-1, Fraction(1, 2), 1), 2, 1)
+
+    def test_divide_needs_unit_constant(self):
+        """(-1; q)_n starts with the factor 2, which has no integer inverse."""
+        with pytest.raises(ValueError, match="constant coefficient 1"):
+            _div_factors([1, 0, 0], PochSpec(-1, 0, 1), 2, 1)
+        assert _mul_factors([1, 0, 0], PochSpec(-1, 0, 1), 2, 1) == [2, 2, 0]
 
 
 if __name__ == "__main__":
