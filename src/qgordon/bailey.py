@@ -23,7 +23,7 @@ from operator import add
 from typing import Tuple
 
 from .identities import ladder_multisum
-from .partitions import GordonParams
+from .partitions import _as_params
 from .qseries import PochSpec, Series, _div_factor, _div_factors, _mul_factors, _quotient_sums, _slots
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -46,13 +46,6 @@ _Q = PochSpec(1, 1, 1)                      # (q; q)
 _Q2 = PochSpec(1, 2, 2)                     # (q^2; q^2)
 _NEG_Q = PochSpec(-1, 1, 1)                 # (-q; q)
 _NEG_SQRT_Q = PochSpec(-1, Fraction(1, 2), 1)  # (-q^(1/2); q)
-
-
-def _as_params(gp) -> GordonParams:
-    if isinstance(gp, GordonParams):
-        return gp
-    k, a = gp
-    return GordonParams(k, a)
 
 
 @dataclass(frozen=True)

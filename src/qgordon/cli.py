@@ -21,7 +21,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .bailey import build_chain, check_pair, closed_form_alpha
-from .identities import IdentitySpec, VerificationReport, verify
+from .identities import THEOREMS, IdentitySpec, VerificationReport, verify
 from .lattice_paths import (
     count_S,
     enumerate_S_paths,
@@ -33,28 +33,17 @@ from .partitions import GordonParams, count_A, count_B, count_W, count_Wbar
 
 __all__ = ["run", "sweep", "main"]
 
-_THEOREM_NAMES = ("ag", "w", "wbar", "main", "paths")
+# the --theorem names: the table's families, in first-seen order
+_THEOREM_NAMES = tuple(dict.fromkeys(thm.family for thm in THEOREMS.values()))
 _FAMILIES = ("B", "A", "W", "Wbar", "S")
 
 
-def _resolve_tag(name: str, gp: GordonParams) -> str:
-    """Map a CLI theorem name to the precise tag for (k, a)."""
-    k, a = gp.k, gp.a
-    if name == "ag":
-        return "AG"
-    if name == "w":
-        return "W_same" if (k - a) % 2 == 0 else "W_diff"
-    if name == "wbar":
-        if k % 2 == 1 and a % 2 == 0:
-            return "Wbar_odd_even"
-        if k % 2 == 0 and a % 2 == 1:
-            return "Wbar_even_odd"
-        raise ValueError(
-            f"the odd-multiplicity family needs a even for odd k and a odd for even k, got (k, a) = ({k}, {a})"
-        )
-    if name == "main":
-        return "Main"
-    return "Paths"
+def _tag_for(name: str, gp: GordonParams) -> str:
+    """The one tag of the --theorem family ``name`` whose regime holds (k, a)."""
+    for tag, thm in THEOREMS.items():
+        if thm.family == name and thm.applies(gp.k, gp.a):
+            return tag
+    raise ValueError(f"theorem {name} does not apply to (k, a) = ({gp.k}, {gp.a})")
 
 
 def _emit(obj, as_json: bool, lines: List[str]) -> None:
@@ -70,7 +59,7 @@ def _emit(obj, as_json: bool, lines: List[str]) -> None:
 
 def _cmd_verify(args) -> int:
     gp = GordonParams(args.k, args.a)
-    tag = _resolve_tag(args.theorem, gp)
+    tag = _tag_for(args.theorem, gp)
     order = args.order if args.order is not None else (20 if tag == "Paths" else 40)
     report = verify(IdentitySpec(tag, gp, order))
     if report.equal:
@@ -158,23 +147,19 @@ def _cmd_bailey_chain(args) -> int:
 def sweep(kmax: int = 4, order: int = 40) -> List[VerificationReport]:
     """Verify every theorem tag over the (k, a) grid up to kmax.
 
-    Path counting is excluded (it has its own theorem name and a far
-    smaller practical order).
+    Runs k = 2..kmax, a = 1..k, and at each (k, a) every tag that
+    applies, in table order.  Path counting is excluded (it has its own
+    theorem name and a far smaller practical order).
     """
     if kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
-    specs = []
-    for k in range(2, kmax + 1):
-        for a in range(1, k + 1):
-            gp = GordonParams(k, a)
-            specs.append(IdentitySpec("AG", gp, order))
-            specs.append(IdentitySpec("W_same" if (k - a) % 2 == 0 else "W_diff", gp, order))
-            if k % 2 == 1 and a % 2 == 0:
-                specs.append(IdentitySpec("Wbar_odd_even", gp, order))
-            elif k % 2 == 0 and a % 2 == 1:
-                specs.append(IdentitySpec("Wbar_even_odd", gp, order))
-            if (k - a) % 2 == 1:
-                specs.append(IdentitySpec("Main", gp, order))
+    specs = [
+        IdentitySpec(tag, GordonParams(k, a), order)
+        for k in range(2, kmax + 1)
+        for a in range(1, k + 1)
+        for tag, thm in THEOREMS.items()
+        if tag != "Paths" and thm.applies(k, a)
+    ]
     return [verify(s) for s in specs]
 
 

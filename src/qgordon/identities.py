@@ -10,7 +10,11 @@ the ``eval_multisum_*`` wrappers pin down the parameters for each
 theorem tag, and :func:`verify` compares a sum against its product to
 a requested order and reports the first discrepancy if any.
 
-Theorem tags:
+The table :data:`THEOREMS` is the one place that says, for each tag,
+which (k, a) it applies to, which two sides it compares, and its name
+on the command line; validation, :func:`verify`,
+:func:`eval_product_side` and the CLI all read it.  Theorem tags, in
+table order:
 
 * ``AG``: parts not congruent to 0, +-a mod 2k+1 (classic multisum).
 * ``W_same`` / ``W_diff``: even parts appear an even number of times;
@@ -30,10 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .lattice_paths import count_S
-from .partitions import GordonParams
+from .partitions import GordonParams, _as_params
 from .qseries import PochSpec, Series, _div_factors, _mul_factors, _quotient_sums, _slots, triple_product
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -41,6 +46,7 @@ from .qseries import invert_poch, mul, poch_finite, poch_infinite  # noqa: F401
 
 __all__ = [
     "THEOREMS",
+    "Theorem",
     "IdentitySpec",
     "VerificationReport",
     "ladder_multisum",
@@ -52,21 +58,12 @@ __all__ = [
     "verify",
 ]
 
-THEOREMS = ("AG", "W_same", "W_diff", "Wbar_odd_even", "Wbar_even_odd", "Main", "Paths")
-
 _Q = PochSpec(1, 1, 1)        # (q; q)
 _Q2 = PochSpec(1, 2, 2)       # (q^2; q^2)
 _Q4 = PochSpec(1, 4, 4)       # (q^4; q^4)
 _NEG_Q_ODD = PochSpec(-1, 1, 2)   # (-q; q^2)
 _NEG_Q_EVEN = PochSpec(-1, 2, 2)  # (-q^2; q^2)
 _NEG_Q3_ODD = PochSpec(-1, 3, 2)  # (-q^3; q^2)
-
-
-def _as_params(gp) -> GordonParams:
-    if isinstance(gp, GordonParams):
-        return gp
-    k, a = gp
-    return GordonParams(k, a)
 
 
 # ---------------------------------------------------------------- generic sum
@@ -233,12 +230,25 @@ def eval_multisum_main(gp, order) -> Series:
 # ---------------------------------------------------------------- product sides
 
 
-def _times_over(tp: Series, times: Optional[PochSpec], over: PochSpec) -> Series:
-    """tp * (times)_inf / (over)_inf, multiplied and divided in place."""
+def _theta_quotient(m: int, r: int, times: Optional[PochSpec], over: PochSpec, order) -> Series:
+    """(q^r, q^(m-r), q^m; q^m)_inf * (times)_inf / (over)_inf, the
+    last two multiplied and divided in place."""
+    tp = triple_product(r, m - r, m, order)
     cs = list(tp.coeffs)
     if times is not None:
         _mul_factors(cs, times, None, tp.denom)
     return Series(_div_factors(cs, over, None, tp.denom), tp.order, tp.denom)
+
+
+def _w_diff_product(k: int, a: int, order) -> Series:
+    """The two-product right-hand side of ``W_diff``; the second product
+    carries (q^(a-1); ...) = (1; ...) = 0 when a = 1 and is skipped."""
+    m = 2 * k + 2
+    first = _theta_quotient(m, a + 1, _NEG_Q3_ODD, _Q2, order)
+    if a == 1:
+        return first
+    second = _theta_quotient(m, a - 1, _NEG_Q3_ODD, _Q2, order)
+    return first + second.shift(1).truncate(order)
 
 
 def eval_product_side(theorem: str, gp, order) -> Series:
@@ -247,44 +257,82 @@ def eval_product_side(theorem: str, gp, order) -> Series:
     For ``W_diff`` the right-hand side is a sum of two products (the
     second vanishes identically when a = 1).  ``Paths`` shares the
     ``Main`` product.
+
+    Raises:
+        ValueError: for an unknown tag or a (k, a) outside its regime.
     """
+    thm = THEOREMS.get(theorem)
+    if thm is None:
+        raise ValueError(f"unknown theorem tag {theorem!r}; pick from {tuple(THEOREMS)}")
     gp = _as_params(gp)
-    k, a = gp.k, gp.a
-    if theorem == "AG":
-        m = 2 * k + 1
-        return _times_over(triple_product(a, m - a, m, order), None, _Q)
-    if theorem == "W_same":
-        if (k - a) % 2:
-            raise ValueError(f"W_same needs k = a mod 2, got {gp}")
-        m = 2 * k + 2
-        return _times_over(triple_product(a, m - a, m, order), _NEG_Q_ODD, _Q2)
-    if theorem == "W_diff":
-        if (k - a) % 2 == 0:
-            raise ValueError(f"W_diff needs k != a mod 2, got {gp}")
-        m = 2 * k + 2
-        first = _times_over(triple_product(a + 1, m - a - 1, m, order), _NEG_Q3_ODD, _Q2)
-        if a == 1:
-            # the companion product carries (q^{a-1}; ...) = (1; ...) = 0
-            return first
-        second = _times_over(triple_product(a - 1, m - a + 1, m, order), _NEG_Q3_ODD, _Q2)
-        return first + second.shift(1).truncate(order)
-    if theorem in ("Wbar_odd_even", "Wbar_even_odd"):
-        m = 2 * k + 2
-        if theorem == "Wbar_odd_even":
-            if k % 2 == 0 or a % 2 == 1:
-                raise ValueError(f"Wbar_odd_even needs k odd and a even, got {gp}")
-            tp = triple_product(a, m - a, m, order)
-        else:
-            if k % 2 == 1 or a % 2 == 0:
-                raise ValueError(f"Wbar_even_odd needs k even and a odd, got {gp}")
-            tp = triple_product(a + 1, m - a - 1, m, order)
-        return _times_over(tp, _NEG_Q_EVEN, _Q2)
-    if theorem in ("Main", "Paths"):
-        if (k - a) % 2 == 0:
-            raise ValueError(f"{theorem} needs k != a mod 2, got {gp}")
-        m = 2 * k + 2
-        return _times_over(triple_product(a, m - a, m, order), _NEG_Q_ODD, _Q2)
-    raise ValueError(f"unknown theorem tag {theorem!r}; pick from {THEOREMS}")
+    if not thm.applies(gp.k, gp.a):
+        raise ValueError(f"theorem {theorem} does not apply to (k, a) = ({gp.k}, {gp.a})")
+    return thm.product(gp.k, gp.a, order)
+
+
+# ---------------------------------------------------------------- theorem table
+
+
+class Theorem(NamedTuple):
+    """One row of :data:`THEOREMS`.
+
+    :func:`verify` compares ``sum_side(gp, order)`` with
+    ``product_side(gp, order)``; :func:`eval_product_side` evaluates
+    ``product(k, a, order)``.  The sides look the evaluators up on this
+    module at call time, so wrappers installed there see every call.
+    """
+
+    family: str  # the command line's --theorem name
+    applies: Callable[[int, int], bool]  # the (k, a) regime
+    sum_side: Callable[[GordonParams, int], Series]
+    product_side: Callable[[GordonParams, int], Series]
+    product: Callable[[int, int, int], Series]
+
+
+def _product_side(tag: str):
+    return lambda gp, order: eval_product_side(tag, gp, order)
+
+
+def _path_counts(gp: GordonParams, order: int) -> Series:
+    return Series.from_terms(((n, count_S(n, gp)) for n in range(order)), order)
+
+
+def _opposite_parity(k: int, a: int) -> bool:
+    return (k - a) % 2 == 1
+
+
+def _main_product(k: int, a: int, order) -> Series:
+    """The Main product; W_same has the same one, in the other regime."""
+    return _theta_quotient(2 * k + 2, a, _NEG_Q_ODD, _Q2, order)
+
+
+#: Every theorem tag, in the order the command line lists and sweeps them.
+THEOREMS = MappingProxyType({
+    "AG": Theorem(
+        "ag", lambda k, a: True, lambda gp, n: eval_multisum_AG(gp, n), _product_side("AG"),
+        lambda k, a, n: _theta_quotient(2 * k + 1, a, None, _Q, n)),
+    "W_same": Theorem(
+        "w", lambda k, a: (k - a) % 2 == 0, lambda gp, n: eval_multisum_W(gp, n),
+        _product_side("W_same"), _main_product),
+    "W_diff": Theorem(
+        "w", _opposite_parity, lambda gp, n: eval_multisum_W(gp, n),
+        _product_side("W_diff"), _w_diff_product),
+    "Wbar_odd_even": Theorem(
+        "wbar", lambda k, a: k % 2 == 1 and a % 2 == 0, lambda gp, n: eval_multisum_Wbar(gp, n),
+        _product_side("Wbar_odd_even"),
+        lambda k, a, n: _theta_quotient(2 * k + 2, a, _NEG_Q_EVEN, _Q2, n)),
+    "Wbar_even_odd": Theorem(
+        "wbar", lambda k, a: k % 2 == 0 and a % 2 == 1, lambda gp, n: eval_multisum_Wbar(gp, n),
+        _product_side("Wbar_even_odd"),
+        lambda k, a, n: _theta_quotient(2 * k + 2, a + 1, _NEG_Q_EVEN, _Q2, n)),
+    "Main": Theorem(
+        "main", _opposite_parity, lambda gp, n: eval_multisum_main(gp, n),
+        _product_side("Main"), _main_product),
+    # exhaustive path counts against the Main sum
+    "Paths": Theorem(
+        "paths", _opposite_parity, _path_counts, lambda gp, n: eval_multisum_main(gp, n),
+        _main_product),
+})
 
 
 # ---------------------------------------------------------------- verification
@@ -300,7 +348,7 @@ class IdentitySpec:
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
-            raise ValueError(f"unknown theorem tag {self.theorem!r}; pick from {THEOREMS}")
+            raise ValueError(f"unknown theorem tag {self.theorem!r}; pick from {tuple(THEOREMS)}")
         gp = _as_params(self.gp)
         object.__setattr__(self, "gp", gp)
         k, a = gp.k, gp.a
@@ -308,16 +356,7 @@ class IdentitySpec:
             raise ValueError(f"identities start at k = 2, got k = {k}")
         if not isinstance(self.order, int) or self.order < 1:
             raise ValueError(f"order must be a positive int, got {self.order!r}")
-        parity_ok = {
-            "AG": True,
-            "W_same": (k - a) % 2 == 0,
-            "W_diff": (k - a) % 2 == 1,
-            "Wbar_odd_even": k % 2 == 1 and a % 2 == 0,
-            "Wbar_even_odd": k % 2 == 0 and a % 2 == 1,
-            "Main": (k - a) % 2 == 1,
-            "Paths": (k - a) % 2 == 1,
-        }[self.theorem]
-        if not parity_ok:
+        if not THEOREMS[self.theorem].applies(k, a):
             raise ValueError(f"theorem {self.theorem} does not apply to (k, a) = ({k}, {a})")
 
 
@@ -357,20 +396,9 @@ def verify(spec: IdentitySpec) -> VerificationReport:
     """
     gp, order = spec.gp, spec.order
     t = spec.theorem
-    if t == "AG":
-        lhs = eval_multisum_AG(gp, order)
-    elif t in ("W_same", "W_diff"):
-        lhs = eval_multisum_W(gp, order)
-    elif t in ("Wbar_odd_even", "Wbar_even_odd"):
-        lhs = eval_multisum_Wbar(gp, order)
-    elif t == "Main":
-        lhs = eval_multisum_main(gp, order)
-    else:  # Paths: exhaustive counts against the Main sum
-        lhs = Series.from_terms(((n, count_S(n, gp)) for n in range(order)), order)
-    if t == "Paths":
-        rhs = eval_multisum_main(gp, order)
-    else:
-        rhs = eval_product_side(t, gp, order)
+    thm = THEOREMS[t]
+    lhs = thm.sum_side(gp, order)
+    rhs = thm.product_side(gp, order)
     window = min(lhs.order, rhs.order)
     if window < order:
         raise ValueError(

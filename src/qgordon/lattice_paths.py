@@ -13,7 +13,7 @@ enclosure.  The family S(k, a) consists of paths from (0, k + 1 - a)
 that stay at or below height k, end at height 0 with a SE step (or are
 empty), have every peak weight congruent to its relative height mod 2,
 and satisfy a multiple-of-4 condition on E steps (see
-:func:`is_S_admissible`; the exact E-step reading is pluggable).
+:func:`is_S_admissible`).
 
 The second half of the module implements the staged construction that
 maps a tuple of sum data (peak counts per stage, an E-block partition,
@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
-from .partitions import GordonParams
+from .partitions import GordonParams, _as_params
 
 __all__ = [
     "LatticePath",
@@ -48,16 +48,6 @@ __all__ = [
     "path_from_json_obj",
     "path_to_svg",
 ]
-
-ERule = Union[str, Callable[["LatticePath", GordonParams], bool]]
-
-
-def _as_params(gp) -> GordonParams:
-    if isinstance(gp, GordonParams):
-        return gp
-    k, a = gp
-    return GordonParams(k, a)
-
 
 # ---------------------------------------------------------------- path type
 
@@ -172,65 +162,33 @@ def major_index(path: LatticePath) -> int:
 # ---------------------------------------------------------------- admissibility
 
 
-def _e_prefix_ok(path: LatticePath, gp: GordonParams) -> bool:
-    """Default reading: each peak of relative height k or k-1 has a
-    multiple-of-4 count of E steps strictly before its abscissa."""
-    rels = path.relative_heights()
-    s = path.steps
-    for (x, _y), r in zip(path.peaks(), rels):
-        if r in (gp.k, gp.k - 1):
-            if s[:x].count("E") % 4:
-                return False
-    return True
-
-
-def _e_pairs_ok(path: LatticePath, gp: GordonParams) -> bool:
-    """Alternative reading: between consecutive peaks of relative height
-    k or k-1 (and nowhere else) the E count is a multiple of 4."""
-    rels = path.relative_heights()
-    s = path.steps
-    xs = [x for (x, _y), r in zip(path.peaks(), rels) if r in (gp.k, gp.k - 1)]
-    for x1, x2 in zip(xs, xs[1:]):
-        if s[x1:x2].count("E") % 4:
-            return False
-    return True
-
-
-_E_RULES = {"each": _e_prefix_ok, "pairs": _e_pairs_ok}
-
-
-def is_S_admissible(path: LatticePath, gp, e_rule: ERule = "each") -> bool:
+def is_S_admissible(path: LatticePath, gp) -> bool:
     """Membership test for the path family S(k, a).
 
     Args:
         path: the candidate path.
         gp: GordonParams or (k, a).
-        e_rule: "each" (default), "pairs", or a callable
-            ``(path, gp) -> bool`` replacing the E-step condition.
 
     Returns:
         True iff the path starts at height k + 1 - a, stays at or below
         height k, is terminal, has every peak weight congruent to its
-        relative height mod 2, and passes the E-step condition.
+        relative height mod 2, and has a multiple-of-4 count of E steps
+        strictly before each peak of relative height k or k - 1.
     """
     gp = _as_params(gp)
-    if isinstance(e_rule, str):
-        try:
-            e_check = _E_RULES[e_rule]
-        except KeyError:
-            raise ValueError(f"unknown E-step rule {e_rule!r}; pick from {sorted(_E_RULES)}")
-    else:
-        e_check = e_rule
     if path.start != gp.k + 1 - gp.a:
         return False
     if not path.is_terminal:
         return False
     if max(path.heights()) > gp.k:
         return False
+    s = path.steps
     for (x, _y), r in zip(path.peaks(), path.relative_heights()):
         if (x - r) % 2:
             return False
-    return bool(e_check(path, gp))
+        if r in (gp.k, gp.k - 1) and s[:x].count("E") % 4:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------- enumeration
@@ -238,7 +196,7 @@ def is_S_admissible(path: LatticePath, gp, e_rule: ERule = "each") -> bool:
 _SPATH_CACHE: dict = {}
 
 
-def enumerate_S_paths(n_max: int, gp, e_rule: ERule = "each") -> Tuple[LatticePath, ...]:
+def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     """All S(k, a) paths with major index <= n_max, by exhaustive search.
 
     Peak weights are bounded by the major index, so any admissible path
@@ -249,13 +207,11 @@ def enumerate_S_paths(n_max: int, gp, e_rule: ERule = "each") -> Tuple[LatticePa
     gp = _as_params(gp)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    cache_key = (gp.k, gp.a, e_rule) if isinstance(e_rule, str) else None
-    if cache_key is not None:
-        bound, paths = _SPATH_CACHE.get(cache_key, (-1, ()))
-        if bound >= n_max:
-            return tuple(p for p in paths if p.major_index <= n_max)
-
     k, a = gp.k, gp.a
+    bound, paths = _SPATH_CACHE.get((k, a), (-1, ()))
+    if bound >= n_max:
+        return tuple(p for p in paths if p.major_index <= n_max)
+
     start = k + 1 - a
     found: list[LatticePath] = []
     steps: list[str] = []
@@ -264,7 +220,7 @@ def enumerate_S_paths(n_max: int, gp, e_rule: ERule = "each") -> Tuple[LatticePa
         x = len(steps)
         if y == 0 and (not steps or steps[-1] == "S"):
             p = LatticePath(start, "".join(steps))
-            if is_S_admissible(p, gp, e_rule):
+            if is_S_admissible(p, gp):
                 found.append(p)
         if y + 1 <= k and major + x + 1 <= n_max:
             steps.append("N")
@@ -283,14 +239,13 @@ def enumerate_S_paths(n_max: int, gp, e_rule: ERule = "each") -> Tuple[LatticePa
 
     rec(start, 0)
     result = tuple(sorted(found, key=lambda p: (p.major_index, p.steps)))
-    if cache_key is not None:
-        _SPATH_CACHE[cache_key] = (n_max, result)
+    _SPATH_CACHE[(k, a)] = (n_max, result)
     return result
 
 
-def count_S(n: int, gp, e_rule: ERule = "each") -> int:
+def count_S(n: int, gp) -> int:
     """Number of S(k, a) paths of major index exactly n."""
-    return sum(1 for p in enumerate_S_paths(n, gp, e_rule) if p.major_index == n)
+    return sum(1 for p in enumerate_S_paths(n, gp) if p.major_index == n)
 
 
 # ---------------------------------------------------------------- move primitives
@@ -533,7 +488,7 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
     """Invert :func:`forward_construct`.
 
     Args:
-        path: a path in S(k, a) under the default E-step rule.
+        path: a path in S(k, a).
         gp: GordonParams or (k, a), opposite parity.
 
     Returns:

@@ -48,6 +48,7 @@ class GordonParams:
 
 
 def _as_params(gp) -> GordonParams:
+    """``gp`` itself, or a GordonParams built from a (k, a) pair."""
     if isinstance(gp, GordonParams):
         return gp
     k, a = gp

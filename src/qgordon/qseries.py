@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add as _add
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
@@ -65,10 +65,6 @@ def _slots(order: Fraction, denom: int) -> int:
     num = order.numerator * denom
     den = order.denominator
     return -((-num) // den)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 class Series:
@@ -143,7 +139,7 @@ class Series:
         if denom is None:
             denom = 1
             for e, _ in kept:
-                denom = _lcm(denom, e.denominator)
+                denom = lcm(denom, e.denominator)
         cs = [0] * _slots(order_f, denom)
         for e, c in kept:
             s = e * denom
@@ -193,7 +189,7 @@ class Series:
 
     @staticmethod
     def _align(f: "Series", g: "Series") -> Tuple["Series", "Series"]:
-        d = _lcm(f.denom, g.denom)
+        d = lcm(f.denom, g.denom)
         return f._promote(d), g._promote(d)
 
     def _lift(self, other) -> "Series":
@@ -268,7 +264,7 @@ class Series:
         e = _frac(e)
         if e < 0:
             raise ValueError("shift exponent must be nonnegative")
-        d = _lcm(self.denom, e.denominator)
+        d = lcm(self.denom, e.denominator)
         f = self._promote(d)
         off = int(e * d)
         order = f.order + e
@@ -435,7 +431,7 @@ class PochSpec:
         object.__setattr__(self, "base", base)
 
     def grid(self, denom: int = 1) -> int:
-        return _lcm(_lcm(self.exponent.denominator, self.base.denominator), denom)
+        return lcm(self.exponent.denominator, self.base.denominator, denom)
 
 
 def _factor_slots(spec: PochSpec, n: int | None, denom: int, length: int) -> range:
@@ -606,7 +602,7 @@ def triple_product(e1: QExp, e2: QExp, e3: QExp, order: QExp) -> Series:
         raise ValueError(f"triple product requires e1 + e2 = e3; got {e1} + {e2} != {e3}")
     order = _frac(order)
     specs = [PochSpec(1, e, e3) for e in (e1, e2, e3)]
-    denom = _lcm(_lcm(specs[0].grid(), specs[1].grid()), specs[2].grid())
+    denom = lcm(*(spec.grid() for spec in specs))
     cs = [1] + [0] * (_slots(order, denom) - 1)
     for spec in specs:
         _mul_factors(cs, spec, None, denom)

@@ -13,6 +13,25 @@ import pytest
 from qgordon.cli import run, sweep
 
 
+def _expected_tag(name, k, a):
+    """The tag a --theorem name resolves to at (k, a), or None when
+    the paper has no identity of that family there."""
+    if k < 2:
+        return None
+    same = (k - a) % 2 == 0
+    if name == "ag":
+        return "AG"
+    if name == "w":
+        return "W_same" if same else "W_diff"
+    if name == "wbar":
+        if k % 2 == 1 and a % 2 == 0:
+            return "Wbar_odd_even"
+        if k % 2 == 0 and a % 2 == 1:
+            return "Wbar_even_odd"
+        return None
+    return None if same else {"main": "Main", "paths": "Paths"}[name]
+
+
 class TestVerifyCommand:
     def test_ag_passes(self, capsys):
         """The first Rogers-Ramanujan case verifies with exit code 0."""
@@ -58,6 +77,25 @@ class TestVerifyCommand:
         assert code == 2
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("name", ["ag", "w", "wbar", "main", "paths"])
+    def test_every_name_resolves_by_regime(self, name, capsys):
+        """Every 1 <= a <= k <= 6: the name picks the tag whose regime
+        holds (k, a) and verifies it, or exits 2 when none does."""
+        for k in range(1, 7):
+            for a in range(1, k + 1):
+                order = "8" if name == "paths" else "16"
+                code = run(["verify", "--theorem", name, "--k", str(k), "--a", str(a),
+                            "--order", order, "--json"])
+                captured = capsys.readouterr()
+                tag = _expected_tag(name, k, a)
+                if tag is None:
+                    assert code == 2, (name, k, a)
+                    assert captured.out == "" and "error:" in captured.err
+                else:
+                    assert code == 0, (name, k, a)
+                    obj = json.loads(captured.out)
+                    assert obj["theorem"] == tag and obj["equal"] is True, (name, k, a)
 
     def test_bad_flag_exits_two(self):
         """argparse rejects an unknown theorem with its usual exit code."""
@@ -159,6 +197,30 @@ class TestSweepCommand:
             ("W_same", 2, 2),
             ("Wbar_even_odd", 2, 1),
         ]
+        assert all(r.equal for r in reports)
+
+    def test_sweep_order_to_kmax_five(self):
+        """k, then a, then the tags in a fixed order: AG, the W tag,
+        the Wbar tag, Main."""
+        per_pair = {
+            (2, 1): ("AG", "W_diff", "Wbar_even_odd", "Main"),
+            (2, 2): ("AG", "W_same"),
+            (3, 1): ("AG", "W_same"),
+            (3, 2): ("AG", "W_diff", "Wbar_odd_even", "Main"),
+            (3, 3): ("AG", "W_same"),
+            (4, 1): ("AG", "W_diff", "Wbar_even_odd", "Main"),
+            (4, 2): ("AG", "W_same"),
+            (4, 3): ("AG", "W_diff", "Wbar_even_odd", "Main"),
+            (4, 4): ("AG", "W_same"),
+            (5, 1): ("AG", "W_same"),
+            (5, 2): ("AG", "W_diff", "Wbar_odd_even", "Main"),
+            (5, 3): ("AG", "W_same"),
+            (5, 4): ("AG", "W_diff", "Wbar_odd_even", "Main"),
+            (5, 5): ("AG", "W_same"),
+        }
+        reports = sweep(kmax=5, order=12)
+        got = [(r.spec.theorem, r.spec.gp.k, r.spec.gp.a) for r in reports]
+        assert got == [(tag, k, a) for (k, a), tags in per_pair.items() for tag in tags]
         assert all(r.equal for r in reports)
 
     def test_sweep_json(self, capsys):

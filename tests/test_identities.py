@@ -22,6 +22,17 @@ from qgordon.qseries import PochSpec, Series
 
 Q = PochSpec(1, 1, 1)
 
+# The paper's parity regime of each tag.
+REGIMES = {
+    "AG": lambda k, a: True,
+    "W_same": lambda k, a: (k - a) % 2 == 0,
+    "W_diff": lambda k, a: (k - a) % 2 == 1,
+    "Wbar_odd_even": lambda k, a: k % 2 == 1 and a % 2 == 0,
+    "Wbar_even_odd": lambda k, a: k % 2 == 0 and a % 2 == 1,
+    "Main": lambda k, a: (k - a) % 2 == 1,
+    "Paths": lambda k, a: (k - a) % 2 == 1,
+}
+
 
 class TestLadder:
     def test_single_level_is_one(self):
@@ -87,6 +98,16 @@ class TestProducts:
         with pytest.raises(ValueError, match="unknown theorem tag"):
             eval_product_side("nope", (2, 1), 10)
 
+    def test_product_side_only_inside_its_regime(self):
+        for tag, applies in REGIMES.items():
+            for k in range(1, 9):
+                for a in range(1, k + 1):
+                    if applies(k, a):
+                        assert eval_product_side(tag, (k, a), 6).order == 6
+                    else:
+                        with pytest.raises(ValueError):
+                            eval_product_side(tag, (k, a), 6)
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -134,6 +155,17 @@ class TestVerify:
         with pytest.raises(ValueError, match="start at k = 2"):
             IdentitySpec("AG", GordonParams(1, 1), 10)
         assert len(THEOREMS) == 7
+
+    def test_spec_accepts_exactly_the_regime(self):
+        assert set(THEOREMS) == set(REGIMES)
+        for tag, applies in REGIMES.items():
+            for k in range(1, 9):
+                for a in range(1, k + 1):
+                    if k >= 2 and applies(k, a):
+                        assert IdentitySpec(tag, GordonParams(k, a), 10).theorem == tag
+                    else:
+                        with pytest.raises(ValueError):
+                            IdentitySpec(tag, GordonParams(k, a), 10)
 
     def test_short_side_is_refused(self, monkeypatch):
         """A side that stops short of the order must not pass vacuously

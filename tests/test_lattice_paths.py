@@ -196,13 +196,6 @@ class TestAdmissibility:
         # two E steps before a relative-height-3 peak: rejected
         assert not is_S_admissible(LatticePath(2, "SSEENNNSSS"), (3, 2))
 
-    def test_east_rule_is_pluggable(self):
-        p = LatticePath(2, "SSEENNNSSS")
-        assert not is_S_admissible(p, (3, 2), e_rule="each")
-        assert is_S_admissible(p, (3, 2), e_rule=lambda path, gp: True)
-        with pytest.raises(ValueError, match="unknown E-step rule"):
-            is_S_admissible(p, (3, 2), e_rule="nope")
-
     def test_terminal_required(self):
         assert not is_S_admissible(LatticePath(2, "SSNSE"), (3, 2))
 
