@@ -2,11 +2,11 @@
 Partition families and identity verification
 ============================================
 
-Four families of partitions, counted by brute force, against the
-q-series that are supposed to generate them.  The counting functions
-enumerate every partition of n and filter, so they are slow but
-unarguable; the series come from nested multisums and infinite
-products.  Agreement below the truncation order is the whole point.
+Four families of partitions, counted straight from their definitions,
+against the q-series that are supposed to generate them.  The counting
+functions run a dynamic program over the multiplicities of the parts
+1..n, so they are fast and share nothing with the series, which come
+from nested multisums and infinite products.  Agreement below the truncation order is the whole point.
 """
 
 from qgordon import (

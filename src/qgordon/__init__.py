@@ -4,7 +4,7 @@ Five layers, each usable on its own:
 
 * :mod:`qgordon.qseries` -- truncated power series in q with exact
   integer coefficients, Pochhammer symbols, and the triple product.
-* :mod:`qgordon.partitions` -- brute-force counting oracles for the
+* :mod:`qgordon.partitions` -- exact counting oracles for the
   partition families the identities talk about.
 * :mod:`qgordon.lattice_paths` -- weighted paths, peak moves, and the
   staged construction matching paths with sum-side data.

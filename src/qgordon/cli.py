@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from .bailey import build_chain, check_pair, closed_form_alpha
 from .identities import THEOREMS, IdentitySpec, VerificationReport, verify
 from .lattice_paths import (
-    count_S,
+    _S_counts,
     enumerate_S_paths,
     path_to_compact,
     path_to_json_obj,
@@ -75,14 +75,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_count(args) -> int:
     gp = GordonParams(args.k, args.a)
-    fn = {
-        "B": count_B,
-        "A": count_A,
-        "W": count_W,
-        "Wbar": count_Wbar,
-        "S": count_S,
-    }[args.family]
-    counts = [fn(n, gp) for n in range(args.n + 1)]
+    if args.family == "S":
+        counts = _S_counts(args.n, gp)
+    else:
+        fn = {"B": count_B, "A": count_A, "W": count_W, "Wbar": count_Wbar}[args.family]
+        counts = [fn(n, gp) for n in range(args.n + 1)]
     obj = {"family": args.family, "k": gp.k, "a": gp.a, "counts": counts}
     _emit(obj, args.json, [f"{n} {c}" for n, c in enumerate(counts)])
     return 0

@@ -37,11 +37,12 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .lattice_paths import count_S
+from .lattice_paths import _S_counts
 from .partitions import GordonParams, _as_params
 from .qseries import PochSpec, Series, _div_factors, _mul_factors, _quotient_sums, _slots, triple_product
 
 # imported for perfbench/tracing.py, which wraps these names on this module
+from .lattice_paths import count_S  # noqa: F401
 from .qseries import invert_poch, mul, poch_finite, poch_infinite  # noqa: F401
 
 __all__ = [
@@ -294,7 +295,7 @@ def _product_side(tag: str):
 
 
 def _path_counts(gp: GordonParams, order: int) -> Series:
-    return Series.from_terms(((n, count_S(n, gp)) for n in range(order)), order)
+    return Series.from_terms(enumerate(_S_counts(order - 1, gp)), order)
 
 
 def _opposite_parity(k: int, a: int) -> bool:

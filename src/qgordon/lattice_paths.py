@@ -24,6 +24,7 @@ admissible path, together with its exact inverse.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -193,6 +194,7 @@ def is_S_admissible(path: LatticePath, gp) -> bool:
 
 # ---------------------------------------------------------------- enumeration
 
+#: (k, a) -> (bound searched, the paths sorted by major index, their major indices)
 _SPATH_CACHE: dict = {}
 
 
@@ -208,12 +210,12 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     k, a = gp.k, gp.a
-    bound, paths = _SPATH_CACHE.get((k, a), (-1, ()))
+    bound, paths, majors = _SPATH_CACHE.get((k, a), (-1, (), []))
     if bound >= n_max:
-        return tuple(p for p in paths if p.major_index <= n_max)
+        return paths[: bisect_right(majors, n_max)]
 
     start = k + 1 - a
-    found: list[LatticePath] = []
+    found: list[tuple[int, str, LatticePath]] = []
     steps: list[str] = []
 
     def rec(y: int, major: int) -> None:
@@ -221,7 +223,7 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
         if y == 0 and (not steps or steps[-1] == "S"):
             p = LatticePath(start, "".join(steps))
             if is_S_admissible(p, gp):
-                found.append(p)
+                found.append((major, p.steps, p))
         if y + 1 <= k and major + x + 1 <= n_max:
             steps.append("N")
             rec(y + 1, major)
@@ -238,14 +240,31 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
             steps.pop()
 
     rec(start, 0)
-    result = tuple(sorted(found, key=lambda p: (p.major_index, p.steps)))
-    _SPATH_CACHE[(k, a)] = (n_max, result)
+    found.sort(key=lambda entry: entry[:2])
+    result = tuple(p for _, _, p in found)
+    _SPATH_CACHE[(k, a)] = (n_max, result, [m for m, _, _ in found])
     return result
 
 
 def count_S(n: int, gp) -> int:
     """Number of S(k, a) paths of major index exactly n."""
-    return sum(1 for p in enumerate_S_paths(n, gp) if p.major_index == n)
+    gp = _as_params(gp)
+    enumerate_S_paths(n, gp)
+    majors = _SPATH_CACHE[(gp.k, gp.a)][2]
+    return bisect_right(majors, n) - bisect_left(majors, n)
+
+
+def _S_counts(n_max: int, gp) -> list[int]:
+    """``count_S(n, gp)`` for n = 0..n_max, from one search."""
+    counts = [0] * (n_max + 1)
+    if n_max >= 0:
+        gp = _as_params(gp)
+        enumerate_S_paths(n_max, gp)
+        for m in _SPATH_CACHE[(gp.k, gp.a)][2]:
+            if m > n_max:
+                break
+            counts[m] += 1
+    return counts
 
 
 # ---------------------------------------------------------------- move primitives

@@ -1,8 +1,10 @@
 """Acceptance suite: ten end-to-end checks, one printed line each.
 
 Every comparison here is exact.  Series coefficients are Python ints,
-partition and path counts come from brute-force enumeration, and the
-tolerance everywhere is zero.  Each test prints a single
+partition counts come from a dynamic program over the families'
+frequency conditions (checked against enumeration in
+``test_partitions.py``), path counts come from exhaustive search, and
+the tolerance everywhere is zero.  Each test prints a single
 
     [PASS] <number>. <what was checked>
 
@@ -80,7 +82,7 @@ def test_criterion_01_parity_multisum_equals_product():
 
 
 def test_criterion_02_andrews_gordon_sum_product_and_oracles():
-    """AG for k <= 5, all a: sum = product below q^60, both = counts to n = 40."""
+    """AG for k <= 5, all a: sum = product below q^60, both = counts for n < 60."""
     failures = []
     for k in range(2, 6):
         for a in range(1, k + 1):
@@ -90,7 +92,7 @@ def test_criterion_02_andrews_gordon_sum_product_and_oracles():
             if lhs != rhs:
                 failures.append(f"(k={k}, a={a}) sides differ")
                 continue
-            for n in range(41):
+            for n in range(60):
                 c = lhs.coefficient(n)
                 if c != count_B(n, gp) or c != count_A(n, gp):
                     failures.append(f"(k={k}, a={a}) oracle mismatch at n={n}")
@@ -98,7 +100,7 @@ def test_criterion_02_andrews_gordon_sum_product_and_oracles():
     _criterion(
         2,
         "Andrews-Gordon sum equals product below q^60 and both match the "
-        "count_B and count_A oracles to n = 40 (14 pairs)",
+        "count_B and count_A oracles for every n < 60 (14 pairs)",
         not failures,
         "; ".join(failures),
     )
@@ -115,7 +117,7 @@ def test_criterion_03_even_part_parity_identities():
             if not report.equal:
                 failures.append(f"{tag} (k={k}, a={a}) sides differ")
                 continue
-            for n in range(37):
+            for n in range(40):
                 if report.lhs.coefficient(n) != count_W(n, gp):
                     failures.append(f"{tag} (k={k}, a={a}) count_W mismatch at n={n}")
                     break
@@ -123,7 +125,7 @@ def test_criterion_03_even_part_parity_identities():
         3,
         "even-multiplicity-of-even-parts multisum equals its product "
         "(one product for k = a mod 2, a sum of two otherwise) below q^40 "
-        "and matches count_W to n = 36 for every (k, a) with k <= 5",
+        "and matches count_W for every n < 40 and every (k, a) with k <= 5",
         not failures,
         "; ".join(failures),
     )
@@ -143,14 +145,14 @@ def test_criterion_04_odd_part_parity_identities():
             if not report.equal:
                 failures.append(f"{tag} (k={k}, a={a}) sides differ")
                 continue
-            for n in range(37):
+            for n in range(40):
                 if report.lhs.coefficient(n) != count_Wbar(n, gp):
                     failures.append(f"{tag} (k={k}, a={a}) count_Wbar mismatch at n={n}")
                     break
     _criterion(
         4,
         "even-multiplicity-of-odd-parts multisum equals its product below "
-        "q^40 and matches count_Wbar to n = 36 in both parity regimes, k <= 5",
+        "q^40 and matches count_Wbar for every n < 40 in both parity regimes, k <= 5",
         not failures,
         "; ".join(failures),
     )

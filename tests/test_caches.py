@@ -22,3 +22,11 @@ def test_clear_caches_empties_every_cache():
 
 def test_clear_caches_is_exported():
     assert "clear_caches" in qgordon.__all__
+
+
+def test_partition_lists_are_bounded():
+    qgordon.clear_caches()
+    for n in range(25):
+        partitions.partitions_of(n)
+    info = partitions.partitions_of.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 25

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgordon import clear_caches
 from qgordon.lattice_paths import (
     ConstructionData,
+    _S_counts,
     LatticePath,
     count_S,
     enumerate_S_paths,
@@ -221,6 +223,21 @@ class TestEnumeration:
         partial = enumerate_S_paths(6, (3, 2))
         assert set(partial) <= set(full)
         assert all(p.major_index <= 6 for p in partial)
+
+    def test_cache_hits_match_fresh_searches(self):
+        clear_caches()
+        # ascending bounds: every call is a fresh search
+        fresh = [enumerate_S_paths(n, (4, 1)) for n in range(13)]
+        counts = [count_S(n, (4, 1)) for n in range(13)]
+        # descending bounds: every call is served from the n = 12 search
+        assert [enumerate_S_paths(n, (4, 1)) for n in reversed(range(13))] == fresh[::-1]
+        assert [count_S(n, (4, 1)) for n in reversed(range(13))] == counts[::-1]
+        assert counts == [sum(p.major_index == n for p in fresh[n]) for n in range(13)]
+
+    def test_counts_from_one_search(self):
+        clear_caches()
+        assert _S_counts(14, (5, 2)) == [count_S(n, (5, 2)) for n in range(15)]
+        assert _S_counts(-1, (5, 2)) == []
 
 
 class TestConstruction:

@@ -1,9 +1,21 @@
-"""Unit tests for the enumeration-based partition oracles."""
+"""Unit tests for the partition oracles.
+
+The counts are checked against the explicit partition lists of
+:func:`partitions_of`, filtered by the families' conditions as they are
+written out again here, and at high order against the sum and product
+sides they count.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from qgordon.identities import (
+    eval_multisum_AG,
+    eval_multisum_W,
+    eval_multisum_Wbar,
+    eval_product_side,
+)
 from qgordon.partitions import (
     GordonParams,
     count_A,
@@ -117,6 +129,63 @@ class TestCounts:
                     assert count_B(n, (k, a)) <= count_B(n, (k, a + 1))
                 for a in range(1, k + 1):
                     assert count_B(n, (k, a)) <= count_B(n, (k + 1, a))
+
+    @pytest.mark.parametrize("count", [count_A, count_B, count_W, count_Wbar])
+    @pytest.mark.parametrize("n", [-1, 2.0, "3", None])
+    def test_rejects_bad_n(self, count, n):
+        with pytest.raises(ValueError):
+            count(n, (3, 2))
+
+
+def _brute_force_counts(n: int) -> dict:
+    """Counts of B, A, W and Wbar at n for every 1 <= a <= k <= 6, each
+    partition of n tested against the conditions written out here."""
+    counts = dict.fromkeys(
+        ((family, k, a) for family in ("B", "A", "W", "Wbar") for k in range(1, 7) for a in range(1, k + 1)),
+        0,
+    )
+    for freqs in partitions_of(n):
+        f = dict(freqs)
+        ones = f.get(1, 0)
+        # the largest f_i + f_{i+1}; a pair with f_i = 0 is covered at i + 1
+        pair = max((m + f.get(p + 1, 0) for p, m in freqs), default=0)
+        even_parts_even = all(m % 2 == 0 for p, m in freqs if p % 2 == 0)
+        odd_parts_even = all(m % 2 == 0 for p, m in freqs if p % 2 == 1)
+        for k in range(1, 7):
+            for a in range(1, k + 1):
+                if ones <= a - 1 and pair <= k - 1:
+                    counts["B", k, a] += 1
+                    counts["W", k, a] += even_parts_even
+                    counts["Wbar", k, a] += odd_parts_even
+                if all(p % (2 * k + 1) not in (0, a, 2 * k + 1 - a) for p in f):
+                    counts["A", k, a] += 1
+    return counts
+
+
+class TestAgainstBruteForce:
+    def test_every_family_up_to_k6_and_n30(self):
+        count = {"B": count_B, "A": count_A, "W": count_W, "Wbar": count_Wbar}
+        for n in range(31):
+            for (family, k, a), expected in _brute_force_counts(n).items():
+                assert count[family](n, (k, a)) == expected, (family, k, a, n)
+
+
+# (count, side) at order 200, for pairs in every regime of the sides
+_HIGH_ORDER = [
+    (count_B, eval_multisum_AG, [(2, 1), (3, 3), (4, 2)]),
+    (count_A, lambda gp, order: eval_product_side("AG", gp, order), [(2, 1), (4, 2), (6, 5)]),
+    (count_W, eval_multisum_W, [(2, 2), (3, 1), (3, 2), (4, 1)]),
+    (count_Wbar, eval_multisum_Wbar, [(3, 2), (2, 1), (4, 3)]),
+]
+
+
+@pytest.mark.parametrize(
+    "count, side, k, a",
+    [(count, side, k, a) for count, side, pairs in _HIGH_ORDER for k, a in pairs],
+)
+def test_counts_match_their_series_below_q200(count, side, k, a):
+    series = side(GordonParams(k, a), 200)
+    assert [count(n, (k, a)) for n in range(200)] == [series.coefficient(n) for n in range(200)]
 
 
 if __name__ == "__main__":
