@@ -19,7 +19,6 @@ from qgordon import (
     eval_multisum_main,
     forward_construct,
     path_to_compact,
-    relative_heights,
     reverse_deconstruct,
     right_move,
     volcanic_uplift,
@@ -29,7 +28,7 @@ from qgordon import (
 path = LatticePath(2, "NSSNNSSS")
 print("path        :", path_to_compact(path))
 print("peaks (x, y):", path.peaks())
-print("rel heights :", relative_heights(path))
+print("rel heights :", path.relative_heights())
 print("major index :", path.major_index)
 
 # Elementary right move: a relative-height-1 peak slides one unit
@@ -67,6 +66,6 @@ data = ConstructionData(
 built = forward_construct(data)
 print("\nconstructed :", path_to_compact(built))
 print("peak weights:", tuple(x for x, _ in built.peaks()))
-print("rel heights :", relative_heights(built))
+print("rel heights :", built.relative_heights())
 print("major index :", built.major_index, "= declared weight", data.weight())
 print("reverse round trip recovers the data:", reverse_deconstruct(built, data.gp) == data)

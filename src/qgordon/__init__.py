@@ -44,14 +44,11 @@ from .lattice_paths import (
     enumerate_S_paths,
     forward_construct,
     is_S_admissible,
-    major_index,
     path_from_compact,
     path_from_json_obj,
     path_to_compact,
     path_to_json_obj,
     path_to_svg,
-    peaks,
-    relative_heights,
     reverse_deconstruct,
     right_move,
     volcanic_uplift,
@@ -118,14 +115,11 @@ __all__ = [
     "enumerate_S_paths",
     "forward_construct",
     "is_S_admissible",
-    "major_index",
     "path_from_compact",
     "path_from_json_obj",
     "path_to_compact",
     "path_to_json_obj",
     "path_to_svg",
-    "peaks",
-    "relative_heights",
     "reverse_deconstruct",
     "right_move",
     "volcanic_uplift",

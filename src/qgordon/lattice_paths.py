@@ -9,11 +9,16 @@ its peak weights.
 The relative height of a peak (x, y) is the largest h for which two
 vertices at height y - h enclose it with no higher peak between them
 and no peak of the same height strictly to its left inside the
-enclosure.  The family S(k, a) consists of paths from (0, k + 1 - a)
-that stay at or below height k, end at height 0 with a SE step (or are
-empty), have every peak weight congruent to its relative height mod 2,
-and satisfy a multiple-of-4 condition on E steps (see
-:func:`is_S_admissible`).
+enclosure.  Heights change by at most 1 per step, so it is read off
+the nearest dominating peaks: cL is the lowest vertex between the peak
+and the nearest peak to its left of height >= y (or the start, if
+there is none), cR the lowest vertex between the peak and the nearest
+peak to its right of height > y (or the end), and the relative height
+is y - max(cL, cR).  The family S(k, a) consists of paths from
+(0, k + 1 - a) that stay at or below height k, end at height 0 with a
+SE step (or are empty), have every peak weight congruent to its
+relative height mod 2, and satisfy a multiple-of-4 condition on E
+steps (see :func:`is_S_admissible`).
 
 The second half of the module implements the staged construction that
 maps a tuple of sum data (peak counts per stage, an E-block partition,
@@ -26,16 +31,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .partitions import GordonParams, _as_params
 
 __all__ = [
     "LatticePath",
     "ConstructionData",
-    "peaks",
-    "relative_heights",
-    "major_index",
     "is_S_admissible",
     "count_S",
     "enumerate_S_paths",
@@ -49,6 +51,55 @@ __all__ = [
     "path_from_json_obj",
     "path_to_svg",
 ]
+
+# ---------------------------------------------------------------- walks and peaks
+
+
+def _walk(start: int, steps: Sequence[str]) -> list[int]:
+    """Vertex heights from ``start`` along ``steps``; ValueError on a
+    bad start, a dip below 0, an E step off the axis or a bad letter."""
+    if not isinstance(start, int) or start < 0:
+        raise ValueError(f"start height must be a nonnegative int, got {start!r}")
+    hs = [start]
+    y = start
+    for c in steps:
+        # len(hs) - 1 is the index of this step
+        if c == "N":
+            y += 1
+        elif c == "S":
+            y -= 1
+            if y < 0:
+                raise ValueError(f"path dips below height 0 at step {len(hs) - 1}")
+        elif c != "E":
+            raise ValueError(f"bad step {c!r} at index {len(hs) - 1}; expected N, S or E")
+        elif y:
+            raise ValueError(f"E step at height {y} (step {len(hs) - 1}); E is only legal at height 0")
+        hs.append(y)
+    return hs
+
+
+def _apexes(steps: Sequence[str]) -> list[int]:
+    """Abscissae of the peaks: every NE step followed by a SE step."""
+    return [x for x in range(1, len(steps)) if steps[x - 1] == "N" and steps[x] == "S"]
+
+
+def _relative_heights(hs: Sequence[int], xs: Sequence[int]) -> Iterator[int]:
+    """Relative height of each apex in ``xs``, left to right, from the
+    vertex heights ``hs`` (the nearest-dominating-peak rule of the
+    module docstring)."""
+    for i, x in enumerate(xs):
+        y = hs[x]
+        j = i - 1
+        while j >= 0 and hs[xs[j]] < y:
+            j -= 1
+        left = xs[j] if j >= 0 else 0
+        j = i + 1
+        while j < len(xs) and hs[xs[j]] <= y:
+            j += 1
+        right = xs[j] if j < len(xs) else len(hs) - 1
+        # the apex's neighbours sit at y - 1, so this is at least 1
+        yield y - max(min(hs[left:x]), min(hs[x + 1 : right + 1]))
+
 
 # ---------------------------------------------------------------- path type
 
@@ -67,36 +118,17 @@ class LatticePath:
     steps: str
 
     def __post_init__(self):
-        if not isinstance(self.start, int) or self.start < 0:
-            raise ValueError(f"start height must be a nonnegative int, got {self.start!r}")
-        y = self.start
-        for i, c in enumerate(self.steps):
-            if c == "N":
-                y += 1
-            elif c == "S":
-                y -= 1
-                if y < 0:
-                    raise ValueError(f"path dips below height 0 at step {i}")
-            elif c == "E":
-                if y != 0:
-                    raise ValueError(f"E step at height {y} (step {i}); E is only legal at height 0")
-            else:
-                raise ValueError(f"bad step {c!r} at index {i}; expected N, S or E")
+        _walk(self.start, self.steps)
 
     # -------------------------------------------------------------- queries
 
     def heights(self) -> Tuple[int, ...]:
         """Vertex heights, length len(steps) + 1."""
-        hs = [self.start]
-        y = self.start
-        for c in self.steps:
-            y += 1 if c == "N" else -1 if c == "S" else 0
-            hs.append(y)
-        return tuple(hs)
+        return tuple(_walk(self.start, self.steps))
 
     @property
     def end_height(self) -> int:
-        return self.heights()[-1]
+        return self.start + self.steps.count("N") - self.steps.count("S")
 
     @property
     def is_terminal(self) -> bool:
@@ -105,59 +137,21 @@ class LatticePath:
 
     def peaks(self) -> Tuple[Tuple[int, int], ...]:
         """(x, y) for every peak, left to right."""
-        hs = self.heights()
-        s = self.steps
-        return tuple(
-            (x, hs[x])
-            for x in range(1, len(s))
-            if s[x - 1] == "N" and s[x] == "S"
-        )
+        hs = _walk(self.start, self.steps)
+        return tuple((x, hs[x]) for x in _apexes(self.steps))
 
     def relative_heights(self) -> Tuple[int, ...]:
         """Relative height of each peak, aligned with :meth:`peaks`."""
-        hs = self.heights()
-        pks = self.peaks()
-        out = []
-        for x, y in pks:
-            best = 0
-            for h in range(1, y + 1):
-                t = y - h
-                left = next((i for i in range(x - 1, -1, -1) if hs[i] == t), None)
-                right = next((i for i in range(x + 1, len(hs)) if hs[i] == t), None)
-                if left is None or right is None:
-                    continue
-                ok = True
-                for px, py in pks:
-                    if left < px < right:
-                        if py > y or (py == y and px < x):
-                            ok = False
-                            break
-                if ok:
-                    best = h
-            out.append(best)
-        return tuple(out)
+        hs = _walk(self.start, self.steps)
+        return tuple(_relative_heights(hs, _apexes(self.steps)))
 
     @property
     def major_index(self) -> int:
-        return sum(x for x, _ in self.peaks())
+        """Sum of the peak weights."""
+        return sum(_apexes(self.steps))
 
     def __str__(self) -> str:
         return path_to_compact(self)
-
-
-def peaks(path: LatticePath) -> Tuple[Tuple[int, int], ...]:
-    """Peak vertices (x, y) of ``path``, left to right."""
-    return path.peaks()
-
-
-def relative_heights(path: LatticePath) -> Tuple[int, ...]:
-    """Relative heights aligned with :func:`peaks`."""
-    return path.relative_heights()
-
-
-def major_index(path: LatticePath) -> int:
-    """Sum of the peak weights."""
-    return path.major_index
 
 
 # ---------------------------------------------------------------- admissibility
@@ -177,14 +171,14 @@ def is_S_admissible(path: LatticePath, gp) -> bool:
         strictly before each peak of relative height k or k - 1.
     """
     gp = _as_params(gp)
-    if path.start != gp.k + 1 - gp.a:
-        return False
-    if not path.is_terminal:
-        return False
-    if max(path.heights()) > gp.k:
+    if path.start != gp.k + 1 - gp.a or not path.is_terminal:
         return False
     s = path.steps
-    for (x, _y), r in zip(path.peaks(), path.relative_heights()):
+    hs = _walk(path.start, s)
+    if max(hs) > gp.k:
+        return False
+    xs = _apexes(s)
+    for x, r in zip(xs, _relative_heights(hs, xs)):
         if (x - r) % 2:
             return False
         if r in (gp.k, gp.k - 1) and s[:x].count("E") % 4:
@@ -207,8 +201,8 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     cheapest possible further peak exceeds n_max.
     """
     gp = _as_params(gp)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
     k, a = gp.k, gp.a
     bound, paths, majors = _SPATH_CACHE.get((k, a), (-1, (), []))
     if bound >= n_max:
@@ -270,10 +264,6 @@ def _S_counts(n_max: int, gp) -> list[int]:
 # ---------------------------------------------------------------- move primitives
 
 
-def _apexes(steps: Sequence[str]) -> list[int]:
-    return [x for x in range(1, len(steps)) if steps[x - 1] == "N" and steps[x] == "S"]
-
-
 def _step_right(steps: list[str], x: int) -> int:
     """One elementary right move of the peak whose apex abscissa is x.
 
@@ -332,11 +322,11 @@ def right_move(path: LatticePath, peak_index: int) -> Tuple[LatticePath, int]:
         When the addressed peak sits at a weight gap of exactly 2 from
         its right neighbour the move chains to that neighbour.
     """
-    pks = path.peaks()
-    if not 0 <= peak_index < len(pks):
-        raise ValueError(f"no peak with index {peak_index}; path has {len(pks)} peaks")
+    xs = _apexes(path.steps)
+    if not 0 <= peak_index < len(xs):
+        raise ValueError(f"no peak with index {peak_index}; path has {len(xs)} peaks")
     steps = list(path.steps)
-    new_x = _step_right(steps, pks[peak_index][0])
+    new_x = _step_right(steps, xs[peak_index])
     new_path = LatticePath(path.start, "".join(steps))
     new_index = _apexes(steps).index(new_x)
     return new_path, new_index
@@ -349,16 +339,24 @@ def volcanic_uplift(path: LatticePath, peak_index: int) -> LatticePath:
     2, so the major index grows by 2r - 1 when the peak is r-th from
     the right.
     """
-    pks = path.peaks()
-    if not 0 <= peak_index < len(pks):
-        raise ValueError(f"no peak with index {peak_index}; path has {len(pks)} peaks")
-    x = pks[peak_index][0]
+    xs = _apexes(path.steps)
+    if not 0 <= peak_index < len(xs):
+        raise ValueError(f"no peak with index {peak_index}; path has {len(xs)} peaks")
+    x = xs[peak_index]
     steps = list(path.steps)
     steps[x:x] = ["N", "S"]
     return LatticePath(path.start, "".join(steps))
 
 
 # ---------------------------------------------------------------- construction data
+
+
+def _ints(values, what: str) -> tuple:
+    """``values`` as a tuple, refusing any entry that is not an int."""
+    vals = tuple(values)
+    if not all(isinstance(v, int) for v in vals):
+        raise ValueError(f"{what} entries must be ints, got {vals!r}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -389,23 +387,23 @@ class ConstructionData:
         object.__setattr__(self, "gp", gp)
         if (gp.k - gp.a) % 2 == 0:
             raise ValueError(f"construction needs k and a of opposite parity, got {gp}")
-        n = tuple(int(v) for v in self.n)
+        n = _ints(self.n, "n")
         object.__setattr__(self, "n", n)
         if len(n) != gp.k - 1:
             raise ValueError(f"n must have length k - 1 = {gp.k - 1}, got {len(n)}")
         if any(v < 0 for v in n):
             raise ValueError(f"peak counts must be nonnegative, got {n}")
-        b = tuple(int(v) for v in self.east_partition)
+        b = _ints(self.east_partition, "east_partition")
         object.__setattr__(self, "east_partition", b)
         if len(b) != n[-1]:
             raise ValueError(f"east_partition needs one entry per stage-(k-1) peak ({n[-1]}), got {len(b)}")
         if any(v < 0 for v in b) or any(b[i] < b[i + 1] for i in range(len(b) - 1)):
             raise ValueError(f"east_partition must be nonincreasing and nonnegative, got {b}")
-        up = frozenset(int(v) for v in self.uplift_set)
+        up = frozenset(_ints(self.uplift_set, "uplift_set"))
         object.__setattr__(self, "uplift_set", up)
         if any(not 1 <= r <= n[-1] for r in up):
             raise ValueError(f"uplift positions must lie in 1..{n[-1]}, got {sorted(up)}")
-        rm = tuple(tuple(int(v) for v in row) for row in self.right_moves)
+        rm = tuple(_ints(row, "right_moves") for row in self.right_moves)
         object.__setattr__(self, "right_moves", rm)
         if len(rm) != gp.k - 2:
             raise ValueError(f"right_moves needs one row per stage 1..{gp.k - 2}, got {len(rm)}")
@@ -528,8 +526,10 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
     n: list[int] = [0] * (k - 1)
     right_moves: list[Tuple[int, ...]] = []
 
-    def current() -> LatticePath:
-        return LatticePath(start, "".join(steps))
+    def scan() -> Tuple[list[int], Tuple[int, ...]]:
+        """Apexes and relative heights of the path as it stands."""
+        xs = _apexes(steps)
+        return xs, tuple(_relative_heights(_walk(start, steps), xs))
 
     for j in range(1, k - 1):
         if j >= a and (j - a) % 2 == 0:
@@ -541,8 +541,8 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
         disp: list[int] = []
         ell = 0
         while True:
-            p = current()
-            tokens = [x for (x, _y), r in zip(p.peaks(), p.relative_heights()) if r == 1]
+            xs, rels = scan()
+            tokens = [x for x, r in zip(xs, rels) if r == 1]
             if len(tokens) <= ell:
                 break
             target = 2 * ell + 1
@@ -561,28 +561,25 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
         if steps[: 2 * nj] != ["N", "S"] * nj:
             _fail(f"stage {j} tokens did not return to the origin")
         del steps[: 2 * nj]
-        p = current()
-        if any(r < 2 for r in p.relative_heights()):
+        xs, rels = scan()
+        if any(r < 2 for r in rels):
             _fail(f"stage {j} left a relative-height-1 peak standing")
-        for x in reversed(_apexes(steps)):
+        for x in reversed(xs):
             del steps[x - 1 : x + 1]
 
     # last stage: peaks of relative height 1 (kept) or 2 (uplifted)
-    p = current()
-    rels = p.relative_heights()
+    xs, rels = scan()
     if any(r not in (1, 2) for r in rels):
         _fail(f"final stage has relative heights {rels}, expected only 1 and 2")
     m = len(rels)
     n[k - 2] = m
     uplift = frozenset(m - i for i, r in enumerate(rels) if r == 2)
-    for i, r in reversed(list(enumerate(rels))):
+    for x, r in reversed(list(zip(xs, rels))):
         if r == 2:
-            x = _apexes(steps)[i]
             del steps[x - 1 : x + 1]
     if start != 2 or steps[:2] != ["S", "S"]:
         _fail("expected exactly the initial SE pair before the E blocks")
     del steps[:2]
-    start = 0
     east: list[int] = []
     prefix = 0
     for ell in range(1, m + 1):

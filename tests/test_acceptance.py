@@ -44,7 +44,6 @@ from qgordon import (
     limit_identity,
     poch_finite,
     rescale,
-    relative_heights,
     reverse_deconstruct,
     theta_sum,
     triple_product,
@@ -197,7 +196,7 @@ def test_criterion_06_worked_example_replay():
     peaks = path.peaks()
     ok = (
         tuple(x for x, _ in peaks) == (1, 5, 8, 11, 17, 25, 38)
-        and relative_heights(path) == (1, 1, 2, 1, 3, 5, 4)
+        and path.relative_heights() == (1, 1, 2, 1, 3, 5, 4)
         and path.major_index == 105
         and data.weight() == 105
         and is_S_admissible(path, gp)

@@ -6,11 +6,26 @@ exit code plus captured stdout/stderr, so no subprocess is needed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from qgordon import cli, identities
 from qgordon.cli import run, sweep
+from qgordon.qseries import Series
+
+
+def _plus_q(series, e):
+    """``series`` with its q^e coefficient raised by 1."""
+    return series + Series.from_terms([(e, 1)], series.order, series.denom)
+
+
+@pytest.fixture
+def broken_ag_sum(monkeypatch):
+    """The AG sum side, one coefficient off at q^7."""
+    real = identities.eval_multisum_AG
+    monkeypatch.setattr(identities, "eval_multisum_AG", lambda gp, order: _plus_q(real(gp, order), 7))
 
 
 def _expected_tag(name, k, a):
@@ -97,6 +112,13 @@ class TestVerifyCommand:
                     obj = json.loads(captured.out)
                     assert obj["theorem"] == tag and obj["equal"] is True, (name, k, a)
 
+    def test_failed_check_exits_one(self, broken_ag_sum, capsys):
+        """A sum side that differs in one coefficient fails at that exponent."""
+        code = run(["verify", "--theorem", "ag", "--k", "2", "--a", "2", "--order", "25"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == "FAIL AG (k=2, a=2): first discrepancy at q^7\n"
+
     def test_bad_flag_exits_two(self):
         """argparse rejects an unknown theorem with its usual exit code."""
         with pytest.raises(SystemExit) as excinfo:
@@ -160,6 +182,26 @@ class TestBaileyChainCommand:
         assert out.count("relation ok") == 3
         assert "endpoint alpha matches closed form for n <= 4: yes" in out
 
+    def test_broken_link_exits_one(self, monkeypatch, capsys):
+        """One beta coefficient off in the D1 link marks that link, and only it."""
+        real = cli.build_chain
+
+        def build_chain(gp, n_max, order):
+            chain = list(real(gp, n_max, order))
+            label, bp = chain[1]
+            beta = list(bp.beta)
+            beta[2] = _plus_q(beta[2], 3)
+            chain[1] = (label, dataclasses.replace(bp, beta=tuple(beta)))
+            return tuple(chain)
+
+        monkeypatch.setattr(cli, "build_chain", build_chain)
+        code = run(["bailey-chain", "--k", "2", "--a", "1", "--nmax", "4", "--order", "20"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[:3] == ["unit         relation ok", "D1           relation BROKEN",
+                             "S2           relation ok"]
+        assert lines[3] == "endpoint alpha matches closed form for n <= 4: yes"
+
     def test_trace_prints_series_heads(self, capsys):
         code = run(["bailey-chain", "--k", "2", "--a", "1", "--nmax", "3",
                     "--order", "16", "--trace"])
@@ -222,6 +264,18 @@ class TestSweepCommand:
         got = [(r.spec.theorem, r.spec.gp.k, r.spec.gp.a) for r in reports]
         assert got == [(tag, k, a) for (k, a), tags in per_pair.items() for tag in tags]
         assert all(r.equal for r in reports)
+
+    def test_failed_check_exits_one(self, broken_ag_sum, capsys):
+        """The AG checks fail at the broken exponent; the rest still pass."""
+        code = run(["sweep", "--kmax", "2", "--order", "15"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL AG (k=2, a=1): first discrepancy at q^7",
+            "FAIL AG (k=2, a=2): first discrepancy at q^7",
+        ]
+        assert sum(line.startswith("PASS") for line in lines) == 4
+        assert lines[-1] == "6 checks below q^15: 2 FAILED"
 
     def test_sweep_json(self, capsys):
         code = run(["sweep", "--kmax", "2", "--order", "12", "--json"])

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgordon import clear_caches
 from qgordon.lattice_paths import (
+    _SPATH_CACHE,
     ConstructionData,
     _S_counts,
     LatticePath,
@@ -94,6 +97,61 @@ class TestPathBasics:
         assert svg.startswith("<svg") and "polyline" in svg and "circle" in svg
 
 
+def _reference_heights(start, steps):
+    hs = [start]
+    for c in steps:
+        hs.append(hs[-1] + {"N": 1, "S": -1, "E": 0}[c])
+    return hs
+
+
+def _reference_peaks(start, steps):
+    """Every NS in the step word, read as (apex abscissa, apex height)."""
+    hs = _reference_heights(start, steps)
+    return tuple((m.start() + 1, hs[m.start() + 1]) for m in re.finditer("(?=NS)", steps))
+
+
+def _reference_relative_heights(start, steps):
+    """The definition, scanned directly: the largest h for which the
+    nearest vertices at height y - h on either side of the peak enclose
+    no higher peak and no peak of the same height to its left."""
+    hs = _reference_heights(start, steps)
+    pks = _reference_peaks(start, steps)
+    out = []
+    for x, y in pks:
+        best = 0
+        for h in range(1, y + 1):
+            t = y - h
+            left = next((i for i in range(x - 1, -1, -1) if hs[i] == t), None)
+            right = next((i for i in range(x + 1, len(hs)) if hs[i] == t), None)
+            if left is None or right is None:
+                continue
+            if not any(
+                left < px < right and (py > y or (py == y and px < x)) for px, py in pks
+            ):
+                best = h
+        out.append(best)
+    return tuple(out)
+
+
+@st.composite
+def valid_paths(draw):
+    """Any valid path: a start height, then runs of N, S or E (an E run
+    off the axis first descends to it), ending anywhere."""
+    y = start = draw(st.integers(0, 6))
+    steps = ""
+    for c, run in draw(st.lists(st.tuples(st.sampled_from("NSE"), st.integers(1, 4)), max_size=30)):
+        if c == "N":
+            steps += "N" * run
+            y += run
+        elif c == "S":
+            steps += "S" * min(run, y)
+            y -= min(run, y)
+        else:
+            steps += "S" * y + "E" * run
+            y = 0
+    return LatticePath(start, steps)
+
+
 class TestRelativeHeights:
     def test_single_mountain(self):
         """An isolated peak has relative height equal to its height."""
@@ -117,6 +175,27 @@ class TestRelativeHeights:
         p = LatticePath(4, EXAMPLE_STEPS)
         assert p.peaks() == EXAMPLE_PEAKS
         assert p.relative_heights() == EXAMPLE_RELS
+
+    def test_matches_definition_on_every_S_path(self):
+        """The nearest-dominating-peak rule equals the definitional scan
+        on every S(k, a) path of major index <= 14, 2 <= k <= 7."""
+        total = 0
+        for k in range(2, 8):
+            for a in range(1, k + 1):
+                for p in enumerate_S_paths(14, (k, a)):
+                    assert p.peaks() == _reference_peaks(p.start, p.steps)
+                    assert p.relative_heights() == _reference_relative_heights(p.start, p.steps)
+                    total += 1
+        assert total > 2000
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_paths())
+    def test_matches_definition_on_any_path(self, p):
+        """Same on arbitrary valid paths: any start, E runs, any end."""
+        assert p.heights() == tuple(_reference_heights(p.start, p.steps))
+        assert p.peaks() == _reference_peaks(p.start, p.steps)
+        assert p.relative_heights() == _reference_relative_heights(p.start, p.steps)
+        assert p.major_index == sum(x for x, _ in _reference_peaks(p.start, p.steps))
 
 
 class TestMoves:
@@ -234,6 +313,16 @@ class TestEnumeration:
         assert [count_S(n, (4, 1)) for n in reversed(range(13))] == counts[::-1]
         assert counts == [sum(p.major_index == n for p in fresh[n]) for n in range(13)]
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None, -1])
+    def test_rejects_bad_n(self, n):
+        """A bound that is not an int >= 0 is refused and never cached."""
+        clear_caches()
+        with pytest.raises(ValueError, match="n_max must be an int >= 0"):
+            count_S(n, (3, 2))
+        with pytest.raises(ValueError, match="n_max must be an int >= 0"):
+            enumerate_S_paths(n, (3, 2))
+        assert not _SPATH_CACHE
+
     def test_counts_from_one_search(self):
         clear_caches()
         assert _S_counts(14, (5, 2)) == [count_S(n, (5, 2)) for n in range(15)]
@@ -302,6 +391,22 @@ class TestConstruction:
             ConstructionData(gp=GordonParams(3, 2), n=(2, 0), right_moves=((0, 2),))
         with pytest.raises(ValueError, match="one row per stage"):
             ConstructionData(gp=GordonParams(3, 2), n=(0, 0), right_moves=())
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n": (1.9, 0.5)},
+            {"n": (0, 1.0), "east_partition": (0,)},
+            {"n": (0, 1), "east_partition": (0.5,)},
+            {"n": (0, 1), "east_partition": (0,), "uplift_set": {1.0}},
+            {"n": (1, 0), "right_moves": ((2.0,),)},
+            {"n": ("1", 0), "right_moves": ((0,),)},
+        ],
+    )
+    def test_data_must_be_ints(self, fields):
+        """Non-int entries are refused instead of truncated by int()."""
+        with pytest.raises(ValueError, match="entries must be ints"):
+            ConstructionData(gp=GordonParams(3, 2), **fields)
 
     def test_reverse_rejects_foreign_paths(self):
         with pytest.raises(ValueError, match="not in the construction's image|admissible"):
