@@ -82,12 +82,11 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every cache the package keeps between calls: the Pochhammer
-    products, the partition lists and the S-path enumerations.  Timings
-    taken after this call are cold."""
-    from . import lattice_paths, partitions, qseries
+    """Empty every cache the package keeps between calls: the partition
+    lists and the S-path enumerations.  Timings taken after this call
+    are cold."""
+    from . import lattice_paths, partitions
 
-    qseries._poch.cache_clear()
     partitions.partitions_of.cache_clear()
     lattice_paths._SPATH_CACHE.clear()
 

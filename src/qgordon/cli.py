@@ -29,13 +29,19 @@ from .lattice_paths import (
     path_to_json_obj,
     path_to_svg,
 )
-from .partitions import GordonParams, count_A, count_B, count_W, count_Wbar
+from .partitions import GordonParams, _A_counts, _gordon_counts
 
 __all__ = ["run", "sweep", "main"]
 
 # the --theorem names: the table's families, in first-seen order
 _THEOREM_NAMES = tuple(dict.fromkeys(thm.family for thm in THEOREMS.values()))
 _FAMILIES = ("B", "A", "W", "Wbar", "S")
+# the parity argument of _gordon_counts for each frequency family
+_PARITY = {"B": None, "W": 0, "Wbar": 1}
+# S paths are found by an exhaustive search whose time doubles about
+# every +4 of the major index: the largest --n (enumerate-paths,
+# count --family S) and --order (verify --theorem paths) accepted
+_S_PATH_CAP = 40
 
 
 def _tag_for(name: str, gp: GordonParams) -> str:
@@ -44,6 +50,13 @@ def _tag_for(name: str, gp: GordonParams) -> str:
         if thm.family == name and thm.applies(gp.k, gp.a):
             return tag
     raise ValueError(f"theorem {name} does not apply to (k, a) = ({gp.k}, {gp.a})")
+
+
+def _check_S_cap(flag: str, value: int) -> None:
+    if value > _S_PATH_CAP:
+        raise ValueError(
+            f"{flag} {value} is over the S-path cap {_S_PATH_CAP} (the path search is exhaustive)"
+        )
 
 
 def _emit(obj, as_json: bool, lines: List[str]) -> None:
@@ -61,6 +74,8 @@ def _cmd_verify(args) -> int:
     gp = GordonParams(args.k, args.a)
     tag = _tag_for(args.theorem, gp)
     order = args.order if args.order is not None else (20 if tag == "Paths" else 40)
+    if tag == "Paths":
+        _check_S_cap("--order", order)
     report = verify(IdentitySpec(tag, gp, order))
     if report.equal:
         line = f"PASS {tag} (k={gp.k}, a={gp.a}): both sides agree below q^{order}"
@@ -76,10 +91,12 @@ def _cmd_verify(args) -> int:
 def _cmd_count(args) -> int:
     gp = GordonParams(args.k, args.a)
     if args.family == "S":
+        _check_S_cap("--n", args.n)
         counts = _S_counts(args.n, gp)
+    elif args.family == "A":
+        counts = _A_counts(args.n, gp)
     else:
-        fn = {"B": count_B, "A": count_A, "W": count_W, "Wbar": count_Wbar}[args.family]
-        counts = [fn(n, gp) for n in range(args.n + 1)]
+        counts = _gordon_counts(args.n, gp, _PARITY[args.family])
     obj = {"family": args.family, "k": gp.k, "a": gp.a, "counts": counts}
     _emit(obj, args.json, [f"{n} {c}" for n, c in enumerate(counts)])
     return 0
@@ -87,6 +104,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate_paths(args) -> int:
     gp = GordonParams(args.k, args.a)
+    _check_S_cap("--n", args.n)
     paths = enumerate_S_paths(args.n, gp)
     if args.format == "json":
         print(json.dumps([path_to_json_obj(p) for p in paths], indent=2))
@@ -198,20 +216,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=_THEOREM_NAMES, required=True)
     add_ka(p)
     p.add_argument("--order", type=int, default=None,
-                   help="truncation order (default 40, or 20 for paths)")
+                   help=f"truncation order (default 40, or 20 for paths; paths at most {_S_PATH_CAP})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="print counts of one partition or path family")
     p.add_argument("--family", choices=_FAMILIES, required=True)
     add_ka(p)
-    p.add_argument("--n", type=int, required=True, help="count everything up to this size")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"count everything up to this size (family S: at most {_S_PATH_CAP})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("enumerate-paths", help="list admissible paths up to a major index")
     add_ka(p)
-    p.add_argument("--n", type=int, default=20, help="major index bound (default 20)")
+    p.add_argument("--n", type=int, default=20,
+                   help=f"major index bound (default 20, at most {_S_PATH_CAP})")
     p.add_argument("--format", choices=("compact", "json", "svg"), default="compact")
     p.set_defaults(func=_cmd_enumerate_paths)
 

@@ -13,8 +13,14 @@ the identity verifiers.  The frequency conditions only link
 neighbouring parts, so ``count_B``, ``count_W`` and ``count_Wbar`` run
 one dynamic program over the parts 1..n whose state is the
 multiplicity of the previous part; ``count_A`` is the usual
-restricted-parts count.  Each call costs O(n^2 k) integer additions and
-lists no partitions.
+restricted-parts count.  Neither lists partitions.  The frequency DP
+packs each row of counts by running sum into one Python int, one
+field of w = 4 isqrt(n) + 5 bits per sum: a field never exceeds p(n),
+and log2 p(n) < 3.71 sqrt(n) < w by Erdős's bound
+p(n) < exp(pi sqrt(2n/3)) (Ann. of Math. 43, 1942).  A step over one
+part is then O(k) big-int additions and shifts instead of O(n k)
+small ones.  One pass to n holds the counts for every m <= n, which
+``_gordon_counts`` and ``_A_counts`` return.
 
 :func:`partitions_of` lists the partitions of n explicitly (p(n) grows
 like exp(pi sqrt(2n/3)), so this is for small n only).  The tests filter
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, groupby
-from operator import add
+from math import isqrt
 from typing import Iterable, Optional, Tuple
 
 __all__ = [
@@ -125,31 +131,60 @@ def is_gordon_admissible(parts: Iterable[int], gp) -> bool:
     return _gordon_ok(freqs, gp.k, gp.a)
 
 
-def _gordon_count(n: int, gp, parity: Optional[int] = None) -> int:
-    """Partitions of n in B(k, a); if ``parity`` is 0 or 1, the parts of
-    that parity must also have even multiplicity.
+def _field_width(n_max: int) -> int:
+    """Bits per packed field for counts of size at most n_max.
 
-    A transfer DP over the parts i = 1..n.  ``rows[f][s]`` counts the
-    admissible choices of f_1..f_i with f_i = f and running sum s.  A
-    virtual part 0 of multiplicity k - a starts the chain, so the pair
-    rule f_0 + f_1 <= k - 1 is exactly f_1 <= a - 1.
+    Every field holds a number of partitions of some s <= n_max, so at
+    most p(n_max).  Erdős (1942): p(n) < exp(pi sqrt(2n/3)), hence
+    log2 p(n) < 3.71 sqrt(n) <= 4 (isqrt(n) + 1) < 4 isqrt(n) + 5.
+    """
+    return 4 * isqrt(n_max) + 5
+
+
+def _gordon_packed(n_max: int, gp, parity: Optional[int]) -> Tuple[int, int]:
+    """The counts for n = 0..n_max packed into one int, and the field width.
+
+    A transfer DP over the parts i = 1..n_max.  ``rows[f]`` packs, in its
+    field s (bits w*s .. w*s + w - 1), the admissible choices of
+    f_1..f_i with f_i = f and running sum s.  No field can carry into the
+    next (see :func:`_field_width`), so adding rows adds every field at
+    once, and a shift by w*g*i adds g copies of the part i.  A virtual
+    part 0 of multiplicity k - a starts the chain, so the pair rule
+    f_0 + f_1 <= k - 1 is exactly f_1 <= a - 1.
     """
     gp = _as_params(gp)
-    _check_n(n)
+    _check_n(n_max)
     k = gp.k
-    zero = [0] * (n + 1)
-    rows = [zero] * k
-    rows[k - gp.a] = [1] + zero[1:]
-    for i in range(1, n + 1):
+    w = _field_width(n_max)
+    mask = (1 << (w * (n_max + 1))) - 1
+    rows = [0] * k
+    rows[k - gp.a] = 1
+    for i in range(1, n_max + 1):
         # below[f]: the rows whose multiplicity is at most f, added up
-        below = list(accumulate(rows, lambda x, y: x if y is zero else list(map(add, x, y))))
+        below = list(accumulate(rows))
         rows = [
-            zero
-            if g * i > n or (g % 2 and i % 2 == parity)
-            else zero[: g * i] + below[k - 1 - g][: n + 1 - g * i]
+            0
+            if g * i > n_max or (g % 2 and i % 2 == parity)
+            else (below[k - 1 - g] << (w * g * i)) & mask
             for g in range(k)
         ]
-    return sum(row[n] for row in rows)
+    return sum(rows), w
+
+
+def _gordon_count(n: int, gp, parity: Optional[int] = None) -> int:
+    """Partitions of n in B(k, a); if ``parity`` is 0 or 1, the parts of
+    that parity must also have even multiplicity."""
+    packed, w = _gordon_packed(n, gp, parity)
+    return packed >> (w * n)  # the mask leaves field n on top
+
+
+def _gordon_counts(n_max: int, gp, parity: Optional[int] = None) -> list[int]:
+    """``_gordon_count(n, gp, parity)`` for n = 0..n_max, from one pass."""
+    if n_max < 0:
+        return []
+    packed, w = _gordon_packed(n_max, gp, parity)
+    field = (1 << w) - 1
+    return [(packed >> (w * s)) & field for s in range(n_max + 1)]
 
 
 def count_B(n: int, gp) -> int:
@@ -157,18 +192,26 @@ def count_B(n: int, gp) -> int:
     return _gordon_count(n, gp)
 
 
-def count_A(n: int, gp) -> int:
-    """Number of partitions of n avoiding parts = 0, a, -a mod 2k + 1."""
+def _A_counts(n_max: int, gp) -> list[int]:
+    """``count_A(n, gp)`` for n = 0..n_max, from one pass."""
+    if n_max < 0:
+        return []
     gp = _as_params(gp)
-    _check_n(n)
+    _check_n(n_max)
     m = 2 * gp.k + 1
     banned = {0, gp.a % m, (-gp.a) % m}
-    c = [1] + [0] * n
-    for p in range(1, n + 1):
+    c = [1] + [0] * n_max
+    for p in range(1, n_max + 1):
         if p % m not in banned:
-            for s in range(p, n + 1):
+            for s in range(p, n_max + 1):
                 c[s] += c[s - p]
-    return c[n]
+    return c
+
+
+def count_A(n: int, gp) -> int:
+    """Number of partitions of n avoiding parts = 0, a, -a mod 2k + 1."""
+    _check_n(n)
+    return _A_counts(n, gp)[n]
 
 
 def count_W(n: int, gp) -> int:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add as _add
 from typing import Iterable, Iterator, Sequence, Tuple, Union
@@ -513,7 +512,6 @@ def _quotient_sums(terms: list, spec: PochSpec, denom: int, length: int, exps: l
     return out
 
 
-@lru_cache(maxsize=4096)
 def _poch(spec: PochSpec, n: int | None, order: Fraction, denom: int) -> Series:
     cs = [1] + [0] * (_slots(order, denom) - 1)
     return Series(_mul_factors(cs, spec, n, denom), order, denom)

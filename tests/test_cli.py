@@ -149,6 +149,45 @@ class TestCountCommand:
         assert code == 0
         assert obj["counts"] == [1, 1, 0, 1, 2, 2, 1]
 
+    def test_count_reaches_n_400_in_one_pass(self, capsys):
+        """The partition families print every size up to --n from one
+        pass; n = 400 is checked against the first Rogers-Ramanujan
+        product's count there."""
+        code = run(["count", "--family", "B", "--k", "2", "--a", "2", "--n", "400"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == 401 and lines[10] == "10 6"
+        series = identities.eval_product_side("AG", (2, 2), 401)
+        assert lines[400] == f"400 {series.coefficient(400)}"
+
+    def test_negative_n_prints_nothing(self, capsys):
+        for family in ("B", "A", "W", "Wbar", "S"):
+            code = run(["count", "--family", family, "--k", "3", "--a", "2", "--n", "-1", "--json"])
+            obj = json.loads(capsys.readouterr().out)
+            assert code == 0 and obj["counts"] == [], family
+
+
+# every exhaustive S-path command, with the flag the cap bounds
+_S_PATH_COMMANDS = [
+    ["enumerate-paths", "--k", "2", "--a", "1", "--n"],
+    ["count", "--family", "S", "--k", "2", "--a", "1", "--n"],
+    ["verify", "--theorem", "paths", "--k", "2", "--a", "1", "--order"],
+]
+
+
+@pytest.mark.parametrize("argv", _S_PATH_COMMANDS, ids=lambda argv: argv[0])
+def test_S_path_cap(argv, capsys):
+    """The search runs at the cap, 40, and a bound of 41 exits 2 with
+    an error line and no output."""
+    assert cli._S_PATH_CAP == 40
+    assert run(argv + ["40"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and not captured.err
+    assert run(argv + ["41"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[-1]} 41 is over the S-path cap 40 (the path search is exhaustive)\n"
+
 
 class TestEnumeratePathsCommand:
     def test_compact_listing(self, capsys):

@@ -272,10 +272,10 @@ class TestAdmissibility:
     def test_east_rule_each_reading(self):
         """A full-height peak needs 4 | (E steps before it)."""
         good = LatticePath(2, "SSEEEENNNSSS")
-        bad = LatticePath(2, "SSEENNNSSSEE".replace("EE", "EE", 1))
+        # the same path with two E steps before its relative-height-3 peak
+        bad = LatticePath(2, "SSEENNNSSS")
         assert is_S_admissible(good, (3, 2))
-        # two E steps before a relative-height-3 peak: rejected
-        assert not is_S_admissible(LatticePath(2, "SSEENNNSSS"), (3, 2))
+        assert not is_S_admissible(bad, (3, 2))
 
     def test_terminal_required(self):
         assert not is_S_admissible(LatticePath(2, "SSNSE"), (3, 2))

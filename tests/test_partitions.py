@@ -18,6 +18,9 @@ from qgordon.identities import (
 )
 from qgordon.partitions import (
     GordonParams,
+    _A_counts,
+    _field_width,
+    _gordon_counts,
     count_A,
     count_B,
     count_W,
@@ -186,6 +189,69 @@ _HIGH_ORDER = [
 def test_counts_match_their_series_below_q200(count, side, k, a):
     series = side(GordonParams(k, a), 200)
     assert [count(n, (k, a)) for n in range(200)] == [series.coefficient(n) for n in range(200)]
+
+
+_PARITY = {"B": None, "W": 0, "Wbar": 1}
+
+
+def _series(family, n_max, gp):
+    """The one-pass counts of ``family`` for n = 0..n_max."""
+    if family == "A":
+        return _A_counts(n_max, gp)
+    return _gordon_counts(n_max, gp, _PARITY[family])
+
+
+class TestOnePass:
+    def test_series_equals_counts_per_n(self):
+        """Every family, every 1 <= a <= k <= 7: the pass to 60 reads the
+        same counts as one call per n."""
+        count = {"B": count_B, "A": count_A, "W": count_W, "Wbar": count_Wbar}
+        for family, fn in count.items():
+            for k in range(1, 8):
+                for a in range(1, k + 1):
+                    expected = [fn(n, (k, a)) for n in range(61)]
+                    assert _series(family, 60, (k, a)) == expected, (family, k, a)
+
+    def test_empty_below_zero(self):
+        assert _gordon_counts(-1, (3, 2)) == [] and _A_counts(-1, (3, 2)) == []
+        assert _gordon_counts(0, (3, 2), 1) == [1] and _A_counts(0, (3, 2)) == [1]
+
+    def test_field_width_holds_every_partition_number(self):
+        """p(n), from Euler's pentagonal recurrence, fits the packed field
+        width with at least four bits to spare for every n <= 3000."""
+        top = 3000
+        p = [1] + [0] * top
+        for n in range(1, top + 1):
+            j, total = 1, 0
+            while j * (3 * j - 1) // 2 <= n:
+                sign = 1 if j % 2 else -1
+                total += sign * p[n - j * (3 * j - 1) // 2]
+                if j * (3 * j + 1) // 2 <= n:
+                    total += sign * p[n - j * (3 * j + 1) // 2]
+                j += 1
+            p[n] = total
+        assert p[100] == 190569292
+        for n in range(top + 1):
+            assert p[n].bit_length() <= _field_width(n) - 4, n
+
+
+# (family, side) below q^401, each at two (k, a) of its regime: a packed
+# field too narrow for its count would carry into the next one
+_AT_400 = [
+    ("B", eval_multisum_AG, [(3, 2), (6, 4)]),
+    ("A", lambda gp, order: eval_product_side("AG", gp, order), [(3, 2), (6, 4)]),
+    ("W", eval_multisum_W, [(3, 3), (4, 1)]),
+    ("Wbar", eval_multisum_Wbar, [(3, 2), (4, 1)]),
+]
+
+
+@pytest.mark.parametrize(
+    "family, side, k, a",
+    [(family, side, k, a) for family, side, pairs in _AT_400 for k, a in pairs],
+)
+def test_series_match_their_sides_below_q401(family, side, k, a):
+    series = side(GordonParams(k, a), 401)
+    assert _series(family, 400, (k, a)) == [series.coefficient(n) for n in range(401)]
 
 
 if __name__ == "__main__":
