@@ -13,6 +13,16 @@ base variable once, and then alternates half-weight insertions with a
 template swap on alpha; its closed-form endpoint feeds the telescoped
 limit, and rescaling q -> q^2 lands the limit on the parity-restricted
 sum and product from :mod:`qgordon.identities`.
+
+Every alpha along the chain has one shape, the terms r = +-m of a theta
+series (:func:`qgordon.qseries._theta_pair`):
+
+    alpha_m = (-1)^m (q^(e3 m(m-1)/2 + e1 m) + q^(e3 m(m+1)/2 - e1 m)),
+
+with (e1, e3) = (0, 1) for the unit pair, (1, 2A) before and (0, 2A)
+after the swap with coefficient A, and (a/2, k+1) at the endpoint,
+whose sum over m is the limit's theta series.  The code passes e1 and
+e3 as half-grid slots, that is doubled.
 """
 
 from __future__ import annotations
@@ -24,7 +34,10 @@ from typing import Tuple
 
 from .identities import ladder_multisum
 from .partitions import _as_params
-from .qseries import PochSpec, Series, _div_factor, _div_factors, _mul_factors, _quotient_sums, _slots
+from .qseries import (
+    PochSpec, Series, _div_factor, _div_factors, _frac, _mul_factors, _quotient_sums, _slots,
+    _theta_pair, _theta_walk,
+)
 
 # imported for perfbench/tracing.py, which wraps these names on this module
 from .qseries import invert_poch, mul, poch_finite, poch_infinite  # noqa: F401
@@ -58,11 +71,8 @@ class BaileyPair:
 
     alpha: Tuple[Series, ...]
     beta: Tuple[Series, ...]
-    base: int = 1
 
     def __post_init__(self):
-        if self.base != 1:
-            raise ValueError(f"only base 1 is supported, got base {self.base}")
         alpha = tuple(self.alpha)
         beta = tuple(self.beta)
         object.__setattr__(self, "alpha", alpha)
@@ -81,22 +91,24 @@ class BaileyPair:
         return min(min(s.order for s in self.alpha), min(s.order for s in self.beta))
 
 
+def _half_grid(terms, order) -> Series:
+    """sum c q^(s/2) over the (slot s, c) pairs in ``terms``, on the half
+    grid; slots at or above the order are dropped."""
+    order = _frac(order)
+    cs = [0] * _slots(order, 2)
+    for s, c in terms:
+        if s < len(cs):
+            cs[s] += c
+    return Series(cs, order, 2)
+
+
 def unit_pair(n_max: int, order) -> BaileyPair:
     """The pair every chain starts from: beta_n = [n == 0] and
     alpha_n = (-1)^n (q^((n^2-n)/2) + q^((n^2+n)/2))."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    alpha = [Series.one(order, 2)]
-    beta = [Series.one(order, 2)]
-    for n in range(1, n_max + 1):
-        sgn = -1 if n % 2 else 1
-        alpha.append(
-            Series.from_terms(
-                [(Fraction(n * n - n, 2), sgn), (Fraction(n * n + n, 2), sgn)], order, 2
-            )
-        )
-        beta.append(Series.zero(order, 2))
-    return BaileyPair(tuple(alpha), tuple(beta))
+    alpha = tuple(_half_grid(_theta_pair(0, 2, n), order) for n in range(n_max + 1))
+    return BaileyPair(alpha, (Series.one(order, 2),) + (Series.zero(order, 2),) * n_max)
 
 
 def _head(s: Series, length: int) -> Tuple[int, list]:
@@ -193,23 +205,13 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
-def _p41_template(a_coef: int, m: int, with_linear: bool, order) -> Series:
-    """(-1)^m (q^(A m^2 + c m) + q^(A m^2 - c m)) with c = A - 1 or A."""
-    if m == 0:
-        return Series.one(order, 2)
-    c = a_coef - 1 if with_linear else a_coef
-    sgn = -1 if m % 2 else 1
-    return Series.from_terms(
-        [(a_coef * m * m + c * m, sgn), (a_coef * m * m - c * m, sgn)], order, 2
-    )
-
-
 def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
     """Template swap on alpha with beta'_n = q^n beta_n.
 
-    Requires alpha_m = (-1)^m (q^(A m^2 + (A-1) m) + q^(A m^2 - (A-1) m))
-    for the given A = ``a_coef``; the output alpha has the same shape
-    with linear coefficient A instead of A - 1.
+    Requires alpha_m = (-1)^m (q^(A m^2 + (A-1) m) + q^(A m^2 - (A-1) m)),
+    the theta template with e1 = 1, e3 = 2A for the given A = ``a_coef``;
+    the output alpha is the template with e1 = 0, linear coefficient A
+    instead of A - 1.
 
     Raises:
         ValueError: if alpha does not match the required template.
@@ -218,13 +220,11 @@ def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
         raise ValueError(f"template coefficient must be an int >= 2, got {a_coef!r}")
     order = bp.order
     for m, s in enumerate(bp.alpha):
-        if s != _p41_template(a_coef, m, True, order):
+        if s != _half_grid(_theta_pair(2, 4 * a_coef, m), order):
             raise ValueError(
                 f"alpha_{m} does not match the swap template with A = {a_coef}"
             )
-    alpha = tuple(
-        _p41_template(a_coef, m, False, order) for m in range(bp.n_max + 1)
-    )
+    alpha = tuple(_half_grid(_theta_pair(0, 4 * a_coef, m), order) for m in range(bp.n_max + 1))
     beta = tuple(
         s.shift(n).truncate(order) for n, s in enumerate(bp.beta)
     )
@@ -263,15 +263,9 @@ def build_chain(gp, n_max: int, order) -> Tuple[Tuple[str, BaileyPair], ...]:
 def closed_form_alpha(gp, n: int, order) -> Series:
     """Endpoint alpha of the chain:
     (-1)^n q^((k+1) n^2 / 2) (q^(-(k-a+1) n / 2) + q^((k-a+1) n / 2)),
-    which is 1 at n = 0."""
+    the theta template with e1 = a/2, e3 = k+1, which is 1 at n = 0."""
     gp = _as_params(gp)
-    if n == 0:
-        return Series.one(order, 2)
-    k, a = gp.k, gp.a
-    sgn = -1 if n % 2 else 1
-    e1 = Fraction((k + 1) * n * n - (k - a + 1) * n, 2)
-    e2 = Fraction((k + 1) * n * n + (k - a + 1) * n, 2)
-    return Series.from_terms([(e1, sgn), (e2, sgn)], order, 2)
+    return _half_grid(_theta_pair(gp.a, 2 * gp.k + 2, n), order)
 
 
 # ---------------------------------------------------------------- the limit
@@ -304,16 +298,6 @@ def limit_identity(gp, order) -> Tuple[Series, Series]:
         numer=_NEG_SQRT_Q,
         denom=2,
     )
-    theta = [(Fraction(0), 1)]
-    r = 1
-    while True:
-        e1 = Fraction((k + 1) * r * r - (k - a + 1) * r, 2)
-        if e1 >= order:
-            break
-        sgn = -1 if r % 2 else 1
-        theta.append((e1, sgn))
-        theta.append((Fraction((k + 1) * r * r + (k - a + 1) * r, 2), sgn))
-        r += 1
-    cs = list(Series.from_terms(theta, order, 2).coeffs)
+    cs = list(_half_grid(_theta_walk(a, 2 * k + 2, _slots(order, 2)), order).coeffs)
     _mul_factors(cs, _NEG_SQRT_Q, None, 2)
     return lhs, Series(_div_factors(cs, _Q, None, 2), order, 2)

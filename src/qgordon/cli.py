@@ -121,28 +121,20 @@ def _cmd_bailey_chain(args) -> int:
     gp = GordonParams(args.k, args.a)
     chain = build_chain(gp, args.nmax, args.order)
     steps = []
-    all_ok = True
+    lines = []
     for label, bp in chain:
         ok = check_pair(bp)
-        all_ok &= ok
         steps.append({"label": label, "relation_ok": ok})
+        lines.append(f"{label:<12} relation {'ok' if ok else 'BROKEN'}")
+        if args.trace:
+            for n in range(min(bp.n_max, 2) + 1):
+                lines.append(f"  alpha_{n} = {bp.alpha[n]}")
+                lines.append(f"  beta_{n}  = {bp.beta[n]}")
     final = chain[-1][1]
     closed_ok = all(
         final.alpha[n] == closed_form_alpha(gp, n, final.order)
         for n in range(args.nmax + 1)
     )
-    all_ok &= closed_ok
-    lines = [
-        f"{s['label']:<12} relation {'ok' if s['relation_ok'] else 'BROKEN'}"
-        for s in steps
-    ]
-    if args.trace and not args.json:
-        lines = []
-        for label, bp in chain:
-            lines.append(f"step {label}")
-            for n in range(min(bp.n_max, 2) + 1):
-                lines.append(f"  alpha_{n} = {bp.alpha[n]}")
-                lines.append(f"  beta_{n}  = {bp.beta[n]}")
     lines.append(
         f"endpoint alpha matches closed form for n <= {args.nmax}: "
         f"{'yes' if closed_ok else 'NO'}"
@@ -156,7 +148,7 @@ def _cmd_bailey_chain(args) -> int:
         "closed_form_ok": closed_ok,
     }
     _emit(obj, args.json, lines)
-    return 0 if all_ok else 1
+    return 0 if closed_ok and all(s["relation_ok"] for s in steps) else 1
 
 
 def sweep(kmax: int = 4, order: int = 40) -> List[VerificationReport]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -91,9 +91,10 @@ def ladder_multisum(
         / prod_{i<k-1} (level_denom at n_i)
 
     with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``lin`` and
-    ``nlin`` have length k - 1 and may hold Fractions; ``denom`` fixes
-    the exponent grid of the result.  For k = 1 the sum is empty and
-    equals 1.
+    ``nlin`` have length k - 1 and may hold Fractions.  The result
+    lies on the grid 1/g, g the lcm of ``denom``, the symbols' grids
+    and the denominators of ``quad``, ``lin`` and ``nlin``.  For k = 1
+    the sum is empty and equals 1.
 
     The table H[i][N] accumulates levels i..k-1 with N_i = N; each
     level is capped as soon as its own quadratic term passes the order.
@@ -114,12 +115,8 @@ def ladder_multisum(
     lin = [Fraction(v) for v in lin]
     nlin = [Fraction(v) for v in nlin]
 
-    # Work on a grid holding every exponent; the result keeps the grid of
-    # the symbols and of the exponents that fall below the order.
-    used = lcm(denom, innermost.grid(), numer.grid() if numer else 1)
-    if k > 2:
-        used = lcm(used, level_denom.grid())
-    grid = lcm(used, quad.denominator, *(v.denominator for v in lin + nlin))
+    grid = lcm(denom, innermost.grid(), numer.grid() if numer else 1, level_denom.grid(),
+               quad.denominator, *(v.denominator for v in lin + nlin))
     length = _slots(order, grid)
     sq = int(quad * grid)
     li = [int(v * grid) for v in lin]
@@ -138,26 +135,19 @@ def ladder_multisum(
             n += 1
         return rows
 
-    exps = level_exps(k - 1, 1)
     table = []
-    for n, (e,) in enumerate(exps):
+    for n, (e,) in enumerate(level_exps(k - 1, 1)):
         cs = [1] + [0] * (length - e - 1)
         _div_factors(cs, innermost, n, grid)
         if numer is not None:
             _mul_factors(cs, numer, n, grid)
         table.append((e, cs))
     for i in range(k - 2, 0, -1):
-        rows = level_exps(i, len(table))
-        exps += rows
-        table = _quotient_sums(table, level_denom, grid, length, rows)
-    for row in exps:
-        for e in row:
-            if e < length:
-                used = lcm(used, grid // gcd(e, grid))
+        table = _quotient_sums(table, level_denom, grid, length, level_exps(i, len(table)))
     total = [0] * length
     for v, cs in table:
         total[v:] = map(add, total[v:], cs)
-    return Series(total[:: grid // used], order, used)
+    return Series(total, order, grid)
 
 
 # ---------------------------------------------------------------- sum sides
@@ -405,10 +395,5 @@ def verify(spec: IdentitySpec) -> VerificationReport:
         raise ValueError(
             f"{t} (k={gp.k}, a={gp.a}): the sides are known only below q^{window}, short of q^{order}"
         )
-    return VerificationReport(
-        spec=spec,
-        lhs=lhs,
-        rhs=rhs,
-        equal=lhs == rhs,
-        first_discrepancy=lhs.first_discrepancy(rhs),
-    )
+    first = lhs.first_discrepancy(rhs)
+    return VerificationReport(spec=spec, lhs=lhs, rhs=rhs, equal=first is None, first_discrepancy=first)

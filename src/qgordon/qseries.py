@@ -14,6 +14,11 @@ module-level helpers build finite and infinite products, reciprocals,
 Jacobi triple products and theta sums on whatever exponent grid the
 inputs require.
 
+The theta sum is written once: :func:`_theta_pair` gives its terms
+r = +-m, (-1)^m (q^(e3 m(m-1)/2 + e1 m) + q^(e3 m(m+1)/2 - e1 m)), and
+:func:`_theta_walk` walks those pairs outward to an order.  The same
+pair is the alpha_m of every Bailey pair in :mod:`qgordon.bailey`.
+
 None of them multiplies series densely or inverts one.  The private
 kernels :func:`_mul_factors` and :func:`_div_factors` multiply and
 divide a plain list of int coefficients by (x; q^b)_n in place, one
@@ -40,7 +45,6 @@ QExp = Union[int, Fraction]
 __all__ = [
     "Series",
     "PochSpec",
-    "add",
     "mul",
     "rescale",
     "poch_finite",
@@ -250,14 +254,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Series":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        out = Series.one(self.order, self.denom)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def shift(self, e: QExp) -> "Series":
         """Multiply by q^e (e >= 0); knowledge extends to order + e."""
         e = _frac(e)
@@ -322,15 +318,7 @@ class Series:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        f, g = Series._align(self, other)
-        n = _slots(min(f.order, g.order), f.denom)
-        fc, gc = f.coeffs, g.coeffs
-        for s in range(n):
-            a = fc[s] if s < len(fc) else 0
-            b = gc[s] if s < len(gc) else 0
-            if a != b:
-                return False
-        return True
+        return self.first_discrepancy(other) is None
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -338,12 +326,10 @@ class Series:
         """Smallest exponent below min(orders) where coefficients differ."""
         f, g = Series._align(self, other)
         n = _slots(min(f.order, g.order), f.denom)
-        for s in range(n):
-            a = f.coeffs[s] if s < len(f.coeffs) else 0
-            b = g.coeffs[s] if s < len(g.coeffs) else 0
-            if a != b:
-                return Fraction(s, f.denom)
-        return None
+        fc, gc = f.coeffs[:n], g.coeffs[:n]
+        if fc == gc:
+            return None
+        return Fraction(next(s for s, (a, b) in enumerate(zip(fc, gc)) if a != b), f.denom)
 
     # ------------------------------------------------------------ formatting
 
@@ -571,11 +557,6 @@ def invert_poch(
 # ---------------------------------------------------------------- products
 
 
-def add(f: Series, g: Series) -> Series:
-    """Sum truncated at the smaller order."""
-    return f + g
-
-
 def mul(f: Series, g: Series) -> Series:
     """Cauchy product truncated at the smaller order."""
     return f * g
@@ -607,28 +588,39 @@ def triple_product(e1: QExp, e2: QExp, e3: QExp, order: QExp) -> Series:
     return Series(cs, order, denom)
 
 
+def _theta_pair(e1, e3, m: int) -> list:
+    """The terms r = m and r = -m of the theta series
+    sum_{r in Z} (-1)^r q^(e3 r(r-1)/2 + e1 r), as (exponent, sign)
+    pairs; just the 1 at m = 0.  The exponents may be ints (grid slots)
+    or Fractions."""
+    if m == 0:
+        return [(0, 1)]
+    sign = -1 if m % 2 else 1
+    return [(e3 * (m * (m - 1) // 2) + e1 * m, sign), (e3 * (m * (m + 1) // 2) - e1 * m, sign)]
+
+
+def _theta_walk(e1, e3, stop) -> Iterator[Tuple[QExp, int]]:
+    """The theta series' terms with exponent below ``stop``, walking the
+    pairs r = +-m outward.  For 0 <= e1 <= e3 with e3 > 0 the exponent
+    grows with |r| on each side, so the walk ends at the first m whose
+    smaller exponent (r = -m once e1 > e3 / 2) reaches ``stop``."""
+    m = 0
+    while True:
+        pair = [(e, c) for e, c in _theta_pair(e1, e3, m) if e < stop]
+        if not pair:
+            return
+        yield from pair
+        m += 1
+
+
 def theta_sum(e1: QExp, e3: QExp, order: QExp) -> Series:
     """sum_{r in Z} (-1)^r q^{e3 r(r-1)/2 + e1 r} truncated at ``order``.
 
-    Requires 0 <= e1 <= e3 so that every exponent is nonnegative; the
-    exponent is then strictly increasing in each direction away from
-    r = 0, which makes truncation a simple walk outward.
+    Requires 0 <= e1 <= e3 so that every exponent is nonnegative and
+    :func:`_theta_walk` can sum the pairs r = +-m outward.
     """
     e1, e3 = _frac(e1), _frac(e3)
     if e3 <= 0 or not 0 <= e1 <= e3:
         raise ValueError(f"theta sum needs 0 <= e1 <= e3 with e3 > 0; got e1={e1}, e3={e3}")
     order = _frac(order)
-
-    def exp_at(r: int) -> Fraction:
-        return e3 * r * (r - 1) / 2 + e1 * r
-
-    terms = [(Fraction(0), 1)]
-    r = 1
-    while exp_at(r) < order:
-        terms.append((exp_at(r), -1 if r % 2 else 1))
-        r += 1
-    r = -1
-    while exp_at(r) < order:
-        terms.append((exp_at(r), -1 if r % 2 else 1))
-        r -= 1
-    return Series.from_terms(terms, order)
+    return Series.from_terms(_theta_walk(e1, e3, order), order)

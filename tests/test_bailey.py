@@ -45,8 +45,6 @@ class TestUnitPair:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_max"):
             unit_pair(-1, 10)
-        with pytest.raises(ValueError, match="base 1"):
-            BaileyPair((Series.one(10, 2),), (Series.one(10, 2),), base=2)
         with pytest.raises(ValueError, match="equally long"):
             BaileyPair((Series.one(10, 2),), ())
 

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -222,7 +225,8 @@ class TestBaileyChainCommand:
         assert "endpoint alpha matches closed form for n <= 4: yes" in out
 
     def test_broken_link_exits_one(self, monkeypatch, capsys):
-        """One beta coefficient off in the D1 link marks that link, and only it."""
+        """One beta coefficient off in the D1 link marks that link, and
+        only it, with or without the series heads of --trace."""
         real = cli.build_chain
 
         def build_chain(gp, n_max, order):
@@ -234,19 +238,26 @@ class TestBaileyChainCommand:
             return tuple(chain)
 
         monkeypatch.setattr(cli, "build_chain", build_chain)
-        code = run(["bailey-chain", "--k", "2", "--a", "1", "--nmax", "4", "--order", "20"])
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 1
-        assert lines[:3] == ["unit         relation ok", "D1           relation BROKEN",
-                             "S2           relation ok"]
-        assert lines[3] == "endpoint alpha matches closed form for n <= 4: yes"
+        for trace in ([], ["--trace"]):
+            code = run(["bailey-chain", "--k", "2", "--a", "1", "--nmax", "4", "--order", "20", *trace])
+            out = capsys.readouterr().out.splitlines()
+            lines = [line for line in out if not line.startswith("  ")]
+            assert code == 1
+            assert lines[:3] == ["unit         relation ok", "D1           relation BROKEN",
+                                 "S2           relation ok"]
+            assert lines[3] == "endpoint alpha matches closed form for n <= 4: yes"
+            assert len(out) == 4 + 6 * 3 * bool(trace)
 
     def test_trace_prints_series_heads(self, capsys):
+        """--trace indents alpha_n and beta_n, n <= 2, under each link's line."""
         code = run(["bailey-chain", "--k", "2", "--a", "1", "--nmax", "3",
                     "--order", "16", "--trace"])
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert "step unit" in out and "alpha_0" in out and "beta_2" in out
+        assert lines[:3] == ["unit         relation ok", "  alpha_0 = 1 + O(q^8)", "  beta_0  = 1 + O(q^8)"]
+        assert lines[7] == "D1           relation ok"
+        assert sum(line.startswith("  alpha_") for line in lines) == 3 * 3
+        assert lines[-1] == "endpoint alpha matches closed form for n <= 3: yes"
 
     def test_json_shape(self, capsys):
         code = run(["bailey-chain", "--k", "3", "--a", "2", "--nmax", "3",
@@ -326,6 +337,39 @@ class TestSweepCommand:
         code = run(["sweep", "--kmax", "1"])
         assert code == 2
         assert "kmax" in capsys.readouterr().err
+
+
+def _readme_examples():
+    """(argv, expected stdout lines) for every ``$ qgordon ...`` line in
+    README.md's fenced blocks; the output runs to the next ``$`` line or
+    the end of the block, trailing blank lines dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```\w*\n(.*?)^```", text, re.M | re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M)[1:]:
+            command, *out = chunk.rstrip("\n").split("\n")
+            argv = shlex.split(command[2:])
+            if argv[0] == "qgordon":
+                examples.append((argv[1:], out))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_example_replays(argv, expected, capsys):
+    """The command's stdout equals the README's, a ``...`` line standing
+    for any run of lines."""
+    code = run(argv)
+    out = capsys.readouterr().out
+    pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in expected)
+    assert code == 0
+    assert re.fullmatch(pattern, out), out
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -217,17 +218,24 @@ class TestPochhammer:
 
 class TestTripleProduct:
     def test_matches_theta_sum(self):
-        """Jacobi triple product against the alternating theta series."""
+        """Jacobi triple product against the alternating theta series.
+
+        For e1 > e3 / 2 the term r = -m is the smaller one of its pair:
+        at (4, 1, 5) the r = -4 term sits at q^34, below order 35 while
+        r = 4 sits at q^46, and at (5/2, 1/2, 3) the r = -4 term sits at
+        q^20, below order 25 while r = 4 sits at q^28."""
         cases = [
-            (1, 4, 5),
-            (2, 3, 5),
-            (1, 6, 7),
-            (3, 4, 7),
-            (2, 6, 8),
-            (Fraction(1, 2), Fraction(5, 2), 3),
+            (1, 4, 5, 45),
+            (2, 3, 5, 45),
+            (1, 6, 7, 45),
+            (3, 4, 7, 45),
+            (2, 6, 8, 45),
+            (Fraction(1, 2), Fraction(5, 2), 3, 45),
+            (4, 1, 5, 35),
+            (Fraction(5, 2), Fraction(1, 2), 3, 25),
         ]
-        for e1, e2, e3 in cases:
-            assert triple_product(e1, e2, e3, 45) == theta_sum(e1, e3, 45), (e1, e2, e3)
+        for e1, e2, e3, order in cases:
+            assert triple_product(e1, e2, e3, order) == theta_sum(e1, e3, order), (e1, e2, e3)
 
     def test_euler_as_triple_product(self):
         """(q,q^2,q^3;q^3)_inf regroups to (q;q)_inf."""
@@ -293,6 +301,41 @@ class TestRingProperties:
     @given(f=small_series)
     def test_rescale_round_trip(self, f):
         assert rescale(rescale(f, 2), Fraction(1, 2)) == f
+
+
+def _scan(f: Series, g: Series) -> Fraction | None:
+    """The first exponent below both orders where f and g differ, read
+    one coefficient at a time on the finer of their grids."""
+    step = Fraction(1, lcm(f.denom, g.denom))
+    e = Fraction(0)
+    while e < min(f.order, g.order):
+        if f.coefficient(e) != g.coefficient(e):
+            return e
+        e += step
+    return None
+
+
+# few coefficient values, so that windows often agree
+small_grid_series = st.builds(
+    lambda denom, n, cs: Series(cs, Fraction(n, denom), denom),
+    st.sampled_from((1, 2)),
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.integers(min_value=0, max_value=1), max_size=8),
+)
+
+
+class TestComparison:
+    @settings(max_examples=300)
+    @given(f=small_grid_series, g=st.one_of(small_grid_series, st.integers(min_value=0, max_value=1)))
+    def test_equality_is_no_first_discrepancy(self, f, g):
+        """f == g iff first_discrepancy finds nothing, over grids 1 and 2,
+        unequal orders and int operands (an int c is c + O(q^order) on
+        the other operand's order and grid)."""
+        h = g if isinstance(g, Series) else Series.from_int(g, f.order, f.denom)
+        first = f.first_discrepancy(h)
+        assert first == _scan(f, h)
+        assert (f == g) == (g == f) == (first is None)
+        assert (f != g) == (first is not None)
 
 
 # every symbol the package expands or divides by
