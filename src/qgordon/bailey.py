@@ -12,7 +12,10 @@ because the chain steps introduce q^{n^2/2} weights and the factor
 base variable once, and then alternates half-weight insertions with a
 template swap on alpha; its closed-form endpoint feeds the telescoped
 limit, and rescaling q -> q^2 lands the limit on the parity-restricted
-sum and product from :mod:`qgordon.identities`.
+sum and product from :mod:`qgordon.identities`.  The code works in
+t = q^(1/2), where a half-grid slot s is the exponent of t^s and every
+symbol has int exponents, and reads the half grid only where it builds
+a Series.
 
 Every alpha along the chain has one shape, the terms r = +-m of a theta
 series (:func:`qgordon.qseries._theta_pair`):
@@ -22,7 +25,7 @@ series (:func:`qgordon.qseries._theta_pair`):
 with (e1, e3) = (0, 1) for the unit pair, (1, 2A) before and (0, 2A)
 after the swap with coefficient A, and (a/2, k+1) at the endpoint,
 whose sum over m is the limit's theta series.  The code passes e1 and
-e3 as half-grid slots, that is doubled.
+e3 in t, that is doubled.
 """
 
 from __future__ import annotations
@@ -55,10 +58,11 @@ __all__ = [
     "limit_identity",
 ]
 
-_Q = PochSpec(1, 1, 1)                      # (q; q)
-_Q2 = PochSpec(1, 2, 2)                     # (q^2; q^2)
-_NEG_Q = PochSpec(-1, 1, 1)                 # (-q; q)
-_NEG_SQRT_Q = PochSpec(-1, Fraction(1, 2), 1)  # (-q^(1/2); q)
+# the chain's symbols in t = q^(1/2), whose exponents are the half-grid slots
+_T2 = PochSpec(1, 2, 2)       # (t^2; t^2) = (q; q)
+_T4 = PochSpec(1, 4, 4)       # (t^4; t^4) = (q^2; q^2)
+_NEG_T2 = PochSpec(-1, 2, 2)  # (-t^2; t^2) = (-q; q)
+_NEG_T = PochSpec(-1, 1, 2)   # (-t; t^2) = (-q^(1/2); q)
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ def check_pair(bp: BaileyPair) -> bool:
     quots = []
     for n in range(bp.n_max + 1):
         v, cs = _head(bp.alpha[n], length)
-        quots.append((v, _div_factors(cs, _Q, 2 * n, 2)))
+        quots.append((v, _div_factors(cs, _T2, 2 * n)))
         rhs = [0] * length
         for r, (v, cs) in enumerate(quots):
             if r < n:
@@ -161,7 +165,7 @@ def apply_S1(bp: BaileyPair) -> BaileyPair:
     )
     terms = [_head(s, max(length - 2 * r * r, 0)) for r, s in enumerate(bp.beta)]
     exps = [[2 * r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _Q, 2, length, exps)
+    sums = _quotient_sums(terms, _T2, length, exps)
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -178,11 +182,11 @@ def apply_S2(bp: BaileyPair) -> BaileyPair:
     terms = []
     for r, s in enumerate(bp.beta):
         v, cs = _head(s, max(length - r * r, 0))
-        terms.append((v, _mul_factors(cs, _NEG_SQRT_Q, r, 2)))
+        terms.append((v, _mul_factors(cs, _NEG_T, r)))
     exps = [[r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _Q, 2, length, exps)
+    sums = _quotient_sums(terms, _T2, length, exps)
     beta = tuple(
-        _series(v, _div_factors(cs, _NEG_SQRT_Q, n, 2), order) for n, (v, cs) in enumerate(sums)
+        _series(v, _div_factors(cs, _NEG_T, n), order) for n, (v, cs) in enumerate(sums)
     )
     return BaileyPair(alpha, beta)
 
@@ -199,9 +203,9 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     terms = []
     for r, s in enumerate(bp.beta):
         v, cs = _head(s.rescale(2), length)
-        terms.append((v, _mul_factors(cs, _NEG_Q, 2 * r, 2)))
+        terms.append((v, _mul_factors(cs, _NEG_T2, 2 * r)))
     exps = [[2 * (n - r) for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _Q2, 2, length, exps)
+    sums = _quotient_sums(terms, _T4, length, exps)
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -278,26 +282,20 @@ def limit_identity(gp, order) -> Tuple[Series, Series]:
     (q; q) level denominators, (q^2; q^2) innermost and a
     (-q^(1/2); q) numerator; the right side is
     (-q^(1/2); q)_inf / (q; q)_inf times the alternating theta series
-    built from :func:`closed_form_alpha`.  Rescaling both sides by 2
-    gives the parity-restricted sum and product on the integer grid.
+    built from :func:`closed_form_alpha`, both computed in t = q^(1/2).
+    Rescaling both sides by 2 gives the parity-restricted sum and
+    product on the integer grid.
     """
     gp = _as_params(gp)
     k, a = gp.k, gp.a
     if (k - a) % 2 == 0:
         raise ValueError(f"the limit needs k and a of opposite parity, got {gp}")
     order = Fraction(order)
-    lin = [Fraction(1 if i >= a and (i - a) % 2 == 0 else 0) for i in range(1, k)]
+    length = _slots(order, 2)
+    lin = [2 if i >= a and (i - a) % 2 == 0 else 0 for i in range(1, k)]
     lhs = ladder_multisum(
-        k,
-        order,
-        quad=Fraction(1, 2),
-        lin=lin,
-        nlin=[0] * (k - 1),
-        level_denom=_Q,
-        innermost=_Q2,
-        numer=_NEG_SQRT_Q,
-        denom=2,
+        k, length, quad=1, lin=lin, nlin=[0] * (k - 1), level_denom=_T2, innermost=_T4, numer=_NEG_T
     )
-    cs = list(_half_grid(_theta_walk(a, 2 * k + 2, _slots(order, 2)), order).coeffs)
-    _mul_factors(cs, _NEG_SQRT_Q, None, 2)
-    return lhs, Series(_div_factors(cs, _Q, None, 2), order, 2)
+    cs = list(_half_grid(_theta_walk(a, 2 * k + 2, length), order).coeffs)
+    _mul_factors(cs, _NEG_T, None)
+    return Series(lhs.coeffs, order, 2), Series(_div_factors(cs, _T2, None), order, 2)

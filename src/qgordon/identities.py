@@ -32,14 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .lattice_paths import _S_counts
 from .partitions import GordonParams, _as_params
-from .qseries import PochSpec, Series, _div_factors, _mul_factors, _quotient_sums, _slots, triple_product
+from .qseries import PochSpec, Series, _div_factors, _mul_factors, _quotient_sums, triple_product
 
 # imported for perfbench/tracing.py, which wraps these names on this module
 from .lattice_paths import count_S  # noqa: F401
@@ -72,15 +71,14 @@ _NEG_Q3_ODD = PochSpec(-1, 3, 2)  # (-q^3; q^2)
 
 def ladder_multisum(
     k: int,
-    order,
+    order: int,
     *,
-    quad,
-    lin: Sequence,
-    nlin: Sequence,
+    quad: int,
+    lin: Sequence[int],
+    nlin: Sequence[int],
     level_denom: PochSpec,
     innermost: PochSpec,
     numer: Optional[PochSpec] = None,
-    denom: int = 1,
 ) -> Series:
     """Evaluate the descending-ladder sum to the given order.
 
@@ -90,11 +88,12 @@ def ladder_multisum(
         * numer(N_{k-1}) / (innermost at N_{k-1})
         / prod_{i<k-1} (level_denom at n_i)
 
-    with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``lin`` and
-    ``nlin`` have length k - 1 and may hold Fractions.  The result
-    lies on the grid 1/g, g the lcm of ``denom``, the symbols' grids
-    and the denominators of ``quad``, ``lin`` and ``nlin``.  For k = 1
-    the sum is empty and equals 1.
+    with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``order``,
+    ``quad`` and the k - 1 entries of ``lin`` and ``nlin`` must be ints
+    (anything else raises ValueError), as must the symbols' exponents;
+    the result is on the integer grid.  A sum with rational exponents is
+    written in t = q^(1/d) first, as :func:`qgordon.bailey.limit_identity`
+    does.  For k = 1 the sum is empty and equals 1.
 
     The table H[i][N] accumulates levels i..k-1 with N_i = N; each
     level is capped as soon as its own quadratic term passes the order.
@@ -102,33 +101,24 @@ def ladder_multisum(
     below the order, multiplied and divided by Pochhammer factors in
     place (see :func:`qgordon.qseries._quotient_sums`).
     """
-    order = Fraction(order)
-    quad = Fraction(quad)
+    if not all(isinstance(v, int) for v in (order, quad, *lin, *nlin)):
+        raise ValueError(f"order, quad, lin and nlin must be ints: {order!r}, {quad!r}, {lin!r}, {nlin!r}")
     if quad <= 0:
         raise ValueError(f"quadratic coefficient must be positive, got {quad}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
-        return Series.one(order, denom)
+        return Series.one(order)
     if len(lin) != k - 1 or len(nlin) != k - 1:
         raise ValueError("lin and nlin need one entry per level 1..k-1")
-    lin = [Fraction(v) for v in lin]
-    nlin = [Fraction(v) for v in nlin]
-
-    grid = lcm(denom, innermost.grid(), numer.grid() if numer else 1, level_denom.grid(),
-               quad.denominator, *(v.denominator for v in lin + nlin))
-    length = _slots(order, grid)
-    sq = int(quad * grid)
-    li = [int(v * grid) for v in lin]
-    nli = [int(v * grid) for v in nlin]
 
     def level_exps(i: int, width: int):
-        """Exponent slots e(n, m) of level i for every n below the order
-        and m <= n, m < width."""
+        """Exponents e(n, m) of level i for every n below the order and
+        m <= n, m < width."""
         rows = []
         n = 0
-        while (base := sq * n * n + li[i - 1] * n) < length:
-            row = [base + nli[i - 1] * (n - m) for m in range(min(n + 1, width))]
+        while (base := quad * n * n + lin[i - 1] * n) < order:
+            row = [base + nlin[i - 1] * (n - m) for m in range(min(n + 1, width))]
             if min(row) < 0:
                 raise ValueError(f"negative exponent in level {i} at N = {n}")
             rows.append(row)
@@ -137,17 +127,17 @@ def ladder_multisum(
 
     table = []
     for n, (e,) in enumerate(level_exps(k - 1, 1)):
-        cs = [1] + [0] * (length - e - 1)
-        _div_factors(cs, innermost, n, grid)
+        cs = [1] + [0] * (order - e - 1)
+        _div_factors(cs, innermost, n)
         if numer is not None:
-            _mul_factors(cs, numer, n, grid)
+            _mul_factors(cs, numer, n)
         table.append((e, cs))
     for i in range(k - 2, 0, -1):
-        table = _quotient_sums(table, level_denom, grid, length, level_exps(i, len(table)))
-    total = [0] * length
+        table = _quotient_sums(table, level_denom, order, level_exps(i, len(table)))
+    total = [0] * order
     for v, cs in table:
         total[v:] = map(add, total[v:], cs)
-    return Series(total, order, grid)
+    return Series(total, order)
 
 
 # ---------------------------------------------------------------- sum sides
@@ -227,8 +217,8 @@ def _theta_quotient(m: int, r: int, times: Optional[PochSpec], over: PochSpec, o
     tp = triple_product(r, m - r, m, order)
     cs = list(tp.coeffs)
     if times is not None:
-        _mul_factors(cs, times, None, tp.denom)
-    return Series(_div_factors(cs, over, None, tp.denom), tp.order, tp.denom)
+        _mul_factors(cs, times, None)
+    return Series(_div_factors(cs, over, None), tp.order)
 
 
 def _w_diff_product(k: int, a: int, order) -> Series:

@@ -27,8 +27,11 @@ multiply, an ascending ``cs[i] += sign * cs[i - s]`` to divide.
 :func:`_quotient_sums` builds the sums of quotients that the multisums
 and the Bailey transformations need, keeping one running quotient per
 term and cutting it to the window it still needs before each division.
-``Series.__mul__`` and ``Series.inverse`` stay as the dense reference
-the kernels are tested against.
+The kernels know no grid: list index i is q^i, and a symbol must have
+int exponent and base.  A public builder moves a rational symbol onto
+its grid 1/d once, by q -> q^d.  ``Series.__mul__`` and
+``Series.inverse`` stay as the dense reference the kernels are tested
+against.
 """
 
 from __future__ import annotations
@@ -322,9 +325,13 @@ class Series:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def first_discrepancy(self, other: "Series") -> Fraction | None:
-        """Smallest exponent below min(orders) where coefficients differ."""
-        f, g = Series._align(self, other)
+    def first_discrepancy(self, other: Union["Series", int]) -> Fraction | None:
+        """Smallest exponent below min(orders) where coefficients differ;
+        an int operand is lifted as ``==`` lifts it."""
+        lifted = self._lift(other)
+        if lifted is NotImplemented:
+            raise TypeError(f"cannot compare a Series with {type(other).__name__}")
+        f, g = Series._align(self, lifted)
         n = _slots(min(f.order, g.order), f.denom)
         fc, gc = f.coeffs[:n], g.coeffs[:n]
         if fc == gc:
@@ -419,20 +426,19 @@ class PochSpec:
         return lcm(self.exponent.denominator, self.base.denominator, denom)
 
 
-def _factor_slots(spec: PochSpec, n: int | None, denom: int, length: int) -> range:
-    """Grid slots s of the factors 1 - sign * q^(s / denom) of (spec)_n
-    that lie below slot ``length`` (n = None: the infinite product)."""
-    first, step = _grid_slots(spec, denom)
+def _int_slots(spec: PochSpec) -> Tuple[int, int]:
+    """The symbol's exponent and base, which must be ints."""
+    if spec.exponent.denominator != 1 or spec.base.denominator != 1:
+        raise ValueError(f"{spec} does not lie on grid 1; move it there by q -> q^d first")
+    return spec.exponent.numerator, spec.base.numerator
+
+
+def _factor_slots(spec: PochSpec, n: int | None, length: int) -> range:
+    """Exponents s of the factors 1 - sign * q^s of (spec)_n that lie
+    below ``length`` (n = None: the infinite product)."""
+    first, step = _int_slots(spec)
     stop = length if n is None else min(length, first + n * step)
     return range(first, stop, step)
-
-
-def _grid_slots(spec: PochSpec, denom: int) -> Tuple[int, int]:
-    """The symbol's exponent and base as slots of grid 1/denom."""
-    first, step = spec.exponent * denom, spec.base * denom
-    if first.denominator != 1 or step.denominator != 1:
-        raise ValueError(f"{spec} does not lie on grid 1/{denom}")
-    return int(first), int(step)
 
 
 def _div_factor(cs: list, sign: int, s: int) -> None:
@@ -448,11 +454,11 @@ def _div_factor(cs: list, sign: int, s: int) -> None:
             cs[i] -= cs[i - s]
 
 
-def _mul_factors(cs: list, spec: PochSpec, n: int | None, denom: int) -> list:
-    """Multiply the coefficient list ``cs`` (grid 1/denom, known below
-    slot len(cs)) by (spec)_n in place: one pass per factor (s = 0
-    pairs each coefficient with itself, giving (1 - sign) * c)."""
-    for s in _factor_slots(spec, n, denom, len(cs)):
+def _mul_factors(cs: list, spec: PochSpec, n: int | None) -> list:
+    """Multiply the coefficient list ``cs`` (known below exponent
+    len(cs)) by (spec)_n in place: one pass per factor (s = 0 pairs
+    each coefficient with itself, giving (1 - sign) * c)."""
+    for s in _factor_slots(spec, n, len(cs)):
         if spec.sign == 1:
             cs[s:] = [c - x for c, x in zip(cs[s:], cs)]
         else:
@@ -460,18 +466,18 @@ def _mul_factors(cs: list, spec: PochSpec, n: int | None, denom: int) -> list:
     return cs
 
 
-def _div_factors(cs: list, spec: PochSpec, n: int | None, denom: int) -> list:
+def _div_factors(cs: list, spec: PochSpec, n: int | None) -> list:
     """Divide the coefficient list ``cs`` by (spec)_n in place: one
     ascending pass cs[i] += sign * cs[i - s] per factor."""
-    for s in _factor_slots(spec, n, denom, len(cs)):
+    for s in _factor_slots(spec, n, len(cs)):
         _div_factor(cs, spec.sign, s)
     return cs
 
 
-def _quotient_sums(terms: list, spec: PochSpec, denom: int, length: int, exps: list) -> list:
-    """sum_{m <= n} q^(exps[n][m] / denom) * terms[m] / (spec)_{n-m} for
-    each n < len(exps), as (v, cs) pairs standing for q^(v / denom) * cs
-    with cs known below slot ``length``.
+def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list) -> list:
+    """sum_{m <= n} q^exps[n][m] * terms[m] / (spec)_{n-m} for each
+    n < len(exps), as (v, cs) pairs standing for q^v * cs with cs known
+    below exponent ``length``.
 
     ``terms`` holds (v, cs) pairs of the same form and is consumed: each
     becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
@@ -479,7 +485,7 @@ def _quotient_sums(terms: list, spec: PochSpec, denom: int, length: int, exps: l
     one pass over one factor.  ``exps[n]`` lists the slots for
     m = 0..min(n, len(terms) - 1); they must not decrease in n.
     """
-    first, step = _grid_slots(spec, denom)
+    first, step = _int_slots(spec)
     out = []
     for n, row in enumerate(exps):
         acc = [0] * length
@@ -498,9 +504,13 @@ def _quotient_sums(terms: list, spec: PochSpec, denom: int, length: int, exps: l
     return out
 
 
-def _poch(spec: PochSpec, n: int | None, order: Fraction, denom: int) -> Series:
-    cs = [1] + [0] * (_slots(order, denom) - 1)
-    return Series(_mul_factors(cs, spec, n, denom), order, denom)
+def _unit_times(kernel, spec: PochSpec, n: int | None, order: QExp, denom: int | None) -> Series:
+    """1 multiplied or divided (``kernel``) by (spec)_n on the coarsest
+    grid 1/d that holds the symbol and ``denom``; the symbol is moved
+    onto that grid once, by q -> q^d."""
+    order, d = _frac(order), spec.grid(denom or 1)
+    cs = [1] + [0] * (_slots(order, d) - 1)
+    return Series(kernel(cs, PochSpec(spec.sign, spec.exponent * d, spec.base * d), n), order, d)
 
 
 def poch_finite(spec: PochSpec, n: int, order: QExp, denom: int | None = None) -> Series:
@@ -517,7 +527,7 @@ def poch_finite(spec: PochSpec, n: int, order: QExp, denom: int | None = None) -
         The product of the first n factors, truncated.
     """
     _check_length(n)
-    return _poch(spec, n, _frac(order), spec.grid(denom or 1))
+    return _unit_times(_mul_factors, spec, n, order, denom)
 
 
 def poch_infinite(spec: PochSpec, order: QExp, denom: int | None = None) -> Series:
@@ -528,7 +538,7 @@ def poch_infinite(spec: PochSpec, order: QExp, denom: int | None = None) -> Seri
     never what a generating-function identity means.
     """
     _check_infinite(spec)
-    return _poch(spec, None, _frac(order), spec.grid(denom or 1))
+    return _unit_times(_mul_factors, spec, None, order, denom)
 
 
 def _check_length(n) -> None:
@@ -549,9 +559,7 @@ def invert_poch(
         _check_infinite(spec)
     else:
         _check_length(n)
-    order, denom = _frac(order), spec.grid(denom or 1)
-    cs = [1] + [0] * (_slots(order, denom) - 1)
-    return Series(_div_factors(cs, spec, n, denom), order, denom)
+    return _unit_times(_div_factors, spec, n, order, denom)
 
 
 # ---------------------------------------------------------------- products
@@ -579,12 +587,10 @@ def triple_product(e1: QExp, e2: QExp, e3: QExp, order: QExp) -> Series:
         raise ValueError(f"need 0 < e1, e2 <= e3; got e1={e1}, e2={e2}, e3={e3}")
     if e1 + e2 != e3:
         raise ValueError(f"triple product requires e1 + e2 = e3; got {e1} + {e2} != {e3}")
-    order = _frac(order)
-    specs = [PochSpec(1, e, e3) for e in (e1, e2, e3)]
-    denom = lcm(*(spec.grid() for spec in specs))
+    order, denom = _frac(order), lcm(e1.denominator, e3.denominator)
     cs = [1] + [0] * (_slots(order, denom) - 1)
-    for spec in specs:
-        _mul_factors(cs, spec, None, denom)
+    for e in (e1, e2, e3):
+        _mul_factors(cs, PochSpec(1, e * denom, e3 * denom), None)
     return Series(cs, order, denom)
 
 

@@ -69,7 +69,9 @@ def test_criterion_01_parity_multisum_equals_product():
         gp = GordonParams(k, a)
         lhs = eval_multisum_main(gp, 60)
         rhs = eval_product_side("Main", gp, 60)
-        if lhs != rhs:
+        if min(lhs.order, rhs.order) < 60:
+            failures.append(f"(k={k}, a={a}) compared only below q^{min(lhs.order, rhs.order)}")
+        elif lhs != rhs:
             failures.append(f"(k={k}, a={a}) differs at q^{lhs.first_discrepancy(rhs)}")
     _criterion(
         1,
@@ -88,6 +90,9 @@ def test_criterion_02_andrews_gordon_sum_product_and_oracles():
             gp = GordonParams(k, a)
             lhs = eval_multisum_AG(gp, 60)
             rhs = eval_product_side("AG", gp, 60)
+            if min(lhs.order, rhs.order) < 60:
+                failures.append(f"(k={k}, a={a}) compared only below q^{min(lhs.order, rhs.order)}")
+                continue
             if lhs != rhs:
                 failures.append(f"(k={k}, a={a}) sides differ")
                 continue
@@ -242,6 +247,9 @@ def test_criterion_08_bailey_chain_links():
         for label, bp in chain:
             if not check_pair(bp):
                 failures.append(f"(k={k}, a={a}) step {label} breaks the relation")
+        for label, bp in chain[1:]:
+            if bp.order != 40:
+                failures.append(f"(k={k}, a={a}) step {label} is known only below q^{bp.order}")
         first = chain[1][1]
         for n in range(11):
             expected = (
@@ -260,7 +268,8 @@ def test_criterion_08_bailey_chain_links():
     _criterion(
         8,
         "Bailey chains for (2,1), (3,2), (4,1), (5,2): every link satisfies "
-        "the pair relation for n <= 10 at order 40 on the half-integer grid, "
+        "the pair relation for n <= 10 at order 40 on the half-integer grid "
+        "(every pair from D1 on known below q^40), "
         "beta after base doubling is q^n/(q^2;q^2)_n, and the endpoint alpha "
         "matches its closed form for n <= 6",
         not failures,
@@ -273,10 +282,12 @@ def test_criterion_09_chain_limit_reproduces_identity():
     failures = []
     for k, a in CHAIN_PAIRS:
         gp = GordonParams(k, a)
-        lhs, rhs = limit_identity(gp, 20)
-        if rescale(lhs, 2) != eval_multisum_main(gp, 40):
+        lhs, rhs = (rescale(side, 2) for side in limit_identity(gp, 20))
+        if min(lhs.order, rhs.order) < 40:
+            failures.append(f"(k={k}, a={a}) limit known only below q^{min(lhs.order, rhs.order)}")
+        if lhs != eval_multisum_main(gp, 40):
             failures.append(f"(k={k}, a={a}) rescaled sum side differs")
-        if rescale(rhs, 2) != eval_product_side("Main", gp, 40):
+        if rhs != eval_product_side("Main", gp, 40):
             failures.append(f"(k={k}, a={a}) rescaled product side differs")
     _criterion(
         9,

@@ -123,6 +123,13 @@ class TestLimit:
             lhs, rhs = limit_identity(gp, 15)
             assert lhs == rhs, gp
 
+    def test_half_integer_order(self):
+        """Both sides come back on the half grid, known exactly below the
+        requested half-integer order, as perfbench's chain replay reads them."""
+        for gp in ((2, 1), (5, 2)):
+            for side in limit_identity(gp, Fraction(41, 2)):
+                assert (side.denom, side.order) == (2, Fraction(41, 2)), gp
+
     def test_rescale_reaches_integer_grid_identity(self):
         """Substituting q -> q^2 turns the limit into the
         parity-restricted sum and product."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from qgordon import identities
@@ -44,12 +46,23 @@ class TestLadder:
         """k = 2, a = 2 is the first Rogers-Ramanujan sum."""
         s = eval_multisum_AG((2, 2), 11)
         assert [s.coefficient(n) for n in range(11)] == [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6]
+        assert s.denom == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="one entry per level"):
             ladder_multisum(3, 10, quad=1, lin=[0], nlin=[0, 0], level_denom=Q, innermost=Q)
         with pytest.raises(ValueError, match="quadratic coefficient"):
             ladder_multisum(2, 10, quad=0, lin=[0], nlin=[0], level_denom=Q, innermost=Q)
+        # the sum works on the integer grid: rational exponents are refused, not rounded
+        half = Fraction(1, 2)
+        for order, quad, lin in ((Fraction(21, 2), 1, [0]), (10, half, [0]), (10, 1, [half])):
+            with pytest.raises(ValueError, match="ints"):
+                ladder_multisum(2, order, quad=quad, lin=lin, nlin=[0], level_denom=Q, innermost=Q)
+        with pytest.raises(ValueError, match="does not lie on grid"):
+            ladder_multisum(
+                2, 10, quad=1, lin=[0], nlin=[0], level_denom=Q, innermost=Q,
+                numer=PochSpec(-1, half, 1),
+            )
 
 
 class TestSumsAgainstCounting:

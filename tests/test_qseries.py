@@ -332,10 +332,14 @@ class TestComparison:
         unequal orders and int operands (an int c is c + O(q^order) on
         the other operand's order and grid)."""
         h = g if isinstance(g, Series) else Series.from_int(g, f.order, f.denom)
-        first = f.first_discrepancy(h)
+        first = f.first_discrepancy(g)
         assert first == _scan(f, h)
         assert (f == g) == (g == f) == (first is None)
         assert (f != g) == (first is not None)
+
+    def test_first_discrepancy_refuses_other_types(self):
+        with pytest.raises(TypeError, match="float"):
+            Series.one(3).first_discrepancy(1.0)
 
 
 # every symbol the package expands or divides by
@@ -366,9 +370,12 @@ def _dense_symbol(spec, n, order):
 
 
 def _in_place(kernel, f, spec, n):
-    """Apply a list kernel to f, first moved onto the grid the symbol needs."""
-    g = f._promote(spec.grid(f.denom))
-    return Series(kernel(list(g.coeffs), spec, n, g.denom), g.order, g.denom)
+    """Apply a list kernel to f, both first moved onto the grid 1/d the
+    symbol needs: f's coefficients as grid slots, the symbol by q -> q^d."""
+    d = spec.grid(f.denom)
+    g = f._promote(d)
+    on_grid = PochSpec(spec.sign, spec.exponent * d, spec.base * d)
+    return Series(kernel(list(g.coeffs), on_grid, n), g.order, g.denom)
 
 
 def _exact(f: Series):
@@ -395,13 +402,13 @@ class TestInPlaceKernels:
 
     def test_symbol_off_the_grid_is_refused(self):
         with pytest.raises(ValueError, match="does not lie on grid"):
-            _mul_factors([1, 0, 0], PochSpec(-1, Fraction(1, 2), 1), 2, 1)
+            _mul_factors([1, 0, 0], PochSpec(-1, Fraction(1, 2), 1), 2)
 
     def test_divide_needs_unit_constant(self):
         """(-1; q)_n starts with the factor 2, which has no integer inverse."""
         with pytest.raises(ValueError, match="constant coefficient 1"):
-            _div_factors([1, 0, 0], PochSpec(-1, 0, 1), 2, 1)
-        assert _mul_factors([1, 0, 0], PochSpec(-1, 0, 1), 2, 1) == [2, 2, 0]
+            _div_factors([1, 0, 0], PochSpec(-1, 0, 1), 2)
+        assert _mul_factors([1, 0, 0], PochSpec(-1, 0, 1), 2) == [2, 2, 0]
 
 
 if __name__ == "__main__":
