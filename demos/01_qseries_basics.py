@@ -46,10 +46,13 @@ print("times inverse:", p5 * invert_poch(spec, ORDER, n=5))
 parts = invert_poch(PochSpec(1, 1, 1), 10)
 print("\npartition numbers:", [parts.coefficient(n) for n in range(10)])
 
-# Half-integer exponents live on a refined grid.  Rescaling q -> q^2
-# moves them back onto the integers.
-half = poch_finite(PochSpec(-1, Fraction(1, 2), 1), 3, 8)
-print("\n(-q^(1/2);q)_3      =", half)
+# Symbols have int exponents.  A half-integer one is written in
+# t = q^(1/2): (-q^(1/2); q)_3 is (-t; t^2)_3, and q -> q^(1/2) reads it
+# back on the half grid.  Rescaling q -> q^2 moves it onto the integers.
+in_t = poch_finite(PochSpec(-1, 1, 2), 3, 16)
+half = rescale(in_t, Fraction(1, 2))
+print("\n(-t;t^2)_3, in t    =", in_t)
+print("(-q^(1/2);q)_3      =", half)
 print("after q -> q^2      =", rescale(half, 2))
 
 # Jacobi triple product: the three-fold product equals a two-sided

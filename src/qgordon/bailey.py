@@ -11,11 +11,12 @@ because the chain steps introduce q^{n^2/2} weights and the factor
 (-q^{1/2}; q)_n.  The chain starts from the unit pair, doubles the
 base variable once, and then alternates half-weight insertions with a
 template swap on alpha; its closed-form endpoint feeds the telescoped
-limit, and rescaling q -> q^2 lands the limit on the parity-restricted
-sum and product from :mod:`qgordon.identities`.  The code works in
-t = q^(1/2), where a half-grid slot s is the exponent of t^s and every
-symbol has int exponents, and reads the half grid only where it builds
-a Series.
+limit.  The code works in t = q^(1/2), where a half-grid slot s is the
+exponent of t^s and every symbol has int exponents, and reads the half
+grid only where it builds a Series.  In t the limit's sum is exactly
+the parity-restricted sum of :mod:`qgordon.identities` (the paper's
+closing substitution q -> q^2), so the limit reads that sum on the half
+grid.
 
 Every alpha along the chain has one shape, the terms r = +-m of a theta
 series (:func:`qgordon.qseries._theta_pair`):
@@ -35,7 +36,7 @@ from fractions import Fraction
 from operator import add
 from typing import Tuple
 
-from .identities import ladder_multisum
+from . import identities
 from .partitions import _as_params
 from .qseries import (
     PochSpec, Series, _div_factor, _div_factors, _frac, _mul_factors, _quotient_sums, _slots,
@@ -43,6 +44,7 @@ from .qseries import (
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
+from .identities import ladder_multisum  # noqa: F401
 from .qseries import invert_poch, mul, poch_finite, poch_infinite  # noqa: F401
 
 __all__ = [
@@ -278,24 +280,19 @@ def closed_form_alpha(gp, n: int, order) -> Series:
 def limit_identity(gp, order) -> Tuple[Series, Series]:
     """Both sides of the telescoped chain limit, on the half grid.
 
-    The left side is the (k-1)-fold ladder sum with half squares,
-    (q; q) level denominators, (q^2; q^2) innermost and a
-    (-q^(1/2); q) numerator; the right side is
-    (-q^(1/2); q)_inf / (q; q)_inf times the alternating theta series
-    built from :func:`closed_form_alpha`, both computed in t = q^(1/2).
-    Rescaling both sides by 2 gives the parity-restricted sum and
-    product on the integer grid.
+    The left side is the parity-restricted sum
+    :func:`qgordon.identities.eval_multisum_main` in t = q^(1/2): the
+    (k-1)-fold ladder sum with half squares, (q; q) level denominators,
+    (q^2; q^2) innermost and a (-q^(1/2); q) numerator.  The right side
+    is (-q^(1/2); q)_inf / (q; q)_inf times the alternating theta series
+    built from :func:`closed_form_alpha`, computed in t.  Rescaling both
+    sides by 2 gives the parity-restricted sum and product on the
+    integer grid.
     """
     gp = _as_params(gp)
-    k, a = gp.k, gp.a
-    if (k - a) % 2 == 0:
-        raise ValueError(f"the limit needs k and a of opposite parity, got {gp}")
-    order = Fraction(order)
+    order = _frac(order)
     length = _slots(order, 2)
-    lin = [2 if i >= a and (i - a) % 2 == 0 else 0 for i in range(1, k)]
-    lhs = ladder_multisum(
-        k, length, quad=1, lin=lin, nlin=[0] * (k - 1), level_denom=_T2, innermost=_T4, numer=_NEG_T
-    )
-    cs = list(_half_grid(_theta_walk(a, 2 * k + 2, length), order).coeffs)
+    lhs = identities.eval_multisum_main(gp, length)
+    cs = list(_half_grid(_theta_walk(gp.a, 2 * gp.k + 2, length), order).coeffs)
     _mul_factors(cs, _NEG_T, None)
     return Series(lhs.coeffs, order, 2), Series(_div_factors(cs, _T2, None), order, 2)

@@ -2,7 +2,7 @@
 
 Every identity here equates a multiple sum over a descending ladder
 N_1 >= N_2 >= ... >= N_{k-1} >= 0 with an infinite product.  The sums
-share one shape: a quadratic form in the N_i, optional linear terms in
+share one shape: the squares N_i^2, optional linear terms in
 the N_i and in the gaps n_i = N_i - N_{i+1}, finite Pochhammer
 denominators per level, and an optional numerator factor on the
 innermost index.  :func:`ladder_multisum` evaluates that shape once;
@@ -73,7 +73,6 @@ def ladder_multisum(
     k: int,
     order: int,
     *,
-    quad: int,
     lin: Sequence[int],
     nlin: Sequence[int],
     level_denom: PochSpec,
@@ -84,16 +83,16 @@ def ladder_multisum(
 
     The term for N_1 >= ... >= N_{k-1} >= 0 is::
 
-        q^(quad * sum N_i^2 + sum lin[i-1] * N_i + sum nlin[i-1] * n_i)
+        q^(sum N_i^2 + sum lin[i-1] * N_i + sum nlin[i-1] * n_i)
         * numer(N_{k-1}) / (innermost at N_{k-1})
         / prod_{i<k-1} (level_denom at n_i)
 
-    with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``order``,
-    ``quad`` and the k - 1 entries of ``lin`` and ``nlin`` must be ints
-    (anything else raises ValueError), as must the symbols' exponents;
-    the result is on the integer grid.  A sum with rational exponents is
-    written in t = q^(1/d) first, as :func:`qgordon.bailey.limit_identity`
-    does.  For k = 1 the sum is empty and equals 1.
+    with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``order`` and the
+    k - 1 entries of ``lin`` and ``nlin`` must be ints (anything else
+    raises ValueError); the result is on the integer grid.  A sum with
+    half squares is the same sum in t = q^(1/2): the Bailey chain's limit
+    reads :func:`eval_multisum_main` that way.  For k = 1 the sum is
+    empty and equals 1.
 
     The table H[i][N] accumulates levels i..k-1 with N_i = N; each
     level is capped as soon as its own quadratic term passes the order.
@@ -101,10 +100,8 @@ def ladder_multisum(
     below the order, multiplied and divided by Pochhammer factors in
     place (see :func:`qgordon.qseries._quotient_sums`).
     """
-    if not all(isinstance(v, int) for v in (order, quad, *lin, *nlin)):
-        raise ValueError(f"order, quad, lin and nlin must be ints: {order!r}, {quad!r}, {lin!r}, {nlin!r}")
-    if quad <= 0:
-        raise ValueError(f"quadratic coefficient must be positive, got {quad}")
+    if not all(isinstance(v, int) for v in (order, *lin, *nlin)):
+        raise ValueError(f"order, lin and nlin must be ints: {order!r}, {lin!r}, {nlin!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
@@ -117,7 +114,7 @@ def ladder_multisum(
         m <= n, m < width."""
         rows = []
         n = 0
-        while (base := quad * n * n + lin[i - 1] * n) < order:
+        while (base := n * n + lin[i - 1] * n) < order:
             row = [base + nlin[i - 1] * (n - m) for m in range(min(n + 1, width))]
             if min(row) < 0:
                 raise ValueError(f"negative exponent in level {i} at N = {n}")
@@ -149,19 +146,21 @@ def eval_multisum_AG(gp, order) -> Series:
     gp = _as_params(gp)
     k, a = gp.k, gp.a
     lin = [1 if i >= a else 0 for i in range(1, k)]
-    return ladder_multisum(
-        k, order, quad=1, lin=lin, nlin=[0] * (k - 1), level_denom=_Q, innermost=_Q
-    )
+    return ladder_multisum(k, order, lin=lin, nlin=[0] * (k - 1), level_denom=_Q, innermost=_Q)
+
+
+def _every_other_lin(k: int, a: int) -> list:
+    """The linear terms 2 N_i on i = a, a+2, ... of the W and Main sums."""
+    return [2 if i >= a and (i - a) % 2 == 0 else 0 for i in range(1, k)]
 
 
 def eval_multisum_W(gp, order) -> Series:
     """Sum side for the even-parts-even-multiplicity family: linear
     terms 2 N_i on i = a, a+2, ..., all denominators (q^2; q^2)."""
     gp = _as_params(gp)
-    k, a = gp.k, gp.a
-    lin = [2 if i >= a and (i - a) % 2 == 0 else 0 for i in range(1, k)]
+    k = gp.k
     return ladder_multisum(
-        k, order, quad=1, lin=lin, nlin=[0] * (k - 1), level_denom=_Q2, innermost=_Q2
+        k, order, lin=_every_other_lin(k, gp.a), nlin=[0] * (k - 1), level_denom=_Q2, innermost=_Q2
     )
 
 
@@ -183,9 +182,7 @@ def eval_multisum_Wbar(gp, order) -> Series:
         nlin = [1 if i % 2 == 1 and i <= a - 2 else 0 for i in range(1, k)]
     else:
         raise ValueError(f"this family needs k, a of opposite parity with a even iff k odd, got {gp}")
-    return ladder_multisum(
-        k, order, quad=1, lin=lin, nlin=nlin, level_denom=_Q2, innermost=_Q2
-    )
+    return ladder_multisum(k, order, lin=lin, nlin=nlin, level_denom=_Q2, innermost=_Q2)
 
 
 def eval_multisum_main(gp, order) -> Series:
@@ -195,15 +192,8 @@ def eval_multisum_main(gp, order) -> Series:
     k, a = gp.k, gp.a
     if (k - a) % 2 == 0:
         raise ValueError(f"this sum needs k and a of opposite parity, got {gp}")
-    lin = [2 if i >= a and (i - a) % 2 == 0 else 0 for i in range(1, k)]
     return ladder_multisum(
-        k,
-        order,
-        quad=1,
-        lin=lin,
-        nlin=[0] * (k - 1),
-        level_denom=_Q2,
-        innermost=_Q4,
+        k, order, lin=_every_other_lin(k, a), nlin=[0] * (k - 1), level_denom=_Q2, innermost=_Q4,
         numer=_NEG_Q_ODD,
     )
 

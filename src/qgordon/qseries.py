@@ -4,15 +4,17 @@ A :class:`Series` is a formal power series in q, truncated at a rational
 order: coefficients are known for every exponent strictly below ``order``
 and unknown from ``order`` on.  Exponents live on a uniform grid
 ``s / denom`` for integer slots ``s >= 0``; in this package ``denom`` is
-1 (integer exponents) or 2 (half-integer exponents, used by the Bailey
-chain before the final q -> q^2 rescale).  All coefficients are Python
+1 (integer exponents) or 2 (half-integer exponents, where the Bailey
+chain's series in t = q^(1/2) are read).  All coefficients are Python
 ints, so every computation is exact at arbitrary size.
 
-Pochhammer symbols are described by :class:`PochSpec`, a triple
-(sign, exponent, base) standing for (sign * q^exponent ; q^base).  The
-module-level helpers build finite and infinite products, reciprocals,
-Jacobi triple products and theta sums on whatever exponent grid the
-inputs require.
+Pochhammer symbols are described by :class:`PochSpec`, a triple of ints
+(sign, exponent, base) standing for (sign * q^exponent ; q^base).  A
+symbol with a rational exponent is written in t = q^(1/d) instead, and
+the series it builds is read back by ``rescale(Fraction(1, d))``.  The
+module-level helpers build finite and infinite products and reciprocals
+on the integer grid, and Jacobi triple products and theta sums on the
+grid their exponents need.
 
 The theta sum is written once: :func:`_theta_pair` gives its terms
 r = +-m, (-1)^m (q^(e3 m(m-1)/2 + e1 m) + q^(e3 m(m+1)/2 - e1 m)), and
@@ -27,9 +29,7 @@ multiply, an ascending ``cs[i] += sign * cs[i - s]`` to divide.
 :func:`_quotient_sums` builds the sums of quotients that the multisums
 and the Bailey transformations need, keeping one running quotient per
 term and cutting it to the window it still needs before each division.
-The kernels know no grid: list index i is q^i, and a symbol must have
-int exponent and base.  A public builder moves a rational symbol onto
-its grid 1/d once, by q -> q^d.  ``Series.__mul__`` and
+The kernels know no grid: list index i is q^i.  ``Series.__mul__`` and
 ``Series.inverse`` stay as the dense reference the kernels are tested
 against.
 """
@@ -122,37 +122,21 @@ class Series:
         return cls((c,), order, denom)
 
     @classmethod
-    def from_terms(
-        cls,
-        terms: Iterable[Tuple[QExp, int]],
-        order: QExp,
-        denom: int | None = None,
-    ) -> "Series":
-        """Build a series from (exponent, coefficient) pairs.
-
-        Terms at or above the truncation order are dropped.  When
-        ``denom`` is omitted the grid is the coarsest one holding every
-        retained exponent.
-        """
-        order_f = _frac(order)
-        kept = []
+    def from_terms(cls, terms: Iterable[Tuple[QExp, int]], order: QExp, denom: int = 1) -> "Series":
+        """Build a series on grid 1/denom from (exponent, coefficient)
+        pairs; terms at or above the truncation order are dropped."""
+        order = _frac(order)
+        cs = [0] * _slots(order, denom)
         for e, c in terms:
             e = _frac(e)
             if e < 0:
                 raise ValueError(f"negative exponent {e} in series")
-            if e < order_f:
-                kept.append((e, c))
-        if denom is None:
-            denom = 1
-            for e, _ in kept:
-                denom = lcm(denom, e.denominator)
-        cs = [0] * _slots(order_f, denom)
-        for e, c in kept:
-            s = e * denom
-            if s.denominator != 1:
-                raise ValueError(f"exponent {e} does not lie on grid 1/{denom}")
-            cs[int(s)] += c
-        return cls(cs, order_f, denom)
+            if e < order:
+                s = e * denom
+                if s.denominator != 1:
+                    raise ValueError(f"exponent {e} does not lie on grid 1/{denom}")
+                cs[int(s)] += c
+        return cls(cs, order, denom)
 
     # ------------------------------------------------------------ queries
 
@@ -297,22 +281,17 @@ class Series:
         return Series(b, self.order, self.denom)
 
     def rescale(self, factor: QExp) -> "Series":
-        """Substitute q -> q^factor for a positive rational factor."""
+        """Substitute q -> q^factor for a positive rational factor p/r:
+        slot s on grid 1/denom moves to slot s * p/g on grid
+        1/(denom/g * r), g = gcd(denom, p)."""
         factor = _frac(factor)
         if factor <= 0:
             raise ValueError(f"rescale factor must be positive, got {factor}")
-        raw_den = self.denom * factor.denominator
+        g = gcd(self.denom, factor.numerator)
+        den, step = self.denom // g * factor.denominator, factor.numerator // g
         order = self.order * factor
-        pairs = [(s * factor.numerator, c) for s, c in enumerate(self.coeffs) if c]
-        g = raw_den
-        for p, _ in pairs:
-            g = gcd(g, p)
-        if g == 0:
-            g = raw_den
-        den = raw_den // g
         cs = [0] * _slots(order, den)
-        for p, c in pairs:
-            cs[p // g] = c
+        cs[::step] = self.coeffs
         return Series(cs, order, den)
 
     # ------------------------------------------------------------ comparison
@@ -403,42 +382,31 @@ class Series:
 @dataclass(frozen=True)
 class PochSpec:
     """The symbol (sign * q^exponent ; q^base): sign is +1 or -1,
-    exponent a nonnegative rational, base a positive rational."""
+    exponent a nonnegative int, base a positive int."""
 
     sign: int
-    exponent: Fraction
-    base: Fraction
+    exponent: int
+    base: int
 
-    def __init__(self, sign: int, exponent: QExp, base: QExp):
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        exponent = _frac(exponent)
-        base = _frac(base)
-        if exponent < 0:
-            raise ValueError(f"Pochhammer exponent must be nonnegative, got {exponent}")
-        if base <= 0:
-            raise ValueError(f"Pochhammer base must be positive, got {base}")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "base", base)
-
-    def grid(self, denom: int = 1) -> int:
-        return lcm(self.exponent.denominator, self.base.denominator, denom)
-
-
-def _int_slots(spec: PochSpec) -> Tuple[int, int]:
-    """The symbol's exponent and base, which must be ints."""
-    if spec.exponent.denominator != 1 or spec.base.denominator != 1:
-        raise ValueError(f"{spec} does not lie on grid 1; move it there by q -> q^d first")
-    return spec.exponent.numerator, spec.base.numerator
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        if not (isinstance(self.exponent, int) and isinstance(self.base, int)):
+            raise ValueError(
+                f"Pochhammer exponent and base must be ints, got {self.exponent!r} and {self.base!r};"
+                " write the symbol in t = q^(1/d)"
+            )
+        if self.exponent < 0:
+            raise ValueError(f"Pochhammer exponent must be nonnegative, got {self.exponent}")
+        if self.base <= 0:
+            raise ValueError(f"Pochhammer base must be positive, got {self.base}")
 
 
 def _factor_slots(spec: PochSpec, n: int | None, length: int) -> range:
     """Exponents s of the factors 1 - sign * q^s of (spec)_n that lie
     below ``length`` (n = None: the infinite product)."""
-    first, step = _int_slots(spec)
-    stop = length if n is None else min(length, first + n * step)
-    return range(first, stop, step)
+    stop = length if n is None else min(length, spec.exponent + n * spec.base)
+    return range(spec.exponent, stop, spec.base)
 
 
 def _div_factor(cs: list, sign: int, s: int) -> None:
@@ -485,7 +453,7 @@ def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list) -> list
     one pass over one factor.  ``exps[n]`` lists the slots for
     m = 0..min(n, len(terms) - 1); they must not decrease in n.
     """
-    first, step = _int_slots(spec)
+    first, step = spec.exponent, spec.base
     out = []
     for n, row in enumerate(exps):
         acc = [0] * length
@@ -504,33 +472,28 @@ def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list) -> list
     return out
 
 
-def _unit_times(kernel, spec: PochSpec, n: int | None, order: QExp, denom: int | None) -> Series:
-    """1 multiplied or divided (``kernel``) by (spec)_n on the coarsest
-    grid 1/d that holds the symbol and ``denom``; the symbol is moved
-    onto that grid once, by q -> q^d."""
-    order, d = _frac(order), spec.grid(denom or 1)
-    cs = [1] + [0] * (_slots(order, d) - 1)
-    return Series(kernel(cs, PochSpec(spec.sign, spec.exponent * d, spec.base * d), n), order, d)
+def _unit_times(kernel, spec: PochSpec, n: int | None, order: QExp) -> Series:
+    """1 multiplied or divided (``kernel``) by (spec)_n on the integer grid."""
+    order = _frac(order)
+    return Series(kernel([1] + [0] * (_slots(order, 1) - 1), spec, n), order)
 
 
-def poch_finite(spec: PochSpec, n: int, order: QExp, denom: int | None = None) -> Series:
+def poch_finite(spec: PochSpec, n: int, order: QExp) -> Series:
     """(sign * q^e ; q^b)_n as a series truncated at ``order``.
 
     Args:
         spec: the symbol to expand.
         n: number of factors (nonnegative).
         order: truncation order.
-        denom: optional exponent grid; defaults to the coarsest grid
-            holding the symbol's exponents.
 
     Returns:
         The product of the first n factors, truncated.
     """
     _check_length(n)
-    return _unit_times(_mul_factors, spec, n, order, denom)
+    return _unit_times(_mul_factors, spec, n, order)
 
 
-def poch_infinite(spec: PochSpec, order: QExp, denom: int | None = None) -> Series:
+def poch_infinite(spec: PochSpec, order: QExp) -> Series:
     """(sign * q^e ; q^b)_infinity truncated at ``order``.
 
     The exponent must be positive when sign is +1: (1 ; q^b) has a
@@ -538,7 +501,7 @@ def poch_infinite(spec: PochSpec, order: QExp, denom: int | None = None) -> Seri
     never what a generating-function identity means.
     """
     _check_infinite(spec)
-    return _unit_times(_mul_factors, spec, None, order, denom)
+    return _unit_times(_mul_factors, spec, None, order)
 
 
 def _check_length(n) -> None:
@@ -551,15 +514,13 @@ def _check_infinite(spec: PochSpec) -> None:
         raise ValueError("(q^0; .)_infinity vanishes; refusing the degenerate symbol")
 
 
-def invert_poch(
-    spec: PochSpec, order: QExp, n: int | None = None, denom: int | None = None
-) -> Series:
+def invert_poch(spec: PochSpec, order: QExp, n: int | None = None) -> Series:
     """Reciprocal 1 / (sign * q^e ; q^b)_n (n = None means infinite)."""
     if n is None:
         _check_infinite(spec)
     else:
         _check_length(n)
-    return _unit_times(_div_factors, spec, n, order, denom)
+    return _unit_times(_div_factors, spec, n, order)
 
 
 # ---------------------------------------------------------------- products
@@ -590,7 +551,7 @@ def triple_product(e1: QExp, e2: QExp, e3: QExp, order: QExp) -> Series:
     order, denom = _frac(order), lcm(e1.denominator, e3.denominator)
     cs = [1] + [0] * (_slots(order, denom) - 1)
     for e in (e1, e2, e3):
-        _mul_factors(cs, PochSpec(1, e * denom, e3 * denom), None)
+        _mul_factors(cs, PochSpec(1, int(e * denom), int(e3 * denom)), None)
     return Series(cs, order, denom)
 
 
@@ -629,4 +590,4 @@ def theta_sum(e1: QExp, e3: QExp, order: QExp) -> Series:
     if e3 <= 0 or not 0 <= e1 <= e3:
         raise ValueError(f"theta sum needs 0 <= e1 <= e3 with e3 > 0; got e1={e1}, e3={e3}")
     order = _frac(order)
-    return Series.from_terms(_theta_walk(e1, e3, order), order)
+    return Series.from_terms(_theta_walk(e1, e3, order), order, lcm(e1.denominator, e3.denominator))

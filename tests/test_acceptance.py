@@ -43,6 +43,7 @@ from qgordon import (
     is_S_admissible,
     limit_identity,
     poch_finite,
+    poch_infinite,
     rescale,
     reverse_deconstruct,
     theta_sum,
@@ -253,7 +254,7 @@ def test_criterion_08_bailey_chain_links():
         first = chain[1][1]
         for n in range(11):
             expected = (
-                invert_poch(PochSpec(1, 2, 2), first.order, n=n, denom=2)
+                invert_poch(PochSpec(1, 2, 2), first.order, n=n)
                 .shift(n)
                 .truncate(first.order)
             )
@@ -278,11 +279,26 @@ def test_criterion_08_bailey_chain_links():
 
 
 def test_criterion_09_chain_limit_reproduces_identity():
-    """q -> q^2 in the chain's limit gives both sides of the parity identity."""
+    """The chain reaches its limit, and q -> q^2 in the limit gives both
+    sides of the parity identity."""
     failures = []
+    # (-q^(1/2); q)_inf (q; q)_inf below q^20; the first is (-t; t^2)_inf in t = q^(1/2)
+    limit_factor = rescale(poch_infinite(PochSpec(-1, 1, 2), 40), Fraction(1, 2)) * poch_infinite(
+        PochSpec(1, 1, 1), 20
+    )
     for k, a in CHAIN_PAIRS:
         gp = GordonParams(k, a)
-        lhs, rhs = (rescale(side, 2) for side in limit_identity(gp, 20))
+        half_lhs, half_rhs = limit_identity(gp, 20)
+        reached = build_chain(gp, 20, 40)[-1][1].beta[20] * limit_factor
+        window = min(reached.order, half_lhs.order)
+        if window < 20:
+            failures.append(f"(k={k}, a={a}) beta_20 limit known only below q^{window}")
+        if reached != half_lhs:
+            failures.append(
+                f"(k={k}, a={a}) beta_20 times the limit factor differs from the limit's sum side"
+                f" at q^{reached.first_discrepancy(half_lhs)}"
+            )
+        lhs, rhs = rescale(half_lhs, 2), rescale(half_rhs, 2)
         if min(lhs.order, rhs.order) < 40:
             failures.append(f"(k={k}, a={a}) limit known only below q^{min(lhs.order, rhs.order)}")
         if lhs != eval_multisum_main(gp, 40):
@@ -291,9 +307,10 @@ def test_criterion_09_chain_limit_reproduces_identity():
             failures.append(f"(k={k}, a={a}) rescaled product side differs")
     _criterion(
         9,
-        "rescaling the chain's limit identity by q -> q^2 reproduces both "
-        "sides of the parity-restricted identity below q^40 for the four "
-        "chain pairs",
+        "for the four chain pairs, beta_20 of the chain times "
+        "(-q^(1/2); q)_inf (q; q)_inf equals the limit's sum side below "
+        "q^20, and rescaling the limit identity by q -> q^2 reproduces both "
+        "sides of the parity-restricted identity below q^40",
         not failures,
         "; ".join(failures),
     )
@@ -331,7 +348,7 @@ def test_criterion_10_property_suites():
         PochSpec(-1, 1, 1),
         PochSpec(1, 2, 2),
         PochSpec(-1, 1, 2),
-        PochSpec(-1, Fraction(1, 2), 1),
+        PochSpec(-1, 3, 2),
     ):
         for n in range(1, 21):
             step = Series.from_terms(

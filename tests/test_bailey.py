@@ -23,7 +23,7 @@ from qgordon.qseries import PochSpec, Series, invert_poch, mul, rescale
 
 Q = PochSpec(1, 1, 1)
 Q2 = PochSpec(1, 2, 2)
-NEG_SQRT_Q = PochSpec(-1, Fraction(1, 2), 1)
+NEG_T = PochSpec(-1, 1, 2)  # (-t; t^2) = (-q^(1/2); q) in t = q^(1/2)
 
 
 class TestUnitPair:
@@ -57,7 +57,7 @@ class TestTransforms:
         assert check_pair(d)
         assert d.order == 40
         for n in range(9):
-            want = invert_poch(Q2, 40, n=n, denom=2).shift(n).truncate(40)
+            want = invert_poch(Q2, 40, n=n).shift(n).truncate(40)
             assert d.beta[n] == want
         for n in range(1, 9):
             sgn = -1 if n % 2 else 1
@@ -70,7 +70,7 @@ class TestTransforms:
         s1 = apply_S1(unit_pair(8, 30))
         assert check_pair(s1)
         for n in range(9):
-            assert s1.beta[n] == invert_poch(Q, 30, n=n, denom=2)
+            assert s1.beta[n] == invert_poch(Q, 30, n=n)
 
     def test_half_weights_keep_relation(self):
         assert check_pair(apply_S2(unit_pair(6, 24)))
@@ -143,8 +143,8 @@ class TestLimit:
         fin = build_chain((3, 2), 10, 20)[-1][1]
         lhs, _ = limit_identity((3, 2), 20)
         approx = mul(
-            mul(lhs, invert_poch(NEG_SQRT_Q, Fraction(20), denom=2)),
-            invert_poch(Q, Fraction(20), denom=2),
+            mul(lhs, rescale(invert_poch(NEG_T, 40), Fraction(1, 2))),
+            invert_poch(Q, 20),
         )
         half = Fraction(5)
         assert fin.beta[10].truncate(half) == approx.truncate(half)
@@ -152,6 +152,11 @@ class TestLimit:
     def test_same_parity_rejected(self):
         with pytest.raises(ValueError, match="opposite parity"):
             limit_identity((4, 2), 10)
+
+    def test_float_order_refused(self):
+        """A float order is refused, not rounded to a binary fraction."""
+        with pytest.raises(TypeError, match="float"):
+            limit_identity((2, 1), 7.3)
 
 
 if __name__ == "__main__":

@@ -38,9 +38,7 @@ REGIMES = {
 
 class TestLadder:
     def test_single_level_is_one(self):
-        assert ladder_multisum(
-            1, 10, quad=1, lin=[], nlin=[], level_denom=Q, innermost=Q
-        ) == Series.one(10)
+        assert ladder_multisum(1, 10, lin=[], nlin=[], level_denom=Q, innermost=Q) == Series.one(10)
 
     def test_rogers_ramanujan_head(self):
         """k = 2, a = 2 is the first Rogers-Ramanujan sum."""
@@ -50,19 +48,12 @@ class TestLadder:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="one entry per level"):
-            ladder_multisum(3, 10, quad=1, lin=[0], nlin=[0, 0], level_denom=Q, innermost=Q)
-        with pytest.raises(ValueError, match="quadratic coefficient"):
-            ladder_multisum(2, 10, quad=0, lin=[0], nlin=[0], level_denom=Q, innermost=Q)
+            ladder_multisum(3, 10, lin=[0], nlin=[0, 0], level_denom=Q, innermost=Q)
         # the sum works on the integer grid: rational exponents are refused, not rounded
         half = Fraction(1, 2)
-        for order, quad, lin in ((Fraction(21, 2), 1, [0]), (10, half, [0]), (10, 1, [half])):
+        for order, lin, nlin in ((Fraction(21, 2), [0], [0]), (10, [half], [0]), (10, [0], [half])):
             with pytest.raises(ValueError, match="ints"):
-                ladder_multisum(2, order, quad=quad, lin=lin, nlin=[0], level_denom=Q, innermost=Q)
-        with pytest.raises(ValueError, match="does not lie on grid"):
-            ladder_multisum(
-                2, 10, quad=1, lin=[0], nlin=[0], level_denom=Q, innermost=Q,
-                numer=PochSpec(-1, half, 1),
-            )
+                ladder_multisum(2, order, lin=lin, nlin=nlin, level_denom=Q, innermost=Q)
 
 
 class TestSumsAgainstCounting:

@@ -45,13 +45,15 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Series((1.0,), 5)
 
-    def test_from_terms_infers_grid(self):
-        """Half-integer exponents force denom 2, integer ones keep denom 1."""
-        f = Series.from_terms([(0, 1), (Fraction(1, 2), 3)], 4)
+    def test_from_terms_builds_on_the_given_grid(self):
+        """The grid is 1 unless given; an exponent off it is refused."""
+        f = Series.from_terms([(0, 1), (Fraction(1, 2), 3)], 4, 2)
         assert f.denom == 2
         assert f.coefficient(Fraction(1, 2)) == 3
         g = Series.from_terms([(0, 1), (2, -1)], 4)
         assert g.denom == 1
+        with pytest.raises(ValueError, match="does not lie on grid 1/1"):
+            Series.from_terms([(0, 1), (Fraction(1, 2), 3)], 4)
 
     def test_from_terms_drops_terms_at_or_beyond_order(self):
         """Terms beyond the truncation window are silently forgotten."""
@@ -91,7 +93,7 @@ class TestArithmetic:
         assert 1 - f == Series.from_terms([(0, 1), (1, -1)], 6)
 
     def test_mixed_grid_promotion(self):
-        f = Series.from_terms([(Fraction(1, 2), 1)], 3)
+        f = Series.from_terms([(Fraction(1, 2), 1)], 3, 2)
         g = Series.from_terms([(1, 1)], 3)
         h = f * g
         assert h.denom == 2
@@ -121,8 +123,10 @@ class TestArithmetic:
         assert half.rescale(2) == f
 
     def test_rescale_normalizes_grid(self):
-        """q -> q^2 on a half-integer grid lands back on integers."""
-        f = poch_finite(PochSpec(-1, Fraction(1, 2), 1), 2, 3)
+        """q -> q^2 on a half-integer grid lands back on integers:
+        (-q^(1/2); q)_2 is (-t; t^2)_2 in t = q^(1/2)."""
+        f = poch_finite(PochSpec(-1, 1, 2), 2, 6).rescale(Fraction(1, 2))
+        assert (f.denom, f.order) == (2, 3)
         g = f.rescale(2)
         assert g.denom == 1
         assert coeffs_of(g, 5) == [1, 1, 0, 1, 1]
@@ -183,13 +187,13 @@ class TestPochhammer:
         for spec in (
             PochSpec(1, 1, 1),
             PochSpec(-1, 1, 2),
-            PochSpec(-1, Fraction(1, 2), 1),
+            PochSpec(-1, 0, 1),
             PochSpec(1, 2, 3),
         ):
             for n in range(0, 8):
                 lhs = poch_finite(spec, n + 1, order)
                 e = spec.exponent + n * spec.base
-                factor = Series.from_terms([(0, 1), (e, -spec.sign)], order, spec.grid())
+                factor = Series.from_terms([(0, 1), (e, -spec.sign)], order)
                 assert lhs == poch_finite(spec, n, order) * factor, (spec, n)
 
     def test_infinite_rejects_vanishing_symbol(self):
@@ -257,7 +261,7 @@ class TestWireFormat:
         assert g == f and g.order == f.order and g.denom == f.denom
 
     def test_round_trip_half_grid(self):
-        f = poch_finite(PochSpec(-1, Fraction(1, 2), 1), 3, Fraction(9, 2))
+        f = poch_finite(PochSpec(-1, 1, 2), 3, 9).rescale(Fraction(1, 2))
         g = Series.from_json(f.to_json())
         assert g == f and g.denom == 2 and g.order == Fraction(9, 2)
 
@@ -351,7 +355,6 @@ PACKAGE_SPECS = (
     PochSpec(-1, 2, 2),  # (-q^2; q^2)
     PochSpec(-1, 3, 2),  # (-q^3; q^2)
     PochSpec(-1, 1, 1),  # (-q; q)
-    PochSpec(-1, Fraction(1, 2), 1),  # (-q^(1/2); q)
 )
 
 
@@ -370,12 +373,11 @@ def _dense_symbol(spec, n, order):
 
 
 def _in_place(kernel, f, spec, n):
-    """Apply a list kernel to f, both first moved onto the grid 1/d the
-    symbol needs: f's coefficients as grid slots, the symbol by q -> q^d."""
-    d = spec.grid(f.denom)
-    g = f._promote(d)
+    """Apply a list kernel to f's coefficients as grid slots, the symbol
+    moved onto f's grid 1/d by q -> q^d."""
+    d = f.denom
     on_grid = PochSpec(spec.sign, spec.exponent * d, spec.base * d)
-    return Series(kernel(list(g.coeffs), on_grid, n), g.order, g.denom)
+    return Series(kernel(list(f.coeffs), on_grid, n), f.order, d)
 
 
 def _exact(f: Series):
@@ -400,9 +402,12 @@ class TestInPlaceKernels:
         dense = f * _dense_symbol(spec, n, f.order).inverse()
         assert _exact(_in_place(_div_factors, f, spec, n)) == _exact(dense)
 
+
     def test_symbol_off_the_grid_is_refused(self):
-        with pytest.raises(ValueError, match="does not lie on grid"):
-            _mul_factors([1, 0, 0], PochSpec(-1, Fraction(1, 2), 1), 2)
+        """No kernel sees a rational symbol: it is refused when built,
+        and written in t = q^(1/d) instead."""
+        with pytest.raises(ValueError, match="must be ints"):
+            PochSpec(-1, Fraction(1, 2), 1)
 
     def test_divide_needs_unit_constant(self):
         """(-1; q)_n starts with the factor 2, which has no integer inverse."""
