@@ -40,7 +40,7 @@ from . import identities
 from .partitions import _as_params
 from .qseries import (
     PochSpec, Series, _div_factor, _div_factors, _frac, _mul_factors, _quotient_sums, _slots,
-    _theta_pair, _theta_walk,
+    _theta_pair,
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -100,7 +100,7 @@ class BaileyPair:
 def _half_grid(terms, order) -> Series:
     """sum c q^(s/2) over the (slot s, c) pairs in ``terms``, on the half
     grid; slots at or above the order are dropped."""
-    order = _frac(order)
+    order = _frac(order, "order")
     cs = [0] * _slots(order, 2)
     for s, c in terms:
         if s < len(cs):
@@ -285,14 +285,16 @@ def limit_identity(gp, order) -> Tuple[Series, Series]:
     (k-1)-fold ladder sum with half squares, (q; q) level denominators,
     (q^2; q^2) innermost and a (-q^(1/2); q) numerator.  The right side
     is (-q^(1/2); q)_inf / (q; q)_inf times the alternating theta series
-    built from :func:`closed_form_alpha`, computed in t.  Rescaling both
-    sides by 2 gives the parity-restricted sum and product on the
+    built from :func:`closed_form_alpha`.  In t that is
+    theta(2k+2, a) (-t; t^2)_inf / (t^2; t^2)_inf = theta E2 / (E1 E4),
+    the Main product of :func:`qgordon.identities.eval_product_side`,
+    so the limit reads that product on the half grid too.  Rescaling
+    both sides by 2 gives the parity-restricted sum and product on the
     integer grid.
     """
     gp = _as_params(gp)
-    order = _frac(order)
+    order = _frac(order, "order")
     length = _slots(order, 2)
     lhs = identities.eval_multisum_main(gp, length)
-    cs = list(_half_grid(_theta_walk(gp.a, 2 * gp.k + 2, length), order).coeffs)
-    _mul_factors(cs, _NEG_T, None)
-    return Series(lhs.coeffs, order, 2), Series(_div_factors(cs, _T2, None), order, 2)
+    rhs = identities.eval_product_side("Main", gp, length)
+    return Series(lhs.coeffs, order, 2), Series(rhs.coeffs, order, 2)

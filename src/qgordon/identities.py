@@ -26,6 +26,32 @@ table order:
   (q^4; q^4)_n innermost denominator.
 * ``Paths``: major-index generating function of the path family
   S(k, a) against the Main sum.
+
+Every product side is a theta series times an eta quotient.  Write
+E_b = (q^b; q^b)_inf and theta(m, r) = sum_j (-1)^j q^(m j(j-1)/2 + r j).
+Three classical identities give the rows:
+
+* Jacobi's triple product: (q^r, q^(m-r), q^m; q^m)_inf = theta(m, r),
+  a series with O(sqrt(N)) terms below q^N;
+* Euler's pentagonal theorem: E_b = sum_j (-1)^j q^(b j(3j-1)/2), also
+  O(sqrt(N)) terms;
+* (-q; q)_inf = E2 / E1, hence (-q^2; q^2)_inf = E4 / E2,
+  (-q; q^2)_inf = E2^2 / (E1 E4) and (-q^3; q^2)_inf = (-q; q^2)_inf / (1 + q).
+
+So, with m = 2k + 1 for AG and m = 2k + 2 otherwise:
+
+* ``AG``: theta(m, a) / E1;
+* ``Main``, ``W_same`` and ``Paths``: theta(m, a) E2 / (E1 E4);
+* ``Wbar_odd_even``: theta(m, a) E4 / E2^2, and ``Wbar_even_odd`` the
+  same with theta(m, a + 1);
+* ``W_diff``: (theta(m, a + 1) + q theta(m, a - 1)) E2 / (E1 E4 (1 + q)),
+  without the second theta series at a = 1.
+
+The theta series is laid out term by term, and the kernels
+:func:`qgordon.qseries._mul_eta` and :func:`qgordon.qseries._div_eta`
+multiply and divide it by each E_b in O(N^1.5).  The factor-by-factor
+builders (:func:`qgordon.qseries.triple_product`, ``poch_infinite``,
+``invert_poch``) are the reference the tests hold these rows to.
 """
 
 from __future__ import annotations
@@ -38,11 +64,13 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .lattice_paths import _S_counts
 from .partitions import GordonParams, _as_params
-from .qseries import PochSpec, Series, _div_factors, _mul_factors, _quotient_sums, triple_product
+from .qseries import (
+    PochSpec, Series, _div_eta, _div_factor, _mul_eta, _mul_factor, _quotient_sums, _theta_walk,
+)
 
 # imported for perfbench/tracing.py, which wraps these names on this module
 from .lattice_paths import count_S  # noqa: F401
-from .qseries import invert_poch, mul, poch_finite, poch_infinite  # noqa: F401
+from .qseries import invert_poch, mul, poch_finite, poch_infinite, triple_product  # noqa: F401
 
 __all__ = [
     "THEOREMS",
@@ -62,8 +90,6 @@ _Q = PochSpec(1, 1, 1)        # (q; q)
 _Q2 = PochSpec(1, 2, 2)       # (q^2; q^2)
 _Q4 = PochSpec(1, 4, 4)       # (q^4; q^4)
 _NEG_Q_ODD = PochSpec(-1, 1, 2)   # (-q; q^2)
-_NEG_Q_EVEN = PochSpec(-1, 2, 2)  # (-q^2; q^2)
-_NEG_Q3_ODD = PochSpec(-1, 3, 2)  # (-q^3; q^2)
 
 
 # ---------------------------------------------------------------- generic sum
@@ -122,13 +148,17 @@ def ladder_multisum(
             n += 1
         return rows
 
+    # the innermost level: one running numer_n / (innermost)_n, cut to
+    # row n's window and then divided and multiplied by factor n - 1
     table = []
+    run = [1] + [0] * (order - 1)
     for n, (e,) in enumerate(level_exps(k - 1, 1)):
-        cs = [1] + [0] * (order - e - 1)
-        _div_factors(cs, innermost, n)
-        if numer is not None:
-            _mul_factors(cs, numer, n)
-        table.append((e, cs))
+        del run[max(order - e, 0):]
+        if n:
+            _div_factor(run, innermost.sign, innermost.exponent + (n - 1) * innermost.base)
+            if numer is not None:
+                _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
+        table.append((e, run[:]))
     for i in range(k - 2, 0, -1):
         table = _quotient_sums(table, level_denom, order, level_exps(i, len(table)))
     total = [0] * order
@@ -201,28 +231,39 @@ def eval_multisum_main(gp, order) -> Series:
 # ---------------------------------------------------------------- product sides
 
 
-def _theta_quotient(m: int, r: int, times: Optional[PochSpec], over: PochSpec, order) -> Series:
-    """(q^r, q^(m-r), q^m; q^m)_inf * (times)_inf / (over)_inf, the
-    last two multiplied and divided in place."""
-    tp = triple_product(r, m - r, m, order)
-    cs = list(tp.coeffs)
-    if times is not None:
-        _mul_factors(cs, times, None)
-    return Series(_div_factors(cs, over, None), tp.order)
+def _theta(m: int, r: int, length: int) -> list:
+    """The coefficients of theta(m, r) below q^length."""
+    cs = [0] * length
+    for e, c in _theta_walk(r, m, length):
+        cs[e] += c
+    return cs
 
 
-def _w_diff_product(k: int, a: int, order) -> Series:
-    """The two-product right-hand side of ``W_diff``; the second product
-    carries (q^(a-1); ...) = (1; ...) = 0 when a = 1 and is skipped."""
+def _eta_quotient(cs: list, times: Sequence[int], over: Sequence[int]) -> Series:
+    """The coefficient list ``cs`` times E_b for b in ``times`` over E_b
+    for b in ``over`` (computed in place), as a series to len(cs)."""
+    for b in times:
+        _mul_eta(cs, b)
+    for b in over:
+        _div_eta(cs, b)
+    return Series(cs, len(cs))
+
+
+def _w_diff_product(k: int, a: int, order: int) -> Series:
+    """The two-product right-hand side of ``W_diff``, m = 2k + 2:
+    (theta(m, a+1) + q theta(m, a-1)) E2 / (E1 E4 (1 + q)).  At a = 1
+    the second theta series vanishes (its triple product has the factor
+    (1; q^m)_inf = 0) and is skipped."""
     m = 2 * k + 2
-    first = _theta_quotient(m, a + 1, _NEG_Q3_ODD, _Q2, order)
-    if a == 1:
-        return first
-    second = _theta_quotient(m, a - 1, _NEG_Q3_ODD, _Q2, order)
-    return first + second.shift(1).truncate(order)
+    cs = _theta(m, a + 1, order)
+    if a > 1:
+        for e, c in _theta_walk(a - 1, m, order - 1):
+            cs[e + 1] += c
+    _div_factor(cs, -1, 1)
+    return _eta_quotient(cs, (2,), (1, 4))
 
 
-def eval_product_side(theorem: str, gp, order) -> Series:
+def eval_product_side(theorem: str, gp, order: int) -> Series:
     """Product side for a theorem tag, as a series to ``order``.
 
     For ``W_diff`` the right-hand side is a sum of two products (the
@@ -230,11 +271,14 @@ def eval_product_side(theorem: str, gp, order) -> Series:
     ``Main`` product.
 
     Raises:
-        ValueError: for an unknown tag or a (k, a) outside its regime.
+        ValueError: for an unknown tag, an order that is not a positive
+            int, or a (k, a) outside the tag's regime.
     """
     thm = THEOREMS.get(theorem)
     if thm is None:
         raise ValueError(f"unknown theorem tag {theorem!r}; pick from {tuple(THEOREMS)}")
+    if not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be a positive int, got {order!r}")
     gp = _as_params(gp)
     if not thm.applies(gp.k, gp.a):
         raise ValueError(f"theorem {theorem} does not apply to (k, a) = ({gp.k}, {gp.a})")
@@ -272,16 +316,16 @@ def _opposite_parity(k: int, a: int) -> bool:
     return (k - a) % 2 == 1
 
 
-def _main_product(k: int, a: int, order) -> Series:
+def _main_product(k: int, a: int, order: int) -> Series:
     """The Main product; W_same has the same one, in the other regime."""
-    return _theta_quotient(2 * k + 2, a, _NEG_Q_ODD, _Q2, order)
+    return _eta_quotient(_theta(2 * k + 2, a, order), (2,), (1, 4))
 
 
 #: Every theorem tag, in the order the command line lists and sweeps them.
 THEOREMS = MappingProxyType({
     "AG": Theorem(
         "ag", lambda k, a: True, lambda gp, n: eval_multisum_AG(gp, n), _product_side("AG"),
-        lambda k, a, n: _theta_quotient(2 * k + 1, a, None, _Q, n)),
+        lambda k, a, n: _eta_quotient(_theta(2 * k + 1, a, n), (), (1,))),
     "W_same": Theorem(
         "w", lambda k, a: (k - a) % 2 == 0, lambda gp, n: eval_multisum_W(gp, n),
         _product_side("W_same"), _main_product),
@@ -291,11 +335,11 @@ THEOREMS = MappingProxyType({
     "Wbar_odd_even": Theorem(
         "wbar", lambda k, a: k % 2 == 1 and a % 2 == 0, lambda gp, n: eval_multisum_Wbar(gp, n),
         _product_side("Wbar_odd_even"),
-        lambda k, a, n: _theta_quotient(2 * k + 2, a, _NEG_Q_EVEN, _Q2, n)),
+        lambda k, a, n: _eta_quotient(_theta(2 * k + 2, a, n), (4,), (2, 2))),
     "Wbar_even_odd": Theorem(
         "wbar", lambda k, a: k % 2 == 0 and a % 2 == 1, lambda gp, n: eval_multisum_Wbar(gp, n),
         _product_side("Wbar_even_odd"),
-        lambda k, a, n: _theta_quotient(2 * k + 2, a + 1, _NEG_Q_EVEN, _Q2, n)),
+        lambda k, a, n: _eta_quotient(_theta(2 * k + 2, a + 1, n), (4,), (2, 2))),
     "Main": Theorem(
         "main", _opposite_parity, lambda gp, n: eval_multisum_main(gp, n),
         _product_side("Main"), _main_product),

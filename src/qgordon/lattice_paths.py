@@ -120,6 +120,15 @@ class LatticePath:
     def __post_init__(self):
         _walk(self.start, self.steps)
 
+    @classmethod
+    def _unchecked(cls, start: int, steps: str) -> "LatticePath":
+        """A path whose walk is known valid, built without validating it,
+        so that whoever walks it next walks it once."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "start", start)
+        object.__setattr__(path, "steps", steps)
+        return path
+
     # -------------------------------------------------------------- queries
 
     def heights(self) -> Tuple[int, ...]:
@@ -215,7 +224,8 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     def rec(y: int, major: int) -> None:
         x = len(steps)
         if y == 0 and (not steps or steps[-1] == "S"):
-            p = LatticePath(start, "".join(steps))
+            # the search only takes legal steps, so the one walk is the test's
+            p = LatticePath._unchecked(start, "".join(steps))
             if is_S_admissible(p, gp):
                 found.append((major, p.steps, p))
         if y + 1 <= k and major + x + 1 <= n_max:

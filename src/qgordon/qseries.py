@@ -24,8 +24,12 @@ pair is the alpha_m of every Bailey pair in :mod:`qgordon.bailey`.
 None of them multiplies series densely or inverts one.  The private
 kernels :func:`_mul_factors` and :func:`_div_factors` multiply and
 divide a plain list of int coefficients by (x; q^b)_n in place, one
-O(length) pass per factor 1 - sign * q^s: a shifted ``zip`` to
+O(length) pass per factor 1 - sign * q^s: a shifted ``map`` to
 multiply, an ascending ``cs[i] += sign * cs[i - s]`` to divide.
+:func:`_mul_eta` and :func:`_div_eta` do the same for
+E_b = (q^b; q^b)_inf through Euler's pentagonal theorem, which leaves
+O(sqrt(length / b)) terms: one shifted pass per term to multiply, one
+ascending recurrence over the terms to divide.
 :func:`_quotient_sums` builds the sums of quotients that the multisums
 and the Bailey transformations need, keeping one running quotient per
 term and cutting it to the window it still needs before each division.
@@ -40,7 +44,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add as _add
+from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 QExp = Union[int, Fraction]
@@ -58,12 +62,14 @@ __all__ = [
 ]
 
 
-def _frac(x: QExp) -> Fraction:
+def _frac(x: QExp, what: str = "exponent") -> Fraction:
+    """``x`` as a Fraction; TypeError naming ``what`` for anything but an
+    int or a Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError(f"expected an int or Fraction exponent, got {type(x).__name__}")
+    raise TypeError(f"expected an int or Fraction {what}, got {type(x).__name__}")
 
 
 def _slots(order: Fraction, denom: int) -> int:
@@ -86,7 +92,7 @@ class Series:
     __slots__ = ("coeffs", "order", "denom")
 
     def __init__(self, coeffs: Sequence[int], order: QExp, denom: int = 1):
-        order = _frac(order)
+        order = _frac(order, "order")
         if order <= 0:
             raise ValueError(f"truncation order must be positive, got {order}")
         if not isinstance(denom, int) or denom < 1:
@@ -125,7 +131,7 @@ class Series:
     def from_terms(cls, terms: Iterable[Tuple[QExp, int]], order: QExp, denom: int = 1) -> "Series":
         """Build a series on grid 1/denom from (exponent, coefficient)
         pairs; terms at or above the truncation order are dropped."""
-        order = _frac(order)
+        order = _frac(order, "order")
         cs = [0] * _slots(order, denom)
         for e, c in terms:
             e = _frac(e)
@@ -257,7 +263,7 @@ class Series:
 
     def truncate(self, order: QExp) -> "Series":
         """Forget coefficients from ``order`` on (order may only shrink)."""
-        order = _frac(order)
+        order = _frac(order, "order")
         if order > self.order:
             raise ValueError(f"cannot extend knowledge from {self.order} to {order}")
         return Series(self.coeffs[: _slots(order, self.denom)], order, self.denom)
@@ -284,7 +290,7 @@ class Series:
         """Substitute q -> q^factor for a positive rational factor p/r:
         slot s on grid 1/denom moves to slot s * p/g on grid
         1/(denom/g * r), g = gcd(denom, p)."""
-        factor = _frac(factor)
+        factor = _frac(factor, "rescale factor")
         if factor <= 0:
             raise ValueError(f"rescale factor must be positive, got {factor}")
         g = gcd(self.denom, factor.numerator)
@@ -422,15 +428,17 @@ def _div_factor(cs: list, sign: int, s: int) -> None:
             cs[i] -= cs[i - s]
 
 
+def _mul_factor(cs: list, sign: int, s: int) -> None:
+    """Multiply the coefficient list ``cs`` in place by 1 - sign * q^s
+    (s = 0 pairs each coefficient with itself, giving (1 - sign) * c)."""
+    cs[s:] = map(_sub if sign == 1 else _add, cs[s:], cs)
+
+
 def _mul_factors(cs: list, spec: PochSpec, n: int | None) -> list:
     """Multiply the coefficient list ``cs`` (known below exponent
-    len(cs)) by (spec)_n in place: one pass per factor (s = 0 pairs
-    each coefficient with itself, giving (1 - sign) * c)."""
+    len(cs)) by (spec)_n in place: one pass per factor."""
     for s in _factor_slots(spec, n, len(cs)):
-        if spec.sign == 1:
-            cs[s:] = [c - x for c, x in zip(cs[s:], cs)]
-        else:
-            cs[s:] = [c + x for c, x in zip(cs[s:], cs)]
+        _mul_factor(cs, spec.sign, s)
     return cs
 
 
@@ -439,6 +447,43 @@ def _div_factors(cs: list, spec: PochSpec, n: int | None) -> list:
     ascending pass cs[i] += sign * cs[i - s] per factor."""
     for s in _factor_slots(spec, n, len(cs)):
         _div_factor(cs, spec.sign, s)
+    return cs
+
+
+def _pentagonal(b: int, length: int) -> Iterator[Tuple[int, int]]:
+    """The terms (e, +-1) with 0 < e < length of E_b = (q^b; q^b)_inf,
+    ascending.  By Euler's pentagonal theorem E_b is the theta series
+    with (e1, e3) = (b, 3b): sum_j (-1)^j q^(b j(3j-1)/2)."""
+    return ((e, c) for e, c in _theta_walk(b, 3 * b, length) if e)
+
+
+def _mul_eta(cs: list, b: int) -> list:
+    """Multiply the coefficient list ``cs`` by E_b in place: one shifted
+    pass per term of E_b below len(cs), O(sqrt(len / b)) passes."""
+    src = cs[:]
+    for e, c in _pentagonal(b, len(cs)):
+        cs[e:] = map(_add if c == 1 else _sub, cs[e:], src)
+    return cs
+
+
+def _div_eta(cs: list, b: int) -> list:
+    """Divide the coefficient list ``cs`` by E_b in place: one ascending
+    pass of the recurrence cs[i] -= sum_e c_e * cs[i - e] over the terms
+    c_e q^e of E_b, O(sqrt(len / b)) terms per coefficient."""
+    plus, minus = [], []  # E_b's terms -q^e and +q^e
+    for e, c in _pentagonal(b, len(cs)):
+        (plus if c == -1 else minus).append(e)
+    for i in range(b, len(cs)):
+        t = cs[i]
+        for e in plus:
+            if e > i:
+                break
+            t += cs[i - e]
+        for e in minus:
+            if e > i:
+                break
+            t -= cs[i - e]
+        cs[i] = t
     return cs
 
 
@@ -474,7 +519,7 @@ def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list) -> list
 
 def _unit_times(kernel, spec: PochSpec, n: int | None, order: QExp) -> Series:
     """1 multiplied or divided (``kernel``) by (spec)_n on the integer grid."""
-    order = _frac(order)
+    order = _frac(order, "order")
     return Series(kernel([1] + [0] * (_slots(order, 1) - 1), spec, n), order)
 
 
@@ -539,16 +584,18 @@ def rescale(f: Series, factor: QExp) -> Series:
 def triple_product(e1: QExp, e2: QExp, e3: QExp, order: QExp) -> Series:
     """(q^e1 ; q^e3)_inf (q^e2 ; q^e3)_inf (q^e3 ; q^e3)_inf for e1 + e2 = e3.
 
-    Requires 0 < e1 <= e3 and 0 < e2 <= e3.  By the Jacobi triple
-    product this equals the alternating theta sum
-    sum_{r in Z} (-1)^r q^{e3 r(r-1)/2 + e1 r}; see :func:`theta_sum`.
+    Requires 0 < e1 <= e3 and 0 < e2 <= e3.  This is the factor-by-factor
+    reference for Jacobi's triple product, which says it equals the
+    alternating theta sum sum_{r in Z} (-1)^r q^{e3 r(r-1)/2 + e1 r}
+    (:func:`theta_sum`); the product sides use the theta sum, and the
+    tests hold them to this product.
     """
     e1, e2, e3 = _frac(e1), _frac(e2), _frac(e3)
     if not (0 < e1 <= e3 and 0 < e2 <= e3):
         raise ValueError(f"need 0 < e1, e2 <= e3; got e1={e1}, e2={e2}, e3={e3}")
     if e1 + e2 != e3:
         raise ValueError(f"triple product requires e1 + e2 = e3; got {e1} + {e2} != {e3}")
-    order, denom = _frac(order), lcm(e1.denominator, e3.denominator)
+    order, denom = _frac(order, "order"), lcm(e1.denominator, e3.denominator)
     cs = [1] + [0] * (_slots(order, denom) - 1)
     for e in (e1, e2, e3):
         _mul_factors(cs, PochSpec(1, int(e * denom), int(e3 * denom)), None)
@@ -589,5 +636,5 @@ def theta_sum(e1: QExp, e3: QExp, order: QExp) -> Series:
     e1, e3 = _frac(e1), _frac(e3)
     if e3 <= 0 or not 0 <= e1 <= e3:
         raise ValueError(f"theta sum needs 0 <= e1 <= e3 with e3 > 0; got e1={e1}, e3={e3}")
-    order = _frac(order)
+    order = _frac(order, "order")
     return Series.from_terms(_theta_walk(e1, e3, order), order, lcm(e1.denominator, e3.denominator))

@@ -19,7 +19,7 @@ from qgordon.bailey import (
     unit_pair,
 )
 from qgordon.identities import eval_multisum_main, eval_product_side
-from qgordon.qseries import PochSpec, Series, invert_poch, mul, rescale
+from qgordon.qseries import PochSpec, Series, invert_poch, mul, poch_infinite, rescale, theta_sum
 
 Q = PochSpec(1, 1, 1)
 Q2 = PochSpec(1, 2, 2)
@@ -155,8 +155,21 @@ class TestLimit:
 
     def test_float_order_refused(self):
         """A float order is refused, not rounded to a binary fraction."""
-        with pytest.raises(TypeError, match="float"):
+        with pytest.raises(TypeError, match="int or Fraction order, got float"):
             limit_identity((2, 1), 7.3)
+
+    @pytest.mark.parametrize("order", [Fraction(41, 2), Fraction(81, 2)])
+    def test_right_side_is_the_factor_by_factor_product(self, order):
+        """The right side equals the theta series times
+        (-t; t^2)_inf / (t^2; t^2)_inf, built factor by factor in
+        t = q^(1/2) and read on the half grid."""
+        length = 2 * order
+        for gp in ((2, 1), (5, 2), (6, 3), (7, 2), (8, 1)):
+            k, a = gp
+            t_series = theta_sum(a, 2 * k + 2, length) * poch_infinite(NEG_T, length)
+            want = rescale(t_series * invert_poch(Q2, length), Fraction(1, 2))
+            _, rhs = limit_identity(gp, order)
+            assert (rhs.coeffs, rhs.order, rhs.denom) == (want.coeffs, order, 2), gp
 
 
 if __name__ == "__main__":

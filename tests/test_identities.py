@@ -20,7 +20,7 @@ from qgordon.identities import (
     verify,
 )
 from qgordon.partitions import GordonParams, count_A, count_B, count_W, count_Wbar
-from qgordon.qseries import PochSpec, Series
+from qgordon.qseries import PochSpec, Series, invert_poch, poch_infinite, triple_product
 
 Q = PochSpec(1, 1, 1)
 
@@ -111,6 +111,66 @@ class TestProducts:
                     else:
                         with pytest.raises(ValueError):
                             eval_product_side(tag, (k, a), 6)
+
+
+def _factor_by_factor(n: int) -> dict:
+    """Each tag's product side (k, a, order n) -> Series as the paper
+    writes it: a Jacobi triple product (q^r, q^(m-r), q^m; q^m)_inf,
+    times an infinite Pochhammer symbol, over another, built factor by
+    factor.  The quotient of the two symbols is built once per tag."""
+
+    def quotient(times, over):
+        q = invert_poch(over, n)
+        return q if times is None else poch_infinite(times, n) * q
+
+    ag = quotient(None, PochSpec(1, 1, 1))                             # 1 / (q; q)
+    odd = quotient(PochSpec(-1, 1, 2), PochSpec(1, 2, 2))              # (-q; q^2) / (q^2; q^2)
+    even = quotient(PochSpec(-1, 2, 2), PochSpec(1, 2, 2))             # (-q^2; q^2) / (q^2; q^2)
+    odd3 = quotient(PochSpec(-1, 3, 2), PochSpec(1, 2, 2))             # (-q^3; q^2) / (q^2; q^2)
+
+    def tp(m, r):
+        return triple_product(r, m - r, m, n)
+
+    def w_diff(k, a):
+        theta = tp(2 * k + 2, a + 1)
+        if a > 1:
+            theta = theta + tp(2 * k + 2, a - 1).shift(1).truncate(n)
+        return theta * odd3
+
+    return {
+        "AG": lambda k, a: tp(2 * k + 1, a) * ag,
+        "W_same": lambda k, a: tp(2 * k + 2, a) * odd,
+        "W_diff": w_diff,
+        "Wbar_odd_even": lambda k, a: tp(2 * k + 2, a) * even,
+        "Wbar_even_odd": lambda k, a: tp(2 * k + 2, a + 1) * even,
+        "Main": lambda k, a: tp(2 * k + 2, a) * odd,
+        "Paths": lambda k, a: tp(2 * k + 2, a) * odd,
+    }
+
+
+class TestProductsAgainstFactors:
+    def test_every_row_equals_its_factor_by_factor_product(self):
+        """Each product side, a theta series times an eta quotient, equals
+        the triple product times Pochhammer quotient it stands for, over
+        every (k, a) with k <= 8 (W_diff at a = 1 included) at order 300."""
+        n = 300
+        reference = _factor_by_factor(n)
+        checked = set()
+        for tag in THEOREMS:
+            for k in range(1, 9):
+                for a in range(1, k + 1):
+                    if THEOREMS[tag].applies(k, a):
+                        got = eval_product_side(tag, (k, a), n)
+                        want = reference[tag](k, a)
+                        assert (got.coeffs, got.order, got.denom) == (want.coeffs, n, 1), (tag, k, a)
+                        checked.add((tag, a == 1))
+        assert ("W_diff", True) in checked and ("W_diff", False) in checked
+
+    @pytest.mark.parametrize("order", [7.3, Fraction(7), Fraction(41, 2), "7", 0, -3, None])
+    def test_order_must_be_a_positive_int(self, order):
+        """The product side takes an int order, as the sum sides do."""
+        with pytest.raises(ValueError, match="order must be a positive int"):
+            eval_product_side("AG", (3, 1), order)
 
 
 class TestVerify:

@@ -297,6 +297,30 @@ class TestEnumeration:
         assert majors == sorted(majors)
         assert all(is_S_admissible(p, (4, 3)) for p in paths)
 
+    @pytest.mark.parametrize("gp", [(2, 1), (3, 2), (4, 1), (4, 3), (5, 2)])
+    def test_search_equals_filtering_every_walk(self, gp):
+        """The search builds its candidates without validating them; it
+        finds exactly the walks of major index <= n (they end by abscissa
+        n + k) that pass is_S_admissible, sorted by major index and then
+        by steps."""
+        n, (k, a) = 11, gp
+
+        def walks(steps, y):
+            yield "".join(steps)
+            if len(steps) == n + k:
+                return
+            for c, dy in (("N", 1), ("S", -1), ("E", 0)):
+                if 0 <= y + dy <= k and (c != "E" or y == 0):
+                    yield from walks(steps + [c], y + dy)
+
+        paths = (LatticePath(k + 1 - a, s) for s in walks([], k + 1 - a))
+        want = sorted(
+            (p for p in paths if p.major_index <= n and is_S_admissible(p, gp)),
+            key=lambda p: (p.major_index, p.steps),
+        )
+        clear_caches()
+        assert enumerate_S_paths(n, gp) == tuple(want)
+
     def test_cache_shrinks_consistently(self):
         full = enumerate_S_paths(10, (3, 2))
         partial = enumerate_S_paths(6, (3, 2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from qgordon.qseries import (
     PochSpec,
     Series,
+    _div_eta,
     _div_factors,
+    _mul_eta,
     _mul_factors,
     invert_poch,
     poch_finite,
@@ -39,6 +42,11 @@ class TestConstruction:
         """The exponent grid denominator must be a positive int."""
         with pytest.raises(ValueError):
             Series((1,), 5, 0)
+
+    def test_float_order_is_named(self):
+        """A float order is refused as an order, not as an exponent."""
+        with pytest.raises(TypeError, match="int or Fraction order, got float"):
+            Series((1,), 7.3)
 
     def test_rejects_non_integer_coefficients(self):
         """Floats must never leak into a series."""
@@ -402,6 +410,17 @@ class TestInPlaceKernels:
         dense = f * _dense_symbol(spec, n, f.order).inverse()
         assert _exact(_in_place(_div_factors, f, spec, n)) == _exact(dense)
 
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    @pytest.mark.parametrize("length", [0, 1, 2, 50, 301])
+    def test_eta_kernels_match_factor_kernels(self, b, length):
+        """Multiplying and dividing by E_b = (q^b; q^b)_inf through its
+        pentagonal series equals doing it one factor at a time."""
+        rng = random.Random(1000 * b + length)
+        cs = [rng.randint(-99, 99) for _ in range(length)]
+        spec = PochSpec(1, b, b)
+        assert _mul_eta(cs[:], b) == _mul_factors(cs[:], spec, None)
+        assert _div_eta(cs[:], b) == _div_factors(cs[:], spec, None)
 
     def test_symbol_off_the_grid_is_refused(self):
         """No kernel sees a rational symbol: it is refused when built,
