@@ -39,7 +39,7 @@ from typing import Tuple
 from . import identities
 from .partitions import _as_params
 from .qseries import (
-    PochSpec, Series, _div_factor, _div_factors, _frac, _mul_factors, _quotient_sums, _slots,
+    PochSpec, Series, _div_factor, _div_factors, _mul_factors, _order, _quotient_sums, _slots,
     _theta_pair,
 )
 
@@ -100,12 +100,12 @@ class BaileyPair:
 def _half_grid(terms, order) -> Series:
     """sum c q^(s/2) over the (slot s, c) pairs in ``terms``, on the half
     grid; slots at or above the order are dropped."""
-    order = _frac(order, "order")
+    order = _order(order)
     cs = [0] * _slots(order, 2)
     for s, c in terms:
         if s < len(cs):
             cs[s] += c
-    return Series(cs, order, 2)
+    return Series._unchecked(cs, order, 2)
 
 
 def unit_pair(n_max: int, order) -> BaileyPair:
@@ -125,8 +125,9 @@ def _head(s: Series, length: int) -> Tuple[int, list]:
     return v, list(cs[v:])
 
 
-def _series(v: int, cs: list, order) -> Series:
-    return Series([0] * v + cs, order, 2)
+def _series(v: int, cs: list, order: Fraction) -> Series:
+    """q^(v/2) * cs on the half grid; v + len(cs) must be its slot count."""
+    return Series._unchecked([0] * v + cs, order, 2)
 
 
 def check_pair(bp: BaileyPair) -> bool:
@@ -148,7 +149,7 @@ def check_pair(bp: BaileyPair) -> bool:
                 _div_factor(cs, 1, 2 * (n - r))
                 _div_factor(cs, 1, 2 * (n + r))
             rhs[v:] = map(add, rhs[v:], cs)
-        if Series(rhs, order, 2) != bp.beta[n]:
+        if Series._unchecked(rhs, order, 2) != bp.beta[n]:
             return False
     return True
 
@@ -162,9 +163,7 @@ def apply_S1(bp: BaileyPair) -> BaileyPair:
     beta'_n = sum_r q^(r^2) beta_r / (q; q)_{n-r}."""
     order = bp.order
     length = _slots(order, 2)
-    alpha = tuple(
-        s.shift(r * r).truncate(order) for r, s in enumerate(bp.alpha)
-    )
+    alpha = tuple(s.shift(r * r).truncate(order) for r, s in enumerate(bp.alpha))
     terms = [_head(s, max(length - 2 * r * r, 0)) for r, s in enumerate(bp.beta)]
     exps = [[2 * r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
     sums = _quotient_sums(terms, _T2, length, exps)
@@ -175,22 +174,16 @@ def apply_S2(bp: BaileyPair) -> BaileyPair:
     """Weight insertion with half squares and the (-q^(1/2); q) factor:
     alpha'_r = q^(r^2/2) alpha_r,
     beta'_n = sum_r (-q^(1/2); q)_r q^(r^2/2) beta_r / (q; q)_{n-r}
-              all divided by (-q^(1/2); q)_n."""
+              all divided by (-q^(1/2); q)_n,
+    computed as sum_r q^(r^2/2) beta_r / ((q; q)_{n-r} (-q^(r+1/2); q)_{n-r}),
+    whose running quotients all gain the factor 1 + q^(n-1/2) at row n."""
     order = bp.order
     length = _slots(order, 2)
-    alpha = tuple(
-        s.shift(Fraction(r * r, 2)).truncate(order) for r, s in enumerate(bp.alpha)
-    )
-    terms = []
-    for r, s in enumerate(bp.beta):
-        v, cs = _head(s, max(length - r * r, 0))
-        terms.append((v, _mul_factors(cs, _NEG_T, r)))
+    alpha = tuple(s.shift(Fraction(r * r, 2)).truncate(order) for r, s in enumerate(bp.alpha))
+    terms = [_head(s, max(length - r * r, 0)) for r, s in enumerate(bp.beta)]
     exps = [[r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _T2, length, exps)
-    beta = tuple(
-        _series(v, _div_factors(cs, _NEG_T, n), order) for n, (v, cs) in enumerate(sums)
-    )
-    return BaileyPair(alpha, beta)
+    sums = _quotient_sums(terms, _T2, length, exps, _NEG_T)
+    return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
 def apply_D1(bp: BaileyPair) -> BaileyPair:
@@ -231,10 +224,7 @@ def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
                 f"alpha_{m} does not match the swap template with A = {a_coef}"
             )
     alpha = tuple(_half_grid(_theta_pair(0, 4 * a_coef, m), order) for m in range(bp.n_max + 1))
-    beta = tuple(
-        s.shift(n).truncate(order) for n, s in enumerate(bp.beta)
-    )
-    return BaileyPair(alpha, beta)
+    return BaileyPair(alpha, tuple(s.shift(n).truncate(order) for n, s in enumerate(bp.beta)))
 
 
 # ---------------------------------------------------------------- the chain
@@ -270,6 +260,8 @@ def closed_form_alpha(gp, n: int, order) -> Series:
     """Endpoint alpha of the chain:
     (-1)^n q^((k+1) n^2 / 2) (q^(-(k-a+1) n / 2) + q^((k-a+1) n / 2)),
     the theta template with e1 = a/2, e3 = k+1, which is 1 at n = 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
     gp = _as_params(gp)
     return _half_grid(_theta_pair(gp.a, 2 * gp.k + 2, n), order)
 
@@ -293,8 +285,8 @@ def limit_identity(gp, order) -> Tuple[Series, Series]:
     integer grid.
     """
     gp = _as_params(gp)
-    order = _frac(order, "order")
+    order = _order(order)
     length = _slots(order, 2)
     lhs = identities.eval_multisum_main(gp, length)
     rhs = identities.eval_product_side("Main", gp, length)
-    return Series(lhs.coeffs, order, 2), Series(rhs.coeffs, order, 2)
+    return Series._unchecked(lhs.coeffs, order, 2), Series._unchecked(rhs.coeffs, order, 2)

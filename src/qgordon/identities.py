@@ -65,7 +65,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .lattice_paths import _S_counts
 from .partitions import GordonParams, _as_params
 from .qseries import (
-    PochSpec, Series, _div_eta, _div_factor, _mul_eta, _mul_factor, _quotient_sums, _theta_walk,
+    PochSpec, Series, _div_eta, _div_factor, _mul_eta, _mul_factor, _order, _quotient_sums,
+    _theta_walk,
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -164,7 +165,7 @@ def ladder_multisum(
     total = [0] * order
     for v, cs in table:
         total[v:] = map(add, total[v:], cs)
-    return Series(total, order)
+    return Series._unchecked(total, _order(order), 1)
 
 
 # ---------------------------------------------------------------- sum sides
@@ -246,7 +247,7 @@ def _eta_quotient(cs: list, times: Sequence[int], over: Sequence[int]) -> Series
         _mul_eta(cs, b)
     for b in over:
         _div_eta(cs, b)
-    return Series(cs, len(cs))
+    return Series._unchecked(cs, Fraction(len(cs)), 1)
 
 
 def _w_diff_product(k: int, a: int, order: int) -> Series:

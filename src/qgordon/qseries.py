@@ -35,7 +35,9 @@ and the Bailey transformations need, keeping one running quotient per
 term and cutting it to the window it still needs before each division.
 The kernels know no grid: list index i is q^i.  ``Series.__mul__`` and
 ``Series.inverse`` stay as the dense reference the kernels are tested
-against.
+against.  The builders here, the sides in :mod:`qgordon.identities` and
+the chain in :mod:`qgordon.bailey` wrap the int lists they made with
+the private :meth:`Series._unchecked`; the public constructor checks.
 """
 
 from __future__ import annotations
@@ -72,6 +74,14 @@ def _frac(x: QExp, what: str = "exponent") -> Fraction:
     raise TypeError(f"expected an int or Fraction {what}, got {type(x).__name__}")
 
 
+def _order(order: QExp) -> Fraction:
+    """A truncation order as a Fraction; it must be positive."""
+    order = _frac(order, "order")
+    if order <= 0:
+        raise ValueError(f"truncation order must be positive, got {order}")
+    return order
+
+
 def _slots(order: Fraction, denom: int) -> int:
     """Number of grid slots strictly below ``order`` on grid ``1/denom``."""
     num = order.numerator * denom
@@ -92,9 +102,7 @@ class Series:
     __slots__ = ("coeffs", "order", "denom")
 
     def __init__(self, coeffs: Sequence[int], order: QExp, denom: int = 1):
-        order = _frac(order, "order")
-        if order <= 0:
-            raise ValueError(f"truncation order must be positive, got {order}")
+        order = _order(order)
         if not isinstance(denom, int) or denom < 1:
             raise ValueError(f"denom must be a positive int, got {denom!r}")
         n = _slots(order, denom)
@@ -109,6 +117,16 @@ class Series:
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "denom", denom)
+
+    @classmethod
+    def _unchecked(cls, coeffs: Sequence[int], order: Fraction, denom: int) -> "Series":
+        """A series built unvalidated: the caller guarantees ints only,
+        exactly ``_slots(order, denom)`` of them, and a Fraction order."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "coeffs", tuple(coeffs))
+        object.__setattr__(s, "order", order)
+        object.__setattr__(s, "denom", denom)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -178,10 +196,8 @@ class Series:
         if r:
             raise ValueError(f"cannot promote grid 1/{self.denom} to 1/{denom}")
         cs = [0] * _slots(self.order, denom)
-        for s, c in enumerate(self.coeffs):
-            if c:
-                cs[s * m] = c
-        return Series(cs, self.order, denom)
+        cs[::m] = self.coeffs
+        return Series._unchecked(cs, self.order, denom)
 
     @staticmethod
     def _align(f: "Series", g: "Series") -> Tuple["Series", "Series"]:
@@ -254,19 +270,14 @@ class Series:
             raise ValueError("shift exponent must be nonnegative")
         d = lcm(self.denom, e.denominator)
         f = self._promote(d)
-        off = int(e * d)
-        order = f.order + e
-        cs = [0] * _slots(order, d)
-        for s, c in enumerate(f.coeffs):
-            cs[s + off] = c
-        return Series(cs, order, d)
+        return Series._unchecked((0,) * int(e * d) + f.coeffs, f.order + e, d)
 
     def truncate(self, order: QExp) -> "Series":
         """Forget coefficients from ``order`` on (order may only shrink)."""
-        order = _frac(order, "order")
+        order = _order(order)
         if order > self.order:
             raise ValueError(f"cannot extend knowledge from {self.order} to {order}")
-        return Series(self.coeffs[: _slots(order, self.denom)], order, self.denom)
+        return Series._unchecked(self.coeffs[: _slots(order, self.denom)], order, self.denom)
 
     def inverse(self) -> "Series":
         """Reciprocal series; requires constant coefficient exactly 1."""
@@ -298,7 +309,7 @@ class Series:
         order = self.order * factor
         cs = [0] * _slots(order, den)
         cs[::step] = self.coeffs
-        return Series(cs, order, den)
+        return Series._unchecked(cs, order, den)
 
     # ------------------------------------------------------------ comparison
 
@@ -487,15 +498,16 @@ def _div_eta(cs: list, b: int) -> list:
     return cs
 
 
-def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list) -> list:
+def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list, row_spec=None) -> list:
     """sum_{m <= n} q^exps[n][m] * terms[m] / (spec)_{n-m} for each
     n < len(exps), as (v, cs) pairs standing for q^v * cs with cs known
-    below exponent ``length``.
+    below exponent ``length``; a PochSpec ``row_spec`` also divides term
+    m by (row_spec)_n / (row_spec)_m, so by its factor n - 1 at row n.
 
     ``terms`` holds (v, cs) pairs of the same form and is consumed: each
     becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
     window it still needs before each division, so every (n, m) costs
-    one pass over one factor.  ``exps[n]`` lists the slots for
+    one pass per factor.  ``exps[n]`` lists the slots for
     m = 0..min(n, len(terms) - 1); they must not decrease in n.
     """
     first, step = spec.exponent, spec.base
@@ -510,6 +522,8 @@ def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list) -> list
                 continue
             if m < n:
                 _div_factor(cs, spec.sign, first + (n - m - 1) * step)
+                if row_spec is not None:
+                    _div_factor(cs, row_spec.sign, row_spec.exponent + (n - 1) * row_spec.base)
             at, end = e + v, e + v + len(cs)
             acc[at:end] = map(_add, acc[at:end], cs)
             lo = min(lo, at)
@@ -519,8 +533,8 @@ def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list) -> list
 
 def _unit_times(kernel, spec: PochSpec, n: int | None, order: QExp) -> Series:
     """1 multiplied or divided (``kernel``) by (spec)_n on the integer grid."""
-    order = _frac(order, "order")
-    return Series(kernel([1] + [0] * (_slots(order, 1) - 1), spec, n), order)
+    order = _order(order)
+    return Series._unchecked(kernel([1] + [0] * (_slots(order, 1) - 1), spec, n), order, 1)
 
 
 def poch_finite(spec: PochSpec, n: int, order: QExp) -> Series:

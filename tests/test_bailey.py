@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,15 @@ class TestTransforms:
     def test_half_weights_keep_relation(self):
         assert check_pair(apply_S2(unit_pair(6, 24)))
 
+    def test_half_weights_on_unit(self):
+        """S2 sends the seed pair to beta_n = 1 / ((q; q)_n (-q^(1/2); q)_n),
+        built factor by factor in t = q^(1/2) and read on the half grid."""
+        s2 = apply_S2(unit_pair(8, 24))
+        for n in range(9):
+            want = rescale(invert_poch(Q2, 48, n=n) * invert_poch(NEG_T, 48, n=n), Fraction(1, 2))
+            assert (s2.beta[n].order, want.order) == (24, 24)
+            assert s2.beta[n] == want, n
+
     def test_template_swap_needs_matching_alpha(self):
         with pytest.raises(ValueError, match="does not match the swap template"):
             apply_P41(unit_pair(4, 20), 2)
@@ -85,6 +95,16 @@ class TestTransforms:
         u = unit_pair(4, 20)
         broken = BaileyPair(u.alpha, u.beta[:-1] + (Series.one(20, 2),))
         assert not check_pair(broken)
+
+    def test_check_pair_reads_betas_on_the_integer_grid(self):
+        """The base-doubled pair passes with its betas q^n / (q^2; q^2)_n
+        built on the integer grid, and fails once one of them is off."""
+        d = apply_D1(unit_pair(8, 20))
+        beta = tuple(invert_poch(Q2, 40, n=n).shift(n) for n in range(9))
+        assert {b.denom for b in beta} == {1}
+        assert check_pair(BaileyPair(d.alpha, beta))
+        broken = beta[:5] + (beta[5] + Series.from_terms([(7, 1)], 40),) + beta[6:]
+        assert not check_pair(BaileyPair(d.alpha, broken))
 
 
 class TestChain:
@@ -115,6 +135,12 @@ class TestChain:
     def test_same_parity_rejected(self):
         with pytest.raises(ValueError, match="opposite parity"):
             build_chain((3, 1), 4, 20)
+
+    @pytest.mark.parametrize("n", [-1, -3, 1.0, 2.5, "1", None])
+    def test_closed_form_alpha_needs_a_nonnegative_int_index(self, n):
+        """A negative n is refused, not read as alpha_|n|."""
+        with pytest.raises(ValueError, match=r"n must be an int >= 0, got " + re.escape(repr(n))):
+            closed_form_alpha((5, 2), n, 10)
 
 
 class TestLimit:
@@ -157,6 +183,12 @@ class TestLimit:
         """A float order is refused, not rounded to a binary fraction."""
         with pytest.raises(TypeError, match="int or Fraction order, got float"):
             limit_identity((2, 1), 7.3)
+
+    @pytest.mark.parametrize("order", [0, Fraction(-1, 2), -3])
+    def test_nonpositive_order_refused(self, order):
+        """The order the caller passed is named, not a slot count."""
+        with pytest.raises(ValueError, match=f"truncation order must be positive, got {order}$"):
+            limit_identity((2, 1), order)
 
     @pytest.mark.parametrize("order", [Fraction(41, 2), Fraction(81, 2)])
     def test_right_side_is_the_factor_by_factor_product(self, order):

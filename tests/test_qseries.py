@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgordon.bailey import build_chain, closed_form_alpha, limit_identity
+from qgordon.identities import THEOREMS, IdentitySpec, verify
 from qgordon.qseries import (
     PochSpec,
     Series,
@@ -17,6 +19,7 @@ from qgordon.qseries import (
     _div_factors,
     _mul_eta,
     _mul_factors,
+    _slots,
     invert_poch,
     poch_finite,
     poch_infinite,
@@ -49,9 +52,29 @@ class TestConstruction:
             Series((1,), 7.3)
 
     def test_rejects_non_integer_coefficients(self):
-        """Floats must never leak into a series."""
+        """Floats and Fractions must never leak into a series."""
         with pytest.raises(TypeError):
             Series((1.0,), 5)
+        with pytest.raises(TypeError):
+            Series((1, Fraction(1, 2)), 5)
+
+    def test_builder_outputs_keep_the_constructor_contract(self):
+        """Series the package builds without the constructor's checks
+        still hold int coefficients, exactly one per slot below a
+        Fraction order: every link of a chain, the endpoint alphas, the
+        chain limit and both sides of every tag's verify (Wbar_even_odd
+        needs an even k, so it runs at (8, 3))."""
+        built = [s for _, bp in build_chain((7, 2), 10, 40) for s in bp.alpha + bp.beta]
+        built += [closed_form_alpha((7, 2), n, 40) for n in range(11)]
+        built += limit_identity((7, 2), Fraction(41, 2))
+        for tag, thm in THEOREMS.items():
+            gp = next(gp for gp in ((7, 2), (7, 3), (8, 3)) if thm.applies(*gp))
+            report = verify(IdentitySpec(tag, gp, 30))
+            built += [report.lhs, report.rhs]
+        for s in built:
+            assert isinstance(s.order, Fraction)
+            assert len(s.coeffs) == _slots(s.order, s.denom)
+            assert all(type(c) is int for c in s.coeffs)
 
     def test_from_terms_builds_on_the_given_grid(self):
         """The grid is 1 unless given; an exponent off it is refused."""
