@@ -87,14 +87,17 @@ class BaileyPair:
             raise ValueError(
                 f"alpha and beta must be equally long and nonempty, got {len(alpha)} and {len(beta)}"
             )
+        # read on every step and check; not a field, so equality ignores it
+        object.__setattr__(self, "_order", min(s.order for s in alpha + beta))
 
     @property
     def n_max(self) -> int:
         return len(self.alpha) - 1
 
     @property
-    def order(self):
-        return min(min(s.order for s in self.alpha), min(s.order for s in self.beta))
+    def order(self) -> Fraction:
+        """The smallest truncation order over every alpha and beta."""
+        return self._order
 
 
 def _half_grid(terms, order) -> Series:
@@ -166,7 +169,7 @@ def apply_S1(bp: BaileyPair) -> BaileyPair:
     alpha = tuple(s.shift(r * r).truncate(order) for r, s in enumerate(bp.alpha))
     terms = [_head(s, max(length - 2 * r * r, 0)) for r, s in enumerate(bp.beta)]
     exps = [[2 * r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _T2, length, exps)
+    sums = _quotient_sums(terms, _T2, [length] * len(exps), exps)
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -182,7 +185,7 @@ def apply_S2(bp: BaileyPair) -> BaileyPair:
     alpha = tuple(s.shift(Fraction(r * r, 2)).truncate(order) for r, s in enumerate(bp.alpha))
     terms = [_head(s, max(length - r * r, 0)) for r, s in enumerate(bp.beta)]
     exps = [[r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _T2, length, exps, _NEG_T)
+    sums = _quotient_sums(terms, _T2, [length] * len(exps), exps, _NEG_T)
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -200,7 +203,7 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
         v, cs = _head(s.rescale(2), length)
         terms.append((v, _mul_factors(cs, _NEG_T2, 2 * r)))
     exps = [[2 * (n - r) for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _T4, length, exps)
+    sums = _quotient_sums(terms, _T4, [length] * len(exps), exps)
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 

@@ -121,11 +121,36 @@ def ladder_multisum(
     reads :func:`eval_multisum_main` that way.  For k = 1 the sum is
     empty and equals 1.
 
-    The table H[i][N] accumulates levels i..k-1 with N_i = N; each
-    level is capped as soon as its own quadratic term passes the order.
-    Table entries are int lists cut to the window their exponent leaves
-    below the order, multiplied and divided by Pochhammer factors in
-    place (see :func:`qgordon.qseries._quotient_sums`).
+    The table H[i][N] accumulates levels i..k-1 with N_i = N.  Its
+    entries are int lists multiplied and divided by Pochhammer factors in
+    place (see :func:`qgordon.qseries._quotient_sums`), each cut to the
+    window the outer levels 1..i-1 leave it below the order.
+
+    Floor lemma.  Write g_j(N) = N^2 + lin[j-1] * N and
+    e_j(N, M) = g_j(N) + nlin[j-1] * (N - M) for the exponent level j
+    gives N_j = N, N_{j+1} = M.  Every term the sum keeps with N_i = n
+    reaches the result multiplied by q^(sum_{j<i} e_j(N_j, N_{j+1})) and
+    by series with constant term 1, and that exponent is at least
+    f_i(n) = sum_{j<i} g_j(n); so row n of level i is needed only below
+    order - f_i(n).  Proof: the sum keeps row N of level j only when
+    g_j(N) < order, and since g_j is convex it then keeps every row
+    between 0 and N; validation has checked e_j >= 0 on each kept pair.
+    For N_j = N >= M = N_{j+1} >= n:
+
+    * e_j(N, M) - g_j(M) = (N - M)(N + M + lin + nlin) >= 0, because for
+      N > M the row N >= 1 of level j is kept, so row 1 is, and its
+      checked exponent e_j(1, 0) is 1 + lin + nlin;
+    * g_j(M) - g_j(n) = (M - n)(M + n + lin) >= 0, because for M > n
+      rows 1 of levels j and j+1 are kept, so e_j(1, 1) = 1 + lin >= 0
+      was checked.
+
+    Summing e_j(N_j, N_{j+1}) >= g_j(n) over j < i gives the floor.  The
+    same checks make f_i >= 0 and each window shrink as n grows, as the
+    running quotients need, on every row an outer row reads; the floor
+    is capped below at 0 for the rest.  Row n is dropped once its window
+    ends at or below its least exponent, and the rows after it with it;
+    every row below the order is still validated, against every inner
+    row.
     """
     if not all(isinstance(v, int) for v in (order, *lin, *nlin)):
         raise ValueError(f"order, lin and nlin must be ints: {order!r}, {lin!r}, {nlin!r}")
@@ -149,19 +174,39 @@ def ladder_multisum(
             n += 1
         return rows
 
+    def floor(i: int, n: int) -> int:
+        """f_i(n), the least exponent levels 1..i-1 add to N_i = n."""
+        return max(sum(n * n + b * n for b in lin[: i - 1]), 0)
+
     # the innermost level: one running numer_n / (innermost)_n, cut to
-    # row n's window and then divided and multiplied by factor n - 1
+    # row n's window and then divided and multiplied by factor n - 1;
+    # rows are kept until it runs empty, but every row takes its
+    # division, so a zero divisor is refused wherever row 1 is below
+    # the order
+    exps = level_exps(k - 1, 1)
     table = []
     run = [1] + [0] * (order - 1)
-    for n, (e,) in enumerate(level_exps(k - 1, 1)):
-        del run[max(order - e, 0):]
+    for n, (e,) in enumerate(exps):
+        del run[max(order - floor(k - 1, n) - e, 0):]
         if n:
             _div_factor(run, innermost.sign, innermost.exponent + (n - 1) * innermost.base)
             if numer is not None:
                 _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
-        table.append((e, run[:]))
+        if run:
+            table.append((e, run[:]))
     for i in range(k - 2, 0, -1):
-        table = _quotient_sums(table, level_denom, order, level_exps(i, len(table)))
+        exps = level_exps(i, len(exps))
+        if level_denom.exponent == 0 and len(exps) > 1 and exps[1][0] < order:
+            # (level_denom)_1 is the constant 1 - sign, which the kernels
+            # cannot divide by: refused whenever the exponent at
+            # (N_i, N_{i+1}) = (1, 0) is below the order, pruned or not
+            raise ValueError("reciprocal requires constant coefficient 1")
+        lengths = []
+        for n, row in enumerate(exps):
+            if (length := order - floor(i, n)) <= min(row):
+                break
+            lengths.append(length)
+        table = _quotient_sums(table, level_denom, lengths, exps)
     total = [0] * order
     for v, cs in table:
         total[v:] = map(add, total[v:], cs)

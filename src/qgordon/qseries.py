@@ -32,7 +32,8 @@ O(sqrt(length / b)) terms: one shifted pass per term to multiply, one
 ascending recurrence over the terms to divide.
 :func:`_quotient_sums` builds the sums of quotients that the multisums
 and the Bailey transformations need, keeping one running quotient per
-term and cutting it to the window it still needs before each division.
+term and cutting it, before each division, to the window its row
+still needs; each row has a window of its own.
 The kernels know no grid: list index i is q^i.  ``Series.__mul__`` and
 ``Series.inverse`` stay as the dense reference the kernels are tested
 against.  The builders here, the sides in :mod:`qgordon.identities` and
@@ -498,25 +499,26 @@ def _div_eta(cs: list, b: int) -> list:
     return cs
 
 
-def _quotient_sums(terms: list, spec: PochSpec, length: int, exps: list, row_spec=None) -> list:
+def _quotient_sums(terms: list, spec: PochSpec, lengths: list, exps: list, row_spec=None) -> list:
     """sum_{m <= n} q^exps[n][m] * terms[m] / (spec)_{n-m} for each
-    n < len(exps), as (v, cs) pairs standing for q^v * cs with cs known
-    below exponent ``length``; a PochSpec ``row_spec`` also divides term
-    m by (row_spec)_n / (row_spec)_m, so by its factor n - 1 at row n.
+    n < len(lengths), as (v, cs) pairs standing for q^v * cs with cs
+    known below exponent ``lengths[n]``; a PochSpec ``row_spec`` also
+    divides term m by (row_spec)_n / (row_spec)_m, so by its factor
+    n - 1 at row n.
 
     ``terms`` holds (v, cs) pairs of the same form and is consumed: each
     becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
     window it still needs before each division, so every (n, m) costs
-    one pass per factor.  ``exps[n]`` lists the slots for
-    m = 0..min(n, len(terms) - 1); they must not decrease in n.
+    one pass per factor.  ``exps[n]`` lists the slots for m <= n; terms
+    past the end of ``terms`` are taken as zero.  Each window
+    lengths[n] - exps[n][m] must not grow with n.
     """
     first, step = spec.exponent, spec.base
     out = []
-    for n, row in enumerate(exps):
+    for n, (length, row) in enumerate(zip(lengths, exps)):
         acc = [0] * length
         lo = length
-        for m, e in enumerate(row):
-            v, cs = terms[m]
+        for m, ((v, cs), e) in enumerate(zip(terms, row)):
             del cs[max(length - e - v, 0):]
             if not cs:
                 continue

@@ -132,6 +132,19 @@ class TestChain:
             for n in range(7):
                 assert fin.alpha[n] == closed_form_alpha(gp, n, fin.order), (gp, n)
 
+    def test_pair_order_is_least_series_order(self):
+        """``order`` is the least order over every alpha and beta; it is
+        read-only, and equality still compares the series alone."""
+        chain = build_chain((7, 2), 6, 40)
+        for label, bp in chain:
+            assert bp.order == min(s.order for s in bp.alpha + bp.beta), label
+        unit = chain[0][1]
+        assert unit.order == 20 and chain[-1][1].order == 40
+        with pytest.raises(AttributeError):
+            unit.order = 1
+        assert unit == BaileyPair(unit.alpha, unit.beta)
+        assert unit != BaileyPair(unit.alpha, (Series.one(20, 2),) * len(unit.beta))
+
     def test_same_parity_rejected(self):
         with pytest.raises(ValueError, match="opposite parity"):
             build_chain((3, 1), 4, 20)

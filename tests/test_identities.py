@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
 
@@ -20,9 +22,14 @@ from qgordon.identities import (
     verify,
 )
 from qgordon.partitions import GordonParams, count_A, count_B, count_W, count_Wbar
-from qgordon.qseries import PochSpec, Series, invert_poch, poch_infinite, triple_product
+from qgordon.qseries import (
+    PochSpec, Series, invert_poch, poch_finite, poch_infinite, triple_product,
+)
 
 Q = PochSpec(1, 1, 1)
+Q2 = PochSpec(1, 2, 2)
+Q4 = PochSpec(1, 4, 4)
+NEG_Q_ODD = PochSpec(-1, 1, 2)  # (-q; q^2)
 
 # The paper's parity regime of each tag.
 REGIMES = {
@@ -54,6 +61,82 @@ class TestLadder:
         for order, lin, nlin in ((Fraction(21, 2), [0], [0]), (10, [half], [0]), (10, [0], [half])):
             with pytest.raises(ValueError, match="ints"):
                 ladder_multisum(2, order, lin=lin, nlin=nlin, level_denom=Q, innermost=Q)
+
+    @pytest.mark.parametrize("k, order, lin, nlin, level", [
+        (3, 2, [0, -2], [0, 0], 2),
+        (3, 3, [-2, 0], [0, 0], 1),
+        (4, 4, [0, 0, -2], [0, 0, 0], 3),
+        (3, 5, [0, 0], [-3, 0], 1),
+    ])
+    def test_negative_exponent_refused(self, k, order, lin, nlin, level):
+        """Every row below the order is validated against every inner
+        row, including rows the outer levels' floors leave empty."""
+        with pytest.raises(ValueError, match=f"^negative exponent in level {level} at N = 1$"):
+            ladder_multisum(k, order, lin=lin, nlin=nlin, level_denom=Q, innermost=Q2)
+
+    def test_small_order_with_lin_minus_one(self):
+        s = ladder_multisum(4, 3, lin=[-1, -1, -1], nlin=[0, 0, 0], level_denom=Q, innermost=Q2)
+        assert s.coeffs == (4, 2, 6)
+
+    @pytest.mark.parametrize("k, order, nlin, refused", [
+        (3, 2, [0, 0], True),
+        (3, 2, [1, 0], False),  # level 1's exponent at (N_1, N_2) = (1, 0) is 2
+        (4, 2, [5, 0, 0], True),  # level 2's row 1 lies past its floor; still refused
+        (2, 9, [0], False),  # one level: the level denominator is never used
+    ])
+    def test_zero_level_divisor(self, k, order, nlin, refused):
+        """(1; q)_1 = 0 is refused wherever the sum would divide by it,
+        whether or not pruning would have reached that term."""
+        args = dict(lin=[0] * (k - 1), nlin=nlin, level_denom=PochSpec(1, 0, 1), innermost=Q)
+        if refused:
+            with pytest.raises(ValueError, match="reciprocal requires constant coefficient 1"):
+                ladder_multisum(k, order, **args)
+        else:
+            assert ladder_multisum(k, order, **args).order == order
+
+
+def _direct_ladder(k, order, lin, nlin, level_denom, innermost, numer=None) -> Series:
+    """The ladder sum term by term: every N_1 >= ... >= N_(k-1) >= 0 whose
+    exponent lies below the order, each term built from the public
+    Pochhammer builders and Series arithmetic on the window it leaves."""
+    top = isqrt(order + k) + 3  # N_1^2 - 2 N_1 - (k - 2) < order for every kept term
+    total = Series.zero(order)
+    for ns in combinations_with_replacement(range(top, -1, -1), k - 1):
+        gaps = [a - b for a, b in zip(ns, ns[1:] + (0,))]
+        e = sum(n * n + b * n for n, b in zip(ns, lin)) + sum(g * c for g, c in zip(gaps, nlin))
+        if e >= order:
+            continue
+        assert e >= 0, ns
+        w = order - e
+        term = invert_poch(innermost, w, n=ns[-1])
+        if numer is not None:
+            term = term * poch_finite(numer, ns[-1], w)
+        for g in gaps[:-1]:
+            term = term * invert_poch(level_denom, w, n=g)
+        total = total + term.shift(e)
+    return total
+
+
+class TestLadderAgainstDirectSum:
+    """The sum against term-by-term summation at orders where the outer
+    levels' floors drop rows and cut the rest."""
+
+    @pytest.mark.parametrize("k, order, lin, nlin, level_denom, innermost, numer", [
+        (2, 120, [0], [0], Q, Q, None),
+        (3, 100, [-1, 1], [1, 0], Q, Q, None),
+        (3, 120, [0, -2], [0, 1], Q, Q2, None),  # innermost n^2 - 2n dips below 0
+        (3, 80, [-2, 200], [1, 0], Q, Q, None),  # level 2 keeps only row 0
+        (4, 90, [2, 0, 2], [0, 0, 0], Q2, Q4, NEG_Q_ODD),
+        (4, 100, [-1, -1, -1], [1, 2, 1], Q, Q4, NEG_Q_ODD),
+        (5, 60, [0, 1, 1, 1], [1, 0, 1, 0], Q2, Q2, None),
+        (5, 80, [0, 2, 0, 2], [0, 1, 0, 0], Q4, Q2, NEG_Q_ODD),
+    ])
+    def test_matches_direct_sum(self, k, order, lin, nlin, level_denom, innermost, numer):
+        got = ladder_multisum(
+            k, order, lin=lin, nlin=nlin, level_denom=level_denom, innermost=innermost, numer=numer
+        )
+        want = _direct_ladder(k, order, lin, nlin, level_denom, innermost, numer)
+        assert (got.coeffs, got.order, got.denom) == (want.coeffs, want.order, want.denom)
 
 
 class TestSumsAgainstCounting:
