@@ -115,8 +115,9 @@ def ladder_multisum(
         / prod_{i<k-1} (level_denom at n_i)
 
     with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``order`` and the
-    k - 1 entries of ``lin`` and ``nlin`` must be ints (anything else
-    raises ValueError); the result is on the integer grid.  A sum with
+    k - 1 entries of ``lin`` and ``nlin`` must be ints, and those of
+    ``nlin`` nonnegative (anything else raises ValueError); the result
+    is on the integer grid.  A sum with
     half squares is the same sum in t = q^(1/2): the Bailey chain's limit
     reads :func:`eval_multisum_main` that way.  For k = 1 the sum is
     empty and equals 1.
@@ -135,6 +136,8 @@ def ladder_multisum(
     order - f_i(n).  Proof: the sum keeps row N of level j only when
     g_j(N) < order, and since g_j is convex it then keeps every row
     between 0 and N; validation has checked e_j >= 0 on each kept pair.
+    A dropped row holds no term below the order, because nlin >= 0 makes
+    e_j(N, M) >= g_j(N).
     For N_j = N >= M = N_{j+1} >= n:
 
     * e_j(N, M) - g_j(M) = (N - M)(N + M + lin + nlin) >= 0, because for
@@ -154,6 +157,8 @@ def ladder_multisum(
     """
     if not all(isinstance(v, int) for v in (order, *lin, *nlin)):
         raise ValueError(f"order, lin and nlin must be ints: {order!r}, {lin!r}, {nlin!r}")
+    if any(v < 0 for v in nlin):
+        raise ValueError(f"nlin entries must be >= 0, got {nlin!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:

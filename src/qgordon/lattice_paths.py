@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .partitions import GordonParams, _as_params
 
@@ -78,27 +78,64 @@ def _walk(start: int, steps: Sequence[str]) -> list[int]:
     return hs
 
 
-def _apexes(steps: Sequence[str]) -> list[int]:
+def _apexes(steps: str) -> list[int]:
     """Abscissae of the peaks: every NE step followed by a SE step."""
-    return [x for x in range(1, len(steps)) if steps[x - 1] == "N" and steps[x] == "S"]
+    xs = []
+    x = steps.find("NS")
+    while x >= 0:
+        xs.append(x + 1)
+        x = steps.find("NS", x + 2)
+    return xs
 
 
-def _relative_heights(hs: Sequence[int], xs: Sequence[int]) -> Iterator[int]:
-    """Relative height of each apex in ``xs``, left to right, from the
-    vertex heights ``hs`` (the nearest-dominating-peak rule of the
-    module docstring)."""
-    for i, x in enumerate(xs):
-        y = hs[x]
-        j = i - 1
-        while j >= 0 and hs[xs[j]] < y:
-            j -= 1
-        left = xs[j] if j >= 0 else 0
-        j = i + 1
-        while j < len(xs) and hs[xs[j]] <= y:
-            j += 1
-        right = xs[j] if j < len(xs) else len(hs) - 1
-        # the apex's neighbours sit at y - 1, so this is at least 1
-        yield y - max(min(hs[left:x]), min(hs[x + 1 : right + 1]))
+def _peak_scan(start: int, steps: str) -> Tuple[list, list, list, list]:
+    """Abscissa, height, relative height and the number of E steps before
+    it, for each peak of a valid path, as four lists, left to right.
+
+    Occurrences of "NS" never overlap, and between two apexes a valid
+    path reads S^p E^q N^r (an N is followed by N or by an apex's S, and
+    an E only follows S or E at height 0), so each piece of
+    ``steps.split("NS")`` gives the valley before the next apex and the
+    climb to it.  The peaks still waiting for a higher one to their right
+    form a stack of nonincreasing heights; each entry keeps the lowest
+    vertex between the entry below it (or the start) and its apex, and
+    ``low`` is the lowest vertex since the top entry's apex.  A new apex
+    of height y resolves every entry lower than y, whose cR is then
+    ``low``; the entry left on top is its nearest peak of height >= y,
+    so its cL is ``low`` after those merges.  The end resolves the rest.
+    """
+    xs: list[int] = []
+    ys: list[int] = []
+    rels: list[int] = []  # cL until the peak is resolved
+    es: list[int] = []
+    stack: list[tuple[int, int, int]] = []  # (height, peak index, lowest vertex below it)
+    x = e = 0
+    y = low = start
+    for i, piece in enumerate(steps.split("NS")):
+        if i:
+            # the apex (x, y) closing the previous piece
+            while stack and stack[-1][0] < y:
+                h, j, below = stack.pop()
+                rels[j] = h - max(rels[j], low)
+                low = min(low, below)
+            stack.append((y, i - 1, low))
+            xs.append(x)
+            ys.append(y)
+            rels.append(low)
+            es.append(e)
+            x += 1
+            y -= 1
+        down = len(piece) - len(piece.lstrip("S"))
+        up = len(piece) - len(piece.rstrip("N"))
+        e += len(piece) - down - up
+        low = y - down
+        y = low + up + 1
+        x += len(piece) + 1
+    while stack:
+        h, j, below = stack.pop()
+        rels[j] = h - max(rels[j], low)
+        low = min(low, below)
+    return xs, ys, rels, es
 
 
 # ---------------------------------------------------------------- path type
@@ -146,13 +183,12 @@ class LatticePath:
 
     def peaks(self) -> Tuple[Tuple[int, int], ...]:
         """(x, y) for every peak, left to right."""
-        hs = _walk(self.start, self.steps)
-        return tuple((x, hs[x]) for x in _apexes(self.steps))
+        xs, ys, _, _ = _peak_scan(self.start, self.steps)
+        return tuple(zip(xs, ys))
 
     def relative_heights(self) -> Tuple[int, ...]:
         """Relative height of each peak, aligned with :meth:`peaks`."""
-        hs = _walk(self.start, self.steps)
-        return tuple(_relative_heights(hs, _apexes(self.steps)))
+        return tuple(_peak_scan(self.start, self.steps)[2])
 
     @property
     def major_index(self) -> int:
@@ -164,6 +200,20 @@ class LatticePath:
 
 
 # ---------------------------------------------------------------- admissibility
+
+
+def _S_rels(path: LatticePath, gp: GordonParams) -> list[int] | None:
+    """Relative heights of the peaks of an S(k, a) path, left to right,
+    or None if the path is not in S(k, a); one scan of its peaks."""
+    k = gp.k
+    if path.start != k + 1 - gp.a or not path.is_terminal:
+        return None
+    xs, ys, rels, es = _peak_scan(path.start, path.steps)
+    # a terminal path's highest vertex is its start (<= k) or an apex
+    for x, y, r, e in zip(xs, ys, rels, es):
+        if y > k or (x - r) % 2 or (r >= k - 1 and e % 4):
+            return None
+    return rels
 
 
 def is_S_admissible(path: LatticePath, gp) -> bool:
@@ -179,20 +229,7 @@ def is_S_admissible(path: LatticePath, gp) -> bool:
         relative height mod 2, and has a multiple-of-4 count of E steps
         strictly before each peak of relative height k or k - 1.
     """
-    gp = _as_params(gp)
-    if path.start != gp.k + 1 - gp.a or not path.is_terminal:
-        return False
-    s = path.steps
-    hs = _walk(path.start, s)
-    if max(hs) > gp.k:
-        return False
-    xs = _apexes(s)
-    for x, r in zip(xs, _relative_heights(hs, xs)):
-        if (x - r) % 2:
-            return False
-        if r in (gp.k, gp.k - 1) and s[:x].count("E") % 4:
-            return False
-    return True
+    return _S_rels(path, _as_params(gp)) is not None
 
 
 # ---------------------------------------------------------------- enumeration
@@ -338,8 +375,7 @@ def right_move(path: LatticePath, peak_index: int) -> Tuple[LatticePath, int]:
     steps = list(path.steps)
     new_x = _step_right(steps, xs[peak_index])
     new_path = LatticePath(path.start, "".join(steps))
-    new_index = _apexes(steps).index(new_x)
-    return new_path, new_index
+    return new_path, _apexes(new_path.steps).index(new_x)
 
 
 def volcanic_uplift(path: LatticePath, peak_index: int) -> LatticePath:
@@ -353,9 +389,7 @@ def volcanic_uplift(path: LatticePath, peak_index: int) -> LatticePath:
     if not 0 <= peak_index < len(xs):
         raise ValueError(f"no peak with index {peak_index}; path has {len(xs)} peaks")
     x = xs[peak_index]
-    steps = list(path.steps)
-    steps[x:x] = ["N", "S"]
-    return LatticePath(path.start, "".join(steps))
+    return LatticePath(path.start, path.steps[:x] + "NS" + path.steps[x:])
 
 
 # ---------------------------------------------------------------- construction data
@@ -451,36 +485,41 @@ def forward_construct(data: ConstructionData) -> LatticePath:
     stage uplifts everything standing, inserts its unit peaks at the
     origin, spends the right-move budgets rightmost-token-first, and
     prepends a SE pair when j >= a with j = a mod 2.
+
+    Occurrences of "NS" never overlap, so uplifting every standing peak
+    is ``replace("NS", "NNSS")``; only the moves edit a list of steps.
     """
     k, a = data.gp.k, data.gp.a
-    m = data.n[-1]
-    b = data.east_partition
     start = 2
     # initial SE pair, then each unit peak preceded by enough E steps to
     # displace it 4 * b_i to the right (i counted from the right)
-    steps = ["S", "S"]
+    parts = ["SS"]
     placed = 0
-    for ell in range(1, m + 1):
-        shift = 4 * b[m - ell]
-        steps += ["E"] * (shift - placed) + ["N", "S"]
-        placed = shift
+    for shift in reversed(data.east_partition):
+        parts.append("E" * (4 * shift - placed) + "NS")
+        placed = 4 * shift
+    s = "".join(parts)
+    # apexes of the chosen uplifts, inserted from the right so that none
+    # shifts another
+    ap = _apexes(s)
     for r in sorted(data.uplift_set):
-        ap = _apexes(steps)
         x = ap[len(ap) - r]
-        steps[x:x] = ["N", "S"]
+        s = s[:x] + "NS" + s[x:]
     for j in range(k - 2, 0, -1):
-        for x in reversed(_apexes(steps)):
-            steps[x:x] = ["N", "S"]
         nj = data.n[j - 1]
-        steps[0:0] = ["N", "S"] * nj
-        for idx, budget in enumerate(data.right_moves[j - 1]):
-            x = 2 * (nj - idx) - 1
-            for _ in range(budget):
-                x = _step_right(steps, x)
+        s = "NS" * nj + s.replace("NS", "NNSS")
+        budgets = data.right_moves[j - 1]
+        if any(budgets):
+            steps = list(s)
+            for idx, budget in enumerate(budgets):
+                x = 2 * (nj - idx) - 1
+                for _ in range(budget):
+                    x = _step_right(steps, x)
+            s = "".join(steps)
         if j >= a and (j - a) % 2 == 0:
-            steps[0:0] = ["S", "S"]
+            s = "SS" + s
             start += 2
-    return LatticePath(start, "".join(steps))
+    return LatticePath(start, s)
 
 
 # ---------------------------------------------------------------- reverse map
@@ -522,98 +561,130 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
         The unique ConstructionData mapping onto ``path``.
 
     Raises:
-        ValueError: if the path is not admissible or any stage of the
-            unwinding meets a pattern the construction cannot produce.
+        ValueError: if the path is not admissible, any stage of the
+            unwinding meets a pattern the construction cannot produce,
+            or the recovered data does not rebuild the path.
+
+    One scan of the path's relative heights serves every stage, by this
+    lemma: a forward stage raises the relative height of every standing
+    peak by exactly 1, and its tokens read 1.  So stage j's tokens are
+    the peaks whose relative height in ``path`` is j, and the final
+    stage's relative heights 1 (kept) and 2 (uplifted) are k - 1 and k.
+
+    Proof.  A peak (x, y) reads y - max(cL, cR), cL and cR being the
+    lowest vertices between it and its nearest peaks of height >= y on
+    the left and > y on the right (or the ends).
+
+    * Uplift turns every apex NS into NNSS.  Each apex rises by one and
+      every other vertex keeps its height; each new vertex sits one
+      above an old neighbour of its apex, so no valley changes.  Every
+      peak keeps its dominating peaks, cL and cR, and y rises by 1.
+    * Prepending NS tokens or an SS pair at the start height h adds
+      vertices at h or above before the old start vertex h, so no
+      running minimum changes.  Each token reads 1: the vertex before
+      it is at h.
+    * A right move first transfers along peaks at gap 2, which edits
+      nothing, then makes one of three swaps.  NSE -> ENS (and NS ->
+      ENS at the end) moves a height-1 apex past a vertex at height 0
+      that keeps another beside it.  NSS -> SNS, allowed after a descent
+      only, lowers the apex and its left valley by one; the token still
+      reads 1, and no other peak had it as a dominating peak it loses.
+      NSN -> NNS starts a climb, since the transfer has passed any twin
+      at gap 2: the apex rises to y + 1 and its right valley to y.  If
+      the climb reaches a higher peak the token still reads 1; if it
+      reaches a twin of height y + 1, the token takes the twin's
+      relative height and the twin reads 1.
+
+    So a move keeps the list of relative heights, or swaps the token's
+    1 with the value on its right, and every other peak keeps its order.
+    At reverse stage j, the standing peaks therefore read the relative
+    heights >= j of ``path``, lowered by j - 1, in the same order.  The
+    closing check, that the recovered data rebuilds ``path``, covers the
+    per-stage rescans this replaces.
     """
     gp = _as_params(gp)
     if (gp.k - gp.a) % 2 == 0:
         raise ValueError(f"construction needs k and a of opposite parity, got {gp}")
-    if not is_S_admissible(path, gp):
+    rels = _S_rels(path, gp)
+    if rels is None:
         _fail(f"not S({gp.k},{gp.a})-admissible")
     k, a = gp.k, gp.a
-    steps = list(path.steps)
+    s = path.steps
     start = path.start
-    n: list[int] = [0] * (k - 1)
+    n: list[int] = []
     right_moves: list[Tuple[int, ...]] = []
-
-    def scan() -> Tuple[list[int], Tuple[int, ...]]:
-        """Apexes and relative heights of the path as it stands."""
-        xs = _apexes(steps)
-        return xs, tuple(_relative_heights(_walk(start, steps), xs))
-
     for j in range(1, k - 1):
         if j >= a and (j - a) % 2 == 0:
-            if steps[:2] != ["S", "S"]:
+            if not s.startswith("SS"):
                 _fail(f"stage {j} expected an initial SE pair")
-            del steps[:2]
+            s = s[2:]
             start -= 2
-        # rel-1 peaks are exactly this stage's tokens; un-move leftmost first
-        disp: list[int] = []
-        ell = 0
-        while True:
-            xs, rels = scan()
-            tokens = [x for x, r in zip(xs, rels) if r == 1]
-            if len(tokens) <= ell:
-                break
-            target = 2 * ell + 1
-            if tokens[ell] < target:
-                _fail(f"stage {j} token {ell + 1} sits left of its creation slot")
-            disp.append(_un_move(steps, tokens[ell], target))
-            ell += 1
-        nj = ell
-        n[j - 1] = nj
-        budgets = tuple(reversed(disp))
-        if any(v % 2 for v in budgets) or any(
-            budgets[i] < budgets[i + 1] for i in range(len(budgets) - 1)
-        ):
-            _fail(f"stage {j} recovered budgets {budgets} are not even and nonincreasing")
-        right_moves.append(budgets)
-        if steps[: 2 * nj] != ["N", "S"] * nj:
+        xs = _apexes(s)
+        if len(xs) != len(rels):
+            _fail(f"stage {j} has {len(xs)} standing peaks, expected {len(rels)}")
+        tokens = [x for x, r in zip(xs, rels) if r == j]
+        nj = len(tokens)
+        budgets: Tuple[int, ...] = ()
+        if tokens:
+            # un-move leftmost first; each un-move edits only steps left
+            # of the next token
+            steps = list(s)
+            disp = []
+            for ell, x in enumerate(tokens):
+                if x < 2 * ell + 1:
+                    _fail(f"stage {j} token {ell + 1} sits left of its creation slot")
+                disp.append(_un_move(steps, x, 2 * ell + 1))
+            s = "".join(steps)
+            budgets = tuple(reversed(disp))
+            if any(v % 2 for v in budgets) or any(
+                budgets[i] < budgets[i + 1] for i in range(len(budgets) - 1)
+            ):
+                _fail(f"stage {j} recovered budgets {budgets} are not even and nonincreasing")
+        if not s.startswith("NS" * nj):
             _fail(f"stage {j} tokens did not return to the origin")
-        del steps[: 2 * nj]
-        xs, rels = scan()
-        if any(r < 2 for r in rels):
-            _fail(f"stage {j} left a relative-height-1 peak standing")
-        for x in reversed(xs):
-            del steps[x - 1 : x + 1]
+        s = s[2 * nj :].replace("NS", "")
+        rels = [r for r in rels if r > j]
+        n.append(nj)
+        right_moves.append(budgets)
 
-    # last stage: peaks of relative height 1 (kept) or 2 (uplifted)
-    xs, rels = scan()
-    if any(r not in (1, 2) for r in rels):
-        _fail(f"final stage has relative heights {rels}, expected only 1 and 2")
+    # last stage: peaks of relative height k - 1 (kept) or k (uplifted)
+    xs = _apexes(s)
     m = len(rels)
-    n[k - 2] = m
-    uplift = frozenset(m - i for i, r in enumerate(rels) if r == 2)
-    for x, r in reversed(list(zip(xs, rels))):
-        if r == 2:
-            del steps[x - 1 : x + 1]
-    if start != 2 or steps[:2] != ["S", "S"]:
+    if len(xs) != m:
+        _fail(f"final stage has {len(xs)} standing peaks, expected {m}")
+    n.append(m)
+    uplift = frozenset(m - i for i, r in enumerate(rels) if r == k)
+    for x, r in zip(reversed(xs), reversed(rels)):
+        if r == k:
+            s = s[: x - 1] + s[x + 1 :]
+    if start != 2 or not s.startswith("SS"):
         _fail("expected exactly the initial SE pair before the E blocks")
-    del steps[:2]
+    # E^(c_1) NS ... E^(c_m) NS, with every prefix sum c_1 + ... + c_l
+    # a multiple of 4
+    blocks = s[2:].split("NS", m)
+    if len(blocks) <= m:
+        _fail(f"expected unit peak {len(blocks)} after its E block")
     east: list[int] = []
     prefix = 0
-    for ell in range(1, m + 1):
-        run = 0
-        while steps and steps[0] == "E":
-            del steps[0]
-            run += 1
-        prefix += run
+    for ell, block in enumerate(blocks[:m], 1):
+        if block.strip("E"):
+            _fail(f"expected unit peak {ell} after its E block")
+        prefix += len(block)
         if prefix % 4:
             _fail(f"E block before peak {ell} has prefix {prefix}, not a multiple of 4")
-        if steps[:2] != ["N", "S"]:
-            _fail(f"expected unit peak {ell} after its E block")
-        del steps[:2]
         east.append(prefix // 4)
-    if steps:
-        _fail(f"{len(steps)} unconsumed steps after the last unit peak")
-    east_partition = tuple(reversed(east))
-    return ConstructionData(
+    if blocks[m]:
+        _fail(f"{len(blocks[m])} unconsumed steps after the last unit peak")
+    data = ConstructionData(
         gp=gp,
         n=tuple(n),
-        east_partition=east_partition,
+        east_partition=tuple(reversed(east)),
         uplift_set=uplift,
         right_moves=tuple(right_moves),
     )
+    if forward_construct(data) != path:
+        _fail("the recovered data does not rebuild the path")
+    return data
 
 
 # ---------------------------------------------------------------- serialization

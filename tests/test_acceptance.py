@@ -218,10 +218,11 @@ def test_criterion_06_worked_example_replay():
 
 
 def test_criterion_07_bijection_round_trip():
-    """Every admissible path, major index <= 20, survives reverse-then-forward."""
+    """Every admissible path, major index <= 20, at every opposite-parity
+    (k, a) with k <= 7, survives reverse-then-forward."""
     failures = []
     total = 0
-    for k, a in ((2, 1), (3, 2)):
+    for k, a in ((k, a) for k in range(2, 8) for a in range(1, k + 1) if (k - a) % 2):
         gp = GordonParams(k, a)
         for path in enumerate_S_paths(20, gp):
             total += 1
@@ -231,7 +232,7 @@ def test_criterion_07_bijection_round_trip():
     _criterion(
         7,
         f"construction round trip holds for all {total} admissible paths "
-        "of major index <= 20 at (2, 1) and (3, 2)",
+        "of major index <= 20 at every opposite-parity (k, a) with k <= 7",
         not failures,
         "; ".join(failures),
     )

@@ -70,9 +70,25 @@ class TestLadder:
     ])
     def test_negative_exponent_refused(self, k, order, lin, nlin, level):
         """Every row below the order is validated against every inner
-        row, including rows the outer levels' floors leave empty."""
-        with pytest.raises(ValueError, match=f"^negative exponent in level {level} at N = 1$"):
+        row, including rows the outer levels' floors leave empty.  A
+        negative nlin is refused before any row is built."""
+        if min(nlin) < 0:
+            message = r"^nlin entries must be >= 0, got \[-3, 0\]$"
+        else:
+            message = f"^negative exponent in level {level} at N = 1$"
+        with pytest.raises(ValueError, match=message):
             ladder_multisum(k, order, lin=lin, nlin=nlin, level_denom=Q, innermost=Q2)
+
+    def test_negative_nlin_refused(self):
+        """A negative nlin puts terms below the order in rows whose
+        n^2 + lin * n reaches it, which the ladder drops: sum q^(n^2) /
+        (q; q)_n written with lin = [2], nlin = [-2] has 5 at q^9, and
+        a ladder that stopped at those rows read 4.  It is refused."""
+        args = dict(lin=[2], nlin=[-2], level_denom=Q, innermost=Q)
+        assert _direct_ladder(2, 10, **args).coefficient(9) == 5
+        assert eval_multisum_AG((2, 2), 10).coefficient(9) == 5
+        with pytest.raises(ValueError, match="nlin entries must be >= 0"):
+            ladder_multisum(2, 10, **args)
 
     def test_small_order_with_lin_minus_one(self):
         s = ladder_multisum(4, 3, lin=[-1, -1, -1], nlin=[0, 0, 0], level_denom=Q, innermost=Q2)

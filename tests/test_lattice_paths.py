@@ -13,6 +13,7 @@ from qgordon.lattice_paths import (
     _SPATH_CACHE,
     ConstructionData,
     _S_counts,
+    _un_move,
     LatticePath,
     count_S,
     enumerate_S_paths,
@@ -28,6 +29,7 @@ from qgordon.lattice_paths import (
     volcanic_uplift,
 )
 from qgordon.partitions import GordonParams
+from qgordon.qseries import PochSpec, invert_poch, poch_finite
 
 # The worked construction example used throughout: (k, a) = (5, 2).
 EXAMPLE_DATA = ConstructionData(
@@ -437,6 +439,208 @@ class TestConstruction:
             reverse_deconstruct(LatticePath(1, "S"), (3, 2))
         with pytest.raises(ValueError, match="opposite parity"):
             reverse_deconstruct(LatticePath(2, "SS"), (3, 1))
+
+
+# Every opposite-parity (k, a) with k <= 7 to major index 20, and k = 8
+# to 17: 4,272 paths.
+ROUND_TRIP_BOUNDS = tuple(
+    ((k, a), 20 if k <= 7 else 17) for k in range(2, 9) for a in range(1, k + 1) if (k - a) % 2
+)
+
+
+def _rescanning_reverse(path, gp, stages=None) -> ConstructionData:
+    """The reverse map written stage by stage from its definition: the
+    tokens of each stage are the peaks of relative height 1, rescanned
+    from the whole path after every token is un-moved.  ``stages``, if
+    given, collects (j, path) at the start of each stage j after its SE
+    pair is removed, and (k - 1, path) for the final stage."""
+    k, a = gp
+    assert is_S_admissible(path, gp)
+    steps = list(path.steps)
+    start = path.start
+
+    def scan():
+        p = LatticePath(start, "".join(steps))
+        return [x for x, _ in p.peaks()], p.relative_heights()
+
+    n = []
+    right_moves = []
+    for j in range(1, k - 1):
+        if j >= a and (j - a) % 2 == 0:
+            assert steps[:2] == ["S", "S"]
+            del steps[:2]
+            start -= 2
+        if stages is not None:
+            stages.append((j, LatticePath(start, "".join(steps))))
+        disp = []
+        while True:
+            xs, rels = scan()
+            tokens = [x for x, r in zip(xs, rels) if r == 1]
+            if len(tokens) <= len(disp):
+                break
+            ell = len(disp)
+            disp.append(_un_move(steps, tokens[ell], 2 * ell + 1))
+        n.append(len(disp))
+        right_moves.append(tuple(reversed(disp)))
+        assert steps[: 2 * len(disp)] == ["N", "S"] * len(disp)
+        del steps[: 2 * len(disp)]
+        xs, rels = scan()
+        assert min(rels, default=2) >= 2
+        for x in reversed(xs):
+            del steps[x - 1 : x + 1]
+    if stages is not None:
+        stages.append((k - 1, LatticePath(start, "".join(steps))))
+    xs, rels = scan()
+    assert set(rels) <= {1, 2}
+    m = len(rels)
+    n.append(m)
+    for x, r in reversed(list(zip(xs, rels))):
+        if r == 2:
+            del steps[x - 1 : x + 1]
+    assert start == 2 and steps[:2] == ["S", "S"]
+    east = []
+    prefix = 0
+    for block in "".join(steps[2:]).split("NS")[:m]:
+        prefix += len(block)
+        east.append(prefix // 4)
+    return ConstructionData(
+        gp=GordonParams(k, a),
+        n=tuple(n),
+        east_partition=tuple(reversed(east)),
+        uplift_set=frozenset(m - i for i, r in enumerate(rels) if r == 2),
+        right_moves=tuple(right_moves),
+    )
+
+
+class TestOneScanReverse:
+    """The reverse map reads every stage's tokens off one scan of the
+    path's relative heights; these pin it to the rescanning definition."""
+
+    def test_matches_rescanning_reverse(self):
+        total = 0
+        for gp, bound in ROUND_TRIP_BOUNDS:
+            for p in enumerate_S_paths(bound, gp):
+                assert reverse_deconstruct(p, gp) == _rescanning_reverse(p, gp), (gp, p)
+                total += 1
+        assert total == 4272
+
+    def test_stage_heights_are_the_original_ones_lowered(self):
+        """At reverse stage j the standing peaks read the path's relative
+        heights >= j, lowered by j - 1, in their original order."""
+        for gp, bound in ROUND_TRIP_BOUNDS:
+            for p in enumerate_S_paths(bound, gp):
+                rels = p.relative_heights()
+                stages = []
+                _rescanning_reverse(p, gp, stages)
+                for j, q in stages:
+                    assert q.relative_heights() == tuple(r - j + 1 for r in rels if r >= j), (p, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_paths())
+    def test_removing_every_apex_is_one_replace(self, p):
+        """Occurrences of NS never overlap, so deleting each apex's NS is
+        ``replace("NS", "")``, and uplifting every apex is
+        ``replace("NS", "NNSS")``."""
+        steps = list(p.steps)
+        uplifted = list(p.steps)
+        for x, _ in reversed(p.peaks()):
+            del steps[x - 1 : x + 1]
+            uplifted[x:x] = ["N", "S"]
+        assert p.steps.replace("NS", "") == "".join(steps)
+        assert p.steps.replace("NS", "NNSS") == "".join(uplifted)
+
+    def test_non_admissible_paths_raise(self):
+        """A path outside S(k, a) raises ValueError, including an S(k', a')
+        path read at another opposite-parity pair."""
+        refused = 0
+        for gp, bound in ROUND_TRIP_BOUNDS[:6]:
+            for p in enumerate_S_paths(12, gp):
+                for other, _ in ROUND_TRIP_BOUNDS:
+                    if not is_S_admissible(p, other):
+                        with pytest.raises(ValueError, match="not S.*-admissible"):
+                            reverse_deconstruct(p, other)
+                        refused += 1
+        assert refused > 1000
+        # S(3, 2) starts at 2: above height 3, a peak weight of the wrong
+        # parity, 2 E steps before a peak of relative height 2, not terminal
+        for steps in ("NNSSSS", "SSENS", "SSEENNSS", "SSNNS"):
+            with pytest.raises(ValueError, match="admissible"):
+                reverse_deconstruct(LatticePath(2, steps), (3, 2))
+        assert reverse_deconstruct(LatticePath(2, "SSEEEENNSS"), (3, 2)).east_partition == (1,)
+
+
+def _peak_profile(rels, k: int, wrong: bool = False) -> tuple:
+    """(n_1, ..., n_(k-1)): peaks of relative height j for j < k - 1, and
+    of relative height k - 1 or k in n_(k-1).  ``wrong`` counts height k
+    in n_(k-2) instead."""
+    n = [sum(r == j for r in rels) for j in range(1, k)]
+    top = sum(r == k for r in rels)
+    if wrong and k >= 3:
+        n[k - 3] += top
+    else:
+        n[k - 2] += top
+    return tuple(n)
+
+
+def _profile_terms(k: int, a: int, order: int) -> dict:
+    """Each gap vector (n_1, ..., n_(k-1)) -> its ladder term below q^order,
+    q^(sum N_j^2 + 2 sum_(j >= a, j = a mod 2) N_j) (-q; q^2)_(n_(k-1))
+    / ((q^4; q^4)_(n_(k-1)) prod_(j < k-1) (q^2; q^2)_(n_j)), built with
+    the public Pochhammer builders as ConstructionData.weight spells it."""
+    terms = {}
+
+    def rec(ns):
+        if len(ns) == k - 1:
+            big = [sum(ns[j:]) for j in range(k - 1)]
+            e = sum(v * v for v in big) + sum(2 * big[j - 1] for j in range(a, k, 2))
+            if e < order:
+                w = order - e
+                m = ns[-1]
+                term = poch_finite(PochSpec(-1, 1, 2), m, w) * invert_poch(PochSpec(1, 4, 4), w, n=m)
+                for nj in ns[:-1]:
+                    term = term * invert_poch(PochSpec(1, 2, 2), w, n=nj)
+                terms[tuple(ns)] = term.shift(e)
+            return
+        for v in range(order):
+            # N_1 >= v, so the term's exponent is at least v^2
+            if v * v >= order:
+                break
+            rec(ns + [v])
+
+    rec([])
+    return terms
+
+
+def _profile_mismatches(k: int, a: int, order: int, wrong: bool = False) -> list:
+    """(profile, major index, tally, coefficient) wherever the searched
+    paths of one peak profile disagree with that profile's ladder term."""
+    tally: dict = {}
+    for p in enumerate_S_paths(order - 1, (k, a)):
+        row = tally.setdefault(_peak_profile(p.relative_heights(), k, wrong), [0] * order)
+        row[p.major_index] += 1
+    terms = _profile_terms(k, a, order)
+    bad = [prof for prof in tally if prof not in terms]
+    for prof, term in terms.items():
+        row = tally.get(prof, [0] * order)
+        bad += [(prof, n, row[n], term.coefficient(n)) for n in range(order) if row[n] != term.coefficient(n)]
+    return bad
+
+
+class TestPeakProfile:
+    """The bijection's statistic: the paths with peak profile (n_1, ...,
+    n_(k-1)) have the major-index generating function of the ladder term
+    with those gaps."""
+
+    @pytest.mark.parametrize("k, a", [gp for gp, _ in ROUND_TRIP_BOUNDS if gp[0] <= 7])
+    def test_each_profile_matches_its_ladder_term(self, k, a):
+        assert _profile_mismatches(k, a, 21) == []
+
+    def test_a_wrong_statistic_fails(self):
+        """Counting relative height k in n_(k-2) breaks the comparison at
+        every opposite-parity (k, a) with 3 <= k <= 7."""
+        for (k, a), _ in ROUND_TRIP_BOUNDS:
+            if 3 <= k <= 7:
+                assert _profile_mismatches(k, a, 21, wrong=True), (k, a)
 
 
 @st.composite
