@@ -248,7 +248,7 @@ def build_chain(gp, n_max: int, order) -> Tuple[Tuple[str, BaileyPair], ...]:
     k, a = gp.k, gp.a
     if (k - a) % 2 == 0:
         raise ValueError(f"the chain needs k and a of opposite parity, got {gp}")
-    trace = [("unit", unit_pair(n_max, Fraction(order, 2)))]
+    trace = [("unit", unit_pair(n_max, _order(order) / 2))]
     trace.append(("D1", apply_D1(trace[-1][1])))
     for i in range(1, (k - a - 1) // 2 + 1):
         trace.append(("S2", apply_S2(trace[-1][1])))

@@ -5,31 +5,11 @@ N_1 >= N_2 >= ... >= N_{k-1} >= 0 with an infinite product.  The sums
 share one shape: the squares N_i^2, optional linear terms in
 the N_i and in the gaps n_i = N_i - N_{i+1}, finite Pochhammer
 denominators per level, and an optional numerator factor on the
-innermost index.  :func:`ladder_multisum` evaluates that shape once;
-the ``eval_multisum_*`` wrappers pin down the parameters for each
-theorem tag, and :func:`verify` compares a sum against its product to
-a requested order and reports the first discrepancy if any.
-
-The table :data:`THEOREMS` is the one place that says, for each tag,
-which (k, a) it applies to, which two sides it compares, and its name
-on the command line; validation, :func:`verify`,
-:func:`eval_product_side` and the CLI all read it.  Theorem tags, in
-table order:
-
-* ``AG``: parts not congruent to 0, +-a mod 2k+1 (classic multisum).
-* ``W_same`` / ``W_diff``: even parts appear an even number of times;
-  the tag records whether k and a share parity (the product side
-  differs, and for opposite parity it is a sum of two products).
-* ``Wbar_odd_even`` / ``Wbar_even_odd``: odd parts appear an even
-  number of times, for k odd with a even and k even with a odd.
-* ``Main``: the parity-restricted sum with (-q; q^2)_n numerator and
-  (q^4; q^4)_n innermost denominator.
-* ``Paths``: major-index generating function of the path family
-  S(k, a) against the Main sum.
+innermost index.  :func:`ladder_multisum` evaluates that shape once.
 
 Every product side is a theta series times an eta quotient.  Write
 E_b = (q^b; q^b)_inf and theta(m, r) = sum_j (-1)^j q^(m j(j-1)/2 + r j).
-Three classical identities give the rows:
+Three classical identities turn the paper's products into that form:
 
 * Jacobi's triple product: (q^r, q^(m-r), q^m; q^m)_inf = theta(m, r),
   a series with O(sqrt(N)) terms below q^N;
@@ -38,20 +18,19 @@ Three classical identities give the rows:
 * (-q; q)_inf = E2 / E1, hence (-q^2; q^2)_inf = E4 / E2,
   (-q; q^2)_inf = E2^2 / (E1 E4) and (-q^3; q^2)_inf = (-q; q^2)_inf / (1 + q).
 
-So, with m = 2k + 1 for AG and m = 2k + 2 otherwise:
+:func:`eval_product_side` lays the theta series out term by term, and
+the kernels :func:`qgordon.qseries._mul_eta` and
+:func:`qgordon.qseries._div_eta` multiply and divide it by each E_b in
+O(N^1.5).  The factor-by-factor builders
+(:func:`qgordon.qseries.triple_product`, ``poch_infinite``,
+``invert_poch``) are the reference the tests hold the products to.
 
-* ``AG``: theta(m, a) / E1;
-* ``Main``, ``W_same`` and ``Paths``: theta(m, a) E2 / (E1 E4);
-* ``Wbar_odd_even``: theta(m, a) E4 / E2^2, and ``Wbar_even_odd`` the
-  same with theta(m, a + 1);
-* ``W_diff``: (theta(m, a + 1) + q theta(m, a - 1)) E2 / (E1 E4 (1 + q)),
-  without the second theta series at a = 1.
-
-The theta series is laid out term by term, and the kernels
-:func:`qgordon.qseries._mul_eta` and :func:`qgordon.qseries._div_eta`
-multiply and divide it by each E_b in O(N^1.5).  The factor-by-factor
-builders (:func:`qgordon.qseries.triple_product`, ``poch_infinite``,
-``invert_poch``) are the reference the tests hold these rows to.
+The table :data:`THEOREMS` is the one place that says, for each tag,
+which (k, a) it applies to, both sides as data (a :class:`Ladder` and a
+:class:`Product`), what :func:`verify` compares, and the tag's name on
+the command line.  The ``eval_multisum_*`` functions read its ladders,
+:func:`eval_product_side` its products, and validation, :func:`verify`
+and the CLI its regimes.
 """
 
 from __future__ import annotations
@@ -60,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice_paths import _S_counts
 from .partitions import GordonParams, _as_params
@@ -218,122 +197,121 @@ def ladder_multisum(
     return Series._unchecked(total, _order(order), 1)
 
 
+# ---------------------------------------------------------------- the sides as data
+
+
+class Ladder(NamedTuple):
+    """A sum side: the keyword arguments of :func:`ladder_multisum`."""
+
+    lin: list
+    nlin: list
+    level_denom: PochSpec
+    innermost: PochSpec
+    numer: Optional[PochSpec] = None
+
+
+class Product(NamedTuple):
+    """A product side: the sum of q^s theta(m, r) over the pairs (s, r)
+    in ``thetas``, divided by 1 + q^e for each e in ``divisors``, times
+    E_b for each b in ``times`` and over E_b for each b in ``over``."""
+
+    m: int
+    thetas: Tuple[Tuple[int, int], ...]
+    divisors: Tuple[int, ...]
+    times: Tuple[int, ...]
+    over: Tuple[int, ...]
+
+
+def _ag_ladder(k: int, a: int) -> Ladder:
+    """Linear terms N_a + ... + N_{k-1}, all denominators (q; q)."""
+    return Ladder([1 if i >= a else 0 for i in range(1, k)], [0] * (k - 1), _Q, _Q)
+
+
+def _w_ladder(k: int, a: int) -> Ladder:
+    """Linear terms 2 N_i on i = a, a+2, ..., all denominators (q^2; q^2)."""
+    lin = [2 if i >= a and (i - a) % 2 == 0 else 0 for i in range(1, k)]
+    return Ladder(lin, [0] * (k - 1), _Q2, _Q2)
+
+
+def _wbar_ladder(k: int, a: int) -> Ladder:
+    """Linear terms N_i for i >= a - 1 + (a mod 2) and n_i for odd
+    i < a - 1, all denominators (q^2; q^2)."""
+    lin = [1 if i >= a - 1 + a % 2 else 0 for i in range(1, k)]
+    nlin = [1 if i % 2 == 1 and i < a - 1 else 0 for i in range(1, k)]
+    return Ladder(lin, nlin, _Q2, _Q2)
+
+
+def _main_ladder(k: int, a: int) -> Ladder:
+    """The W ladder with (q^4; q^4) innermost and a (-q; q^2) numerator."""
+    return _w_ladder(k, a)._replace(innermost=_Q4, numer=_NEG_Q_ODD)
+
+
+def _main_product(k: int, a: int) -> Product:
+    """theta(m, a) E2 / (E1 E4), m = 2k + 2: the Main product, and the
+    W_same one in the other regime."""
+    return Product(2 * k + 2, ((0, a),), (), (2,), (1, 4))
+
+
 # ---------------------------------------------------------------- sum sides
 
 
+def _read_ladder(tag: str, gp: GordonParams, order) -> Series:
+    return ladder_multisum(gp.k, order, **THEOREMS[tag].ladder(gp.k, gp.a)._asdict())
+
+
 def eval_multisum_AG(gp, order) -> Series:
-    """Sum side of the classic multisum: quadratic N_i^2, linear tail
-    N_a + ... + N_{k-1}, all denominators (q; q)."""
-    gp = _as_params(gp)
-    k, a = gp.k, gp.a
-    lin = [1 if i >= a else 0 for i in range(1, k)]
-    return ladder_multisum(k, order, lin=lin, nlin=[0] * (k - 1), level_denom=_Q, innermost=_Q)
-
-
-def _every_other_lin(k: int, a: int) -> list:
-    """The linear terms 2 N_i on i = a, a+2, ... of the W and Main sums."""
-    return [2 if i >= a and (i - a) % 2 == 0 else 0 for i in range(1, k)]
+    """Sum side of the classic multisum (the ``AG`` row)."""
+    return _read_ladder("AG", _as_params(gp), order)
 
 
 def eval_multisum_W(gp, order) -> Series:
-    """Sum side for the even-parts-even-multiplicity family: linear
-    terms 2 N_i on i = a, a+2, ..., all denominators (q^2; q^2)."""
-    gp = _as_params(gp)
-    k = gp.k
-    return ladder_multisum(
-        k, order, lin=_every_other_lin(k, gp.a), nlin=[0] * (k - 1), level_denom=_Q2, innermost=_Q2
-    )
+    """Sum side of the even-parts-even-multiplicity family; both W rows
+    share this ladder."""
+    return _read_ladder("W_same", _as_params(gp), order)
 
 
 def eval_multisum_Wbar(gp, order) -> Series:
-    """Sum side for the odd-parts-even-multiplicity family.
-
-    The linear terms depend on the parity regime: for k odd and a even
-    every N_i with i >= a - 1 appears; for k even and a odd every N_i
-    with i >= a appears and odd-indexed gaps n_i with i <= a - 2 get a
-    linear term as well.
-    """
+    """Sum side of the odd-parts-even-multiplicity family; both Wbar
+    rows share this ladder, for k and a of opposite parity."""
     gp = _as_params(gp)
-    k, a = gp.k, gp.a
-    if k % 2 == 1 and a % 2 == 0:
-        lin = [1 if i >= a - 1 else 0 for i in range(1, k)]
-        nlin = [1 if i % 2 == 1 and i <= a - 3 else 0 for i in range(1, k)]
-    elif k % 2 == 0 and a % 2 == 1:
-        lin = [1 if i >= a else 0 for i in range(1, k)]
-        nlin = [1 if i % 2 == 1 and i <= a - 2 else 0 for i in range(1, k)]
-    else:
+    if not _opposite_parity(gp.k, gp.a):
         raise ValueError(f"this family needs k, a of opposite parity with a even iff k odd, got {gp}")
-    return ladder_multisum(k, order, lin=lin, nlin=nlin, level_denom=_Q2, innermost=_Q2)
+    return _read_ladder("Wbar_odd_even", gp, order)
 
 
 def eval_multisum_main(gp, order) -> Series:
-    """Sum side of the parity-restricted theorem: (q^2; q^2) levels,
-    (q^4; q^4) innermost, (-q; q^2) numerator."""
+    """Sum side of the parity-restricted theorem (the ``Main`` row)."""
     gp = _as_params(gp)
-    k, a = gp.k, gp.a
-    if (k - a) % 2 == 0:
+    if not _opposite_parity(gp.k, gp.a):
         raise ValueError(f"this sum needs k and a of opposite parity, got {gp}")
-    return ladder_multisum(
-        k, order, lin=_every_other_lin(k, a), nlin=[0] * (k - 1), level_denom=_Q2, innermost=_Q4,
-        numer=_NEG_Q_ODD,
-    )
+    return _read_ladder("Main", gp, order)
 
 
 # ---------------------------------------------------------------- product sides
 
 
-def _theta(m: int, r: int, length: int) -> list:
-    """The coefficients of theta(m, r) below q^length."""
-    cs = [0] * length
-    for e, c in _theta_walk(r, m, length):
-        cs[e] += c
-    return cs
-
-
-def _eta_quotient(cs: list, times: Sequence[int], over: Sequence[int]) -> Series:
-    """The coefficient list ``cs`` times E_b for b in ``times`` over E_b
-    for b in ``over`` (computed in place), as a series to len(cs)."""
-    for b in times:
-        _mul_eta(cs, b)
-    for b in over:
-        _div_eta(cs, b)
-    return Series._unchecked(cs, Fraction(len(cs)), 1)
-
-
-def _w_diff_product(k: int, a: int, order: int) -> Series:
-    """The two-product right-hand side of ``W_diff``, m = 2k + 2:
-    (theta(m, a+1) + q theta(m, a-1)) E2 / (E1 E4 (1 + q)).  At a = 1
-    the second theta series vanishes (its triple product has the factor
-    (1; q^m)_inf = 0) and is skipped."""
-    m = 2 * k + 2
-    cs = _theta(m, a + 1, order)
-    if a > 1:
-        for e, c in _theta_walk(a - 1, m, order - 1):
-            cs[e + 1] += c
-    _div_factor(cs, -1, 1)
-    return _eta_quotient(cs, (2,), (1, 4))
-
-
 def eval_product_side(theorem: str, gp, order: int) -> Series:
-    """Product side for a theorem tag, as a series to ``order``.
-
-    For ``W_diff`` the right-hand side is a sum of two products (the
-    second vanishes identically when a = 1).  ``Paths`` shares the
-    ``Main`` product.
+    """Product side for a theorem tag, as a series to ``order``: the
+    row's :class:`Product`, one theta term at a time, then divided by
+    each 1 + q^e and multiplied and divided by each E_b in place.
 
     Raises:
         ValueError: for an unknown tag, an order that is not a positive
             int, or a (k, a) outside the tag's regime.
     """
-    thm = THEOREMS.get(theorem)
-    if thm is None:
-        raise ValueError(f"unknown theorem tag {theorem!r}; pick from {tuple(THEOREMS)}")
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be a positive int, got {order!r}")
-    gp = _as_params(gp)
-    if not thm.applies(gp.k, gp.a):
-        raise ValueError(f"theorem {theorem} does not apply to (k, a) = ({gp.k}, {gp.a})")
-    return thm.product(gp.k, gp.a, order)
+    thm, gp = _checked(theorem, gp, order)
+    p = thm.product(gp.k, gp.a)
+    cs = [0] * order
+    for s, r in p.thetas:
+        for e, c in _theta_walk(r, p.m, order - s):
+            cs[e + s] += c
+    for e in p.divisors:
+        _div_factor(cs, -1, e)
+    for b in p.times:
+        _mul_eta(cs, b)
+    for b in p.over:
+        _div_eta(cs, b)
+    return Series._unchecked(cs, Fraction(order), 1)
 
 
 # ---------------------------------------------------------------- theorem table
@@ -342,17 +320,20 @@ def eval_product_side(theorem: str, gp, order: int) -> Series:
 class Theorem(NamedTuple):
     """One row of :data:`THEOREMS`.
 
-    :func:`verify` compares ``sum_side(gp, order)`` with
-    ``product_side(gp, order)``; :func:`eval_product_side` evaluates
-    ``product(k, a, order)``.  The sides look the evaluators up on this
-    module at call time, so wrappers installed there see every call.
+    ``ladder(k, a)`` and ``product(k, a)`` are the identity's two sides
+    as data; the ``eval_multisum_*`` functions and
+    :func:`eval_product_side` evaluate them.  :func:`verify` compares
+    ``sum_side(gp, order)`` with ``product_side(gp, order)``, which
+    reach those evaluators through this module's names at call time,
+    so wrappers installed there see every call.
     """
 
     family: str  # the command line's --theorem name
     applies: Callable[[int, int], bool]  # the (k, a) regime
+    ladder: Callable[[int, int], Ladder]
+    product: Callable[[int, int], Product]
     sum_side: Callable[[GordonParams, int], Series]
     product_side: Callable[[GordonParams, int], Series]
-    product: Callable[[int, int, int], Series]
 
 
 def _product_side(tag: str):
@@ -367,38 +348,50 @@ def _opposite_parity(k: int, a: int) -> bool:
     return (k - a) % 2 == 1
 
 
-def _main_product(k: int, a: int, order: int) -> Series:
-    """The Main product; W_same has the same one, in the other regime."""
-    return _eta_quotient(_theta(2 * k + 2, a, order), (2,), (1, 4))
-
-
 #: Every theorem tag, in the order the command line lists and sweeps them.
 THEOREMS = MappingProxyType({
     "AG": Theorem(
-        "ag", lambda k, a: True, lambda gp, n: eval_multisum_AG(gp, n), _product_side("AG"),
-        lambda k, a, n: _eta_quotient(_theta(2 * k + 1, a, n), (), (1,))),
+        "ag", lambda k, a: True, _ag_ladder, lambda k, a: Product(2 * k + 1, ((0, a),), (), (), (1,)),
+        lambda gp, n: eval_multisum_AG(gp, n), _product_side("AG")),
     "W_same": Theorem(
-        "w", lambda k, a: (k - a) % 2 == 0, lambda gp, n: eval_multisum_W(gp, n),
-        _product_side("W_same"), _main_product),
+        "w", lambda k, a: (k - a) % 2 == 0, _w_ladder, _main_product,
+        lambda gp, n: eval_multisum_W(gp, n), _product_side("W_same")),
+    # (theta(m, a + 1) + q theta(m, a - 1)) E2 / (E1 E4 (1 + q)); at a = 1
+    # theta(m, 0) vanishes, its terms for r and 1 - r cancelling
     "W_diff": Theorem(
-        "w", _opposite_parity, lambda gp, n: eval_multisum_W(gp, n),
-        _product_side("W_diff"), _w_diff_product),
+        "w", _opposite_parity, _w_ladder,
+        lambda k, a: Product(2 * k + 2, ((0, a + 1), (1, a - 1)), (1,), (2,), (1, 4)),
+        lambda gp, n: eval_multisum_W(gp, n), _product_side("W_diff")),
     "Wbar_odd_even": Theorem(
-        "wbar", lambda k, a: k % 2 == 1 and a % 2 == 0, lambda gp, n: eval_multisum_Wbar(gp, n),
-        _product_side("Wbar_odd_even"),
-        lambda k, a, n: _eta_quotient(_theta(2 * k + 2, a, n), (4,), (2, 2))),
+        "wbar", lambda k, a: k % 2 == 1 and a % 2 == 0, _wbar_ladder,
+        lambda k, a: Product(2 * k + 2, ((0, a),), (), (4,), (2, 2)),
+        lambda gp, n: eval_multisum_Wbar(gp, n), _product_side("Wbar_odd_even")),
     "Wbar_even_odd": Theorem(
-        "wbar", lambda k, a: k % 2 == 0 and a % 2 == 1, lambda gp, n: eval_multisum_Wbar(gp, n),
-        _product_side("Wbar_even_odd"),
-        lambda k, a, n: _eta_quotient(_theta(2 * k + 2, a + 1, n), (4,), (2, 2))),
+        "wbar", lambda k, a: k % 2 == 0 and a % 2 == 1, _wbar_ladder,
+        lambda k, a: Product(2 * k + 2, ((0, a + 1),), (), (4,), (2, 2)),
+        lambda gp, n: eval_multisum_Wbar(gp, n), _product_side("Wbar_even_odd")),
     "Main": Theorem(
-        "main", _opposite_parity, lambda gp, n: eval_multisum_main(gp, n),
-        _product_side("Main"), _main_product),
+        "main", _opposite_parity, _main_ladder, _main_product,
+        lambda gp, n: eval_multisum_main(gp, n), _product_side("Main")),
     # exhaustive path counts against the Main sum
     "Paths": Theorem(
-        "paths", _opposite_parity, _path_counts, lambda gp, n: eval_multisum_main(gp, n),
-        _main_product),
+        "paths", _opposite_parity, _main_ladder, _main_product,
+        _path_counts, lambda gp, n: eval_multisum_main(gp, n)),
 })
+
+
+def _checked(theorem: str, gp, order) -> Tuple[Theorem, GordonParams]:
+    """The row of ``theorem`` and ``gp`` as GordonParams, once the tag,
+    the order and the (k, a) regime have been checked."""
+    thm = THEOREMS.get(theorem)
+    if thm is None:
+        raise ValueError(f"unknown theorem tag {theorem!r}; pick from {tuple(THEOREMS)}")
+    if not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be a positive int, got {order!r}")
+    gp = _as_params(gp)
+    if not thm.applies(gp.k, gp.a):
+        raise ValueError(f"theorem {theorem} does not apply to (k, a) = ({gp.k}, {gp.a})")
+    return thm, gp
 
 
 # ---------------------------------------------------------------- verification
@@ -413,17 +406,10 @@ class IdentitySpec:
     order: int
 
     def __post_init__(self):
-        if self.theorem not in THEOREMS:
-            raise ValueError(f"unknown theorem tag {self.theorem!r}; pick from {tuple(THEOREMS)}")
-        gp = _as_params(self.gp)
+        _, gp = _checked(self.theorem, self.gp, self.order)
+        if gp.k < 2:
+            raise ValueError(f"identities start at k = 2, got k = {gp.k}")
         object.__setattr__(self, "gp", gp)
-        k, a = gp.k, gp.a
-        if k < 2:
-            raise ValueError(f"identities start at k = 2, got k = {k}")
-        if not isinstance(self.order, int) or self.order < 1:
-            raise ValueError(f"order must be a positive int, got {self.order!r}")
-        if not THEOREMS[self.theorem].applies(k, a):
-            raise ValueError(f"theorem {self.theorem} does not apply to (k, a) = ({k}, {a})")
 
 
 @dataclass(frozen=True)

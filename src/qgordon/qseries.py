@@ -379,11 +379,19 @@ class Series:
 
     @classmethod
     def from_wire(cls, d: dict) -> "Series":
+        """The series :meth:`to_wire` wrote.  Each slot must be an int
+        below the slot count, given once; anything else raises ValueError."""
         order = Fraction(int(d["order_num"]), int(d["order_den"]))
         denom = int(d["denom"])
         cs = [0] * _slots(order, denom)
+        seen = set()
         for s, c in d["coeffs"]:
-            cs[int(s)] = int(c)
+            if type(s) is not int or not 0 <= s < len(cs):
+                raise ValueError(f"coefficient slot {s!r} is not an int in 0..{len(cs) - 1}")
+            if s in seen:
+                raise ValueError(f"coefficient slot {s} is given twice")
+            seen.add(s)
+            cs[s] = int(c)
         return cls(cs, order, denom)
 
     def to_json(self) -> str:

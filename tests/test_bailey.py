@@ -149,6 +149,13 @@ class TestChain:
         with pytest.raises(ValueError, match="opposite parity"):
             build_chain((3, 1), 4, 20)
 
+    @pytest.mark.parametrize("order", [0, -3, Fraction(-1, 2)])
+    def test_nonpositive_order_refused(self, order):
+        """The order the caller passed is named, not the unit pair's half
+        of it."""
+        with pytest.raises(ValueError, match=f"^truncation order must be positive, got {order}$"):
+            build_chain((3, 2), 4, order)
+
     @pytest.mark.parametrize("n", [-1, -3, 1.0, 2.5, "1", None])
     def test_closed_form_alpha_needs_a_nonnegative_int_index(self, n):
         """A negative n is refused, not read as alpha_|n|."""

@@ -259,6 +259,14 @@ class TestBaileyChainCommand:
         assert sum(line.startswith("  alpha_") for line in lines) == 3 * 3
         assert lines[-1] == "endpoint alpha matches closed form for n <= 3: yes"
 
+    def test_nonpositive_order_exits_two(self, capsys):
+        """The error names the order as typed, not half of it."""
+        code = run(["bailey-chain", "--k", "3", "--a", "2", "--order", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: truncation order must be positive, got -3\n"
+
     def test_json_shape(self, capsys):
         code = run(["bailey-chain", "--k", "3", "--a", "2", "--nmax", "3",
                     "--order", "16", "--json"])

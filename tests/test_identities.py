@@ -190,6 +190,62 @@ class TestSumsAgainstCounting:
             eval_multisum_Wbar((3, 1), 10)
 
 
+def _paper_ladder(tag: str, k: int, a: int) -> dict:
+    """Each tag's sum side (k, a) as the paper writes it, as the
+    arguments of ``ladder_multisum``: the exponent
+    sum N_i^2 + (linear terms in the N_i and the gaps n_i) over the
+    levels i = 1..k-1, and the Pochhammer symbols around it."""
+    levels = range(1, k)
+
+    def on(indices):
+        return [1 if i in indices else 0 for i in levels]
+
+    if tag == "AG":
+        # q^(N_1^2 + ... + N_(k-1)^2 + N_a + ... + N_(k-1)) / ((q)_(n_1) ... (q)_(n_(k-1)))
+        return dict(lin=on(range(a, k)), nlin=on(()), level_denom=Q, innermost=Q)
+    every_other = [2 * c for c in on(range(a, k, 2))]  # 2 N_a + 2 N_(a+2) + ...
+    if tag in ("W_same", "W_diff"):
+        return dict(lin=every_other, nlin=on(()), level_denom=Q2, innermost=Q2)
+    if tag in ("Main", "Paths"):
+        # (-q; q^2)_(N_(k-1)) / ((q^2; q^2)_(n_1) ... (q^2; q^2)_(n_(k-2)) (q^4; q^4)_(N_(k-1)))
+        return dict(lin=every_other, nlin=on(()), level_denom=Q2, innermost=Q4, numer=NEG_Q_ODD)
+    if tag == "Wbar_odd_even":
+        # N_(a-1) + ... + N_(k-1) + n_1 + n_3 + ... + n_(a-3)
+        return dict(lin=on(range(a - 1, k)), nlin=on(range(1, a - 2, 2)), level_denom=Q2, innermost=Q2)
+    assert tag == "Wbar_even_odd"
+    # N_a + ... + N_(k-1) + n_1 + n_3 + ... + n_(a-2)
+    return dict(lin=on(range(a, k)), nlin=on(range(1, a - 1, 2)), level_denom=Q2, innermost=Q2)
+
+
+# the evaluator each tag's sum side is reached through
+SUM_SIDES = {
+    "AG": eval_multisum_AG,
+    "W_same": eval_multisum_W,
+    "W_diff": eval_multisum_W,
+    "Wbar_odd_even": eval_multisum_Wbar,
+    "Wbar_even_odd": eval_multisum_Wbar,
+    "Main": eval_multisum_main,
+    "Paths": eval_multisum_main,
+}
+
+
+class TestLaddersAgainstThePaper:
+    def test_every_row_equals_the_paper_ladder(self):
+        """Each sum side, and each row's ladder read directly, equals the
+        paper's ladder restated above for every (k, a) with k <= 8 in the
+        tag's regime, at order 80."""
+        n = 80
+        for tag, applies in REGIMES.items():
+            for k in range(1, 9):
+                for a in range(1, k + 1):
+                    if applies(k, a):
+                        want = ladder_multisum(k, n, **_paper_ladder(tag, k, a))
+                        row = ladder_multisum(k, n, **THEOREMS[tag].ladder(k, a)._asdict())
+                        got = SUM_SIDES[tag]((k, a), n)
+                        for side in (got, row):
+                            assert (side.coeffs, side.order) == (want.coeffs, want.order), (tag, k, a)
+
+
 class TestProducts:
     def test_two_term_product_side(self):
         """For opposite parity with a > 1 the product side is a sum of

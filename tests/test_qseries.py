@@ -308,6 +308,39 @@ class TestWireFormat:
         f = Series.from_terms([(4, 1), (1, 1)], 6)
         assert [s for s, _ in f.to_wire()["coeffs"]] == [1, 4]
 
+    @staticmethod
+    def _wire(*coeffs):
+        return {"denom": 1, "order_num": 5, "order_den": 1, "coeffs": [list(c) for c in coeffs]}
+
+    def test_negative_slot_refused(self):
+        """Slot -1 would index the top coefficient, q^4 at order 5."""
+        with pytest.raises(ValueError, match=r"^coefficient slot -1 is not an int in 0\.\.4$"):
+            Series.from_wire(self._wire((-1, "7")))
+
+    def test_float_slot_refused(self):
+        """A float slot would be truncated to the int below it."""
+        for s in (1.7, 1.0):
+            with pytest.raises(ValueError, match=f"^coefficient slot {s} is not an int"):
+                Series.from_wire(self._wire((s, "7")))
+
+    def test_repeated_slot_refused(self):
+        """A repeated slot would keep its last value."""
+        with pytest.raises(ValueError, match="^coefficient slot 2 is given twice$"):
+            Series.from_wire(self._wire((2, "1"), (2, "3")))
+
+    def test_slot_past_the_order_refused(self):
+        """Slot 5 lies past order 5; the list index raised IndexError."""
+        with pytest.raises(ValueError, match=r"^coefficient slot 5 is not an int in 0\.\.4$"):
+            Series.from_wire(self._wire((5, "1")))
+
+    def test_every_written_document_loads(self):
+        """Each slot to_wire writes is in range and written once, on
+        either grid, the zero series included."""
+        for f in (Series.zero(3), Series.one(1), Series((0, 0, 5), 3),
+                  Series.from_terms([(0, 1), (Fraction(7, 2), -2)], Fraction(9, 2), 2)):
+            g = Series.from_wire(f.to_wire())
+            assert (g.coeffs, g.order, g.denom) == (f.coeffs, f.order, f.denom)
+
 
 small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12).map(
     lambda cs: Series(cs, 12)
