@@ -33,14 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Tuple
 
 from . import identities
 from .partitions import _as_params
 from .qseries import (
-    PochSpec, Series, _div_factor, _div_factors, _mul_factors, _order, _quotient_sums, _slots,
-    _theta_pair,
+    PochSpec, Series, _div_factor, _div_factors, _mul_factors, _order, _quotient_sums,
+    _shifted_sum, _slots, _theta_pair,
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -146,13 +145,10 @@ def check_pair(bp: BaileyPair) -> bool:
     for n in range(bp.n_max + 1):
         v, cs = _head(bp.alpha[n], length)
         quots.append((v, _div_factors(cs, _T2, 2 * n)))
-        rhs = [0] * length
-        for r, (v, cs) in enumerate(quots):
-            if r < n:
-                _div_factor(cs, 1, 2 * (n - r))
-                _div_factor(cs, 1, 2 * (n + r))
-            rhs[v:] = map(add, rhs[v:], cs)
-        if Series._unchecked(rhs, order, 2) != bp.beta[n]:
+        for r, (v, cs) in enumerate(quots[:n]):
+            _div_factor(cs, 1, 2 * (n - r))
+            _div_factor(cs, 1, 2 * (n + r))
+        if Series._unchecked(_shifted_sum(quots, 0, length), order, 2) != bp.beta[n]:
             return False
     return True
 
@@ -168,8 +164,8 @@ def apply_S1(bp: BaileyPair) -> BaileyPair:
     length = _slots(order, 2)
     alpha = tuple(s.shift(r * r).truncate(order) for r, s in enumerate(bp.alpha))
     terms = [_head(s, max(length - 2 * r * r, 0)) for r, s in enumerate(bp.beta)]
-    exps = [[2 * r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _T2, [length] * len(exps), exps)
+    rs = range(len(terms))
+    sums = _quotient_sums(terms, _T2, [length] * len(rs), [0] * len(rs), [2 * r * r for r in rs])
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -184,8 +180,8 @@ def apply_S2(bp: BaileyPair) -> BaileyPair:
     length = _slots(order, 2)
     alpha = tuple(s.shift(Fraction(r * r, 2)).truncate(order) for r, s in enumerate(bp.alpha))
     terms = [_head(s, max(length - r * r, 0)) for r, s in enumerate(bp.beta)]
-    exps = [[r * r for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _T2, [length] * len(exps), exps, _NEG_T)
+    rs = range(len(terms))
+    sums = _quotient_sums(terms, _T2, [length] * len(rs), [0] * len(rs), [r * r for r in rs], _NEG_T)
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -193,17 +189,18 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     """Base doubling: every series is rescaled q -> q^2 and
     beta'_n = sum_r (-q; q)_{2r} q^(n-r) (q^2 -> q) beta_r / (q^2; q^2)_{n-r}.
 
-    The truncation order doubles along with the exponents.
+    The truncation order doubles along with the exponents; every series
+    stays on the half grid.
     """
     order = 2 * bp.order
     length = _slots(order, 2)
-    alpha = tuple(s.rescale(2) for s in bp.alpha)
+    alpha = tuple(s.rescale(2)._promote(2) for s in bp.alpha)
     terms = []
     for r, s in enumerate(bp.beta):
         v, cs = _head(s.rescale(2), length)
         terms.append((v, _mul_factors(cs, _NEG_T2, 2 * r)))
-    exps = [[2 * (n - r) for r in range(n + 1)] for n in range(bp.n_max + 1)]
-    sums = _quotient_sums(terms, _T4, [length] * len(exps), exps)
+    rs = range(len(terms))
+    sums = _quotient_sums(terms, _T4, [length] * len(rs), [2 * n for n in rs], [-2 * r for r in rs])
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 

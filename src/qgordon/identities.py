@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -45,7 +45,7 @@ from .lattice_paths import _S_counts
 from .partitions import GordonParams, _as_params
 from .qseries import (
     PochSpec, Series, _div_eta, _div_factor, _mul_eta, _mul_factor, _order, _quotient_sums,
-    _theta_walk,
+    _shifted_sum, _theta_walk,
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -145,32 +145,35 @@ def ladder_multisum(
     if len(lin) != k - 1 or len(nlin) != k - 1:
         raise ValueError("lin and nlin need one entry per level 1..k-1")
 
-    def level_exps(i: int, width: int):
-        """Exponents e(n, m) of level i for every n below the order and
-        m <= n, m < width."""
+    def level_rows(i: int, width: int) -> list:
+        """Row exponents n^2 + (lin + nlin) * n of level i for every n
+        below the order; the exponent of (n, m) adds -nlin * m, least at
+        m = min(n, width - 1), which is checked."""
+        b, c = lin[i - 1], nlin[i - 1]
         rows = []
         n = 0
-        while (base := n * n + lin[i - 1] * n) < order:
-            row = [base + nlin[i - 1] * (n - m) for m in range(min(n + 1, width))]
-            if min(row) < 0:
+        while (base := n * n + b * n) < order:
+            if base + c * (n - min(n, width - 1)) < 0:
                 raise ValueError(f"negative exponent in level {i} at N = {n}")
-            rows.append(row)
+            rows.append(base + c * n)
             n += 1
         return rows
 
+    lin_sums = list(accumulate(lin, initial=0))
+
     def floor(i: int, n: int) -> int:
         """f_i(n), the least exponent levels 1..i-1 add to N_i = n."""
-        return max(sum(n * n + b * n for b in lin[: i - 1]), 0)
+        return max((i - 1) * n * n + lin_sums[i - 1] * n, 0)
 
     # the innermost level: one running numer_n / (innermost)_n, cut to
     # row n's window and then divided and multiplied by factor n - 1;
     # rows are kept until it runs empty, but every row takes its
     # division, so a zero divisor is refused wherever row 1 is below
     # the order
-    exps = level_exps(k - 1, 1)
+    rows = level_rows(k - 1, 1)
     table = []
     run = [1] + [0] * (order - 1)
-    for n, (e,) in enumerate(exps):
+    for n, e in enumerate(rows):
         del run[max(order - floor(k - 1, n) - e, 0):]
         if n:
             _div_factor(run, innermost.sign, innermost.exponent + (n - 1) * innermost.base)
@@ -179,21 +182,21 @@ def ladder_multisum(
         if run:
             table.append((e, run[:]))
     for i in range(k - 2, 0, -1):
-        exps = level_exps(i, len(exps))
-        if level_denom.exponent == 0 and len(exps) > 1 and exps[1][0] < order:
+        width = len(rows)
+        rows = level_rows(i, width)
+        if level_denom.exponent == 0 and len(rows) > 1 and rows[1] < order:
             # (level_denom)_1 is the constant 1 - sign, which the kernels
             # cannot divide by: refused whenever the exponent at
             # (N_i, N_{i+1}) = (1, 0) is below the order, pruned or not
             raise ValueError("reciprocal requires constant coefficient 1")
+        cols = [-nlin[i - 1] * m for m in range(width)]
         lengths = []
-        for n, row in enumerate(exps):
-            if (length := order - floor(i, n)) <= min(row):
+        for n, e in enumerate(rows):
+            if (length := order - floor(i, n)) <= e + cols[min(n, width - 1)]:
                 break
             lengths.append(length)
-        table = _quotient_sums(table, level_denom, lengths, exps)
-    total = [0] * order
-    for v, cs in table:
-        total[v:] = map(add, total[v:], cs)
+        table = _quotient_sums(table, level_denom, lengths, rows, cols)
+    total = _shifted_sum(table, 0, order)
     return Series._unchecked(total, _order(order), 1)
 
 

@@ -33,7 +33,13 @@ ascending recurrence over the terms to divide.
 :func:`_quotient_sums` builds the sums of quotients that the multisums
 and the Bailey transformations need, keeping one running quotient per
 term and cutting it, before each division, to the window its row
-still needs; each row has a window of its own.
+still needs; each row has a window of its own.  Every such sum has a
+separable exponent: term m of row n sits at q^(row_exps[n] +
+col_exps[m]), so the caller passes two vectors, not a table.
+:func:`_shifted_sum` adds a row's shifted terms in one column pass:
+padded to a common window, they are summed column by column with the
+builtin ``sum``, which adds ints in a C long while they fit, so a
+column of t terms makes one new int instead of t.
 The kernels know no grid: list index i is q^i.  ``Series.__mul__`` and
 ``Series.inverse`` stay as the dense reference the kernels are tested
 against.  The builders here, the sides in :mod:`qgordon.identities` and
@@ -44,6 +50,7 @@ the private :meth:`Series._unchecked`; the public constructor checks.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -379,11 +386,17 @@ class Series:
 
     @classmethod
     def from_wire(cls, d: dict) -> "Series":
-        """The series :meth:`to_wire` wrote.  Each slot must be an int
-        below the slot count, given once; anything else raises ValueError."""
-        order = Fraction(int(d["order_num"]), int(d["order_den"]))
-        denom = int(d["denom"])
-        cs = [0] * _slots(order, denom)
+        """The series :meth:`to_wire` wrote.  The order fields and the
+        grid must be ints, the denominators positive, each slot an int
+        below the slot count given once, and each coefficient an int or
+        a decimal-integer string; anything else raises ValueError."""
+        for field in ("order_num", "order_den", "denom"):
+            if type(d.get(field)) is not int:
+                raise ValueError(f"{field} must be an int, got {d.get(field)!r}")
+        if d["order_den"] < 1 or d["denom"] < 1:
+            raise ValueError(f"order_den and denom must be positive, got {d['order_den']}, {d['denom']}")
+        order = Fraction(d["order_num"], d["order_den"])
+        cs = [0] * _slots(order, d["denom"])
         seen = set()
         for s, c in d["coeffs"]:
             if type(s) is not int or not 0 <= s < len(cs):
@@ -391,8 +404,11 @@ class Series:
             if s in seen:
                 raise ValueError(f"coefficient slot {s} is given twice")
             seen.add(s)
+            if not (type(c) is int or isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c)):
+                raise ValueError(f"coefficient at slot {s} must be an int or a decimal-integer string, "
+                                 f"got {c!r}")
             cs[s] = int(c)
-        return cls(cs, order, denom)
+        return cls(cs, order, d["denom"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_wire())
@@ -507,37 +523,54 @@ def _div_eta(cs: list, b: int) -> list:
     return cs
 
 
-def _quotient_sums(terms: list, spec: PochSpec, lengths: list, exps: list, row_spec=None) -> list:
-    """sum_{m <= n} q^exps[n][m] * terms[m] / (spec)_{n-m} for each
-    n < len(lengths), as (v, cs) pairs standing for q^v * cs with cs
-    known below exponent ``lengths[n]``; a PochSpec ``row_spec`` also
-    divides term m by (row_spec)_n / (row_spec)_m, so by its factor
+def _shifted_sum(terms: list, lo: int, length: int) -> list:
+    """sum q^at * cs over the (at, cs) pairs in ``terms``, as the
+    coefficients of q^lo .. q^(length - 1); each nonempty term must lie
+    in that window.  The terms are padded to the window and summed
+    column by column by the builtin ``sum``, which keeps its running
+    total in a C long while it fits, so a column of t small ints makes
+    one new int, not t."""
+    rows = []
+    for at, cs in terms:
+        if cs:
+            row = [0] * (length - lo)
+            row[at - lo:at - lo + len(cs)] = cs
+            rows.append(row)
+    return list(map(sum, zip(*rows))) if rows else [0] * (length - lo)
+
+
+def _quotient_sums(terms: list, spec: PochSpec, lengths: list, row_exps: list, col_exps: list,
+                   row_spec=None) -> list:
+    """sum_{m <= n} q^(row_exps[n] + col_exps[m]) * terms[m] / (spec)_{n-m}
+    for each n < len(lengths), as (v, cs) pairs standing for q^v * cs
+    with cs known below exponent ``lengths[n]``; a PochSpec ``row_spec``
+    also divides term m by (row_spec)_n / (row_spec)_m, so by its factor
     n - 1 at row n.
 
     ``terms`` holds (v, cs) pairs of the same form and is consumed: each
     becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
     window it still needs before each division, so every (n, m) costs
-    one pass per factor.  ``exps[n]`` lists the slots for m <= n; terms
-    past the end of ``terms`` are taken as zero.  Each window
-    lengths[n] - exps[n][m] must not grow with n.
+    one pass per factor.  Terms past the end of ``terms`` or of
+    ``col_exps`` are taken as zero.  Each window
+    lengths[n] - row_exps[n] - col_exps[m] must not grow with n.
     """
     first, step = spec.exponent, spec.base
     out = []
-    for n, (length, row) in enumerate(zip(lengths, exps)):
-        acc = [0] * length
+    for n, (length, r) in enumerate(zip(lengths, row_exps)):
+        row = []
         lo = length
-        for m, ((v, cs), e) in enumerate(zip(terms, row)):
-            del cs[max(length - e - v, 0):]
+        for m, ((v, cs), c) in enumerate(zip(terms[: n + 1], col_exps)):
+            at = r + c + v
+            del cs[max(length - at, 0):]
             if not cs:
                 continue
             if m < n:
                 _div_factor(cs, spec.sign, first + (n - m - 1) * step)
                 if row_spec is not None:
                     _div_factor(cs, row_spec.sign, row_spec.exponent + (n - 1) * row_spec.base)
-            at, end = e + v, e + v + len(cs)
-            acc[at:end] = map(_add, acc[at:end], cs)
+            row.append((at, cs))
             lo = min(lo, at)
-        out.append((lo, acc[lo:]))
+        out.append((lo, _shifted_sum(row, lo, length)))
     return out
 
 

@@ -145,6 +145,13 @@ class TestChain:
         assert unit == BaileyPair(unit.alpha, unit.beta)
         assert unit != BaileyPair(unit.alpha, (Series.one(20, 2),) * len(unit.beta))
 
+    def test_every_series_on_the_half_grid(self):
+        """D1 keeps its alphas on the half grid instead of leaving them
+        on grid 1, where every later step would promote them back."""
+        for label, bp in build_chain((7, 2), 10, 40):
+            for s in bp.alpha + bp.beta:
+                assert s.denom == 2, label
+
     def test_same_parity_rejected(self):
         with pytest.raises(ValueError, match="opposite parity"):
             build_chain((3, 1), 4, 20)

@@ -19,6 +19,7 @@ from qgordon.qseries import (
     _div_factors,
     _mul_eta,
     _mul_factors,
+    _quotient_sums,
     _slots,
     invert_poch,
     poch_finite,
@@ -341,6 +342,51 @@ class TestWireFormat:
             g = Series.from_wire(f.to_wire())
             assert (g.coeffs, g.order, g.denom) == (f.coeffs, f.order, f.denom)
 
+    @pytest.mark.parametrize("field, value", [
+        ("order_num", 5.7), ("order_num", 5.0), ("order_num", "5"), ("order_num", True),
+        ("order_den", 1.0), ("order_den", True), ("denom", 1.5), ("denom", True), ("denom", None),
+    ])
+    def test_non_int_header_refused(self, field, value):
+        """int() would truncate 5.7 to order 5 and read True as grid 1."""
+        wire = dict(self._wire((0, "1")), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+            Series.from_wire(wire)
+
+    @pytest.mark.parametrize("field", ["order_num", "order_den", "denom"])
+    def test_missing_header_refused(self, field):
+        wire = self._wire((0, "1"))
+        del wire[field]
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got None$"):
+            Series.from_wire(wire)
+
+    @pytest.mark.parametrize("field", ["order_den", "denom"])
+    def test_nonpositive_denominator_refused(self, field):
+        """order_den 0 divided by zero; denom 0 had no slots at all."""
+        with pytest.raises(ValueError, match="^order_den and denom must be positive, got "):
+            Series.from_wire(dict(self._wire((0, "1")), **{field: 0}))
+
+    @pytest.mark.parametrize("c", [3.9, 7.0, True, None, " 7", "+7", "7.0", "1e3", "7_0", "", "\u0663"])
+    def test_malformed_coefficient_refused(self, c):
+        """int() would truncate 3.9 to 3 and read ' 7', '+7', '7_0' and an
+        Arabic-Indic 3 as numbers; to_wire writes only -?[0-9]+."""
+        with pytest.raises(ValueError, match=r"^coefficient at slot 1 must be an int or a decimal-integer string"):
+            Series.from_wire(self._wire((0, "1"), (1, c)))
+
+    def test_int_and_string_coefficients_load(self):
+        """Plain JSON ints load as well as the strings to_wire writes."""
+        f = Series.from_wire(self._wire((0, 3), (1, "-7"), (4, str(-(10**30)))))
+        assert f.coeffs == (3, -7, 0, 0, -(10**30))
+
+    def test_written_coefficients_load(self):
+        """Every coefficient to_wire writes, negative and past 2^64 on
+        either grid, loads back exactly."""
+        rng = random.Random(7)
+        for denom in (1, 2):
+            cs = [rng.choice((0, 1, -1, rng.randint(-(2**90), 2**90))) for _ in range(40)]
+            f = Series(cs, Fraction(39, denom) + Fraction(1, 2 * denom), denom)
+            g = Series.from_json(f.to_json())
+            assert (g.coeffs, g.order, g.denom) == (f.coeffs, f.order, f.denom)
+
 
 small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12).map(
     lambda cs: Series(cs, 12)
@@ -489,6 +535,79 @@ class TestInPlaceKernels:
         with pytest.raises(ValueError, match="constant coefficient 1"):
             _div_factors([1, 0, 0], PochSpec(-1, 0, 1), 2)
         assert _mul_factors([1, 0, 0], PochSpec(-1, 0, 1), 2) == [2, 2, 0]
+
+
+QUOTIENT_SPECS = (PochSpec(1, 1, 1), PochSpec(1, 2, 2), PochSpec(-1, 1, 2), PochSpec(-1, 3, 1), PochSpec(1, 4, 4))
+
+
+def _coefficient(rng):
+    """Small, negative, near 2^62 (a column of them overflows a C long)
+    or past +-2^64."""
+    return rng.choice((
+        rng.randint(-3, 3), 0, 2**62 + rng.randint(0, 9), -(2**62) - rng.randint(0, 9),
+        rng.randint(-(2**100), 2**100), rng.choice((1, -1)) * (2**64 + rng.randint(0, 9)),
+    ))
+
+
+def _quotient_case(rng):
+    """Random arguments for _quotient_sums: row exponents that do not
+    fall and lengths that do not grow, so every window
+    lengths[n] - row_exps[n] - col_exps[m] shrinks with n, and column
+    exponents as low as -row_exps[m], so every exponent is >= 0.  Term
+    m reaches the end of its window in row m, the first that reads it,
+    and is empty when that window is."""
+    rows = rng.randint(0, 7)
+    row_exps = sorted(rng.randint(0, 12) for _ in range(rows))
+    lengths = sorted((rng.randint(1, 40) for _ in range(rows)), reverse=True)
+    nterms = rng.randint(0, rows + 1)
+    col_exps = [rng.randint(-row_exps[m] if m < rows else 0, 6) for m in range(nterms)]
+    terms = []
+    for m in range(nterms):
+        v = rng.randint(0, 30)
+        window = lengths[m] - row_exps[m] - col_exps[m] - v if m < rows else 0
+        terms.append((v, [_coefficient(rng) for _ in range(max(window, 0) + rng.randint(0, 3) * (window > 0))]))
+    row_spec = rng.choice((None, rng.choice(QUOTIENT_SPECS)))
+    return terms, rng.choice(QUOTIENT_SPECS), lengths, row_exps, col_exps, row_spec
+
+
+def _direct_quotient_sums(terms, spec, lengths, row_exps, col_exps, row_spec):
+    """Each row of _quotient_sums in Series arithmetic: term m read as
+    q^v * cs, times q^(row_exps[n] + col_exps[m]) / (spec)_(n-m)
+    and, for a row_spec, (row_spec)_m / (row_spec)_n, below lengths[n]."""
+    rows = []
+    for n, (length, r) in enumerate(zip(lengths, row_exps)):
+        total = Series.zero(length)
+        for m, ((v, cs), c) in enumerate(zip(terms[: n + 1], col_exps)):
+            f = Series.from_terms([(v + i, x) for i, x in enumerate(cs)], length)
+            f = f * invert_poch(spec, length, n - m)
+            if row_spec is not None:
+                f = f * invert_poch(row_spec, length, n) * poch_finite(row_spec, m, length)
+            total = total + f.shift(r + c).truncate(length)
+        rows.append(total.coeffs)
+    return rows
+
+
+class TestQuotientSums:
+    """The row kernel against a direct sum of Series quotients."""
+
+    def test_matches_direct_sum(self):
+        rng = random.Random(15)
+        empty_terms = emptied = 0
+        for case in range(400):
+            terms, spec, lengths, row_exps, col_exps, row_spec = _quotient_case(rng)
+            if case == 0:
+                terms, col_exps = [], []
+            want = _direct_quotient_sums(terms, spec, lengths, row_exps, col_exps, row_spec)
+            got = _quotient_sums([(v, cs[:]) for v, cs in terms], spec, lengths, row_exps, col_exps, row_spec)
+            assert len(got) == len(lengths)
+            for (lo, sums), length, row in zip(got, lengths, want):
+                assert lo + len(sums) == length
+                assert tuple([0] * lo + sums) == row
+            empty_terms += any(not cs for _, cs in terms)
+            emptied += any(cs and lengths[n] <= row_exps[n] + c + v
+                           for m, ((v, cs), c) in enumerate(zip(terms, col_exps))
+                           for n in range(m + 1, len(lengths)))
+        assert empty_terms and emptied  # some term is empty, some window shrinks to nothing
 
 
 if __name__ == "__main__":
