@@ -1,0 +1,21 @@
+"""The exactness gate's Tier-1 cases: each result group must hash to the
+digest that ``exactness.json`` recorded, so a mismatch names its case.
+Rewrite the file with ``python tests/exactness.py --write`` only when a
+result is meant to change."""
+
+from __future__ import annotations
+
+import pytest
+
+import exactness
+
+EXPECTED = exactness.expected()
+
+
+@pytest.mark.parametrize("name", sorted(exactness.TIER1))
+def test_case_matches_its_digest(name):
+    assert exactness.digest(exactness.TIER1[name]()) == EXPECTED[name]
+
+
+def test_every_case_has_a_digest():
+    assert sorted(EXPECTED) == sorted({**exactness.TIER1, **exactness.HIGH})
