@@ -62,6 +62,10 @@ class TestLadder:
             with pytest.raises(ValueError, match="ints"):
                 ladder_multisum(2, order, lin=lin, nlin=nlin, level_denom=Q, innermost=Q)
 
+    def test_needs_at_least_one_level(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            ladder_multisum(0, 10, lin=[], nlin=[], level_denom=Q, innermost=Q)
+
     @pytest.mark.parametrize("k, order, lin, nlin, level", [
         (3, 2, [0, -2], [0, 0], 2),
         (3, 3, [-2, 0], [0, 0], 1),

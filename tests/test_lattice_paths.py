@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgordon import clear_caches
+from qgordon import clear_caches, lattice_paths
 from qgordon.lattice_paths import (
     _SPATH_CACHE,
     ConstructionData,
     _S_counts,
+    _step_left,
     _un_move,
     LatticePath,
     count_S,
@@ -672,6 +674,74 @@ class TestConstructionProperties:
         assert is_S_admissible(p, data.gp)
         assert p.major_index == data.weight()
         assert reverse_deconstruct(p, data.gp) == data
+
+
+OPPOSITE_PARITY_K6 = tuple(gp for gp, _ in ROUND_TRIP_BOUNDS if gp[0] <= 6)
+
+
+class TestRebuildGuard:
+    """The reverse map's one guard after admissibility: the recovered
+    data must rebuild the path."""
+
+    def test_miscounted_un_moves_fail_the_rebuild(self, monkeypatch):
+        """Two extra moves per token keep every budget even and
+        nonincreasing, so only the rebuild can catch them."""
+        real = lattice_paths._un_move
+        monkeypatch.setattr(lattice_paths, "_un_move", lambda steps, x, target: real(steps, x, target) + 2)
+        path = LatticePath(4, EXAMPLE_STEPS)
+        with pytest.raises(ValueError, match="does not rebuild"):
+            reverse_deconstruct(path, EXAMPLE_DATA.gp)
+
+    @pytest.mark.parametrize("gp", OPPOSITE_PARITY_K6)
+    @settings(max_examples=100, deadline=None)
+    @given(p=valid_paths())
+    def test_returned_data_rebuilds_the_path(self, gp, p):
+        try:
+            data = reverse_deconstruct(p, gp)
+        except ValueError:
+            return
+        assert forward_construct(data) == p
+
+
+class TestJsonObj:
+    @pytest.mark.parametrize("obj, field", [
+        ({"start": 2.9, "steps": "SS"}, "start"),
+        ({"start": True, "steps": "S"}, "start"),
+        ({"start": "2", "steps": "SS"}, "start"),
+        ({"start": 2, "steps": ["S", "S"]}, "steps"),
+        ({"steps": "SS"}, "start"),
+        ({"start": 2}, "steps"),
+    ])
+    def test_malformed_field_refused(self, obj, field):
+        """Fields are refused, not truncated or coerced by int() and str()."""
+        with pytest.raises(ValueError, match=f"path field '{field}'"):
+            path_from_json_obj(obj)
+
+    def test_written_objects_load(self):
+        paths = enumerate_S_paths(12, (5, 2)) + (LatticePath(0, ""), LatticePath(3, "NSSSSEEN"))
+        for p in paths:
+            assert path_from_json_obj(json.loads(json.dumps(path_to_json_obj(p)))) == p
+
+
+class TestEdgeBranches:
+    def test_start_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="start height must be a nonnegative int, got -1"):
+            LatticePath(-1, "")
+
+    def test_str_is_the_compact_form(self):
+        assert str(LatticePath(2, "SSNS")) == "h=2:SSNS"
+
+    def test_no_left_move_past_the_start(self):
+        with pytest.raises(ValueError, match="past the start"):
+            _step_left(list("NSSS"), 1)
+
+    def test_peak_counts_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="peak counts must be nonnegative"):
+            ConstructionData(gp=GordonParams(3, 2), n=(-1, 0), right_moves=((),))
+
+    def test_one_budget_per_token(self):
+        with pytest.raises(ValueError, match="stage 1 has 1 tokens but 2 budgets"):
+            ConstructionData(gp=GordonParams(3, 2), n=(1, 0), right_moves=((0, 0),))
 
 
 if __name__ == "__main__":

@@ -80,6 +80,11 @@ class TestGordonAdmissible:
         with pytest.raises(ValueError):
             GordonParams(2, 0)
 
+    @pytest.mark.parametrize("k, a", [(2.0, 1), (2, 1.0), ("2", 1)])
+    def test_params_must_be_ints(self, k, a):
+        with pytest.raises(TypeError, match="k and a must be ints"):
+            GordonParams(k, a)
+
 
 class TestCounts:
     def test_first_rogers_ramanujan_counts(self):

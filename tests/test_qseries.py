@@ -610,5 +610,54 @@ class TestQuotientSums:
         assert empty_terms and emptied  # some term is empty, some window shrinks to nothing
 
 
+class TestEdgeBranches:
+    """Refusals, the operators' NotImplemented fallbacks and the printed
+    form, each on its own input."""
+
+    def test_attributes_are_read_only(self):
+        with pytest.raises(AttributeError, match="immutable"):
+            Series.one(3).order = 5
+
+    def test_coefficient_below_zero_is_zero(self):
+        assert Series((1, 2), 2).coefficient(-1) == 0
+
+    def test_promote_needs_a_multiple_grid(self):
+        with pytest.raises(ValueError, match="cannot promote grid 1/2 to 1/3"):
+            Series.one(2, 2)._promote(3)
+
+    def test_series_minus_series(self):
+        f = Series((1, 2), 2) - Series((0, 0, 1), Fraction(3, 2), 2)
+        assert (f.coeffs, f.order, f.denom) == ((1, 0, 1), Fraction(3, 2), 2)
+
+    def test_other_operand_types_are_not_implemented(self):
+        s = Series.one(3)
+        for op in (lambda: s + 1.5, lambda: 1.5 - s, lambda: s * 1.5):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+        assert (s == "x") is False
+
+    def test_shift_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="shift exponent must be nonnegative"):
+            Series.one(3).shift(-1)
+
+    @pytest.mark.parametrize("factor", [0, -2, Fraction(-1, 2)])
+    def test_rescale_factor_must_be_positive(self, factor):
+        with pytest.raises(ValueError, match="rescale factor must be positive"):
+            Series.one(3).rescale(factor)
+
+    def test_repr(self):
+        assert repr(Series((1, -2, 0, 3), 4)) == "Series(1 - 2*q + 3*q^3 + O(q^4))"
+        assert repr(Series((0, 1, 0, -1), 2, 2)) == "Series(q^(1/2) - q^(3/2) + O(q^2))"
+
+    def test_poch_length_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="Pochhammer length must be a nonnegative int, got -1"):
+            poch_finite(PochSpec(1, 1, 1), -1, 5)
+
+    @pytest.mark.parametrize("e1, e3", [(3, 2), (-1, 2), (0, 0), (1, -1)])
+    def test_theta_sum_arguments(self, e1, e3):
+        with pytest.raises(ValueError, match="theta sum needs 0 <= e1 <= e3 with e3 > 0"):
+            theta_sum(e1, e3, 10)
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
