@@ -137,20 +137,17 @@ def check_pair(bp: BaileyPair) -> bool:
     within each series' truncation window.
 
     One running quotient alpha_r / ((q; q)_{n-r} (q; q)_{n+r}) per r is
-    divided by the two new factors 1 - q^(n-r), 1 - q^(n+r) as n grows;
-    only the r whose alpha_r has a term below the order keep one.
+    divided by the two new factors 1 - q^(n-r), 1 - q^(n+r) as n grows.
     """
     order = bp.order
     length = _slots(order, 2)
-    rs, quots = [], []
+    quots = []
     for n in range(bp.n_max + 1):
-        for r, (v, cs) in zip(rs, quots):
+        v, cs = _head(bp.alpha[n], length)
+        quots.append((v, _div_factors(cs, _T2, 2 * n)))
+        for r, (v, cs) in enumerate(quots[:n]):
             _div_factor(cs, 1, 2 * (n - r))
             _div_factor(cs, 1, 2 * (n + r))
-        v, cs = _head(bp.alpha[n], length)
-        if cs:
-            rs.append(n)
-            quots.append((v, _div_factors(cs, _T2, 2 * n)))
         if Series._unchecked(_shifted_sum(quots, 0, length), order, 2) != bp.beta[n]:
             return False
     return True
