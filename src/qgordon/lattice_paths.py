@@ -58,7 +58,7 @@ __all__ = [
 def _walk(start: int, steps: Sequence[str]) -> list[int]:
     """Vertex heights from ``start`` along ``steps``; ValueError on a
     bad start, a dip below 0, an E step off the axis or a bad letter."""
-    if not isinstance(start, int) or start < 0:
+    if type(start) is not int or start < 0:
         raise ValueError(f"start height must be a nonnegative int, got {start!r}")
     hs = [start]
     y = start
@@ -247,7 +247,7 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     cheapest possible further peak exceeds n_max.
     """
     gp = _as_params(gp)
-    if not isinstance(n_max, int) or n_max < 0:
+    if type(n_max) is not int or n_max < 0:
         raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
     k, a = gp.k, gp.a
     bound, paths, majors = _SPATH_CACHE.get((k, a), (-1, (), []))
@@ -396,10 +396,12 @@ def volcanic_uplift(path: LatticePath, peak_index: int) -> LatticePath:
 
 
 def _ints(values, what: str) -> tuple:
-    """``values`` as a tuple, refusing any entry that is not an int."""
+    """``values`` as a tuple (a tuple is kept as it is), refusing any
+    entry that is not an int; a bool is not one."""
     vals = tuple(values)
-    if not all(isinstance(v, int) for v in vals):
-        raise ValueError(f"{what} entries must be ints, got {vals!r}")
+    for v in vals:
+        if type(v) is not int:
+            raise ValueError(f"{what} entries must be ints, got {vals!r}")
     return vals
 
 
@@ -435,17 +437,18 @@ class ConstructionData:
         object.__setattr__(self, "n", n)
         if len(n) != gp.k - 1:
             raise ValueError(f"n must have length k - 1 = {gp.k - 1}, got {len(n)}")
-        if any(v < 0 for v in n):
+        if min(n) < 0:  # k >= 2, so n is not empty
             raise ValueError(f"peak counts must be nonnegative, got {n}")
         b = _ints(self.east_partition, "east_partition")
         object.__setattr__(self, "east_partition", b)
         if len(b) != n[-1]:
             raise ValueError(f"east_partition needs one entry per stage-(k-1) peak ({n[-1]}), got {len(b)}")
-        if any(v < 0 for v in b) or any(b[i] < b[i + 1] for i in range(len(b) - 1)):
+        # a nonincreasing tuple is nonnegative when its last entry is
+        if b and (b[-1] < 0 or b != tuple(sorted(b, reverse=True))):
             raise ValueError(f"east_partition must be nonincreasing and nonnegative, got {b}")
         up = frozenset(_ints(self.uplift_set, "uplift_set"))
         object.__setattr__(self, "uplift_set", up)
-        if any(not 1 <= r <= n[-1] for r in up):
+        if up and (min(up) < 1 or max(up) > n[-1]):
             raise ValueError(f"uplift positions must lie in 1..{n[-1]}, got {sorted(up)}")
         rm = tuple(_ints(row, "right_moves") for row in self.right_moves)
         object.__setattr__(self, "right_moves", rm)
@@ -454,22 +457,23 @@ class ConstructionData:
         for j, row in enumerate(rm, 1):
             if len(row) != n[j - 1]:
                 raise ValueError(f"stage {j} has {n[j - 1]} tokens but {len(row)} budgets")
-            if any(v < 0 or v % 2 for v in row):
-                raise ValueError(f"stage {j} budgets must be nonnegative evens, got {row}")
-            if any(row[i] < row[i + 1] for i in range(len(row) - 1)):
+            for v in row:
+                if v < 0 or v % 2:
+                    raise ValueError(f"stage {j} budgets must be nonnegative evens, got {row}")
+            if row != tuple(sorted(row, reverse=True)):
                 raise ValueError(f"stage {j} budgets must be nonincreasing, got {row}")
 
     def weight(self) -> int:
         """Major index of the constructed path, straight from the data."""
-        k, a = self.gp.k, self.gp.a
-        big_n = [0] * (k + 1)
-        for j in range(k - 1, 0, -1):
-            big_n[j] = big_n[j + 1] + self.n[j - 1]
-        total = sum(big_n[j] ** 2 for j in range(1, k))
-        total += sum(2 * big_n[j] for j in range(a, k, 2))
-        total += 4 * sum(self.east_partition)
-        total += sum(2 * r - 1 for r in self.uplift_set)
-        total += sum(sum(row) for row in self.right_moves)
+        a = self.gp.a
+        up = self.uplift_set
+        total = 4 * sum(self.east_partition) + 2 * sum(up) - len(up) + sum(map(sum, self.right_moves))
+        big = 0  # N_j = n_j + ... + n_{k-1}
+        for j in range(len(self.n), 0, -1):
+            big += self.n[j - 1]
+            total += big * big
+            if j >= a and (j - a) % 2 == 0:
+                total += 2 * big
         return total
 
 
@@ -485,31 +489,34 @@ def forward_construct(data: ConstructionData) -> LatticePath:
     stage uplifts everything standing, inserts its unit peaks at the
     origin, spends the right-move budgets rightmost-token-first, and
     prepends a SE pair when j >= a with j = a mod 2.
+    """
+    return LatticePath(*_build(data))
+
+
+def _build(data: ConstructionData) -> Tuple[int, str]:
+    """Start height and steps of :func:`forward_construct`'s path,
+    without validating its walk.
 
     Occurrences of "NS" never overlap, so uplifting every standing peak
     is ``replace("NS", "NNSS")``; only the moves edit a list of steps.
     """
     k, a = data.gp.k, data.gp.a
     start = 2
-    # initial SE pair, then each unit peak preceded by enough E steps to
-    # displace it 4 * b_i to the right (i counted from the right)
+    # initial SE pair, then each unit peak (NNSS if uplifted) preceded by
+    # enough E steps to displace it 4 * b_i to the right (i counted from
+    # the right)
+    m = len(data.east_partition)
     parts = ["SS"]
     placed = 0
-    for shift in reversed(data.east_partition):
-        parts.append("E" * (4 * shift - placed) + "NS")
+    for i, shift in enumerate(reversed(data.east_partition)):
+        parts.append("E" * (4 * shift - placed) + ("NNSS" if m - i in data.uplift_set else "NS"))
         placed = 4 * shift
     s = "".join(parts)
-    # apexes of the chosen uplifts, inserted from the right so that none
-    # shifts another
-    ap = _apexes(s)
-    for r in sorted(data.uplift_set):
-        x = ap[len(ap) - r]
-        s = s[:x] + "NS" + s[x:]
     for j in range(k - 2, 0, -1):
         nj = data.n[j - 1]
         s = "NS" * nj + s.replace("NS", "NNSS")
         budgets = data.right_moves[j - 1]
-        if any(budgets):
+        if budgets and budgets[0]:  # budgets are nonincreasing
             steps = list(s)
             for idx, budget in enumerate(budgets):
                 x = 2 * (nj - idx) - 1
@@ -519,7 +526,7 @@ def forward_construct(data: ConstructionData) -> LatticePath:
         if j >= a and (j - a) % 2 == 0:
             s = "SS" + s
             start += 2
-    return LatticePath(start, s)
+    return start, s
 
 
 # ---------------------------------------------------------------- reverse map
@@ -611,11 +618,10 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
     for j in range(1, k - 1):
         if j >= a and (j - a) % 2 == 0:
             s = s[2:]
-        xs = _apexes(s)
-        tokens = [x for x, r in zip(xs, rels) if r == j]
-        nj = len(tokens)
+        nj = rels.count(j)
         budgets: Tuple[int, ...] = ()
-        if tokens:
+        if nj:
+            tokens = [x for x, r in zip(_apexes(s), rels) if r == j]
             # un-move leftmost first; each un-move edits only steps left
             # of the next token
             steps = list(s)
@@ -624,19 +630,19 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
                 disp.append(_un_move(steps, x, 2 * ell + 1))
             s = "".join(steps)
             budgets = tuple(reversed(disp))
+            rels = [r for r in rels if r > j]
         s = s[2 * nj :].replace("NS", "")
-        rels = [r for r in rels if r > j]
         n.append(nj)
         right_moves.append(budgets)
 
     # last stage: peaks of relative height k - 1 (kept) or k (uplifted)
-    xs = _apexes(s)
     m = len(rels)
     n.append(m)
     uplift = frozenset(m - i for i, r in enumerate(rels) if r == k)
-    for x, r in zip(reversed(xs), reversed(rels)):
-        if r == k:
-            s = s[: x - 1] + s[x + 1 :]
+    if uplift:
+        for x, r in zip(reversed(_apexes(s)), reversed(rels)):
+            if r == k:
+                s = s[: x - 1] + s[x + 1 :]
     # SS E^(c_1) NS ... E^(c_m) NS; the prefix sums c_1 + ... + c_l are
     # the multiples of 4 that place the unit peaks
     east: list[int] = []
@@ -651,7 +657,8 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
         uplift_set=uplift,
         right_moves=tuple(right_moves),
     )
-    if forward_construct(data) != path:
+    # a valid path equal to the rebuilt one makes the rebuilt walk valid
+    if _build(data) != (path.start, path.steps):
         raise ValueError("path is not in the construction's image: the recovered data does not rebuild the path")
     return data
 

@@ -56,7 +56,7 @@ class GordonParams:
     a: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and isinstance(self.a, int)):
+        if not (type(self.k) is int and type(self.a) is int):  # bools are not ints here
             raise TypeError("k and a must be ints")
         if not 1 <= self.a <= self.k:
             raise ValueError(f"need 1 <= a <= k, got k={self.k}, a={self.a}")
@@ -71,7 +71,7 @@ def _as_params(gp) -> GordonParams:
 
 
 def _check_n(n) -> None:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"cannot partition {n!r}")
 
 

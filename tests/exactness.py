@@ -1,9 +1,10 @@
 """Exactness gate: a SHA-256 digest of every case's canonical JSON.
 
 Each case evaluates one group of results (sum and product sides, their
-refusals, Bailey chains, reverse maps of lattice paths) and encodes
-them as JSON-ready data: a series as its grid, order and every
-coefficient, a refusal as its type and message.  ``tests/exactness.json``
+refusals, Bailey chains, reverse maps of lattice paths, small runs of
+the command line) and encodes them as JSON-ready data: a series as its
+grid, order and every coefficient, a refusal as its type and message, a
+command as its exit code, stdout and stderr.  ``tests/exactness.json``
 holds the digests of a known-good tree; a change that must keep every
 result identical has to reproduce them.
 
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from qgordon import (
@@ -35,6 +38,7 @@ from qgordon import (
     eval_product_side,
     reverse_deconstruct,
 )
+from qgordon import cli
 from qgordon.identities import THEOREMS
 
 DIGESTS = Path(__file__).with_name("exactness.json")
@@ -53,6 +57,17 @@ ORDERS = (1, 2, 7, 61, 200)
 BAD_ORDERS = (0, -3, 7.5, "7", None)
 PAIRS = tuple((k, a) for k in range(1, 9) for a in range(1, k + 1))
 OPPOSITE = tuple((k, a) for k, a in PAIRS if (k - a) % 2)
+#: one small run of each subcommand, and one refused with exit code 2
+CLI_RUNS = {
+    "verify": "verify --theorem ag --k 5 --a 2 --order 60",
+    "count-B": "count --family B --k 3 --a 2 --n 30",
+    "count-S": "count --family S --k 5 --a 2 --n 16",
+    "enumerate-paths": "enumerate-paths --k 4 --a 1 --n 12",
+    "enumerate-paths-json": "enumerate-paths --k 3 --a 2 --n 10 --format json",
+    "bailey-chain": "bailey-chain --k 4 --a 1 --nmax 5 --order 24",
+    "sweep": "sweep --kmax 3 --order 20",
+    "refused-S-cap": "count --family S --k 3 --a 2 --n 41",
+}
 
 
 def _series(s) -> list:
@@ -109,6 +124,14 @@ def _foreign(k: int, a: int) -> list:
             for p in enumerate_S_paths(12, (k, a))]
 
 
+def _cli(command: str) -> list:
+    """[exit code, stdout, stderr] of ``qgordon <command>``, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(command.split())
+    return [code, out.getvalue(), err.getvalue()]
+
+
 def _cases() -> tuple[dict, dict]:
     """(Tier-1 cases, high-order cases): name -> thunk."""
     tier1 = {}
@@ -126,6 +149,8 @@ def _cases() -> tuple[dict, dict]:
     for k, a in PAIRS:
         if k <= 5:
             tier1[f"foreign-{k}-{a}"] = lambda k=k, a=a: _foreign(k, a)
+    for name, command in CLI_RUNS.items():
+        tier1[f"cli-{name}"] = lambda c=command: _cli(c)
     high = {}
     for tag, thm in THEOREMS.items():
         if tag == "Paths":  # its sides are Main's

@@ -442,6 +442,44 @@ class TestConstruction:
         with pytest.raises(ValueError, match="opposite parity"):
             reverse_deconstruct(LatticePath(2, "SS"), (3, 1))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"gp": GordonParams(3, 1), "n": (0, 0)},
+         "construction needs k and a of opposite parity, got GordonParams(k=3, a=1)"),
+        ({"n": (1,)}, "n must have length k - 1 = 2, got 1"),
+        ({"n": (0, 0, 0), "right_moves": ((),)}, "n must have length k - 1 = 2, got 3"),
+        ({"n": (0, -1)}, "peak counts must be nonnegative, got (0, -1)"),
+        ({"n": (0, 1), "east_partition": ()},
+         "east_partition needs one entry per stage-(k-1) peak (1), got 0"),
+        ({"n": (0, 2), "east_partition": (1, 2)},
+         "east_partition must be nonincreasing and nonnegative, got (1, 2)"),
+        ({"n": (0, 2), "east_partition": (1, -1)},
+         "east_partition must be nonincreasing and nonnegative, got (1, -1)"),
+        ({"n": (0, 1), "east_partition": (-1,)},
+         "east_partition must be nonincreasing and nonnegative, got (-1,)"),
+        ({"n": (0, 1), "east_partition": (0,), "uplift_set": {0}}, "uplift positions must lie in 1..1, got [0]"),
+        ({"n": (0, 2), "east_partition": (0, 0), "uplift_set": {1, 3}},
+         "uplift positions must lie in 1..2, got [1, 3]"),
+        ({"n": (0, 0), "right_moves": ()}, "right_moves needs one row per stage 1..1, got 0"),
+        ({"n": (0, 0), "right_moves": ((), ())}, "right_moves needs one row per stage 1..1, got 2"),
+        ({"n": (1, 0), "right_moves": ((0, 0),)}, "stage 1 has 1 tokens but 2 budgets"),
+        ({"n": (1, 0), "right_moves": ((3,),)}, "stage 1 budgets must be nonnegative evens, got (3,)"),
+        ({"n": (1, 0), "right_moves": ((-2,),)}, "stage 1 budgets must be nonnegative evens, got (-2,)"),
+        ({"n": (2, 0), "right_moves": ((1, 4),)}, "stage 1 budgets must be nonnegative evens, got (1, 4)"),
+        ({"n": (2, 0), "right_moves": ((0, 2),)}, "stage 1 budgets must be nonincreasing, got (0, 2)"),
+        ({"n": (1, 0.0)}, "n entries must be ints, got (1, 0.0)"),
+        ({"n": (0, 1), "east_partition": ("0",)}, "east_partition entries must be ints, got ('0',)"),
+        ({"n": (0, 1), "east_partition": (0,), "uplift_set": {None}}, "uplift_set entries must be ints, got (None,)"),
+        ({"n": (1, 0), "right_moves": ((2.0,),)}, "right_moves entries must be ints, got (2.0,)"),
+    ])
+    def test_each_invalid_field_refused_with_its_message(self, fields, message):
+        """Each validation of ConstructionData refuses with its exact
+        message; where two fail, the earlier check's message wins (an
+        odd, increasing budget row reads as odd)."""
+        fields = {"gp": GordonParams(3, 2), "right_moves": ((0,) * fields["n"][0],), **fields}
+        with pytest.raises(ValueError) as err:
+            ConstructionData(**fields)
+        assert str(err.value) == message
+
 
 # Every opposite-parity (k, a) with k <= 7 to major index 20, and k = 8
 # to 17: 4,272 paths.
@@ -689,6 +727,15 @@ class TestRebuildGuard:
         with pytest.raises(ValueError, match="does not rebuild"):
             reverse_deconstruct(path, EXAMPLE_DATA.gp)
 
+    def test_a_built_walk_below_zero_is_refused(self, monkeypatch):
+        """The public forward map validates the walk it builds, and the
+        reverse map refuses a rebuild that differs from the path."""
+        monkeypatch.setattr(lattice_paths, "_build", lambda data: (0, "S"))
+        with pytest.raises(ValueError, match="path dips below height 0 at step 0"):
+            forward_construct(EXAMPLE_DATA)
+        with pytest.raises(ValueError, match="does not rebuild"):
+            reverse_deconstruct(LatticePath(4, EXAMPLE_STEPS), EXAMPLE_DATA.gp)
+
 
 class TestJsonObj:
     @pytest.mark.parametrize("obj, field", [
@@ -708,6 +755,23 @@ class TestJsonObj:
         paths = enumerate_S_paths(12, (5, 2)) + (LatticePath(0, ""), LatticePath(3, "NSSSSEEN"))
         for p in paths:
             assert path_from_json_obj(json.loads(json.dumps(path_to_json_obj(p)))) == p
+
+
+class TestBoolsRefused:
+    """A bool is not an int to the path code: a start of True would
+    print as ``h=True:...``, which ``path_from_compact`` cannot read."""
+
+    def test_start(self):
+        with pytest.raises(ValueError, match="start height must be a nonnegative int, got True"):
+            LatticePath(True, "S")
+
+    def test_construction_data(self):
+        with pytest.raises(ValueError, match=re.escape("n entries must be ints, got (True, 0)")):
+            ConstructionData(gp=GordonParams(3, 2), n=(True, 0), right_moves=((0,),))
+
+    def test_path_bound(self):
+        with pytest.raises(ValueError, match="n_max must be an int >= 0, got True"):
+            count_S(True, (3, 2))
 
 
 class TestEdgeBranches:

@@ -85,8 +85,16 @@ class TestGordonAdmissible:
         with pytest.raises(TypeError, match="k and a must be ints"):
             GordonParams(k, a)
 
+    def test_bool_params_refused(self):
+        with pytest.raises(TypeError, match="k and a must be ints"):
+            GordonParams(True, True)
+
 
 class TestCounts:
+    def test_bool_n_refused(self):
+        with pytest.raises(ValueError, match="cannot partition True"):
+            count_B(True, (2, 2))
+
     def test_first_rogers_ramanujan_counts(self):
         """B(2,2): parts distinct with gaps >= 2."""
         expected = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6]
