@@ -13,7 +13,13 @@ base variable once, and then alternates half-weight insertions with a
 template swap on alpha; its closed-form endpoint feeds the telescoped
 limit.  The code works in t = q^(1/2), where a half-grid slot s is the
 exponent of t^s and every symbol has int exponents, and reads the half
-grid only where it builds a Series.  In t the limit's sum is exactly
+grid only where it builds a Series.  The steps whose only factors are
+(q; q) or (q^2; q^2) run on one class of slots at a time, as series in
+q: :func:`check_pair` splits every alpha and beta into its even and its
+odd slots, and :func:`apply_D1`, whose betas fill the even slots only,
+computes them in q and lays them onto the even slots.  The half-weight
+step mixes the classes through (-q^(1/2); q) and stays in t.  In t the
+limit's sum is exactly
 the parity-restricted sum of :mod:`qgordon.identities` (the paper's
 closing substitution q -> q^2), so the limit reads that sum on the half
 grid.
@@ -61,9 +67,11 @@ __all__ = [
 
 # the chain's symbols in t = q^(1/2), whose exponents are the half-grid slots
 _T2 = PochSpec(1, 2, 2)       # (t^2; t^2) = (q; q)
-_T4 = PochSpec(1, 4, 4)       # (t^4; t^4) = (q^2; q^2)
-_NEG_T2 = PochSpec(-1, 2, 2)  # (-t^2; t^2) = (-q; q)
 _NEG_T = PochSpec(-1, 1, 2)   # (-t; t^2) = (-q^(1/2); q)
+# the symbols of the steps that run on one class of the half grid, in q
+_Q = PochSpec(1, 1, 1)        # (q; q)
+_Q2 = PochSpec(1, 2, 2)       # (q^2; q^2)
+_NEG_Q = PochSpec(-1, 1, 1)   # (-q; q)
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,8 @@ def _half_grid(terms, order) -> Series:
 def unit_pair(n_max: int, order) -> BaileyPair:
     """The pair every chain starts from: beta_n = [n == 0] and
     alpha_n = (-1)^n (q^((n^2-n)/2) + q^((n^2+n)/2))."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if type(n_max) is not int or n_max < 0:  # a bool is not an int here
+        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
     alpha = tuple(_half_grid(_theta_pair(0, 2, n), order) for n in range(n_max + 1))
     return BaileyPair(alpha, (Series.one(order, 2),) + (Series.zero(order, 2),) * n_max)
 
@@ -136,20 +144,31 @@ def check_pair(bp: BaileyPair) -> bool:
     """Whether the defining relation holds for every n up to n_max,
     within each series' truncation window.
 
-    One running quotient alpha_r / ((q; q)_{n-r} (q; q)_{n+r}) per r is
-    divided by the two new factors 1 - q^(n-r), 1 - q^(n+r) as n grows.
+    The (q; q) factors step by two half-grid slots, so the relation holds
+    on the even and the odd slots apart, and on each class it reads as a
+    relation between series in q.  Per class, one running quotient
+    alpha_r / ((q; q)_{n-r} (q; q)_{n+r}) per r whose alpha_r has a
+    nonzero slot there is divided by the two new factors 1 - q^(n-r),
+    1 - q^(n+r) as n grows, and their sum is compared with that class of
+    beta_n.
     """
-    order = bp.order
-    length = _slots(order, 2)
-    quots = []
+    length = _slots(bp.order, 2)
+    rs = ([], [])     # per class: the r of each running quotient
+    quots = ([], [])  # per class: (v, cs) standing for q^v * cs
     for n in range(bp.n_max + 1):
-        v, cs = _head(bp.alpha[n], length)
-        quots.append((v, _div_factors(cs, _T2, 2 * n)))
-        for r, (v, cs) in enumerate(quots[:n]):
-            _div_factor(cs, 1, 2 * (n - r))
-            _div_factor(cs, 1, 2 * (n + r))
-        if Series._unchecked(_shifted_sum(quots, 0, length), order, 2) != bp.beta[n]:
-            return False
+        alpha = bp.alpha[n]._promote(2).coeffs
+        beta = bp.beta[n]._promote(2).coeffs
+        for p in (0, 1):
+            for r, (_, cs) in zip(rs[p], quots[p]):
+                _div_factor(cs, 1, n - r)
+                _div_factor(cs, 1, n + r)
+            cls = alpha[p:length:2]
+            if any(cls):
+                v = next(i for i, c in enumerate(cls) if c)
+                rs[p].append(n)
+                quots[p].append((v, _div_factors(list(cls[v:]), _Q, 2 * n)))
+            if _shifted_sum(quots[p], 0, len(cls)) != list(beta[p:length:2]):
+                return False
     return True
 
 
@@ -178,7 +197,10 @@ def apply_S2(bp: BaileyPair) -> BaileyPair:
     whose running quotients all gain the factor 1 + q^(n-1/2) at row n."""
     order = bp.order
     length = _slots(order, 2)
-    alpha = tuple(s.shift(Fraction(r * r, 2)).truncate(order) for r, s in enumerate(bp.alpha))
+    alpha = []
+    for r, s in enumerate(bp.alpha):
+        pad = min(r * r, length)  # q^(r^2/2) is r^2 slots
+        alpha.append(_series(pad, list(s._promote(2).coeffs[:length - pad]), order))
     terms = [_head(s, max(length - r * r, 0)) for r, s in enumerate(bp.beta)]
     rs = range(len(terms))
     sums = _quotient_sums(terms, _T2, [length] * len(rs), [0] * len(rs), [r * r for r in rs], _NEG_T)
@@ -190,18 +212,25 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     beta'_n = sum_r (-q; q)_{2r} q^(n-r) (q^2 -> q) beta_r / (q^2; q^2)_{n-r}.
 
     The truncation order doubles along with the exponents; every series
-    stays on the half grid.
+    stays on the half grid.  The new betas fill its even slots only, so
+    they are computed as series in q: the half-grid slots of beta_r are
+    the coefficients of its image under q -> q^2.
     """
     order = 2 * bp.order
-    length = _slots(order, 2)
+    length = _slots(order, 1)
     alpha = tuple(s.rescale(2)._promote(2) for s in bp.alpha)
     terms = []
     for r, s in enumerate(bp.beta):
-        v, cs = _head(s.rescale(2), length)
-        terms.append((v, _mul_factors(cs, _NEG_T2, 2 * r)))
+        v, cs = _head(s, length)
+        terms.append((v, _mul_factors(cs, _NEG_Q, 2 * r)))
     rs = range(len(terms))
-    sums = _quotient_sums(terms, _T4, [length] * len(rs), [2 * n for n in rs], [-2 * r for r in rs])
-    return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
+    sums = _quotient_sums(terms, _Q2, [length] * len(rs), list(rs), [-r for r in rs])
+    beta = []
+    for v, cs in sums:
+        even = [0] * _slots(order, 2)
+        even[2 * v::2] = cs  # q^j is slot 2j
+        beta.append(Series._unchecked(even, order, 2))
+    return BaileyPair(alpha, tuple(beta))
 
 
 def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
@@ -215,8 +244,8 @@ def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
     Raises:
         ValueError: if alpha does not match the required template.
     """
-    if not isinstance(a_coef, int) or a_coef < 2:
-        raise ValueError(f"template coefficient must be an int >= 2, got {a_coef!r}")
+    if type(a_coef) is not int or a_coef < 2:
+        raise ValueError(f"template coefficient a_coef must be an int >= 2, got {a_coef!r}")
     order = bp.order
     for m, s in enumerate(bp.alpha):
         if s != _half_grid(_theta_pair(2, 4 * a_coef, m), order):
@@ -260,7 +289,7 @@ def closed_form_alpha(gp, n: int, order) -> Series:
     """Endpoint alpha of the chain:
     (-1)^n q^((k+1) n^2 / 2) (q^(-(k-a+1) n / 2) + q^((k-a+1) n / 2)),
     the theta template with e1 = a/2, e3 = k+1, which is 1 at n = 0."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"n must be an int >= 0, got {n!r}")
     gp = _as_params(gp)
     return _half_grid(_theta_pair(gp.a, 2 * gp.k + 2, n), order)

@@ -93,9 +93,10 @@ def ladder_multisum(
         * numer(N_{k-1}) / (innermost at N_{k-1})
         / prod_{i<k-1} (level_denom at n_i)
 
-    with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``order`` and the
-    k - 1 entries of ``lin`` and ``nlin`` must be ints, and those of
-    ``nlin`` nonnegative (anything else raises ValueError); the result
+    with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``k``, ``order`` and
+    the k - 1 entries of ``lin`` and ``nlin`` must be ints, not bools,
+    and those of ``nlin`` nonnegative (anything else raises ValueError
+    naming the arguments); the result
     is on the integer grid.  A sum with
     half squares is the same sum in t = q^(1/2): the Bailey chain's limit
     reads :func:`eval_multisum_main` that way.  For k = 1 the sum is
@@ -134,7 +135,10 @@ def ladder_multisum(
     every row below the order is still validated, against every inner
     row.
     """
-    if not all(isinstance(v, int) for v in (order, *lin, *nlin)):
+    # a bool is not an int here
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    if any(type(v) is not int for v in (order, *lin, *nlin)):
         raise ValueError(f"order, lin and nlin must be ints: {order!r}, {lin!r}, {nlin!r}")
     if any(v < 0 for v in nlin):
         raise ValueError(f"nlin entries must be >= 0, got {nlin!r}")
@@ -389,7 +393,7 @@ def _checked(theorem: str, gp, order) -> Tuple[Theorem, GordonParams]:
     thm = THEOREMS.get(theorem)
     if thm is None:
         raise ValueError(f"unknown theorem tag {theorem!r}; pick from {tuple(THEOREMS)}")
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:  # a bool is not one
         raise ValueError(f"order must be a positive int, got {order!r}")
     gp = _as_params(gp)
     if not thm.applies(gp.k, gp.a):

@@ -12,8 +12,9 @@ result identical has to reproduce them.
     python tests/exactness.py --check    # compare the high-order cases
 
 ``test_exactness.py`` runs the Tier-1 cases, one test per case; the
-high-order cases (every tag at order 1000, three at order 2000) take
-several seconds and run from the command line only.
+high-order cases (every tag at order 1000, three at order 2000, every
+chain to n = 20 at order 101 and the order-101 chain run of the command
+line) take several seconds and run from the command line only.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ CLI_RUNS = {
     "sweep": "sweep --kmax 3 --order 20",
     "refused-S-cap": "count --family S --k 3 --a 2 --n 41",
 }
+#: the high-order chain run that CI also makes through the installed script
+HIGH_CHAIN_RUN = "bailey-chain --k 7 --a 2 --nmax 100 --order 101"
 
 
 def _series(s) -> list:
@@ -160,6 +163,9 @@ def _cases() -> tuple[dict, dict]:
                 high[f"high-{tag}-{k}-{a}-1000"] = lambda t=tag, k=k, a=a: _sides(t, k, a, [1000])
     for tag, k, a in (("AG", 8, 3), ("Main", 7, 2), ("W_diff", 8, 1)):
         high[f"high-{tag}-{k}-{a}-2000"] = lambda t=tag, k=k, a=a: _sides(t, k, a, [2000])
+    for k, a in OPPOSITE:
+        high[f"chain-{k}-{a}-20-101"] = lambda k=k, a=a: _chain(k, a, 20, 101)
+    high["cli-bailey-chain-101"] = lambda: _cli(HIGH_CHAIN_RUN)
     return tier1, high
 
 

@@ -49,6 +49,12 @@ class TestUnitPair:
         with pytest.raises(ValueError, match="equally long"):
             BaileyPair((Series.one(10, 2),), ())
 
+    @pytest.mark.parametrize("n_max", [True, False, 2.0, "2", None])
+    def test_n_max_must_be_an_int(self, n_max):
+        """A bool is not read as 1 or 0, nor a float as an int."""
+        with pytest.raises(ValueError, match=f"^n_max must be an int >= 0, got {re.escape(repr(n_max))}$"):
+            unit_pair(n_max, 10)
+
 
 class TestTransforms:
     def test_base_doubling_images(self):
@@ -91,6 +97,13 @@ class TestTransforms:
         with pytest.raises(ValueError, match="int >= 2"):
             apply_P41(unit_pair(4, 20), 1)
 
+    @pytest.mark.parametrize("a_coef", [True, 2.0, "2"])
+    def test_template_coefficient_must_be_an_int(self, a_coef):
+        pair = build_chain((4, 1), 4, 20)[3][1]  # the link the swap with A = 2 reads
+        apply_P41(pair, 2)
+        with pytest.raises(ValueError, match=f"^template coefficient a_coef must be an int >= 2, got {re.escape(repr(a_coef))}$"):
+            apply_P41(pair, a_coef)
+
     def test_check_pair_detects_corruption(self):
         u = unit_pair(4, 20)
         broken = BaileyPair(u.alpha, u.beta[:-1] + (Series.one(20, 2),))
@@ -105,6 +118,58 @@ class TestTransforms:
         assert check_pair(BaileyPair(d.alpha, beta))
         broken = beta[:5] + (beta[5] + Series.from_terms([(7, 1)], 40),) + beta[6:]
         assert not check_pair(BaileyPair(d.alpha, broken))
+
+
+def _summed_pair(gp, n_max, order) -> BaileyPair:
+    """The D1 link plus the first S2 link of one chain: both are at the
+    chain's final order, and Bailey's relation is linear, so the sum is
+    a pair.  alpha_r sits on the even slots of the half grid in D1 and on
+    the slots of r's parity in S2, so every odd-r alpha fills both
+    classes of slots."""
+    links = dict(build_chain(gp, n_max, order)[1:3])
+    d1, s2 = links["D1"], links["S2"]
+    pair = BaileyPair(
+        tuple(a + b for a, b in zip(d1.alpha, s2.alpha)),
+        tuple(a + b for a, b in zip(d1.beta, s2.beta)),
+    )
+    for r, s in enumerate(pair.alpha):
+        filled = {p for p in (0, 1) if any(s.coeffs[p::2])}
+        assert filled == ({0, 1} if r % 2 else {0}), r
+    return pair
+
+
+class TestCheckPairClasses:
+    """check_pair runs on the even and the odd slots of the half grid
+    apart; these pairs put terms on both."""
+
+    def test_pair_across_both_classes_passes(self):
+        for gp in ((2, 1), (5, 2)):
+            assert check_pair(_summed_pair(gp, 6, 40)), gp
+
+    @pytest.mark.parametrize("p, delta", [(0, 1), (1, -1), (0, -1), (1, 1)])
+    def test_every_beta_slot_change_is_caught(self, p, delta):
+        """A +-1 change in one slot of beta_n, in either class, fails the
+        check for every n."""
+        pair = _summed_pair((5, 2), 6, 40)
+        for n in range(pair.n_max + 1):
+            slot = p + 2 * n
+            cs = list(pair.beta[n].coeffs)
+            cs[slot] += delta
+            beta = pair.beta[:n] + (Series(cs, pair.order, 2),) + pair.beta[n + 1:]
+            assert not check_pair(BaileyPair(pair.alpha, beta)), (n, slot)
+
+    def test_alpha_term_on_its_empty_class_is_caught(self):
+        """Every alpha_r of every chain link fills at most one class (none
+        once its first term lies past the order); a term on an empty one
+        breaks the relation."""
+        for label, bp in build_chain((5, 2), 4, 24):
+            for r, s in enumerate(bp.alpha):
+                empty = [p for p in (0, 1) if not any(s.coeffs[p::2])]
+                assert empty, (label, r)
+                cs = list(s.coeffs)
+                cs[empty[0] + 2 * r] += 1
+                alpha = bp.alpha[:r] + (Series(cs, s.order, 2),) + bp.alpha[r + 1:]
+                assert not check_pair(BaileyPair(alpha, bp.beta)), (label, r)
 
 
 class TestChain:
@@ -163,7 +228,13 @@ class TestChain:
         with pytest.raises(ValueError, match=f"^truncation order must be positive, got {order}$"):
             build_chain((3, 2), 4, order)
 
-    @pytest.mark.parametrize("n", [-1, -3, 1.0, 2.5, "1", None])
+    @pytest.mark.parametrize("n_max", [True, 10.0])
+    def test_n_max_must_be_an_int(self, n_max):
+        """build_chain((3, 2), True, 10) used to build a 4-link chain."""
+        with pytest.raises(ValueError, match=f"^n_max must be an int >= 0, got {n_max!r}$"):
+            build_chain((3, 2), n_max, 10)
+
+    @pytest.mark.parametrize("n", [-1, -3, 1.0, 2.5, "1", None, True, False])
     def test_closed_form_alpha_needs_a_nonnegative_int_index(self, n):
         """A negative n is refused, not read as alpha_|n|."""
         with pytest.raises(ValueError, match=r"n must be an int >= 0, got " + re.escape(repr(n))):

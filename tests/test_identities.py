@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import isqrt
@@ -61,6 +62,24 @@ class TestLadder:
         for order, lin, nlin in ((Fraction(21, 2), [0], [0]), (10, [half], [0]), (10, [0], [half])):
             with pytest.raises(ValueError, match="ints"):
                 ladder_multisum(2, order, lin=lin, nlin=nlin, level_denom=Q, innermost=Q)
+
+    @pytest.mark.parametrize("arg, value, message", [
+        ("k", True, "k must be an int, got True"),
+        ("order", True, "order, lin and nlin must be ints: True, [0], [0]"),
+        ("lin", [True], "order, lin and nlin must be ints: 10, [True], [0]"),
+        ("nlin", [False], "order, lin and nlin must be ints: 10, [0], [False]"),
+    ])
+    def test_bools_are_not_ints(self, arg, value, message):
+        """A bool is refused where an int is wanted, naming the argument."""
+        args = dict(k=2, order=10, lin=[0], nlin=[0], level_denom=Q, innermost=Q)
+        args[arg] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ladder_multisum(**args)
+
+    def test_sum_side_refuses_a_bool_order(self):
+        """eval_multisum_AG((3, 2), True) used to return 1 + O(q^1)."""
+        with pytest.raises(ValueError, match="^order, lin and nlin must be ints: True, "):
+            eval_multisum_AG(GordonParams(3, 2), True)
 
     def test_needs_at_least_one_level(self):
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
@@ -325,7 +344,7 @@ class TestProductsAgainstFactors:
                         checked.add((tag, a == 1))
         assert ("W_diff", True) in checked and ("W_diff", False) in checked
 
-    @pytest.mark.parametrize("order", [7.3, Fraction(7), Fraction(41, 2), "7", 0, -3, None])
+    @pytest.mark.parametrize("order", [7.3, Fraction(7), Fraction(41, 2), "7", 0, -3, None, True])
     def test_order_must_be_a_positive_int(self, order):
         """The product side takes an int order, as the sum sides do."""
         with pytest.raises(ValueError, match="order must be a positive int"):
