@@ -28,10 +28,13 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every cache the package keeps between calls: the partition
-    lists and the S-path enumerations.  Timings taken after this call
+    lists, the S-path enumerations and the product sides' table of eta
+    quotients (at most four int lists, one per product shape, each as
+    long as the largest order asked).  Timings taken after this call
     are cold."""
     partitions.partitions_of.cache_clear()
     lattice_paths._SPATH_CACHE.clear()
+    identities._ETA_QUOTIENTS.clear()
 
 
 # each module's __all__ is the one list of its public names

@@ -18,10 +18,15 @@ Three classical identities turn the paper's products into that form:
 * (-q; q)_inf = E2 / E1, hence (-q^2; q^2)_inf = E4 / E2,
   (-q; q^2)_inf = E2^2 / (E1 E4) and (-q^3; q^2)_inf = (-q; q^2)_inf / (1 + q).
 
-:func:`eval_product_side` lays the theta series out term by term, and
-the kernels :func:`qgordon.qseries._mul_eta` and
-:func:`qgordon.qseries._div_eta` multiply and divide it by each E_b in
-O(N^1.5).  The factor-by-factor builders
+The eta quotient depends only on the row's product shape, not on
+(k, a), and :data:`THEOREMS` has four shapes.  :func:`eval_product_side`
+keeps them in one table of at most four int lists, each as long as the
+largest order asked so far, which :func:`qgordon.clear_caches` empties.
+An entry is built in O(N^1.5) Python steps by the kernels
+:func:`qgordon.qseries._div_factor`, :func:`qgordon.qseries._mul_eta`
+and :func:`qgordon.qseries._div_eta`, only when an order longer than it
+is asked; each call adds its O(sqrt(N)) theta terms as shifted passes
+over the stored list.  The factor-by-factor builders
 (:func:`qgordon.qseries.triple_product`, ``poch_infinite``,
 ``invert_poch``) are the reference the tests hold the products to.
 
@@ -38,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import add, sub
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -297,10 +303,38 @@ def eval_multisum_main(gp, order) -> Series:
 # ---------------------------------------------------------------- product sides
 
 
+#: (divisors, times, over) of a Product -> its eta quotient's coefficients
+#: below the largest order asked so far; a stored list is never mutated,
+#: so a caller may read it while another call replaces the entry
+_ETA_QUOTIENTS: dict = {}
+
+
+def _eta_quotient(p: Product, order: int) -> list:
+    """At least ``order`` coefficients of p's eta quotient; an entry
+    shorter than that is rebuilt to ``order``."""
+    key = (p.divisors, p.times, p.over)
+    cs = _ETA_QUOTIENTS.get(key)
+    if cs is None or len(cs) < order:
+        cs = [1] + [0] * (order - 1)
+        for e in p.divisors:
+            _div_factor(cs, -1, e)
+        for b in p.times:
+            _mul_eta(cs, b)
+        for b in p.over:
+            _div_eta(cs, b)
+        _ETA_QUOTIENTS[key] = cs
+    return cs
+
+
 def eval_product_side(theorem: str, gp, order: int) -> Series:
     """Product side for a theorem tag, as a series to ``order``: the
-    row's :class:`Product`, one theta term at a time, then divided by
-    each 1 + q^e and multiplied and divided by each E_b in place.
+    row's :class:`Product`, each theta term +-q^(s+e) added as one
+    shifted pass over the eta quotient of the row's shape.
+
+    The quotient comes from a table with one entry per product shape
+    (at most four), each as long as the largest order asked so far; an
+    entry is rebuilt only when a longer order is asked, and
+    :func:`qgordon.clear_caches` empties the table.
 
     Raises:
         ValueError: for an unknown tag, an order that is not a positive
@@ -308,16 +342,11 @@ def eval_product_side(theorem: str, gp, order: int) -> Series:
     """
     thm, gp = _checked(theorem, gp, order)
     p = thm.product(gp.k, gp.a)
+    eta = _eta_quotient(p, order)
     cs = [0] * order
     for s, r in p.thetas:
         for e, c in _theta_walk(r, p.m, order - s):
-            cs[e + s] += c
-    for e in p.divisors:
-        _div_factor(cs, -1, e)
-    for b in p.times:
-        _mul_eta(cs, b)
-    for b in p.over:
-        _div_eta(cs, b)
+            cs[e + s:] = map(add if c == 1 else sub, cs[e + s:], eta)
     return Series._unchecked(cs, Fraction(order), 1)
 
 

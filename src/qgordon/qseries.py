@@ -74,10 +74,10 @@ __all__ = [
 
 def _frac(x: QExp, what: str = "exponent") -> Fraction:
     """``x`` as a Fraction; TypeError naming ``what`` for anything but an
-    int or a Fraction."""
+    int or a Fraction (a bool is not an int here)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an int or Fraction {what}, got {type(x).__name__}")
 
@@ -174,6 +174,12 @@ class Series:
 
     def coefficient(self, e: QExp) -> int:
         """Coefficient of q^e; raises if e is at or beyond the order."""
+        if type(e) is int:
+            # an int exponent is below the order exactly when its slot is
+            # below the slot count; one that is not is refused below
+            s = e * self.denom
+            if s < len(self.coeffs):
+                return self.coeffs[s] if s >= 0 else 0
         e = _frac(e)
         if e >= self.order:
             raise ValueError(f"exponent {e} is not below the truncation order {self.order}")

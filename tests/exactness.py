@@ -13,8 +13,9 @@ result identical has to reproduce them.
 
 ``test_exactness.py`` runs the Tier-1 cases, one test per case; the
 high-order cases (every tag at order 1000, three at order 2000, every
-chain to n = 20 at order 101 and the order-101 chain run of the command
-line) take several seconds and run from the command line only.
+product shape at orders 2000, 1000 and 200 in one process, every chain
+to n = 20 at order 101 and the order-101 chain run of the command line)
+take several seconds and run from the command line only.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ CLI_RUNS = {
 }
 #: the high-order chain run that CI also makes through the installed script
 HIGH_CHAIN_RUN = "bailey-chain --k 7 --a 2 --nmax 100 --order 101"
+#: one pair of every tag with a product side (four eta quotients among them), read
+#: longest order first so that the later reads are prefixes of the first
+PRODUCT_PAIRS = (("AG", 8, 3), ("W_same", 8, 4), ("W_diff", 8, 3), ("Wbar_odd_even", 7, 2),
+                 ("Wbar_even_odd", 8, 5), ("Main", 7, 2))
+PRODUCT_ORDERS = (2000, 1000, 200)
 
 
 def _series(s) -> list:
@@ -91,6 +97,12 @@ def _sides(tag: str, k: int, a: int, orders) -> list:
         [o, _outcome(SUM_SIDE[tag], gp, o), _outcome(eval_product_side, tag, gp, o)]
         for o in orders
     ]
+
+
+def _products() -> list:
+    """Every product shape at falling orders in one process."""
+    return [[tag, k, a, o, _outcome(eval_product_side, tag, GordonParams(k, a), o)]
+            for o in PRODUCT_ORDERS for tag, k, a in PRODUCT_PAIRS]
 
 
 def _refusals(tag: str) -> list:
@@ -163,6 +175,7 @@ def _cases() -> tuple[dict, dict]:
                 high[f"high-{tag}-{k}-{a}-1000"] = lambda t=tag, k=k, a=a: _sides(t, k, a, [1000])
     for tag, k, a in (("AG", 8, 3), ("Main", 7, 2), ("W_diff", 8, 1)):
         high[f"high-{tag}-{k}-{a}-2000"] = lambda t=tag, k=k, a=a: _sides(t, k, a, [2000])
+    high["products-2000-1000-200"] = _products
     for k, a in OPPOSITE:
         high[f"chain-{k}-{a}-20-101"] = lambda k=k, a=a: _chain(k, a, 20, 101)
     high["cli-bailey-chain-101"] = lambda: _cli(HIGH_CHAIN_RUN)

@@ -9,7 +9,8 @@ from math import isqrt
 
 import pytest
 
-from qgordon import identities
+import qgordon
+from qgordon import cli, identities
 from qgordon.identities import (
     THEOREMS,
     IdentitySpec,
@@ -349,6 +350,65 @@ class TestProductsAgainstFactors:
         """The product side takes an int order, as the sum sides do."""
         with pytest.raises(ValueError, match="order must be a positive int"):
             eval_product_side("AG", (3, 1), order)
+
+
+class TestEtaQuotientTable:
+    """The product sides read each row's eta quotient from one table,
+    with one entry per product shape, kept as long as the largest order
+    asked so far."""
+
+    PAIRS = {"AG": (8, 3), "W_same": (8, 4), "W_diff": (8, 3), "Wbar_odd_even": (7, 2),
+             "Wbar_even_odd": (8, 5), "Main": (7, 2), "Paths": (5, 2)}
+    ORDERS = (400, 80, 200, 7, 400)
+
+    def test_warm_reads_equal_the_factors_and_a_cold_read(self):
+        """Falling, rising and repeated orders read prefixes of a warm
+        entry or rebuild it; every read equals the factor-by-factor
+        product and a read from an empty table."""
+        references = {n: _factor_by_factor(n) for n in set(self.ORDERS)}
+        assert set(self.PAIRS) == set(THEOREMS)
+        for tag, (k, a) in self.PAIRS.items():
+            qgordon.clear_caches()
+            warm = [eval_product_side(tag, (k, a), n) for n in self.ORDERS]
+            for n, got in zip(self.ORDERS, warm):
+                want = references[n][tag](k, a)
+                assert (got.coeffs, got.order, got.denom) == (want.coeffs, n, 1), (tag, n)
+                qgordon.clear_caches()
+                assert eval_product_side(tag, (k, a), n).coeffs == got.coeffs, (tag, n)
+
+    def test_sweep_keeps_one_entry_per_product_shape(self, capsys):
+        qgordon.clear_caches()
+        assert cli.run(["sweep", "--kmax", "8", "--order", "200"]) == 0
+        shapes = {
+            (p.divisors, p.times, p.over)
+            for thm in THEOREMS.values()
+            for k in range(2, 9)
+            for a in range(1, k + 1)
+            if thm.applies(k, a)
+            for p in [thm.product(k, a)]
+        }
+        assert len(shapes) == 4
+        assert set(identities._ETA_QUOTIENTS) == shapes
+        assert all(len(cs) == 200 for cs in identities._ETA_QUOTIENTS.values())
+
+    def test_a_longer_order_rebuilds_the_entry(self):
+        qgordon.clear_caches()
+        short = eval_product_side("Main", (7, 2), 80)
+        got = eval_product_side("Main", (7, 2), 200)
+        (stored,) = identities._ETA_QUOTIENTS.values()
+        assert len(stored) == 200
+        assert got.coeffs[:80] == short.coeffs
+        assert (got.coeffs, got.order) == (_factor_by_factor(200)["Main"](7, 2).coeffs, 200)
+
+    def test_a_read_leaves_the_stored_list_unchanged(self):
+        qgordon.clear_caches()
+        eval_product_side("W_diff", (8, 3), 100)
+        ((key, stored),) = identities._ETA_QUOTIENTS.items()
+        before = list(stored)
+        for gp, n in (((8, 3), 100), ((8, 3), 60), ((6, 1), 100), ((4, 3), 1)):
+            eval_product_side("W_diff", gp, n)
+        assert identities._ETA_QUOTIENTS[key] is stored
+        assert stored == before
 
 
 class TestVerify:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -52,6 +53,21 @@ class TestConstruction:
         with pytest.raises(TypeError, match="int or Fraction order, got float"):
             Series((1,), 7.3)
 
+    @pytest.mark.parametrize("call", [
+        lambda: build_chain((3, 2), 2, True),
+        lambda: limit_identity((3, 2), True),
+        lambda: Series((1, 2), True),
+    ])
+    def test_bool_order_is_refused(self, call):
+        """A bool is not read as the order 1."""
+        with pytest.raises(TypeError, match="^expected an int or Fraction order, got bool$"):
+            call()
+
+    def test_bool_exponent_is_refused(self):
+        """A bool is not read as slot 1."""
+        with pytest.raises(TypeError, match="^expected an int or Fraction exponent, got bool$"):
+            Series((1, 2), 2).coefficient(True)
+
     def test_rejects_non_integer_coefficients(self):
         """Floats and Fractions must never leak into a series."""
         with pytest.raises(TypeError):
@@ -98,6 +114,24 @@ class TestConstruction:
         assert f.coefficient(5) == 0
         with pytest.raises(ValueError):
             f.coefficient(6)
+
+    @pytest.mark.parametrize("denom", [1, 2])
+    def test_int_exponent_reads_as_its_fraction(self, denom):
+        """An int exponent reads the coefficient, the zero below 0 and the
+        refusal at or past the order that the same exponent as a Fraction
+        does, at integer and at half-integer orders."""
+        for order in (Fraction(1), Fraction(5), Fraction(11, 2)):
+            n = _slots(order, denom)
+            f = Series(range(1, n + 1), order, denom)
+            for e in range(-3, 9):
+                try:
+                    want = f.coefficient(Fraction(e))
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        f.coefficient(e)
+                else:
+                    assert f.coefficient(e) == want
+                    assert want == (e * denom + 1 if 0 <= e < order else 0)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
