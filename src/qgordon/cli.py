@@ -29,15 +29,13 @@ from .lattice_paths import (
     path_to_json_obj,
     path_to_svg,
 )
-from .partitions import GordonParams, _A_counts, _gordon_counts
+from .partitions import _PARITY, GordonParams, _A_counts, _gordon_counts
 
 __all__ = ["run", "sweep", "main"]
 
 # the --theorem names: the table's families, in first-seen order
 _THEOREM_NAMES = tuple(dict.fromkeys(thm.family for thm in THEOREMS.values()))
 _FAMILIES = ("B", "A", "W", "Wbar", "S")
-# the parity argument of _gordon_counts for each frequency family
-_PARITY = {"B": None, "W": 0, "Wbar": 1}
 # S paths are found by an exhaustive search whose time doubles about
 # every +4 of the major index: the largest --n (enumerate-paths,
 # count --family S) and --order (verify --theorem paths) accepted

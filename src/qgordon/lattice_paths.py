@@ -234,8 +234,14 @@ def is_S_admissible(path: LatticePath, gp) -> bool:
 
 # ---------------------------------------------------------------- enumeration
 
-#: (k, a) -> (bound searched, the paths sorted by major index, their major indices)
+#: (k, a) -> (bound searched, the paths' step strings and their major
+#: indices, both sorted by major index and then by steps)
 _SPATH_CACHE: dict = {}
+
+
+def _check_bound(n_max) -> None:
+    if type(n_max) is not int or n_max < 0:
+        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
 
 
 def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
@@ -244,18 +250,27 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     Peak weights are bounded by the major index, so any admissible path
     of weight <= n_max ends by abscissa n_max + k; the search prunes a
     branch as soon as its committed major index plus the weight of the
-    cheapest possible further peak exceeds n_max.
+    cheapest possible further peak exceeds n_max.  The search's words
+    are kept per (k, a), so a bound at or below one already searched
+    only builds the paths.
     """
     gp = _as_params(gp)
-    if type(n_max) is not int or n_max < 0:
-        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
+    _check_bound(n_max)
     k, a = gp.k, gp.a
-    bound, paths, majors = _SPATH_CACHE.get((k, a), (-1, (), []))
-    if bound >= n_max:
-        return paths[: bisect_right(majors, n_max)]
-
     start = k + 1 - a
-    found: list[tuple[int, str, LatticePath]] = []
+    bound, words, majors = _SPATH_CACHE.get((k, a), (-1, (), ()))
+    if bound < n_max:
+        words, majors = _search_S(n_max, gp)
+        _SPATH_CACHE[(k, a)] = n_max, words, majors
+    return tuple(LatticePath._unchecked(start, w) for w in words[: bisect_right(majors, n_max)])
+
+
+def _search_S(n_max: int, gp: GordonParams) -> tuple[tuple, tuple]:
+    """The step strings and major indices of the S(k, a) paths of major
+    index <= n_max, sorted by major index and then by steps."""
+    k = gp.k
+    start = k + 1 - gp.a
+    found: list[tuple[int, str]] = []
     steps: list[str] = []
 
     def rec(y: int, major: int) -> None:
@@ -264,7 +279,7 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
             # the search only takes legal steps, so the one walk is the test's
             p = LatticePath._unchecked(start, "".join(steps))
             if is_S_admissible(p, gp):
-                found.append((major, p.steps, p))
+                found.append((major, p.steps))
         if y + 1 <= k and major + x + 1 <= n_max:
             steps.append("N")
             rec(y + 1, major)
@@ -281,17 +296,23 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
             steps.pop()
 
     rec(start, 0)
-    found.sort(key=lambda entry: entry[:2])
-    result = tuple(p for _, _, p in found)
-    _SPATH_CACHE[(k, a)] = (n_max, result, [m for m, _, _ in found])
-    return result
+    found.sort()
+    return tuple(w for _, w in found), tuple(m for m, _ in found)
+
+
+def _S_majors(n: int, gp) -> tuple:
+    """The sorted major indices of a search of S(k, a) to at least n."""
+    gp = _as_params(gp)
+    _check_bound(n)
+    if _SPATH_CACHE.get((gp.k, gp.a), (-1,))[0] < n:
+        # through the public name, so perfbench's tracer sees the search
+        enumerate_S_paths(n, gp)
+    return _SPATH_CACHE[(gp.k, gp.a)][2]
 
 
 def count_S(n: int, gp) -> int:
     """Number of S(k, a) paths of major index exactly n."""
-    gp = _as_params(gp)
-    enumerate_S_paths(n, gp)
-    majors = _SPATH_CACHE[(gp.k, gp.a)][2]
+    majors = _S_majors(n, gp)
     return bisect_right(majors, n) - bisect_left(majors, n)
 
 
@@ -299,9 +320,7 @@ def _S_counts(n_max: int, gp) -> list[int]:
     """``count_S(n, gp)`` for n = 0..n_max, from one search."""
     counts = [0] * (n_max + 1)
     if n_max >= 0:
-        gp = _as_params(gp)
-        enumerate_S_paths(n_max, gp)
-        for m in _SPATH_CACHE[(gp.k, gp.a)][2]:
+        for m in _S_majors(n_max, gp):
             if m > n_max:
                 break
             counts[m] += 1

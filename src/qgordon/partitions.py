@@ -22,6 +22,12 @@ part is then O(k) big-int additions and shifts instead of O(n k)
 small ones.  One pass to n holds the counts for every m <= n, which
 ``_gordon_counts`` and ``_A_counts`` return.
 
+The public counts read one table, a list per (family, k, a) of the
+counts for n = 0..len - 1.  A call past its end refills the list from
+one pass to max(n, 2 len - 1), so the list never holds more than
+max(n + 1, 2 len) counts, and a scan of n = 0..N costs about two passes
+to N instead of N of them.  ``qgordon.clear_caches()`` empties it.
+
 :func:`partitions_of` lists the partitions of n explicitly (p(n) grows
 like exp(pi sqrt(2n/3)), so this is for small n only).  The tests filter
 its output by the conditions above to cross-check the dynamic program.
@@ -162,34 +168,25 @@ def _gordon_packed(n_max: int, gp, parity: Optional[int]) -> Tuple[int, int]:
     for i in range(1, n_max + 1):
         # below[f]: the rows whose multiplicity is at most f, added up
         below = list(accumulate(rows))
-        rows = [
+        # g = 0 adds no part, so its row needs no mask
+        rows = [below[k - 1]] + [
             0
             if g * i > n_max or (g % 2 and i % 2 == parity)
             else (below[k - 1 - g] << (w * g * i)) & mask
-            for g in range(k)
+            for g in range(1, k)
         ]
     return sum(rows), w
 
 
-def _gordon_count(n: int, gp, parity: Optional[int] = None) -> int:
-    """Partitions of n in B(k, a); if ``parity`` is 0 or 1, the parts of
-    that parity must also have even multiplicity."""
-    packed, w = _gordon_packed(n, gp, parity)
-    return packed >> (w * n)  # the mask leaves field n on top
-
-
 def _gordon_counts(n_max: int, gp, parity: Optional[int] = None) -> list[int]:
-    """``_gordon_count(n, gp, parity)`` for n = 0..n_max, from one pass."""
+    """The partitions of n in B(k, a) for n = 0..n_max, from one pass; if
+    ``parity`` is 0 or 1, the parts of that parity must also have even
+    multiplicity."""
     if n_max < 0:
         return []
     packed, w = _gordon_packed(n_max, gp, parity)
     field = (1 << w) - 1
     return [(packed >> (w * s)) & field for s in range(n_max + 1)]
-
-
-def count_B(n: int, gp) -> int:
-    """Number of B(k, a) partitions of n."""
-    return _gordon_count(n, gp)
 
 
 def _A_counts(n_max: int, gp) -> list[int]:
@@ -208,17 +205,44 @@ def _A_counts(n_max: int, gp) -> list[int]:
     return c
 
 
+#: the parity argument of ``_gordon_counts`` for each frequency family
+_PARITY = {"B": None, "W": 0, "Wbar": 1}
+
+#: (family, k, a) -> the family's counts for n = 0..len - 1
+_COUNT_TABLES: dict = {}
+
+
+def _count(family: str, n: int, gp) -> int:
+    """The count of ``family`` at n, read off its table."""
+    gp = _as_params(gp)
+    _check_n(n)
+    key = (family, gp.k, gp.a)
+    table = _COUNT_TABLES.get(key, ())
+    if n >= len(table):
+        n_max = max(n, 2 * len(table) - 1)
+        if family == "A":
+            table = _A_counts(n_max, gp)
+        else:
+            table = _gordon_counts(n_max, gp, _PARITY[family])
+        _COUNT_TABLES[key] = table
+    return table[n]
+
+
+def count_B(n: int, gp) -> int:
+    """Number of B(k, a) partitions of n."""
+    return _count("B", n, gp)
+
+
 def count_A(n: int, gp) -> int:
     """Number of partitions of n avoiding parts = 0, a, -a mod 2k + 1."""
-    _check_n(n)
-    return _A_counts(n, gp)[n]
+    return _count("A", n, gp)
 
 
 def count_W(n: int, gp) -> int:
     """B(k, a) partitions of n whose even parts have even multiplicity."""
-    return _gordon_count(n, gp, parity=0)
+    return _count("W", n, gp)
 
 
 def count_Wbar(n: int, gp) -> int:
     """B(k, a) partitions of n whose odd parts have even multiplicity."""
-    return _gordon_count(n, gp, parity=1)
+    return _count("Wbar", n, gp)

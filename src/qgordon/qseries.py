@@ -120,7 +120,7 @@ class Series:
         elif len(cs) < n:
             cs.extend([0] * (n - len(cs)))
         for c in cs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):  # a bool is not an int here
                 raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)

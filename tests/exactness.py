@@ -1,10 +1,11 @@
 """Exactness gate: a SHA-256 digest of every case's canonical JSON.
 
 Each case evaluates one group of results (sum and product sides, their
-refusals, Bailey chains, reverse maps of lattice paths, small runs of
-the command line) and encodes them as JSON-ready data: a series as its
-grid, order and every coefficient, a refusal as its type and message, a
-command as its exit code, stdout and stderr.  ``tests/exactness.json``
+refusals, the counting oracles asked in a mixed order of n, Bailey
+chains, reverse maps of lattice paths, small runs of the command line)
+and encodes them as JSON-ready data: a series as its grid, order and
+every coefficient, a refusal as its type and message, a command as its
+exit code, stdout and stderr.  ``tests/exactness.json``
 holds the digests of a known-good tree; a change that must keep every
 result identical has to reproduce them.
 
@@ -13,9 +14,10 @@ result identical has to reproduce them.
 
 ``test_exactness.py`` runs the Tier-1 cases, one test per case; the
 high-order cases (every tag at order 1000, three at order 2000, every
-product shape at orders 2000, 1000 and 200 in one process, every chain
-to n = 20 at order 101 and the order-101 chain run of the command line)
-take several seconds and run from the command line only.
+product shape at orders 2000, 1000 and 200 in one process, a scan of
+each partition family's counts to n = 1000, every chain to n = 20 at
+order 101 and the order-101 chain run of the command line) take several
+seconds and run from the command line only.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ from qgordon import (
     GordonParams,
     build_chain,
     check_pair,
+    clear_caches,
+    count_A,
+    count_B,
+    count_S,
+    count_W,
+    count_Wbar,
     enumerate_S_paths,
     eval_multisum_AG,
     eval_multisum_main,
@@ -42,6 +50,7 @@ from qgordon import (
 )
 from qgordon import cli
 from qgordon.identities import THEOREMS
+from qgordon.lattice_paths import _S_counts
 
 DIGESTS = Path(__file__).with_name("exactness.json")
 
@@ -77,6 +86,15 @@ HIGH_CHAIN_RUN = "bailey-chain --k 7 --a 2 --nmax 100 --order 101"
 PRODUCT_PAIRS = (("AG", 8, 3), ("W_same", 8, 4), ("W_diff", 8, 3), ("Wbar_odd_even", 7, 2),
                  ("Wbar_even_odd", 8, 5), ("Main", 7, 2))
 PRODUCT_ORDERS = (2000, 1000, 200)
+#: each partition family's counting oracle
+COUNTS = {"B": count_B, "W": count_W, "Wbar": count_Wbar, "A": count_A}
+#: the order the oracles are asked n in: ascending, one jump, then back down
+COUNT_SCAN = (*range(61), 200, *range(199, -1, -1))
+PATH_SCAN = (*range(13), 20, *range(19, -1, -1))
+#: n that every oracle refuses, whatever it has already counted
+BAD_N = (True, False, -1, 2.0, "3", None)
+#: the pair and bound of the high-order scans
+SCAN_PAIR, SCAN_TOP = (7, 2), 1000
 
 
 def _series(s) -> list:
@@ -103,6 +121,41 @@ def _products() -> list:
     """Every product shape at falling orders in one process."""
     return [[tag, k, a, o, _outcome(eval_product_side, tag, GordonParams(k, a), o)]
             for o in PRODUCT_ORDERS for tag, k, a in PRODUCT_PAIRS]
+
+
+def _counts(k: int, a: int) -> list:
+    """Every family's counts at (k, a), from cold, in the order COUNT_SCAN."""
+    clear_caches()
+    return [[family, [count(n, (k, a)) for n in COUNT_SCAN]] for family, count in COUNTS.items()]
+
+
+def _path_counts(k: int, a: int) -> list:
+    """count_S from cold in the order PATH_SCAN, then one-search counts and
+    enumerations at bounds above, inside and below what was searched."""
+    clear_caches()
+    gp = (k, a)
+    return [[count_S(n, gp) for n in PATH_SCAN],
+            [_S_counts(n, gp) for n in (22, 9, 0, -1)],
+            [[str(p) for p in enumerate_S_paths(n, gp)] for n in (21, 14, 0)]]
+
+
+def _bad_n() -> list:
+    """Each oracle's refusal of every BAD_N, cold and then after counting past it."""
+    oracles = {**COUNTS, "S": count_S, "enumerate": enumerate_S_paths}
+    clear_caches()
+    cold = [[name, repr(n), _outcome(fn, n, (3, 2), encode=repr)]
+            for name, fn in oracles.items() for n in BAD_N]
+    for fn in oracles.values():
+        fn(12, (3, 2))
+    warm = [[name, repr(n), _outcome(fn, n, (3, 2), encode=repr)]
+            for name, fn in oracles.items() for n in BAD_N]
+    return [cold, warm]
+
+
+def _scan(family: str) -> list:
+    """One family's counts at SCAN_PAIR for n = 0..SCAN_TOP, asked one n at a time."""
+    clear_caches()
+    return [COUNTS[family](n, SCAN_PAIR) for n in range(SCAN_TOP + 1)]
 
 
 def _refusals(tag: str) -> list:
@@ -155,6 +208,10 @@ def _cases() -> tuple[dict, dict]:
             if thm.applies(k, a):
                 tier1[f"sides-{tag}-{k}-{a}"] = lambda t=tag, k=k, a=a: _sides(t, k, a, ORDERS)
         tier1[f"refusals-{tag}"] = lambda t=tag: _refusals(t)
+    for k, a in PAIRS:
+        tier1[f"counts-{k}-{a}"] = lambda k=k, a=a: _counts(k, a)
+        tier1[f"paths-{k}-{a}"] = lambda k=k, a=a: _path_counts(k, a)
+    tier1["refusals-n"] = _bad_n
     for k, a in OPPOSITE:
         for n_max, order in ((6, 40), (10, 60)):
             tier1[f"chain-{k}-{a}-{n_max}-{order}"] = lambda k=k, a=a, n=n_max, o=order: _chain(k, a, n, o)
@@ -176,6 +233,8 @@ def _cases() -> tuple[dict, dict]:
     for tag, k, a in (("AG", 8, 3), ("Main", 7, 2), ("W_diff", 8, 1)):
         high[f"high-{tag}-{k}-{a}-2000"] = lambda t=tag, k=k, a=a: _sides(t, k, a, [2000])
     high["products-2000-1000-200"] = _products
+    for family in COUNTS:
+        high[f"scan-{family}-{SCAN_PAIR[0]}-{SCAN_PAIR[1]}-{SCAN_TOP}"] = lambda f=family: _scan(f)
     for k, a in OPPOSITE:
         high[f"chain-{k}-{a}-20-101"] = lambda k=k, a=a: _chain(k, a, 20, 101)
     high["cli-bailey-chain-101"] = lambda: _cli(HIGH_CHAIN_RUN)

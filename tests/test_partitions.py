@@ -17,6 +17,7 @@ from qgordon.identities import (
     eval_product_side,
 )
 from qgordon.partitions import (
+    _PARITY,
     GordonParams,
     _A_counts,
     _field_width,
@@ -204,9 +205,6 @@ def test_counts_match_their_series_below_q200(count, side, k, a):
     assert [count(n, (k, a)) for n in range(200)] == [series.coefficient(n) for n in range(200)]
 
 
-_PARITY = {"B": None, "W": 0, "Wbar": 1}
-
-
 def _series(family, n_max, gp):
     """The one-pass counts of ``family`` for n = 0..n_max."""
     if family == "A":
@@ -217,12 +215,11 @@ def _series(family, n_max, gp):
 class TestOnePass:
     def test_series_equals_counts_per_n(self):
         """Every family, every 1 <= a <= k <= 7: the pass to 60 reads the
-        same counts as one call per n."""
-        count = {"B": count_B, "A": count_A, "W": count_W, "Wbar": count_Wbar}
-        for family, fn in count.items():
+        same counts as a pass ending at each n."""
+        for family in ("B", "A", "W", "Wbar"):
             for k in range(1, 8):
                 for a in range(1, k + 1):
-                    expected = [fn(n, (k, a)) for n in range(61)]
+                    expected = [_series(family, n, (k, a))[n] for n in range(61)]
                     assert _series(family, 60, (k, a)) == expected, (family, k, a)
 
     def test_empty_below_zero(self):

@@ -68,6 +68,12 @@ class TestConstruction:
         with pytest.raises(TypeError, match="^expected an int or Fraction exponent, got bool$"):
             Series((1, 2), 2).coefficient(True)
 
+    def test_bool_coefficient_is_refused(self):
+        """A bool coefficient would print as True and go on the wire as
+        'True', which from_wire cannot read back."""
+        with pytest.raises(TypeError, match="^coefficients must be ints, got bool$"):
+            Series((True, 2), 3)
+
     def test_rejects_non_integer_coefficients(self):
         """Floats and Fractions must never leak into a series."""
         with pytest.raises(TypeError):
