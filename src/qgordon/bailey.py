@@ -184,7 +184,7 @@ def apply_S1(bp: BaileyPair) -> BaileyPair:
     alpha = tuple(s.shift(r * r).truncate(order) for r, s in enumerate(bp.alpha))
     terms = [_head(s, max(length - 2 * r * r, 0)) for r, s in enumerate(bp.beta)]
     rs = range(len(terms))
-    sums = _quotient_sums(terms, _T2, [length] * len(rs), [0] * len(rs), [2 * r * r for r in rs])
+    sums = _quotient_sums(terms, _T2, length, [0] * len(rs), [2 * r * r for r in rs])
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -203,7 +203,7 @@ def apply_S2(bp: BaileyPair) -> BaileyPair:
         alpha.append(_series(pad, list(s._promote(2).coeffs[:length - pad]), order))
     terms = [_head(s, max(length - r * r, 0)) for r, s in enumerate(bp.beta)]
     rs = range(len(terms))
-    sums = _quotient_sums(terms, _T2, [length] * len(rs), [0] * len(rs), [r * r for r in rs], _NEG_T)
+    sums = _quotient_sums(terms, _T2, length, [0] * len(rs), [r * r for r in rs], _NEG_T)
     return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -224,7 +224,7 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
         v, cs = _head(s, length)
         terms.append((v, _mul_factors(cs, _NEG_Q, 2 * r)))
     rs = range(len(terms))
-    sums = _quotient_sums(terms, _Q2, [length] * len(rs), list(rs), [-r for r in rs])
+    sums = _quotient_sums(terms, _Q2, length, list(rs), [-r for r in rs])
     beta = []
     for v, cs in sums:
         even = [0] * _slots(order, 2)

@@ -5,7 +5,10 @@ N_1 >= N_2 >= ... >= N_{k-1} >= 0 with an infinite product.  The sums
 share one shape: the squares N_i^2, optional linear terms in
 the N_i and in the gaps n_i = N_i - N_{i+1}, finite Pochhammer
 denominators per level, and an optional numerator factor on the
-innermost index.  :func:`ladder_multisum` evaluates that shape once.
+innermost index.  :func:`ladder_multisum` evaluates that shape once:
+each level is a triangle of q-Pascal cells (one shifted addition of
+two int lists each, cut to the window the outer levels leave below
+the order), and only the final sum over N_1 divides, by Horner.
 
 Every product side is a theta series times an eta quotient.  Write
 E_b = (q^b; q^b)_inf and theta(m, r) = sum_j (-1)^j q^(m j(j-1)/2 + r j).
@@ -50,8 +53,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 from .lattice_paths import _S_counts
 from .partitions import GordonParams, _as_params
 from .qseries import (
-    PochSpec, Series, _div_eta, _div_factor, _mul_eta, _mul_factor, _order, _quotient_sums,
-    _shifted_sum, _theta_walk,
+    PochSpec, Series, _div_eta, _div_factor, _mul_eta, _mul_factor, _order, _theta_walk,
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -81,6 +83,32 @@ _NEG_Q_ODD = PochSpec(-1, 1, 2)   # (-q; q^2)
 # ---------------------------------------------------------------- generic sum
 
 
+def _pascal_rows(z: list, x: int, c: int, stops: list) -> list:
+    """P_n = sum_m [n m]_(q^x) q^(c (n - m)) z_m for each n < len(stops),
+    as int lists cut below q^stops[n]; ``z`` holds int lists and is only
+    read.
+
+    The cells Y_m start at z_m.  Step j + 1 sets Y_m to
+    Y_(m+1) + q^(x m + c) Y_m for every m, ascending.  By the q-Pascal
+    rule [n m] = [n-1 m] + x^(n-m) [n-1 m-1], P_j is Y_0 after step j.  A cell at step j reaches P_n only for n >= j + m, shifted
+    by at least c (n - j - m), so while stops[n] - c n does not grow
+    with n, the cell is cut below stops[j + m].
+    """
+    ys = [cs[:stop] for cs, stop in zip(z, stops)]
+    out = []
+    for j in range(len(stops)):
+        out.append(ys[0] if ys else [])
+        for m in range(min(len(ys), len(stops) - j - 1)):
+            y = ys[m + 1][:stops[j + 1 + m]] if m + 1 < len(ys) else []
+            s = x * m + c
+            hi = min(s + len(ys[m]), stops[j + 1 + m])
+            y += [0] * (hi - len(y))
+            y[s:hi] = map(add, y[s:hi], ys[m])
+            ys[m] = y
+        del ys[len(stops) - j - 1:]
+    return out
+
+
 def ladder_multisum(
     k: int,
     order: int,
@@ -108,10 +136,22 @@ def ladder_multisum(
     reads :func:`eval_multisum_main` that way.  For k = 1 the sum is
     empty and equals 1.
 
-    The table H[i][N] accumulates levels i..k-1 with N_i = N.  Its
-    entries are int lists multiplied and divided by Pochhammer factors in
-    place (see :func:`qgordon.qseries._quotient_sums`), each cut to the
-    window the outer levels 1..i-1 leave it below the order.
+    ``level_denom`` must be (q^b; q^b) for some base b, that is
+    PochSpec(1, b, b), and anything else raises ValueError naming it:
+    the sum is built on x = q^b.  Write H_i[n] for the sum of levels
+    i..k-1 with N_i = n and K_i[n] = (x; x)_n H_i[n].  Since
+    1/(x; x)_(n-m) = [n m]_x (x; x)_m / (x; x)_n, level i is
+    K_i[n] = q^(g_i(n)) P_n with P_n = sum_m [n m]_x q^(nlin (n - m))
+    K_(i+1)[m] (g_i and e_i as in the floor lemma below), and
+    :func:`_pascal_rows` adds P_n up from q-Pascal cells, each one
+    shifted addition of two int lists, cut to the window the floor
+    lemma leaves the rows it reaches.  The innermost
+    K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n / (innermost)_n is
+    one running list, given one factor of each symbol per row (none of
+    the two that cancel when ``innermost`` is ``level_denom``).  Only
+    the result sum_n K_1[n] / (x; x)_n divides, by Horner: one pass per
+    row of level 1.  For k = 2 no cells read the innermost level, so it
+    keeps H_1[n] itself, and the result is their plain sum.
 
     Floor lemma.  Write g_j(N) = N^2 + lin[j-1] * N and
     e_j(N, M) = g_j(N) + nlin[j-1] * (N - M) for the exponent level j
@@ -135,7 +175,7 @@ def ladder_multisum(
 
     Summing e_j(N_j, N_{j+1}) >= g_j(n) over j < i gives the floor.  The
     same checks make f_i >= 0 and each window shrink as n grows, as the
-    running quotients need, on every row an outer row reads; the floor
+    cells' cuts need, on every row an outer row reads; the floor
     is capped below at 0 for the rest.  Row n is dropped once its window
     ends at or below its least exponent, and the rows after it with it;
     every row below the order is still validated, against every inner
@@ -150,22 +190,25 @@ def ladder_multisum(
         raise ValueError(f"nlin entries must be >= 0, got {nlin!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if level_denom.sign != 1 or level_denom.exponent != level_denom.base:
+        raise ValueError(f"level_denom must be (q^b; q^b), got {level_denom}")
+    b = level_denom.base
     if k == 1:
         return Series.one(order)
     if len(lin) != k - 1 or len(nlin) != k - 1:
         raise ValueError("lin and nlin need one entry per level 1..k-1")
 
     def level_rows(i: int, width: int) -> list:
-        """Row exponents n^2 + (lin + nlin) * n of level i for every n
-        below the order; the exponent of (n, m) adds -nlin * m, least at
+        """Row exponents n^2 + lin * n of level i for every n below the
+        order; the exponent of (n, m) adds nlin * (n - m), least at
         m = min(n, width - 1), which is checked."""
-        b, c = lin[i - 1], nlin[i - 1]
+        li, c = lin[i - 1], nlin[i - 1]
         rows = []
         n = 0
-        while (base := n * n + b * n) < order:
+        while (base := n * n + li * n) < order:
             if base + c * (n - min(n, width - 1)) < 0:
                 raise ValueError(f"negative exponent in level {i} at N = {n}")
-            rows.append(base + c * n)
+            rows.append(base)
             n += 1
         return rows
 
@@ -175,38 +218,50 @@ def ladder_multisum(
         """f_i(n), the least exponent levels 1..i-1 add to N_i = n."""
         return max((i - 1) * n * n + lin_sums[i - 1] * n, 0)
 
-    # the innermost level: one running numer_n / (innermost)_n, cut to
-    # row n's window and then divided and multiplied by factor n - 1;
-    # rows are kept until it runs empty, but every row takes its
-    # division, so a zero divisor is refused wherever row 1 is below
-    # the order
+    # the innermost level: K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n
+    # / (innermost)_n from one running list, cut to row n's window and
+    # then given factor n of each symbol; rows are kept until it runs
+    # empty, but every row takes its division, so a zero divisor is
+    # refused wherever row 1 is below the order.  With no outer level
+    # (k = 2) it keeps H_1[n] instead.
     rows = level_rows(k - 1, 1)
+    cells = k > 2
     table = []
     run = [1] + [0] * (order - 1)
-    for n, e in enumerate(rows):
+    for n, g in enumerate(rows):
+        e = g + nlin[-1] * n
         del run[max(order - floor(k - 1, n) - e, 0):]
         if n:
-            _div_factor(run, innermost.sign, innermost.exponent + (n - 1) * innermost.base)
+            if not cells or innermost != level_denom:
+                if cells:
+                    _mul_factor(run, 1, b * n)
+                _div_factor(run, innermost.sign, innermost.exponent + (n - 1) * innermost.base)
             if numer is not None:
                 _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
         if run:
-            table.append((e, run[:]))
+            table.append([0] * e + run)
+    # level i: K_i[n] = q^(g_i(n)) P_n, P_n added up from the q-Pascal
+    # cells of K_(i+1) below the window the floor leaves row n
     for i in range(k - 2, 0, -1):
         width = len(rows)
         rows = level_rows(i, width)
-        if level_denom.exponent == 0 and len(rows) > 1 and rows[1] < order:
-            # (level_denom)_1 is the constant 1 - sign, which the kernels
-            # cannot divide by: refused whenever the exponent at
-            # (N_i, N_{i+1}) = (1, 0) is below the order, pruned or not
-            raise ValueError("reciprocal requires constant coefficient 1")
-        cols = [-nlin[i - 1] * m for m in range(width)]
-        lengths = []
-        for n, e in enumerate(rows):
-            if (length := order - floor(i, n)) <= e + cols[min(n, width - 1)]:
+        c = nlin[i - 1]
+        stops = []
+        for n, g in enumerate(rows):
+            if (stop := order - floor(i, n) - g) <= c * (n - min(n, width - 1)):
                 break
-            lengths.append(length)
-        table = _quotient_sums(table, level_denom, lengths, rows, cols)
-    total = _shifted_sum(table, 0, order)
+            stops.append(stop)
+        sums = _pascal_rows(table, b, c, stops)
+        # g < 0 needs lin < 0, and then P_n is 0 below q^(-g): validated
+        table = [[0] * g + p if g >= 0 else p[-g:] for g, p in zip(rows, sums)]
+    # Horner: sum_n K_1[n] / (x; x)_n as total = (total + K_1[n]) / (1 - x^n)
+    # from the top row down, with no division after row 0; for k = 2 the
+    # rows are H_1[n], only added
+    total = [0] * order
+    for n in range(len(table) - 1, -1, -1):
+        total[:len(table[n])] = map(add, total, table[n])
+        if n and cells:
+            _div_factor(total, 1, b * n)
     return Series._unchecked(total, _order(order), 1)
 
 

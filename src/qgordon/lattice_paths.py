@@ -317,13 +317,16 @@ def count_S(n: int, gp) -> int:
 
 
 def _S_counts(n_max: int, gp) -> list[int]:
-    """``count_S(n, gp)`` for n = 0..n_max, from one search."""
+    """``count_S(n, gp)`` for n = 0..n_max, from one search; [] for a
+    negative int n_max, and count_S's ValueError for any other non-int."""
+    if type(n_max) is int and n_max < 0:
+        return []
+    majors = _S_majors(n_max, gp)
     counts = [0] * (n_max + 1)
-    if n_max >= 0:
-        for m in _S_majors(n_max, gp):
-            if m > n_max:
-                break
-            counts[m] += 1
+    for m in majors:
+        if m > n_max:
+            break
+        counts[m] += 1
     return counts
 
 

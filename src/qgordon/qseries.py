@@ -30,12 +30,13 @@ multiply, an ascending ``cs[i] += sign * cs[i - s]`` to divide.
 E_b = (q^b; q^b)_inf through Euler's pentagonal theorem, which leaves
 O(sqrt(length / b)) terms: one shifted pass per term to multiply, one
 ascending recurrence over the terms to divide.
-:func:`_quotient_sums` builds the sums of quotients that the multisums
-and the Bailey transformations need, keeping one running quotient per
-term and cutting it, before each division, to the window its row
-still needs; each row has a window of its own.  Every such sum has a
-separable exponent: term m of row n sits at q^(row_exps[n] +
-col_exps[m]), so the caller passes two vectors, not a table.
+:func:`_quotient_sums` builds the sums of quotients that the Bailey
+transformations need, keeping one running quotient per term and
+cutting it, before each division, to the window its row still needs
+below one common length.  Every such sum has a separable exponent:
+term m of row n sits at q^(row_exps[n] + col_exps[m]), so the caller
+passes two vectors, not a table.  (The multisums sum by q-Pascal cells
+instead and divide only once; see :func:`qgordon.identities.ladder_multisum`.)
 :func:`_shifted_sum` adds a row's shifted terms in one column pass:
 padded to a common window, they are summed column by column with the
 builtin ``sum``, which adds ints in a C long while they fit, so a
@@ -545,11 +546,11 @@ def _shifted_sum(terms: list, lo: int, length: int) -> list:
     return list(map(sum, zip(*rows))) if rows else [0] * (length - lo)
 
 
-def _quotient_sums(terms: list, spec: PochSpec, lengths: list, row_exps: list, col_exps: list,
+def _quotient_sums(terms: list, spec: PochSpec, length: int, row_exps: list, col_exps: list,
                    row_spec=None) -> list:
     """sum_{m <= n} q^(row_exps[n] + col_exps[m]) * terms[m] / (spec)_{n-m}
-    for each n < len(lengths), as (v, cs) pairs standing for q^v * cs
-    with cs known below exponent ``lengths[n]``; a PochSpec ``row_spec``
+    for each n < len(row_exps), as (v, cs) pairs standing for q^v * cs
+    with cs known below exponent ``length``; a PochSpec ``row_spec``
     also divides term m by (row_spec)_n / (row_spec)_m, so by its factor
     n - 1 at row n.
 
@@ -557,12 +558,11 @@ def _quotient_sums(terms: list, spec: PochSpec, lengths: list, row_exps: list, c
     becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
     window it still needs before each division, so every (n, m) costs
     one pass per factor.  Terms past the end of ``terms`` or of
-    ``col_exps`` are taken as zero.  Each window
-    lengths[n] - row_exps[n] - col_exps[m] must not grow with n.
+    ``col_exps`` are taken as zero.  ``row_exps`` must not fall.
     """
     first, step = spec.exponent, spec.base
     out = []
-    for n, (length, r) in enumerate(zip(lengths, row_exps)):
+    for n, r in enumerate(row_exps):
         row = []
         lo = length
         for m, ((v, cs), c) in enumerate(zip(terms[: n + 1], col_exps)):

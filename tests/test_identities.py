@@ -118,21 +118,21 @@ class TestLadder:
         s = ladder_multisum(4, 3, lin=[-1, -1, -1], nlin=[0, 0, 0], level_denom=Q, innermost=Q2)
         assert s.coeffs == (4, 2, 6)
 
-    @pytest.mark.parametrize("k, order, nlin, refused", [
-        (3, 2, [0, 0], True),
-        (3, 2, [1, 0], False),  # level 1's exponent at (N_1, N_2) = (1, 0) is 2
-        (4, 2, [5, 0, 0], True),  # level 2's row 1 lies past its floor; still refused
-        (2, 9, [0], False),  # one level: the level denominator is never used
+    @pytest.mark.parametrize("k, order, nlin, level_denom", [
+        (3, 2, [0, 0], PochSpec(1, 0, 1)),
+        (3, 2, [1, 0], PochSpec(1, 0, 1)),  # level 1's exponent at (N_1, N_2) = (1, 0) is 2
+        (4, 2, [5, 0, 0], PochSpec(1, 0, 1)),  # level 2's row 1 lies past its floor
+        (2, 9, [0], PochSpec(1, 0, 1)),  # one level: only the final sum divides by it
+        (3, 9, [0, 0], PochSpec(-1, 1, 1)),  # (-q; q)
+        (3, 9, [0, 0], PochSpec(1, 1, 2)),  # (q; q^2)
     ])
-    def test_zero_level_divisor(self, k, order, nlin, refused):
-        """(1; q)_1 = 0 is refused wherever the sum would divide by it,
-        whether or not pruning would have reached that term."""
-        args = dict(lin=[0] * (k - 1), nlin=nlin, level_denom=PochSpec(1, 0, 1), innermost=Q)
-        if refused:
-            with pytest.raises(ValueError, match="reciprocal requires constant coefficient 1"):
-                ladder_multisum(k, order, **args)
-        else:
-            assert ladder_multisum(k, order, **args).order == order
+    def test_level_denom_refused(self, k, order, nlin, level_denom):
+        """The sum divides by level denominators (q^b; q^b) only: any
+        other symbol is refused, naming the argument, whether or not
+        the order reaches a term it divides."""
+        args = dict(lin=[0] * (k - 1), nlin=nlin, level_denom=level_denom, innermost=Q)
+        with pytest.raises(ValueError, match=r"^level_denom must be \(q\^b; q\^b\), got PochSpec\("):
+            ladder_multisum(k, order, **args)
 
 
 def _direct_ladder(k, order, lin, nlin, level_denom, innermost, numer=None) -> Series:

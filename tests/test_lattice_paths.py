@@ -355,6 +355,11 @@ class TestEnumeration:
         clear_caches()
         assert _S_counts(14, (5, 2)) == [count_S(n, (5, 2)) for n in range(15)]
         assert _S_counts(-1, (5, 2)) == []
+        # any other bound that is not an int gets count_S's ValueError, not
+        # a TypeError from sizing the count list
+        for n_max in (2.0, "3", True, None):
+            with pytest.raises(ValueError, match=f"^n_max must be an int >= 0, got {re.escape(repr(n_max))}$"):
+                _S_counts(n_max, (3, 2))
 
 
 class TestConstruction:

@@ -591,31 +591,30 @@ def _coefficient(rng):
 
 def _quotient_case(rng):
     """Random arguments for _quotient_sums: row exponents that do not
-    fall and lengths that do not grow, so every window
-    lengths[n] - row_exps[n] - col_exps[m] shrinks with n, and column
-    exponents as low as -row_exps[m], so every exponent is >= 0.  Term
-    m reaches the end of its window in row m, the first that reads it,
-    and is empty when that window is."""
+    fall, so every window length - row_exps[n] - col_exps[m] shrinks
+    with n, and column exponents as low as -row_exps[m], so every
+    exponent is >= 0.  Term m reaches the end of its window in row m,
+    the first that reads it, and is empty when that window is."""
     rows = rng.randint(0, 7)
     row_exps = sorted(rng.randint(0, 12) for _ in range(rows))
-    lengths = sorted((rng.randint(1, 40) for _ in range(rows)), reverse=True)
+    length = rng.randint(1, 40)
     nterms = rng.randint(0, rows + 1)
     col_exps = [rng.randint(-row_exps[m] if m < rows else 0, 6) for m in range(nterms)]
     terms = []
     for m in range(nterms):
         v = rng.randint(0, 30)
-        window = lengths[m] - row_exps[m] - col_exps[m] - v if m < rows else 0
+        window = length - row_exps[m] - col_exps[m] - v if m < rows else 0
         terms.append((v, [_coefficient(rng) for _ in range(max(window, 0) + rng.randint(0, 3) * (window > 0))]))
     row_spec = rng.choice((None, rng.choice(QUOTIENT_SPECS)))
-    return terms, rng.choice(QUOTIENT_SPECS), lengths, row_exps, col_exps, row_spec
+    return terms, rng.choice(QUOTIENT_SPECS), length, row_exps, col_exps, row_spec
 
 
-def _direct_quotient_sums(terms, spec, lengths, row_exps, col_exps, row_spec):
+def _direct_quotient_sums(terms, spec, length, row_exps, col_exps, row_spec):
     """Each row of _quotient_sums in Series arithmetic: term m read as
     q^v * cs, times q^(row_exps[n] + col_exps[m]) / (spec)_(n-m)
-    and, for a row_spec, (row_spec)_m / (row_spec)_n, below lengths[n]."""
+    and, for a row_spec, (row_spec)_m / (row_spec)_n, below ``length``."""
     rows = []
-    for n, (length, r) in enumerate(zip(lengths, row_exps)):
+    for n, r in enumerate(row_exps):
         total = Series.zero(length)
         for m, ((v, cs), c) in enumerate(zip(terms[: n + 1], col_exps)):
             f = Series.from_terms([(v + i, x) for i, x in enumerate(cs)], length)
@@ -634,19 +633,19 @@ class TestQuotientSums:
         rng = random.Random(15)
         empty_terms = emptied = 0
         for case in range(400):
-            terms, spec, lengths, row_exps, col_exps, row_spec = _quotient_case(rng)
+            terms, spec, length, row_exps, col_exps, row_spec = _quotient_case(rng)
             if case == 0:
                 terms, col_exps = [], []
-            want = _direct_quotient_sums(terms, spec, lengths, row_exps, col_exps, row_spec)
-            got = _quotient_sums([(v, cs[:]) for v, cs in terms], spec, lengths, row_exps, col_exps, row_spec)
-            assert len(got) == len(lengths)
-            for (lo, sums), length, row in zip(got, lengths, want):
+            want = _direct_quotient_sums(terms, spec, length, row_exps, col_exps, row_spec)
+            got = _quotient_sums([(v, cs[:]) for v, cs in terms], spec, length, row_exps, col_exps, row_spec)
+            assert len(got) == len(row_exps)
+            for (lo, sums), row in zip(got, want):
                 assert lo + len(sums) == length
                 assert tuple([0] * lo + sums) == row
             empty_terms += any(not cs for _, cs in terms)
-            emptied += any(cs and lengths[n] <= row_exps[n] + c + v
+            emptied += any(cs and length <= row_exps[n] + c + v
                            for m, ((v, cs), c) in enumerate(zip(terms, col_exps))
-                           for n in range(m + 1, len(lengths)))
+                           for n in range(m + 1, len(row_exps)))
         assert empty_terms and emptied  # some term is empty, some window shrinks to nothing
 
 
