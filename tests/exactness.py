@@ -13,11 +13,11 @@ result identical has to reproduce them.
     python tests/exactness.py --check    # compare the high-order cases
 
 ``test_exactness.py`` runs the Tier-1 cases, one test per case; the
-high-order cases (every tag at order 1000, three at order 2000, two at
-order 4000, every product shape at orders 2000, 1000 and 200 in one process, a scan of
-each partition family's counts to n = 1000, every chain to n = 20 at
-order 101 and the order-101 chain run of the command line) take several
-seconds and run from the command line only.
+high-order cases (every tag at order 1000, three at order 2000, four at
+order 4000, every product shape at orders 2000, 1000 and 200 in one
+process, a scan of each partition family's counts to n = 1000, every
+chain to n = 20 at order 101 and the order-101 chain run of the command
+line) take several seconds and run from the command line only.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def _cases() -> tuple[dict, dict]:
                 high[f"high-{tag}-{k}-{a}-1000"] = lambda t=tag, k=k, a=a: _sides(t, k, a, [1000])
     for tag, k, a in (("AG", 8, 3), ("Main", 7, 2), ("W_diff", 8, 1)):
         high[f"high-{tag}-{k}-{a}-2000"] = lambda t=tag, k=k, a=a: _sides(t, k, a, [2000])
-    for tag, k, a in (("AG", 8, 3), ("Main", 7, 2)):
+    for tag, k, a in (("AG", 8, 3), ("Main", 7, 2), ("W_same", 8, 4), ("Wbar_even_odd", 8, 3)):
         high[f"high-{tag}-{k}-{a}-4000"] = lambda t=tag, k=k, a=a: _sides(t, k, a, [4000])
     high["products-2000-1000-200"] = _products
     for family in COUNTS:
