@@ -9,6 +9,8 @@ innermost index.  :func:`ladder_multisum` evaluates that shape once:
 each level is a triangle of q-Pascal cells (one shifted addition of
 two int lists each, cut to the window the outer levels leave below
 the order), and only the final sum over N_1 divides, by Horner.
+Every row and cell is an int list that starts at its least exponent,
+so neither the additions nor the divisions pass over leading zeros.
 
 Every product side is a theta series times an eta quotient.  Write
 E_b = (q^b; q^b)_inf and theta(m, r) = sum_j (-1)^j q^(m j(j-1)/2 + r j).
@@ -85,26 +87,44 @@ _NEG_Q_ODD = PochSpec(-1, 1, 2)   # (-q; q^2)
 
 def _pascal_rows(z: list, x: int, c: int, stops: list) -> list:
     """P_n = sum_m [n m]_(q^x) q^(c (n - m)) z_m for each n < len(stops),
-    as int lists cut below q^stops[n]; ``z`` holds int lists and is only
-    read.
+    cut below q^stops[n].  Each z_m and each P_n is a pair (v, cs): the
+    int list cs holds the coefficients of q^v, q^(v+1), ...; ``z`` is
+    only read.
 
     The cells Y_m start at z_m.  Step j + 1 sets Y_m to
     Y_(m+1) + q^(x m + c) Y_m for every m, ascending.  By the q-Pascal
-    rule [n m] = [n-1 m] + x^(n-m) [n-1 m-1], P_j is Y_0 after step j.  A cell at step j reaches P_n only for n >= j + m, shifted
-    by at least c (n - j - m), so while stops[n] - c n does not grow
-    with n, the cell is cut below stops[j + m].
+    rule [n m] = [n-1 m] + x^(n-m) [n-1 m-1], P_j is Y_0 after step j.
+    A cell at step j reaches P_n only for n >= j + m, shifted by at
+    least c (n - j - m), so while stops[n] - c n does not grow with n,
+    the cell is cut below stops[j + m].  A cell starts at the least
+    start of its two nonempty parents, so no list carries the zeros
+    below it.
     """
-    ys = [cs[:stop] for cs, stop in zip(z, stops)]
+    ys = [(v, cs[:stop - v] if stop > v else []) for (v, cs), stop in zip(z, stops)]
     out = []
     for j in range(len(stops)):
-        out.append(ys[0] if ys else [])
+        out.append(ys[0] if ys else (0, []))
         for m in range(min(len(ys), len(stops) - j - 1)):
-            y = ys[m + 1][:stops[j + 1 + m]] if m + 1 < len(ys) else []
-            s = x * m + c
-            hi = min(s + len(ys[m]), stops[j + 1 + m])
-            y += [0] * (hi - len(y))
-            y[s:hi] = map(add, y[s:hi], ys[m])
-            ys[m] = y
+            stop = stops[j + 1 + m]
+            v, cs = ys[m]
+            v += x * m + c
+            u, ds = ys[m + 1] if m + 1 < len(ys) else (v, [])
+            # (u, ds) is the parent that starts lower, or the nonempty one;
+            # the cell is y = ds + q^(v-u) cs below q^(stop-u), from q^u.
+            # Plain comparisons, not min() and max(): this runs per cell
+            if cs and (not ds or v < u):
+                u, ds, v, cs = v, cs, u, ds
+            w = stop - u
+            y = ds[:w] if w > 0 else []
+            off = v - u
+            hi = off + len(cs)
+            if hi > w:
+                hi = w
+            if hi > off:
+                if hi > len(y):
+                    y += [0] * (hi - len(y))
+                y[off:hi] = map(add, y[off:hi], cs)
+            ys[m] = (u, y)
         del ys[len(stops) - j - 1:]
     return out
 
@@ -145,13 +165,18 @@ def ladder_multisum(
     K_(i+1)[m] (g_i and e_i as in the floor lemma below), and
     :func:`_pascal_rows` adds P_n up from q-Pascal cells, each one
     shifted addition of two int lists, cut to the window the floor
-    lemma leaves the rows it reaches.  The innermost
-    K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n / (innermost)_n is
-    one running list, given one factor of each symbol per row (none of
-    the two that cancel when ``innermost`` is ``level_denom``).  Only
-    the result sum_n K_1[n] / (x; x)_n divides, by Horner: one pass per
-    row of level 1.  For k = 2 no cells read the innermost level, so it
-    keeps H_1[n] itself, and the result is their plain sum.
+    lemma leaves the rows it reaches.  Every row and every cell is a
+    pair (v, cs) whose list cs starts at q^v, its least exponent: a
+    row of level i is (g_i(n) + v, cs) for P_n = (v, cs).  The
+    innermost K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n / (innermost)_n
+    is (e_(k-1)(n, 0), a copy of one running list), the list given one
+    factor of each symbol per row (none of the two that cancel when
+    ``innermost`` is ``level_denom``).  Only the result
+    sum_n K_1[n] / (x; x)_n divides, by Horner: one pass per row of
+    level 1, from the top row down, each over the exponents from the
+    least start of the rows added so far up to the order.  For k = 2 no
+    cells read the innermost level, so it keeps H_1[n] itself, and the
+    result is their plain sum.
 
     Floor lemma.  Write g_j(N) = N^2 + lin[j-1] * N and
     e_j(N, M) = g_j(N) + nlin[j-1] * (N - M) for the exponent level j
@@ -239,7 +264,7 @@ def ladder_multisum(
             if numer is not None:
                 _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
         if run:
-            table.append([0] * e + run)
+            table.append((e, run[:]))
     # level i: K_i[n] = q^(g_i(n)) P_n, P_n added up from the q-Pascal
     # cells of K_(i+1) below the window the floor leaves row n
     for i in range(k - 2, 0, -1):
@@ -252,17 +277,26 @@ def ladder_multisum(
                 break
             stops.append(stop)
         sums = _pascal_rows(table, b, c, stops)
-        # g < 0 needs lin < 0, and then P_n is 0 below q^(-g): validated
-        table = [[0] * g + p if g >= 0 else p[-g:] for g, p in zip(rows, sums)]
+        # g < 0 needs lin < 0, and validation keeps g + v >= 0
+        table = [(g + v, cs) for g, (v, cs) in zip(rows, sums)]
     # Horner: sum_n K_1[n] / (x; x)_n as total = (total + K_1[n]) / (1 - x^n)
-    # from the top row down, with no division after row 0; for k = 2 the
-    # rows are H_1[n], only added
-    total = [0] * order
+    # from the top row down, with no division after row 0; total holds
+    # q^lo .. q^(order-1), lo the least start added so far, so no
+    # division passes over the zeros below it.  For k = 2 the rows are
+    # H_1[n], only added
+    lo, total = order, []
     for n in range(len(table) - 1, -1, -1):
-        total[:len(table[n])] = map(add, total, table[n])
+        v, cs = table[n]
+        if cs:
+            if v < lo:
+                total[:0] = [0] * (lo - v)
+                lo = v
+            j = v - lo
+            h = j + len(cs)
+            total[j:h] = map(add, total[j:h], cs)
         if n and cells:
             _div_factor(total, 1, b * n)
-    return Series._unchecked(total, _order(order), 1)
+    return Series._unchecked([0] * lo + total, _order(order), 1)
 
 
 # ---------------------------------------------------------------- the sides as data

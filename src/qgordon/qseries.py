@@ -459,9 +459,10 @@ def _factor_slots(spec: PochSpec, n: int | None, length: int) -> range:
 
 
 def _div_factor(cs: list, sign: int, s: int) -> None:
-    """Divide the coefficient list ``cs`` in place by 1 - sign * q^s, s >= 1."""
-    if s == 0:
-        raise ValueError("reciprocal requires constant coefficient 1")
+    """Divide the coefficient list ``cs`` in place by 1 - sign * q^s, s >= 1;
+    any other s raises ValueError before ``cs`` is touched."""
+    if s < 1:
+        raise ValueError(f"negative factor exponent {s}" if s else "reciprocal requires constant coefficient 1")
     # one loop per sign: multiplying by sign costs half as much again
     if sign == 1:
         for i in range(s, len(cs)):
@@ -473,7 +474,10 @@ def _div_factor(cs: list, sign: int, s: int) -> None:
 
 def _mul_factor(cs: list, sign: int, s: int) -> None:
     """Multiply the coefficient list ``cs`` in place by 1 - sign * q^s
-    (s = 0 pairs each coefficient with itself, giving (1 - sign) * c)."""
+    (s = 0 pairs each coefficient with itself, giving (1 - sign) * c);
+    a negative s raises ValueError before ``cs`` is touched."""
+    if s < 0:
+        raise ValueError(f"negative factor exponent {s}")
     cs[s:] = map(_sub if sign == 1 else _add, cs[s:], cs)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -177,6 +178,72 @@ class TestLadderAgainstDirectSum:
         )
         want = _direct_ladder(k, order, lin, nlin, level_denom, innermost, numer)
         assert (got.coeffs, got.order, got.denom) == (want.coeffs, want.order, want.denom)
+
+
+def _offset_series(v, cs, order) -> Series:
+    """The pair (v, cs) as a series: cs holds the coefficients of q^v, q^(v+1), ..."""
+    return Series.from_terms([(v + i, c) for i, c in enumerate(cs)], order)
+
+
+class TestOffsetCells:
+    """The offset cells: a seeded draw of ladders against term-by-term
+    summation, and the cases a draw rarely reaches."""
+
+    def test_random_ladders_match_direct_sum(self):
+        rng = random.Random(22)
+        evaluated = 0
+        for _ in range(40):
+            k = rng.randint(2, 5)
+            args = dict(
+                lin=[rng.randint(-2, 3) for _ in range(k - 1)],
+                nlin=[rng.randint(0, 2) for _ in range(k - 1)],
+                level_denom=PochSpec(1, b := rng.randint(1, 3), b),
+                innermost=rng.choice((Q, Q2, Q4)),
+                numer=rng.choice((None, NEG_Q_ODD)),
+            )
+            order = rng.randint(10, 60)
+            try:
+                got = ladder_multisum(k, order, **args)
+            except ValueError:
+                continue
+            want = _direct_ladder(k, order, **args)
+            assert (got.coeffs, got.order) == (want.coeffs, want.order), (k, order, args)
+            evaluated += 1
+        assert evaluated >= 30
+
+    @pytest.mark.parametrize("k, order, lin, nlin, level_denom, innermost, numer", [
+        (4, 5, [0, 2, -1], [0, 1, 2], Q2, Q, None),  # a cell of level 2 is cut to empty
+        (3, 30, [-2, 40], [1, 0], Q2, Q4, NEG_Q_ODD),  # level 1's row 1 has g = -1
+        (4, 40, [0, -2, 50], [0, 1, 0], Q, Q2, None),  # level 2's row 1 has g = -1, read by level 1's cells
+    ])
+    def test_edge_ladders_match_direct_sum(self, k, order, lin, nlin, level_denom, innermost, numer):
+        got = ladder_multisum(
+            k, order, lin=lin, nlin=nlin, level_denom=level_denom, innermost=innermost, numer=numer
+        )
+        want = _direct_ladder(k, order, lin, nlin, level_denom, innermost, numer)
+        assert (got.coeffs, got.order) == (want.coeffs, want.order)
+
+    @pytest.mark.parametrize("z, x, c, stops", [
+        ([(0, [1]), (5, [2, 3])], 1, 0, [9, 9, 9]),  # Y_1 starts past the end of Y_0
+        ([(0, [1, 1]), (6, [1])], 1, 1, [8, 6, 4]),  # z_1 starts at its window's end
+        ([(0, [1, 1]), (3, [1, 2])], 1, 1, [8, 6, 4]),  # q^2 Y_1 is cut to empty
+        ([(2, [1, -1]), (0, []), (1, [3])], 2, 1, [7, 6, 5]),  # an empty cell among full ones
+    ])
+    def test_pascal_rows_match_gaussian_sum(self, z, x, c, stops):
+        """P_n = sum_m [n m]_(q^x) q^(c (n - m)) z_m below q^stops[n],
+        each [n m] built as (x; x)_n / ((x; x)_m (x; x)_(n-m))."""
+        spec = PochSpec(1, x, x)
+        before = [(v, cs[:]) for v, cs in z]
+        got = identities._pascal_rows(z, x, c, stops)
+        assert z == before and len(got) == len(stops)
+        for n, ((v, cs), stop) in enumerate(zip(got, stops)):
+            want = Series.zero(stop)
+            for m, (u, ds) in enumerate(z[:n + 1]):
+                gauss = poch_finite(spec, n, stop) * invert_poch(spec, stop, n=m)
+                gauss = gauss * invert_poch(spec, stop, n=n - m)
+                want = want + (_offset_series(u, ds, stop) * gauss).shift(c * (n - m)).truncate(stop)
+            assert 0 <= v and v + len(cs) <= stop
+            assert _offset_series(v, cs, stop) == want
 
 
 class TestSumsAgainstCounting:

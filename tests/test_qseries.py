@@ -17,8 +17,10 @@ from qgordon.qseries import (
     PochSpec,
     Series,
     _div_eta,
+    _div_factor,
     _div_factors,
     _mul_eta,
+    _mul_factor,
     _mul_factors,
     _quotient_sums,
     _slots,
@@ -575,6 +577,18 @@ class TestInPlaceKernels:
         with pytest.raises(ValueError, match="constant coefficient 1"):
             _div_factors([1, 0, 0], PochSpec(-1, 0, 1), 2)
         assert _mul_factors([1, 0, 0], PochSpec(-1, 0, 1), 2) == [2, 2, 0]
+
+    @pytest.mark.parametrize("kernel, s", [(_div_factor, 0), (_div_factor, -1), (_mul_factor, -1)])
+    def test_bad_shift_refused_untouched(self, kernel, s):
+        """A factor 1 - q^s with s < 0, or s = 0 for a division, is
+        refused before the list changes: the multiply used to give
+        [1, 2, 3, 3] and the divide to leave [3, 5, 8, 5] and then
+        raise IndexError."""
+        cs = [1, 2, 3, 4]
+        message = "constant coefficient 1" if s == 0 else f"^negative factor exponent {s}$"
+        with pytest.raises(ValueError, match=message):
+            kernel(cs, 1, s)
+        assert cs == [1, 2, 3, 4]
 
 
 QUOTIENT_SPECS = (PochSpec(1, 1, 1), PochSpec(1, 2, 2), PochSpec(-1, 1, 2), PochSpec(-1, 3, 1), PochSpec(1, 4, 4))
