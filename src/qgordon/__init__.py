@@ -27,15 +27,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every cache the package keeps between calls: the partition
-    lists, the two counting oracles' tables, and the product sides'
-    table of eta quotients (at most four int lists, one per product
-    shape, each as long as the largest order asked).  The count table
+    """Empty every cache the package keeps between calls: the two
+    counting oracles' tables, and the product sides' table of eta
+    quotients (at most four int lists, one per product shape, each as
+    long as the largest order asked).  The count table
     keeps one int list per (family, k, a), at most twice as long as the
     largest n asked; the S-path table keeps, per (k, a), the step string
     and major index of every path found by the largest search.  Timings
     taken after this call are cold."""
-    partitions.partitions_of.cache_clear()
     partitions._COUNT_TABLES.clear()
     lattice_paths._SPATH_CACHE.clear()
     identities._ETA_QUOTIENTS.clear()

@@ -8,7 +8,8 @@ denominators per level, and an optional numerator factor on the
 innermost index.  :func:`ladder_multisum` evaluates that shape once:
 each level is a triangle of q-Pascal cells (one shifted addition of
 two int lists each, cut to the window the outer levels leave below
-the order), and only the final sum over N_1 divides, by Horner.
+the order), and for every k only the final sum over N_1 divides, by
+Horner; at k = 2 the innermost level is level 1 and has no cells.
 Every row and cell is an int list that starts at its least exponent,
 so neither the additions nor the divisions pass over leading zeros.
 
@@ -174,9 +175,7 @@ def ladder_multisum(
     ``innermost`` is ``level_denom``).  Only the result
     sum_n K_1[n] / (x; x)_n divides, by Horner: one pass per row of
     level 1, from the top row down, each over the exponents from the
-    least start of the rows added so far up to the order.  For k = 2 no
-    cells read the innermost level, so it keeps H_1[n] itself, and the
-    result is their plain sum.
+    least start of the rows added so far up to the order.
 
     Floor lemma.  Write g_j(N) = N^2 + lin[j-1] * N and
     e_j(N, M) = g_j(N) + nlin[j-1] * (N - M) for the exponent level j
@@ -247,19 +246,16 @@ def ladder_multisum(
     # / (innermost)_n from one running list, cut to row n's window and
     # then given factor n of each symbol; rows are kept until it runs
     # empty, but every row takes its division, so a zero divisor is
-    # refused wherever row 1 is below the order.  With no outer level
-    # (k = 2) it keeps H_1[n] instead.
+    # refused wherever row 1 is below the order
     rows = level_rows(k - 1, 1)
-    cells = k > 2
     table = []
     run = [1] + [0] * (order - 1)
     for n, g in enumerate(rows):
         e = g + nlin[-1] * n
         del run[max(order - floor(k - 1, n) - e, 0):]
         if n:
-            if not cells or innermost != level_denom:
-                if cells:
-                    _mul_factor(run, 1, b * n)
+            if innermost != level_denom:
+                _mul_factor(run, 1, b * n)
                 _div_factor(run, innermost.sign, innermost.exponent + (n - 1) * innermost.base)
             if numer is not None:
                 _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
@@ -282,8 +278,7 @@ def ladder_multisum(
     # Horner: sum_n K_1[n] / (x; x)_n as total = (total + K_1[n]) / (1 - x^n)
     # from the top row down, with no division after row 0; total holds
     # q^lo .. q^(order-1), lo the least start added so far, so no
-    # division passes over the zeros below it.  For k = 2 the rows are
-    # H_1[n], only added
+    # division passes over the zeros below it
     lo, total = order, []
     for n in range(len(table) - 1, -1, -1):
         v, cs = table[n]
@@ -294,7 +289,7 @@ def ladder_multisum(
             j = v - lo
             h = j + len(cs)
             total[j:h] = map(add, total[j:h], cs)
-        if n and cells:
+        if n:
             _div_factor(total, 1, b * n)
     return Series._unchecked([0] * lo + total, _order(order), 1)
 

@@ -392,7 +392,7 @@ def right_move(path: LatticePath, peak_index: int) -> Tuple[LatticePath, int]:
         its right neighbour the move chains to that neighbour.
     """
     xs = _apexes(path.steps)
-    if not 0 <= peak_index < len(xs):
+    if type(peak_index) is not int or not 0 <= peak_index < len(xs):
         raise ValueError(f"no peak with index {peak_index}; path has {len(xs)} peaks")
     steps = list(path.steps)
     new_x = _step_right(steps, xs[peak_index])
@@ -408,7 +408,7 @@ def volcanic_uplift(path: LatticePath, peak_index: int) -> LatticePath:
     the right.
     """
     xs = _apexes(path.steps)
-    if not 0 <= peak_index < len(xs):
+    if type(peak_index) is not int or not 0 <= peak_index < len(xs):
         raise ValueError(f"no peak with index {peak_index}; path has {len(xs)} peaks")
     x = xs[peak_index]
     return LatticePath(path.start, path.steps[:x] + "NS" + path.steps[x:])

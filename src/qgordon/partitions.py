@@ -36,7 +36,6 @@ its output by the conditions above to cross-check the dynamic program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, groupby
 from math import isqrt
 from typing import Iterable, Optional, Tuple
@@ -81,7 +80,6 @@ def _check_n(n) -> None:
         raise ValueError(f"cannot partition {n!r}")
 
 
-@lru_cache(maxsize=16)
 def partitions_of(n: int) -> Tuple[FreqPairs, ...]:
     """All partitions of n, each as ((part, multiplicity), ...) descending.
 
@@ -89,7 +87,7 @@ def partitions_of(n: int) -> Tuple[FreqPairs, ...]:
         n: the number being partitioned, n >= 0.
 
     Returns:
-        A tuple over all p(n) partitions; the 16 most recent are cached.
+        A tuple over all p(n) partitions.
     """
     _check_n(n)
     out: list[FreqPairs] = []
@@ -131,7 +129,7 @@ def is_gordon_admissible(parts: Iterable[int], gp) -> bool:
     gp = _as_params(gp)
     sorted_parts = sorted(parts, reverse=True)
     for p in sorted_parts:
-        if not isinstance(p, int) or p < 1:
+        if type(p) is not int or p < 1:
             raise ValueError(f"parts must be positive ints, got {p!r}")
     freqs = tuple((p, len(list(g))) for p, g in groupby(sorted_parts))
     return _gordon_ok(freqs, gp.k, gp.a)

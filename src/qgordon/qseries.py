@@ -112,7 +112,7 @@ class Series:
 
     def __init__(self, coeffs: Sequence[int], order: QExp, denom: int = 1):
         order = _order(order)
-        if not isinstance(denom, int) or denom < 1:
+        if type(denom) is not int or denom < 1:
             raise ValueError(f"denom must be a positive int, got {denom!r}")
         n = _slots(order, denom)
         cs = list(coeffs)
@@ -438,9 +438,9 @@ class PochSpec:
     base: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not (isinstance(self.exponent, int) and isinstance(self.base, int)):
+        if not (type(self.exponent) is int and type(self.base) is int):
             raise ValueError(
                 f"Pochhammer exponent and base must be ints, got {self.exponent!r} and {self.base!r};"
                 " write the symbol in t = q^(1/d)"
@@ -617,7 +617,7 @@ def poch_infinite(spec: PochSpec, order: QExp) -> Series:
 
 
 def _check_length(n) -> None:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"Pochhammer length must be a nonnegative int, got {n!r}")
 
 

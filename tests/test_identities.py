@@ -171,6 +171,9 @@ class TestLadderAgainstDirectSum:
         (4, 100, [-1, -1, -1], [1, 2, 1], Q, Q4, NEG_Q_ODD),
         (5, 60, [0, 1, 1, 1], [1, 0, 1, 0], Q2, Q2, None),
         (5, 80, [0, 2, 0, 2], [0, 1, 0, 0], Q4, Q2, NEG_Q_ODD),
+        (2, 120, [2], [0], Q2, Q4, NEG_Q_ODD),  # Main's (2, 1) ladder
+        (2, 100, [1], [2], Q, Q2, None),  # innermost unlike the level, nlin > 0
+        (2, 90, [-2], [1], Q2, Q, NEG_Q_ODD),  # row 1 has g = -1
     ])
     def test_matches_direct_sum(self, k, order, lin, nlin, level_denom, innermost, numer):
         got = ladder_multisum(

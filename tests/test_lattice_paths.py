@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import pytest
@@ -719,6 +720,37 @@ class TestConstructionProperties:
         assert reverse_deconstruct(p, data.gp) == data
 
 
+def _draw_data(rng: random.Random, k: int, a: int) -> ConstructionData:
+    """Construction data with up to 10 peaks a stage, E blocks of up to
+    4 * 20 steps and right-move budgets up to 80."""
+    n = tuple(rng.randint(0, 10) for _ in range(k - 1))
+    m = n[-1]
+    return ConstructionData(
+        gp=GordonParams(k, a),
+        n=n,
+        east_partition=tuple(sorted((rng.randint(0, 20) for _ in range(m)), reverse=True)),
+        uplift_set=frozenset(r for r in range(1, m + 1) if rng.random() < 0.5),
+        right_moves=tuple(
+            tuple(sorted((2 * rng.randint(0, 40) for _ in range(n[j - 1])), reverse=True))
+            for j in range(1, k - 1)
+        ),
+    )
+
+
+class TestBijectionBeyondExhaustiveReach:
+    """Criterion 07 and the round-trip tests list every path up to major
+    index about 20; seeded draws reach weights in the thousands."""
+
+    def test_seeded_draws_round_trip(self):
+        rng = random.Random(12)
+        for (k, a), _ in ROUND_TRIP_BOUNDS * 63:  # 1,008 draws
+            data = _draw_data(rng, k, a)
+            path = forward_construct(data)
+            assert is_S_admissible(path, data.gp), data
+            assert path.major_index == data.weight(), data
+            assert reverse_deconstruct(path, data.gp) == data
+
+
 class TestRebuildGuard:
     """The reverse map's one guard after admissibility: the recovered
     data must rebuild the path."""
@@ -777,6 +809,14 @@ class TestBoolsRefused:
     def test_path_bound(self):
         with pytest.raises(ValueError, match="n_max must be an int >= 0, got True"):
             count_S(True, (3, 2))
+
+    def test_right_move_peak_index(self):
+        with pytest.raises(ValueError, match="^no peak with index True; path has 2 peaks$"):
+            right_move(LatticePath(0, "NSNS"), True)
+
+    def test_uplift_peak_index(self):
+        with pytest.raises(ValueError, match="^no peak with index True; path has 2 peaks$"):
+            volcanic_uplift(LatticePath(0, "NSNS"), True)
 
 
 class TestEdgeBranches:

@@ -75,6 +75,10 @@ class TestGordonAdmissible:
         with pytest.raises(ValueError):
             is_gordon_admissible([0], (2, 2))
 
+    def test_rejects_bool_parts(self):
+        with pytest.raises(ValueError, match="^parts must be positive ints, got True$"):
+            is_gordon_admissible([True, 2], (3, 2))
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             GordonParams(2, 3)

@@ -70,6 +70,12 @@ class TestConstruction:
         with pytest.raises(TypeError, match="^expected an int or Fraction exponent, got bool$"):
             Series((1, 2), 2).coefficient(True)
 
+    def test_bool_denom_is_refused(self):
+        """A denom of True would go on the wire as ``true``, which
+        from_wire refuses."""
+        with pytest.raises(ValueError, match="^denom must be a positive int, got True$"):
+            Series((1,), 5, True)
+
     def test_bool_coefficient_is_refused(self):
         """A bool coefficient would print as True and go on the wire as
         'True', which from_wire cannot read back."""
@@ -251,6 +257,23 @@ class TestPochhammer:
         """(-q;q^2)_2 = (1+q)(1+q^3)."""
         f = poch_finite(PochSpec(-1, 1, 2), 2, 6)
         assert coeffs_of(f, 6) == [1, 1, 0, 1, 1, 0]
+
+    def test_bool_sign_is_refused(self):
+        with pytest.raises(ValueError, match="^sign must be \\+1 or -1, got True$"):
+            PochSpec(True, 1, 1)
+
+    @pytest.mark.parametrize("exponent, base", [(True, 1), (1, True)])
+    def test_bool_exponent_and_base_are_refused(self, exponent, base):
+        with pytest.raises(ValueError, match="Pochhammer exponent and base must be ints"):
+            PochSpec(1, exponent, base)
+
+    @pytest.mark.parametrize("call", [
+        lambda: poch_finite(PochSpec(1, 1, 1), True, 5),
+        lambda: invert_poch(PochSpec(1, 1, 1), 5, n=True),
+    ])
+    def test_bool_length_is_refused(self, call):
+        with pytest.raises(ValueError, match="^Pochhammer length must be a nonnegative int, got True$"):
+            call()
 
     def test_zero_factors_gives_one(self):
         assert poch_finite(PochSpec(1, 1, 1), 0, 5) == Series.one(5)
