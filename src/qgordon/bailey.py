@@ -6,12 +6,13 @@ tied together by
 
     beta_n = sum_{r=0}^{n} alpha_r / ((q; q)_{n-r} (q; q)_{n+r}).
 
-Everything lives on the exponent grid of halves (denominator 2)
-because the chain steps introduce q^{n^2/2} weights and the factor
-(-q^{1/2}; q)_n.  The chain starts from the unit pair, doubles the
-base variable once, and then alternates half-weight insertions with a
-template swap on alpha; its closed-form endpoint feeds the telescoped
-limit.  The code works in t = q^(1/2), where a half-grid slot s is the
+Everything lives on the exponent grid of halves (denominator 2), to
+which a pair promotes each series once, when it is built, because the
+chain steps introduce q^{n^2/2} weights and the factor (-q^{1/2}; q)_n.
+The chain starts from the unit pair, doubles the base variable once,
+and then alternates half-weight insertions with a template swap on
+alpha; its closed-form endpoint feeds the telescoped limit.  The
+integer- and half-weight insertions share one body.  The code works in t = q^(1/2), where a half-grid slot s is the
 exponent of t^s and every symbol has int exponents, and reads the half
 grid only where it builds a Series.  The steps whose only factors are
 (q; q) or (q^2; q^2) run on one class of slots at a time, as series in
@@ -86,8 +87,9 @@ class BaileyPair:
     beta: Tuple[Series, ...]
 
     def __post_init__(self):
-        alpha = tuple(self.alpha)
-        beta = tuple(self.beta)
+        # the chain reads every series by its half-grid slots
+        alpha = tuple(s._promote(2) for s in self.alpha)
+        beta = tuple(s._promote(2) for s in self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         if not alpha or len(alpha) != len(beta):
@@ -130,7 +132,7 @@ def unit_pair(n_max: int, order) -> BaileyPair:
 def _head(s: Series, length: int) -> Tuple[int, list]:
     """(v, cs) with s = q^(v/2) * cs on the half grid, v the first
     nonzero slot and cs known below slot ``length``."""
-    cs = s._promote(2).coeffs[:length]
+    cs = s.coeffs[:length]
     v = next((i for i, c in enumerate(cs) if c), len(cs))
     return v, list(cs[v:])
 
@@ -156,8 +158,8 @@ def check_pair(bp: BaileyPair) -> bool:
     rs = ([], [])     # per class: the r of each running quotient
     quots = ([], [])  # per class: (v, cs) standing for q^v * cs
     for n in range(bp.n_max + 1):
-        alpha = bp.alpha[n]._promote(2).coeffs
-        beta = bp.beta[n]._promote(2).coeffs
+        alpha = bp.alpha[n].coeffs
+        beta = bp.beta[n].coeffs
         for p in (0, 1):
             for r, (_, cs) in zip(rs[p], quots[p]):
                 _div_factor(cs, 1, n - r)
@@ -175,17 +177,26 @@ def check_pair(bp: BaileyPair) -> bool:
 # ---------------------------------------------------------------- transformations
 
 
+def _insert(bp: BaileyPair, w: int, row_spec) -> BaileyPair:
+    """S1 (w = 2) or S2 (w = 1, with its ``row_spec``): the weight
+    q^(w r^2 / 2), which is w r^2 half-grid slots, on alpha_r and beta_r."""
+    order = bp.order
+    length = _slots(order, 2)
+    alpha = []
+    for r, s in enumerate(bp.alpha):
+        pad = min(w * r * r, length)
+        alpha.append(_series(pad, list(s.coeffs[:length - pad]), order))
+    heads = (_head(s, max(length - w * r * r, 0)) for r, s in enumerate(bp.beta))
+    terms = [(v + w * r * r, cs) for r, (v, cs) in enumerate(heads)]
+    sums = _quotient_sums(terms, _T2, length, row_spec=row_spec)
+    return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
+
+
 def apply_S1(bp: BaileyPair) -> BaileyPair:
     """Weight insertion with integer squares:
     alpha'_r = q^(r^2) alpha_r,
     beta'_n = sum_r q^(r^2) beta_r / (q; q)_{n-r}."""
-    order = bp.order
-    length = _slots(order, 2)
-    alpha = tuple(s.shift(r * r).truncate(order) for r, s in enumerate(bp.alpha))
-    terms = [_head(s, max(length - 2 * r * r, 0)) for r, s in enumerate(bp.beta)]
-    rs = range(len(terms))
-    sums = _quotient_sums(terms, _T2, length, [0] * len(rs), [2 * r * r for r in rs])
-    return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
+    return _insert(bp, 2, None)
 
 
 def apply_S2(bp: BaileyPair) -> BaileyPair:
@@ -195,16 +206,7 @@ def apply_S2(bp: BaileyPair) -> BaileyPair:
               all divided by (-q^(1/2); q)_n,
     computed as sum_r q^(r^2/2) beta_r / ((q; q)_{n-r} (-q^(r+1/2); q)_{n-r}),
     whose running quotients all gain the factor 1 + q^(n-1/2) at row n."""
-    order = bp.order
-    length = _slots(order, 2)
-    alpha = []
-    for r, s in enumerate(bp.alpha):
-        pad = min(r * r, length)  # q^(r^2/2) is r^2 slots
-        alpha.append(_series(pad, list(s._promote(2).coeffs[:length - pad]), order))
-    terms = [_head(s, max(length - r * r, 0)) for r, s in enumerate(bp.beta)]
-    rs = range(len(terms))
-    sums = _quotient_sums(terms, _T2, length, [0] * len(rs), [r * r for r in rs], _NEG_T)
-    return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
+    return _insert(bp, 1, _NEG_T)
 
 
 def apply_D1(bp: BaileyPair) -> BaileyPair:
@@ -218,13 +220,12 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     """
     order = 2 * bp.order
     length = _slots(order, 1)
-    alpha = tuple(s.rescale(2)._promote(2) for s in bp.alpha)
+    alpha = tuple(s.rescale(2) for s in bp.alpha)
     terms = []
     for r, s in enumerate(bp.beta):
         v, cs = _head(s, length)
         terms.append((v, _mul_factors(cs, _NEG_Q, 2 * r)))
-    rs = range(len(terms))
-    sums = _quotient_sums(terms, _Q2, length, list(rs), [-r for r in rs])
+    sums = _quotient_sums(terms, _Q2, length, 1)
     beta = []
     for v, cs in sums:
         even = [0] * _slots(order, 2)

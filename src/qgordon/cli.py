@@ -22,20 +22,14 @@ from typing import List, Optional, Sequence
 
 from .bailey import build_chain, check_pair, closed_form_alpha
 from .identities import THEOREMS, IdentitySpec, VerificationReport, verify
-from .lattice_paths import (
-    _S_counts,
-    enumerate_S_paths,
-    path_to_compact,
-    path_to_json_obj,
-    path_to_svg,
-)
-from .partitions import _PARITY, GordonParams, _A_counts, _gordon_counts
+from .lattice_paths import count_S, enumerate_S_paths, path_to_compact, path_to_json_obj, path_to_svg
+from .partitions import GordonParams, count_A, count_B, count_W, count_Wbar
 
 __all__ = ["run", "sweep", "main"]
 
 # the --theorem names: the table's families, in first-seen order
 _THEOREM_NAMES = tuple(dict.fromkeys(thm.family for thm in THEOREMS.values()))
-_FAMILIES = ("B", "A", "W", "Wbar", "S")
+_COUNTS = {"B": count_B, "A": count_A, "W": count_W, "Wbar": count_Wbar, "S": count_S}
 # S paths are found by an exhaustive search whose time doubles about
 # every +4 of the major index: the largest --n (enumerate-paths,
 # count --family S) and --order (verify --theorem paths) accepted
@@ -90,11 +84,9 @@ def _cmd_count(args) -> int:
     gp = GordonParams(args.k, args.a)
     if args.family == "S":
         _check_S_cap("--n", args.n)
-        counts = _S_counts(args.n, gp)
-    elif args.family == "A":
-        counts = _A_counts(args.n, gp)
-    else:
-        counts = _gordon_counts(args.n, gp, _PARITY[args.family])
+    count = _COUNTS[args.family]
+    count(args.n, gp)  # checks n, and fills the table or search up to it
+    counts = [count(n, gp) for n in range(args.n + 1)]
     obj = {"family": args.family, "k": gp.k, "a": gp.a, "counts": counts}
     _emit(obj, args.json, [f"{n} {c}" for n, c in enumerate(counts)])
     return 0
@@ -156,8 +148,8 @@ def sweep(kmax: int = 4, order: int = 40) -> List[VerificationReport]:
     applies, in table order.  Path counting is excluded (it has its own
     theorem name and a far smaller practical order).
     """
-    if kmax < 2:
-        raise ValueError(f"kmax must be >= 2, got {kmax}")
+    if type(kmax) is not int or kmax < 2:  # a bool is not an int here
+        raise ValueError(f"kmax must be >= 2, got {kmax!r}")
     specs = [
         IdentitySpec(tag, GordonParams(k, a), order)
         for k in range(2, kmax + 1)
@@ -211,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="print counts of one partition or path family")
-    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--family", choices=tuple(_COUNTS), required=True)
     add_ka(p)
     p.add_argument("--n", type=int, required=True,
                    help=f"count everything up to this size (family S: at most {_S_PATH_CAP})")

@@ -77,9 +77,6 @@ __all__ = [
     "verify",
 ]
 
-_Q = PochSpec(1, 1, 1)        # (q; q)
-_Q2 = PochSpec(1, 2, 2)       # (q^2; q^2)
-_Q4 = PochSpec(1, 4, 4)       # (q^4; q^4)
 _NEG_Q_ODD = PochSpec(-1, 1, 2)   # (-q; q^2)
 
 
@@ -136,8 +133,8 @@ def ladder_multisum(
     *,
     lin: Sequence[int],
     nlin: Sequence[int],
-    level_denom: PochSpec,
-    innermost: PochSpec,
+    base: int,
+    inner: int,
     numer: Optional[PochSpec] = None,
 ) -> Series:
     """Evaluate the descending-ladder sum to the given order.
@@ -145,21 +142,19 @@ def ladder_multisum(
     The term for N_1 >= ... >= N_{k-1} >= 0 is::
 
         q^(sum N_i^2 + sum lin[i-1] * N_i + sum nlin[i-1] * n_i)
-        * numer(N_{k-1}) / (innermost at N_{k-1})
-        / prod_{i<k-1} (level_denom at n_i)
+        * numer(N_{k-1}) / (q^inner; q^inner)_{N_{k-1}}
+        / prod_{i<k-1} (q^base; q^base)_{n_i}
 
     with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``k``, ``order`` and
     the k - 1 entries of ``lin`` and ``nlin`` must be ints, not bools,
-    and those of ``nlin`` nonnegative (anything else raises ValueError
-    naming the arguments); the result
-    is on the integer grid.  A sum with
+    and those of ``nlin`` nonnegative; ``base`` and ``inner`` must be
+    positive ints, not bools (anything else raises ValueError naming
+    the arguments).  The result is on the integer grid.  A sum with
     half squares is the same sum in t = q^(1/2): the Bailey chain's limit
     reads :func:`eval_multisum_main` that way.  For k = 1 the sum is
     empty and equals 1.
 
-    ``level_denom`` must be (q^b; q^b) for some base b, that is
-    PochSpec(1, b, b), and anything else raises ValueError naming it:
-    the sum is built on x = q^b.  Write H_i[n] for the sum of levels
+    The sum is built on x = q^base.  Write H_i[n] for the sum of levels
     i..k-1 with N_i = n and K_i[n] = (x; x)_n H_i[n].  Since
     1/(x; x)_(n-m) = [n m]_x (x; x)_m / (x; x)_n, level i is
     K_i[n] = q^(g_i(n)) P_n with P_n = sum_m [n m]_x q^(nlin (n - m))
@@ -169,10 +164,10 @@ def ladder_multisum(
     lemma leaves the rows it reaches.  Every row and every cell is a
     pair (v, cs) whose list cs starts at q^v, its least exponent: a
     row of level i is (g_i(n) + v, cs) for P_n = (v, cs).  The
-    innermost K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n / (innermost)_n
+    innermost K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n / (q^inner; q^inner)_n
     is (e_(k-1)(n, 0), a copy of one running list), the list given one
     factor of each symbol per row (none of the two that cancel when
-    ``innermost`` is ``level_denom``).  Only the result
+    ``inner`` is ``base``).  Only the result
     sum_n K_1[n] / (x; x)_n divides, by Horner: one pass per row of
     level 1, from the top row down, each over the exponents from the
     least start of the rows added so far up to the order.
@@ -210,13 +205,12 @@ def ladder_multisum(
         raise ValueError(f"k must be an int, got {k!r}")
     if any(type(v) is not int for v in (order, *lin, *nlin)):
         raise ValueError(f"order, lin and nlin must be ints: {order!r}, {lin!r}, {nlin!r}")
+    if type(base) is not int or type(inner) is not int or base < 1 or inner < 1:
+        raise ValueError(f"base and inner must be positive ints: {base!r}, {inner!r}")
     if any(v < 0 for v in nlin):
         raise ValueError(f"nlin entries must be >= 0, got {nlin!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if level_denom.sign != 1 or level_denom.exponent != level_denom.base:
-        raise ValueError(f"level_denom must be (q^b; q^b), got {level_denom}")
-    b = level_denom.base
     if k == 1:
         return Series.one(order)
     if len(lin) != k - 1 or len(nlin) != k - 1:
@@ -243,10 +237,9 @@ def ladder_multisum(
         return max((i - 1) * n * n + lin_sums[i - 1] * n, 0)
 
     # the innermost level: K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n
-    # / (innermost)_n from one running list, cut to row n's window and
+    # / (q^inner; q^inner)_n from one running list, cut to row n's window and
     # then given factor n of each symbol; rows are kept until it runs
-    # empty, but every row takes its division, so a zero divisor is
-    # refused wherever row 1 is below the order
+    # empty
     rows = level_rows(k - 1, 1)
     table = []
     run = [1] + [0] * (order - 1)
@@ -254,9 +247,9 @@ def ladder_multisum(
         e = g + nlin[-1] * n
         del run[max(order - floor(k - 1, n) - e, 0):]
         if n:
-            if innermost != level_denom:
-                _mul_factor(run, 1, b * n)
-                _div_factor(run, innermost.sign, innermost.exponent + (n - 1) * innermost.base)
+            if inner != base:
+                _mul_factor(run, 1, base * n)
+                _div_factor(run, 1, inner * n)
             if numer is not None:
                 _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
         if run:
@@ -272,7 +265,7 @@ def ladder_multisum(
             if (stop := order - floor(i, n) - g) <= c * (n - min(n, width - 1)):
                 break
             stops.append(stop)
-        sums = _pascal_rows(table, b, c, stops)
+        sums = _pascal_rows(table, base, c, stops)
         # g < 0 needs lin < 0, and validation keeps g + v >= 0
         table = [(g + v, cs) for g, (v, cs) in zip(rows, sums)]
     # Horner: sum_n K_1[n] / (x; x)_n as total = (total + K_1[n]) / (1 - x^n)
@@ -290,7 +283,7 @@ def ladder_multisum(
             h = j + len(cs)
             total[j:h] = map(add, total[j:h], cs)
         if n:
-            _div_factor(total, 1, b * n)
+            _div_factor(total, 1, base * n)
     return Series._unchecked([0] * lo + total, _order(order), 1)
 
 
@@ -302,8 +295,8 @@ class Ladder(NamedTuple):
 
     lin: list
     nlin: list
-    level_denom: PochSpec
-    innermost: PochSpec
+    base: int
+    inner: int
     numer: Optional[PochSpec] = None
 
 
@@ -321,13 +314,13 @@ class Product(NamedTuple):
 
 def _ag_ladder(k: int, a: int) -> Ladder:
     """Linear terms N_a + ... + N_{k-1}, all denominators (q; q)."""
-    return Ladder([1 if i >= a else 0 for i in range(1, k)], [0] * (k - 1), _Q, _Q)
+    return Ladder([1 if i >= a else 0 for i in range(1, k)], [0] * (k - 1), 1, 1)
 
 
 def _w_ladder(k: int, a: int) -> Ladder:
     """Linear terms 2 N_i on i = a, a+2, ..., all denominators (q^2; q^2)."""
     lin = [2 if i >= a and (i - a) % 2 == 0 else 0 for i in range(1, k)]
-    return Ladder(lin, [0] * (k - 1), _Q2, _Q2)
+    return Ladder(lin, [0] * (k - 1), 2, 2)
 
 
 def _wbar_ladder(k: int, a: int) -> Ladder:
@@ -335,12 +328,12 @@ def _wbar_ladder(k: int, a: int) -> Ladder:
     i < a - 1, all denominators (q^2; q^2)."""
     lin = [1 if i >= a - 1 + a % 2 else 0 for i in range(1, k)]
     nlin = [1 if i % 2 == 1 and i < a - 1 else 0 for i in range(1, k)]
-    return Ladder(lin, nlin, _Q2, _Q2)
+    return Ladder(lin, nlin, 2, 2)
 
 
 def _main_ladder(k: int, a: int) -> Ladder:
     """The W ladder with (q^4; q^4) innermost and a (-q; q^2) numerator."""
-    return _w_ladder(k, a)._replace(innermost=_Q4, numer=_NEG_Q_ODD)
+    return _w_ladder(k, a)._replace(inner=4, numer=_NEG_Q_ODD)
 
 
 def _main_product(k: int, a: int) -> Product:

@@ -33,9 +33,9 @@ ascending recurrence over the terms to divide.
 :func:`_quotient_sums` builds the sums of quotients that the Bailey
 transformations need, keeping one running quotient per term and
 cutting it, before each division, to the window its row still needs
-below one common length.  Every such sum has a separable exponent:
-term m of row n sits at q^(row_exps[n] + col_exps[m]), so the caller
-passes two vectors, not a table.  (The multisums sum by q-Pascal cells
+below one common length.  Every such sum shifts term m of row n by
+q^(shift (n - m)) for one int shift >= 0: any part that depends on m
+alone rides on the term's own start.  (The multisums sum by q-Pascal cells
 instead and divide only once; see :func:`qgordon.identities.ladder_multisum`.)
 :func:`_shifted_sum` adds a row's shifted terms in one column pass:
 padded to a common window, they are summed column by column with the
@@ -550,27 +550,25 @@ def _shifted_sum(terms: list, lo: int, length: int) -> list:
     return list(map(sum, zip(*rows))) if rows else [0] * (length - lo)
 
 
-def _quotient_sums(terms: list, spec: PochSpec, length: int, row_exps: list, col_exps: list,
-                   row_spec=None) -> list:
-    """sum_{m <= n} q^(row_exps[n] + col_exps[m]) * terms[m] / (spec)_{n-m}
-    for each n < len(row_exps), as (v, cs) pairs standing for q^v * cs
-    with cs known below exponent ``length``; a PochSpec ``row_spec``
-    also divides term m by (row_spec)_n / (row_spec)_m, so by its factor
-    n - 1 at row n.
+def _quotient_sums(terms: list, spec: PochSpec, length: int, shift: int = 0, row_spec=None) -> list:
+    """sum_{m <= n} q^(shift (n - m)) * terms[m] / (spec)_{n-m} for each
+    n < len(terms), as (v, cs) pairs standing for q^v * cs with cs known
+    below exponent ``length``; a PochSpec ``row_spec`` also divides term
+    m by (row_spec)_n / (row_spec)_m, so by its factor n - 1 at row n.
 
     ``terms`` holds (v, cs) pairs of the same form and is consumed: each
     becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
     window it still needs before each division, so every (n, m) costs
-    one pass per factor.  Terms past the end of ``terms`` or of
-    ``col_exps`` are taken as zero.  ``row_exps`` must not fall.
+    one pass per factor.  ``shift`` must be >= 0, so a window only
+    shrinks as n grows.
     """
     first, step = spec.exponent, spec.base
     out = []
-    for n, r in enumerate(row_exps):
+    for n in range(len(terms)):
         row = []
         lo = length
-        for m, ((v, cs), c) in enumerate(zip(terms[: n + 1], col_exps)):
-            at = r + c + v
+        for m, (v, cs) in enumerate(terms[: n + 1]):
+            at = v + shift * (n - m)
             del cs[max(length - at, 0):]
             if not cs:
                 continue

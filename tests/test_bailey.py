@@ -19,7 +19,7 @@ from qgordon.bailey import (
     limit_identity,
     unit_pair,
 )
-from qgordon.identities import eval_multisum_main, eval_product_side
+from qgordon.identities import eval_multisum_AG, eval_multisum_main, eval_product_side
 from qgordon.qseries import PochSpec, Series, invert_poch, mul, poch_infinite, rescale, theta_sum
 
 Q = PochSpec(1, 1, 1)
@@ -78,6 +78,21 @@ class TestTransforms:
         assert check_pair(s1)
         for n in range(9):
             assert s1.beta[n] == invert_poch(Q, 30, n=n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_integer_weights_reach_andrews_gordon(self, k):
+        """k - 1 S1 steps from the seed pair give the Andrews-Gordon
+        identity with a = k through Bailey's lemma:
+        sum_n q^(n^2) beta_n is the AG sum, and
+        (1 / (q; q)_inf) sum_r q^(r^2) alpha_r is the AG product.  Below
+        q^60 the pairs' n <= 8 carry every term."""
+        pair = unit_pair(8, 60)
+        for _ in range(k - 1):
+            pair = apply_S1(pair)
+        beta_side = sum((b.shift(n * n).truncate(60) for n, b in enumerate(pair.beta)), Series.zero(60))
+        alpha_side = sum((a.shift(r * r).truncate(60) for r, a in enumerate(pair.alpha)), Series.zero(60))
+        assert beta_side == eval_multisum_AG((k, k), 60)
+        assert alpha_side * invert_poch(Q, 60) == eval_product_side("AG", (k, k), 60)
 
     def test_half_weights_keep_relation(self):
         assert check_pair(apply_S2(unit_pair(6, 24)))

@@ -163,11 +163,15 @@ class TestCountCommand:
         series = identities.eval_product_side("AG", (2, 2), 401)
         assert lines[400] == f"400 {series.coefficient(400)}"
 
-    def test_negative_n_prints_nothing(self, capsys):
-        for family in ("B", "A", "W", "Wbar", "S"):
+    def test_negative_n_exits_two(self, capsys):
+        """--n -1 is refused with the family oracle's message, where it
+        used to print no counts and exit 0."""
+        for family, message in (("B", "cannot partition -1"), ("A", "cannot partition -1"),
+                                ("W", "cannot partition -1"), ("Wbar", "cannot partition -1"),
+                                ("S", "n_max must be an int >= 0, got -1")):
             code = run(["count", "--family", family, "--k", "3", "--a", "2", "--n", "-1", "--json"])
-            obj = json.loads(capsys.readouterr().out)
-            assert code == 0 and obj["counts"] == [], family
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), family
 
 
 # every exhaustive S-path command, with the flag the cap bounds
@@ -345,6 +349,13 @@ class TestSweepCommand:
         code = run(["sweep", "--kmax", "1"])
         assert code == 2
         assert "kmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kmax", [3.0, "3", None, True])
+    def test_kmax_must_be_an_int(self, kmax):
+        """A bool is not read as 1, and a float, a string or None is
+        refused like a small kmax, not with a TypeError."""
+        with pytest.raises(ValueError, match=f"^kmax must be >= 2, got {re.escape(repr(kmax))}$"):
+            sweep(kmax)
 
 
 def _readme_examples():

@@ -48,7 +48,7 @@ REGIMES = {
 
 class TestLadder:
     def test_single_level_is_one(self):
-        assert ladder_multisum(1, 10, lin=[], nlin=[], level_denom=Q, innermost=Q) == Series.one(10)
+        assert ladder_multisum(1, 10, lin=[], nlin=[], base=1, inner=1) == Series.one(10)
 
     def test_rogers_ramanujan_head(self):
         """k = 2, a = 2 is the first Rogers-Ramanujan sum."""
@@ -58,12 +58,12 @@ class TestLadder:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="one entry per level"):
-            ladder_multisum(3, 10, lin=[0], nlin=[0, 0], level_denom=Q, innermost=Q)
+            ladder_multisum(3, 10, lin=[0], nlin=[0, 0], base=1, inner=1)
         # the sum works on the integer grid: rational exponents are refused, not rounded
         half = Fraction(1, 2)
         for order, lin, nlin in ((Fraction(21, 2), [0], [0]), (10, [half], [0]), (10, [0], [half])):
             with pytest.raises(ValueError, match="ints"):
-                ladder_multisum(2, order, lin=lin, nlin=nlin, level_denom=Q, innermost=Q)
+                ladder_multisum(2, order, lin=lin, nlin=nlin, base=1, inner=1)
 
     @pytest.mark.parametrize("arg, value, message", [
         ("k", True, "k must be an int, got True"),
@@ -73,7 +73,7 @@ class TestLadder:
     ])
     def test_bools_are_not_ints(self, arg, value, message):
         """A bool is refused where an int is wanted, naming the argument."""
-        args = dict(k=2, order=10, lin=[0], nlin=[0], level_denom=Q, innermost=Q)
+        args = dict(k=2, order=10, lin=[0], nlin=[0], base=1, inner=1)
         args[arg] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ladder_multisum(**args)
@@ -85,7 +85,7 @@ class TestLadder:
 
     def test_needs_at_least_one_level(self):
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-            ladder_multisum(0, 10, lin=[], nlin=[], level_denom=Q, innermost=Q)
+            ladder_multisum(0, 10, lin=[], nlin=[], base=1, inner=1)
 
     @pytest.mark.parametrize("k, order, lin, nlin, level", [
         (3, 2, [0, -2], [0, 0], 2),
@@ -102,44 +102,39 @@ class TestLadder:
         else:
             message = f"^negative exponent in level {level} at N = 1$"
         with pytest.raises(ValueError, match=message):
-            ladder_multisum(k, order, lin=lin, nlin=nlin, level_denom=Q, innermost=Q2)
+            ladder_multisum(k, order, lin=lin, nlin=nlin, base=1, inner=2)
 
     def test_negative_nlin_refused(self):
         """A negative nlin puts terms below the order in rows whose
         n^2 + lin * n reaches it, which the ladder drops: sum q^(n^2) /
         (q; q)_n written with lin = [2], nlin = [-2] has 5 at q^9, and
         a ladder that stopped at those rows read 4.  It is refused."""
-        args = dict(lin=[2], nlin=[-2], level_denom=Q, innermost=Q)
+        args = dict(lin=[2], nlin=[-2], base=1, inner=1)
         assert _direct_ladder(2, 10, **args).coefficient(9) == 5
         assert eval_multisum_AG((2, 2), 10).coefficient(9) == 5
         with pytest.raises(ValueError, match="nlin entries must be >= 0"):
             ladder_multisum(2, 10, **args)
 
     def test_small_order_with_lin_minus_one(self):
-        s = ladder_multisum(4, 3, lin=[-1, -1, -1], nlin=[0, 0, 0], level_denom=Q, innermost=Q2)
+        s = ladder_multisum(4, 3, lin=[-1, -1, -1], nlin=[0, 0, 0], base=1, inner=2)
         assert s.coeffs == (4, 2, 6)
 
-    @pytest.mark.parametrize("k, order, nlin, level_denom", [
-        (3, 2, [0, 0], PochSpec(1, 0, 1)),
-        (3, 2, [1, 0], PochSpec(1, 0, 1)),  # level 1's exponent at (N_1, N_2) = (1, 0) is 2
-        (4, 2, [5, 0, 0], PochSpec(1, 0, 1)),  # level 2's row 1 lies past its floor
-        (2, 9, [0], PochSpec(1, 0, 1)),  # one level: only the final sum divides by it
-        (3, 9, [0, 0], PochSpec(-1, 1, 1)),  # (-q; q)
-        (3, 9, [0, 0], PochSpec(1, 1, 2)),  # (q; q^2)
+    @pytest.mark.parametrize("base, inner", [
+        (0, 1), (1, 0), (-2, 1), (1, -4), (2.0, 1), (1, 4.0), (True, 1), (1, True),
     ])
-    def test_level_denom_refused(self, k, order, nlin, level_denom):
-        """The sum divides by level denominators (q^b; q^b) only: any
-        other symbol is refused, naming the argument, whether or not
-        the order reaches a term it divides."""
-        args = dict(lin=[0] * (k - 1), nlin=nlin, level_denom=level_denom, innermost=Q)
-        with pytest.raises(ValueError, match=r"^level_denom must be \(q\^b; q\^b\), got PochSpec\("):
-            ladder_multisum(k, order, **args)
+    def test_base_and_inner_must_be_positive_ints(self, base, inner):
+        """The denominators are (q^b; q^b) for a positive int b: a zero
+        base would divide by 1 - q^0, and a bool is not an int here."""
+        message = f"base and inner must be positive ints: {base!r}, {inner!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ladder_multisum(3, 9, lin=[0, 0], nlin=[0, 0], base=base, inner=inner)
 
 
-def _direct_ladder(k, order, lin, nlin, level_denom, innermost, numer=None) -> Series:
+def _direct_ladder(k, order, lin, nlin, base, inner, numer=None) -> Series:
     """The ladder sum term by term: every N_1 >= ... >= N_(k-1) >= 0 whose
     exponent lies below the order, each term built from the public
     Pochhammer builders and Series arithmetic on the window it leaves."""
+    level_denom, innermost = PochSpec(1, base, base), PochSpec(1, inner, inner)
     top = isqrt(order + k) + 3  # N_1^2 - 2 N_1 - (k - 2) < order for every kept term
     total = Series.zero(order)
     for ns in combinations_with_replacement(range(top, -1, -1), k - 1):
@@ -162,6 +157,8 @@ class TestLadderAgainstDirectSum:
     """The sum against term-by-term summation at orders where the outer
     levels' floors drop rows and cut the rest."""
 
+    # each row names its denominators by their symbols (q^b; q^b), and
+    # the sum takes their b
     @pytest.mark.parametrize("k, order, lin, nlin, level_denom, innermost, numer", [
         (2, 120, [0], [0], Q, Q, None),
         (3, 100, [-1, 1], [1, 0], Q, Q, None),
@@ -176,10 +173,9 @@ class TestLadderAgainstDirectSum:
         (2, 90, [-2], [1], Q2, Q, NEG_Q_ODD),  # row 1 has g = -1
     ])
     def test_matches_direct_sum(self, k, order, lin, nlin, level_denom, innermost, numer):
-        got = ladder_multisum(
-            k, order, lin=lin, nlin=nlin, level_denom=level_denom, innermost=innermost, numer=numer
-        )
-        want = _direct_ladder(k, order, lin, nlin, level_denom, innermost, numer)
+        args = dict(lin=lin, nlin=nlin, base=level_denom.base, inner=innermost.base, numer=numer)
+        got = ladder_multisum(k, order, **args)
+        want = _direct_ladder(k, order, **args)
         assert (got.coeffs, got.order, got.denom) == (want.coeffs, want.order, want.denom)
 
 
@@ -200,8 +196,8 @@ class TestOffsetCells:
             args = dict(
                 lin=[rng.randint(-2, 3) for _ in range(k - 1)],
                 nlin=[rng.randint(0, 2) for _ in range(k - 1)],
-                level_denom=PochSpec(1, b := rng.randint(1, 3), b),
-                innermost=rng.choice((Q, Q2, Q4)),
+                base=rng.randint(1, 3),
+                inner=rng.choice((1, 2, 4)),
                 numer=rng.choice((None, NEG_Q_ODD)),
             )
             order = rng.randint(10, 60)
@@ -220,10 +216,9 @@ class TestOffsetCells:
         (4, 40, [0, -2, 50], [0, 1, 0], Q, Q2, None),  # level 2's row 1 has g = -1, read by level 1's cells
     ])
     def test_edge_ladders_match_direct_sum(self, k, order, lin, nlin, level_denom, innermost, numer):
-        got = ladder_multisum(
-            k, order, lin=lin, nlin=nlin, level_denom=level_denom, innermost=innermost, numer=numer
-        )
-        want = _direct_ladder(k, order, lin, nlin, level_denom, innermost, numer)
+        args = dict(lin=lin, nlin=nlin, base=level_denom.base, inner=innermost.base, numer=numer)
+        got = ladder_multisum(k, order, **args)
+        want = _direct_ladder(k, order, **args)
         assert (got.coeffs, got.order) == (want.coeffs, want.order)
 
     @pytest.mark.parametrize("z, x, c, stops", [
@@ -296,19 +291,19 @@ def _paper_ladder(tag: str, k: int, a: int) -> dict:
 
     if tag == "AG":
         # q^(N_1^2 + ... + N_(k-1)^2 + N_a + ... + N_(k-1)) / ((q)_(n_1) ... (q)_(n_(k-1)))
-        return dict(lin=on(range(a, k)), nlin=on(()), level_denom=Q, innermost=Q)
+        return dict(lin=on(range(a, k)), nlin=on(()), base=1, inner=1)
     every_other = [2 * c for c in on(range(a, k, 2))]  # 2 N_a + 2 N_(a+2) + ...
     if tag in ("W_same", "W_diff"):
-        return dict(lin=every_other, nlin=on(()), level_denom=Q2, innermost=Q2)
+        return dict(lin=every_other, nlin=on(()), base=2, inner=2)
     if tag in ("Main", "Paths"):
         # (-q; q^2)_(N_(k-1)) / ((q^2; q^2)_(n_1) ... (q^2; q^2)_(n_(k-2)) (q^4; q^4)_(N_(k-1)))
-        return dict(lin=every_other, nlin=on(()), level_denom=Q2, innermost=Q4, numer=NEG_Q_ODD)
+        return dict(lin=every_other, nlin=on(()), base=2, inner=4, numer=NEG_Q_ODD)
     if tag == "Wbar_odd_even":
         # N_(a-1) + ... + N_(k-1) + n_1 + n_3 + ... + n_(a-3)
-        return dict(lin=on(range(a - 1, k)), nlin=on(range(1, a - 2, 2)), level_denom=Q2, innermost=Q2)
+        return dict(lin=on(range(a - 1, k)), nlin=on(range(1, a - 2, 2)), base=2, inner=2)
     assert tag == "Wbar_even_odd"
     # N_a + ... + N_(k-1) + n_1 + n_3 + ... + n_(a-2)
-    return dict(lin=on(range(a, k)), nlin=on(range(1, a - 1, 2)), level_denom=Q2, innermost=Q2)
+    return dict(lin=on(range(a, k)), nlin=on(range(1, a - 1, 2)), base=2, inner=2)
 
 
 # the evaluator each tag's sum side is reached through

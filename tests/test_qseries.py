@@ -627,38 +627,33 @@ def _coefficient(rng):
 
 
 def _quotient_case(rng):
-    """Random arguments for _quotient_sums: row exponents that do not
-    fall, so every window length - row_exps[n] - col_exps[m] shrinks
-    with n, and column exponents as low as -row_exps[m], so every
-    exponent is >= 0.  Term m reaches the end of its window in row m,
-    the first that reads it, and is empty when that window is."""
-    rows = rng.randint(0, 7)
-    row_exps = sorted(rng.randint(0, 12) for _ in range(rows))
+    """Random arguments for _quotient_sums: a shift of 0 to 3, so every
+    window length - v - shift (n - m) shrinks with n.  Term m reaches
+    the end of its window in row m, the first that reads it, and is
+    empty when that window is."""
     length = rng.randint(1, 40)
-    nterms = rng.randint(0, rows + 1)
-    col_exps = [rng.randint(-row_exps[m] if m < rows else 0, 6) for m in range(nterms)]
     terms = []
-    for m in range(nterms):
+    for _ in range(rng.randint(0, 7)):
         v = rng.randint(0, 30)
-        window = length - row_exps[m] - col_exps[m] - v if m < rows else 0
+        window = length - v
         terms.append((v, [_coefficient(rng) for _ in range(max(window, 0) + rng.randint(0, 3) * (window > 0))]))
     row_spec = rng.choice((None, rng.choice(QUOTIENT_SPECS)))
-    return terms, rng.choice(QUOTIENT_SPECS), length, row_exps, col_exps, row_spec
+    return terms, rng.choice(QUOTIENT_SPECS), length, rng.randint(0, 3), row_spec
 
 
-def _direct_quotient_sums(terms, spec, length, row_exps, col_exps, row_spec):
+def _direct_quotient_sums(terms, spec, length, shift, row_spec):
     """Each row of _quotient_sums in Series arithmetic: term m read as
-    q^v * cs, times q^(row_exps[n] + col_exps[m]) / (spec)_(n-m)
-    and, for a row_spec, (row_spec)_m / (row_spec)_n, below ``length``."""
+    q^v * cs, times q^(shift (n - m)) / (spec)_(n-m) and, for a
+    row_spec, (row_spec)_m / (row_spec)_n, below ``length``."""
     rows = []
-    for n, r in enumerate(row_exps):
+    for n in range(len(terms)):
         total = Series.zero(length)
-        for m, ((v, cs), c) in enumerate(zip(terms[: n + 1], col_exps)):
+        for m, (v, cs) in enumerate(terms[: n + 1]):
             f = Series.from_terms([(v + i, x) for i, x in enumerate(cs)], length)
             f = f * invert_poch(spec, length, n - m)
             if row_spec is not None:
                 f = f * invert_poch(row_spec, length, n) * poch_finite(row_spec, m, length)
-            total = total + f.shift(r + c).truncate(length)
+            total = total + f.shift(shift * (n - m)).truncate(length)
         rows.append(total.coeffs)
     return rows
 
@@ -669,20 +664,23 @@ class TestQuotientSums:
     def test_matches_direct_sum(self):
         rng = random.Random(15)
         empty_terms = emptied = 0
+        shifts = set()
         for case in range(400):
-            terms, spec, length, row_exps, col_exps, row_spec = _quotient_case(rng)
+            terms, spec, length, shift, row_spec = _quotient_case(rng)
             if case == 0:
-                terms, col_exps = [], []
-            want = _direct_quotient_sums(terms, spec, length, row_exps, col_exps, row_spec)
-            got = _quotient_sums([(v, cs[:]) for v, cs in terms], spec, length, row_exps, col_exps, row_spec)
-            assert len(got) == len(row_exps)
+                terms = []
+            want = _direct_quotient_sums(terms, spec, length, shift, row_spec)
+            got = _quotient_sums([(v, cs[:]) for v, cs in terms], spec, length, shift, row_spec)
+            assert len(got) == len(terms)
             for (lo, sums), row in zip(got, want):
                 assert lo + len(sums) == length
                 assert tuple([0] * lo + sums) == row
+            shifts.add(shift)
             empty_terms += any(not cs for _, cs in terms)
-            emptied += any(cs and length <= row_exps[n] + c + v
-                           for m, ((v, cs), c) in enumerate(zip(terms, col_exps))
-                           for n in range(m + 1, len(row_exps)))
+            emptied += any(cs and length <= v + shift * (n - m)
+                           for m, (v, cs) in enumerate(terms)
+                           for n in range(m + 1, len(terms)))
+        assert shifts == {0, 1, 2, 3}
         assert empty_terms and emptied  # some term is empty, some window shrinks to nothing
 
 
