@@ -2,7 +2,7 @@
 
 Each case evaluates one group of results (sum and product sides, their
 refusals, the counting oracles asked in a mixed order of n, Bailey
-chains, reverse maps of lattice paths, small runs of the command line)
+chains and their links with one slot corrupted, reverse maps of lattice paths, small runs of the command line)
 and encodes them as JSON-ready data: a series as its grid, order and
 every coefficient, a refusal as its type and message, a command as its
 exit code, stdout and stderr.  ``tests/exactness.json``
@@ -28,10 +28,13 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 from qgordon import (
+    BaileyPair,
     GordonParams,
+    Series,
     build_chain,
     check_pair,
     clear_caches,
@@ -93,6 +96,8 @@ COUNT_SCAN = (*range(61), 200, *range(199, -1, -1))
 PATH_SCAN = (*range(13), 20, *range(19, -1, -1))
 #: n that every oracle refuses, whatever it has already counted
 BAD_N = (True, False, -1, 2.0, "3", None)
+#: the chains whose links the gate checks again with one slot corrupted
+CORRUPT_PAIRS = ((5, 2), (7, 2))
 #: the pair and bound of the high-order scans
 SCAN_PAIR, SCAN_TOP = (7, 2), 1000
 
@@ -174,6 +179,35 @@ def _chain(k: int, a: int, n_max: int, order: int) -> list:
     ]
 
 
+def _bump(s, slot: int):
+    """s plus q^(slot/2); a slot at or past s's window raises its order
+    to just past that slot."""
+    cs = list(s.coeffs)
+    if slot < len(cs):
+        cs[slot] += 1
+        return Series(cs, s.order, 2)
+    cs += [0] * (slot - len(cs)) + [1]
+    return Series(cs, Fraction(slot + 1, 2), 2)
+
+
+def _chain_corrupt(k: int, a: int, n_max: int, order: int) -> list:
+    """check_pair on every link of one chain with one slot of one alpha_n
+    or beta_n raised by 1: at slot n, at the last slot of each class
+    below the pair's window (all must fail), and at the first slot past
+    it, which only raises that series' order (all must pass)."""
+    out = []
+    for label, bp in build_chain((k, a), n_max, order):
+        length = len(bp.alpha[0].coeffs)
+        for field in ("alpha", "beta"):
+            series = getattr(bp, field)
+            for n in range(bp.n_max + 1):
+                for slot in (n, length - 2, length - 1, length):
+                    bumped = series[:n] + (_bump(series[n], slot),) + series[n + 1:]
+                    pair = BaileyPair(bumped, bp.beta) if field == "alpha" else BaileyPair(bp.alpha, bumped)
+                    out.append([label, field, n, slot, check_pair(pair)])
+    return out
+
+
 def _data(d) -> list:
     return [d.gp.k, d.gp.a, list(d.n), list(d.east_partition), sorted(d.uplift_set),
             [list(row) for row in d.right_moves]]
@@ -215,6 +249,8 @@ def _cases() -> tuple[dict, dict]:
     for k, a in OPPOSITE:
         for n_max, order in ((6, 40), (10, 60)):
             tier1[f"chain-{k}-{a}-{n_max}-{order}"] = lambda k=k, a=a, n=n_max, o=order: _chain(k, a, n, o)
+    for k, a in CORRUPT_PAIRS:
+        tier1[f"chain-corrupt-{k}-{a}-6-40"] = lambda k=k, a=a: _chain_corrupt(k, a, 6, 40)
     for k, a in OPPOSITE:
         if k <= 7:
             tier1[f"reverse-{k}-{a}"] = lambda k=k, a=a: _reverse(k, a)
