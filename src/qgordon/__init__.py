@@ -28,9 +28,13 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every cache the package keeps between calls: the two
-    counting oracles' tables, and the product sides' table of eta
+    counting oracles' tables, the product sides' table of eta
     quotients (at most four int lists, one per product shape, each as
-    long as the largest order asked).  The count table
+    long as the largest order asked), and the Bailey check's table of
+    wing quotients 1 / ((q; q)_{n-r} (q; q)_{n+r}) (one int tuple per
+    (r, n) up to the largest n_max checked, for each r whose alpha_r has
+    a term in the window, all as long as the longest window checked).
+    The count table
     keeps one int list per (family, k, a), at most twice as long as the
     largest n asked; the S-path table keeps, per (k, a), the step string
     and major index of every path found by the largest search.  Timings
@@ -38,6 +42,7 @@ def clear_caches() -> None:
     partitions._COUNT_TABLES.clear()
     lattice_paths._SPATH_CACHE.clear()
     identities._ETA_QUOTIENTS.clear()
+    bailey._WING_QUOTIENTS.clear()
 
 
 # each module's __all__ is the one list of its public names

@@ -17,7 +17,9 @@ exponent of t^s and every symbol has int exponents, and reads the half
 grid only where it builds a Series.  The steps whose only factors are
 (q; q) or (q^2; q^2) run on one class of slots at a time, as series in
 q: :func:`check_pair` splits every alpha and beta into its even and its
-odd slots, and :func:`apply_D1`, whose betas fill the even slots only,
+odd slots and reads the quotients 1 / ((q; q)_{n-r} (q; q)_{n+r}), which
+do not depend on the pair, from one table that every check shares, and
+:func:`apply_D1`, whose betas fill the even slots only,
 computes them in q and lays them onto the even slots.  The half-weight
 step mixes the classes through (-q^(1/2); q) and stays in t.  In t the
 limit's sum is exactly
@@ -40,13 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, mul, sub
 from typing import Tuple
 
 from . import identities
 from .partitions import _as_params
 from .qseries import (
-    PochSpec, Series, _div_factor, _div_factors, _mul_factors, _order, _quotient_sums,
-    _shifted_sum, _slots, _theta_pair,
+    PochSpec, Series, _div_factor, _mul_factors, _order, _quotient_sums, _slots, _theta_pair,
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -70,7 +73,6 @@ __all__ = [
 _T2 = PochSpec(1, 2, 2)       # (t^2; t^2) = (q; q)
 _NEG_T = PochSpec(-1, 1, 2)   # (-t; t^2) = (-q^(1/2); q)
 # the symbols of the steps that run on one class of the half grid, in q
-_Q = PochSpec(1, 1, 1)        # (q; q)
 _Q2 = PochSpec(1, 2, 2)       # (q^2; q^2)
 _NEG_Q = PochSpec(-1, 1, 1)   # (-q; q)
 
@@ -87,17 +89,24 @@ class BaileyPair:
     beta: Tuple[Series, ...]
 
     def __post_init__(self):
-        # the chain reads every series by its half-grid slots
-        alpha = tuple(s._promote(2) for s in self.alpha)
-        beta = tuple(s._promote(2) for s in self.beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        for field in ("alpha", "beta"):
+            series = tuple(getattr(self, field))
+            for i, s in enumerate(series):
+                if not isinstance(s, Series):
+                    raise TypeError(f"{field}[{i}] must be a Series, got {type(s).__name__}")
+            # the chain reads every series by its half-grid slots
+            object.__setattr__(self, field, tuple(s._promote(2) for s in series))
+        alpha, beta = self.alpha, self.beta
         if not alpha or len(alpha) != len(beta):
             raise ValueError(
                 f"alpha and beta must be equally long and nonempty, got {len(alpha)} and {len(beta)}"
             )
-        # read on every step and check; not a field, so equality ignores it
-        object.__setattr__(self, "_order", min(s.order for s in alpha + beta))
+        # read on every step and check; not a field, so equality ignores it.  A chain
+        # step gives every series one order object, which needs no comparison
+        order = alpha[0].order
+        if any(s.order is not order for s in alpha + beta):
+            order = min(s.order for s in alpha + beta)
+        object.__setattr__(self, "_order", order)
 
     @property
     def n_max(self) -> int:
@@ -125,6 +134,7 @@ def unit_pair(n_max: int, order) -> BaileyPair:
     alpha_n = (-1)^n (q^((n^2-n)/2) + q^((n^2+n)/2))."""
     if type(n_max) is not int or n_max < 0:  # a bool is not an int here
         raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
+    order = _order(order)
     alpha = tuple(_half_grid(_theta_pair(0, 2, n), order) for n in range(n_max + 1))
     return BaileyPair(alpha, (Series.one(order, 2),) + (Series.zero(order, 2),) * n_max)
 
@@ -142,34 +152,75 @@ def _series(v: int, cs: list, order: Fraction) -> Series:
     return Series._unchecked([0] * v + cs, order, 2)
 
 
+#: r -> the rows 1 / ((q; q)_{n-r} (q; q)_{n+r}) for n = r, r + 1, ..., int
+#: tuples of one common length, the window in q; a check with a longer window
+#: empties the table first, so it is bounded by the largest chain checked.  A
+#: row is never mutated, so a caller may read it while another call extends
+#: or replaces the table
+_WING_QUOTIENTS: dict = {}
+
+
+def _wing_column(r: int, n_max: int, window: int) -> list:
+    """Column r of the table, extended to row n = n_max by two passes per
+    row; the table's window must be ``window``."""
+    col = _WING_QUOTIENTS.get(r)
+    if col is None:
+        cs = [1] + [0] * (window - 1)
+        for s in range(1, 2 * r + 1):  # 1 / (q; q)_{2r}
+            _div_factor(cs, 1, s)
+        col = _WING_QUOTIENTS[r] = [tuple(cs)]
+    for n in range(r + len(col), n_max + 1):
+        cs = list(col[-1])
+        _div_factor(cs, 1, n - r)
+        _div_factor(cs, 1, n + r)
+        col.append(tuple(cs))
+    return col
+
+
 def check_pair(bp: BaileyPair) -> bool:
     """Whether the defining relation holds for every n up to n_max,
     within each series' truncation window.
 
     The (q; q) factors step by two half-grid slots, so the relation holds
     on the even and the odd slots apart, and on each class it reads as a
-    relation between series in q.  Per class, one running quotient
-    alpha_r / ((q; q)_{n-r} (q; q)_{n+r}) per r whose alpha_r has a
-    nonzero slot there is divided by the two new factors 1 - q^(n-r),
-    1 - q^(n+r) as n grows, and their sum is compared with that class of
-    beta_n.
+    relation between series in q.  Each nonzero slot c q^e of alpha_r on
+    a class contributes c q^e G_{n-r,n+r} to beta_n there, where
+    G_{n-r,n+r} = 1 / ((q; q)_{n-r} (q; q)_{n+r}) does not depend on the
+    pair: every check reads it from one shared table
+    (``_WING_QUOTIENTS``), whose window is the longest asked so far.
+    Per class and n, every such term is subtracted from that class of
+    beta_n, one pass over the window each, and what is left must be 0.
     """
     length = _slots(bp.order, 2)
-    rs = ([], [])     # per class: the r of each running quotient
-    quots = ([], [])  # per class: (v, cs) standing for q^v * cs
+    window = (length + 1) // 2  # the even class's slots
+    terms = ([], [])  # per class: (r, e, c) for each nonzero slot c q^e of alpha_r
+    for r, s in enumerate(bp.alpha):
+        cs = s.coeffs
+        for slot in compress(range(length), cs):
+            terms[slot % 2].append((r, slot // 2, cs[slot]))
+    if _WING_QUOTIENTS:  # a longer held window is read by prefixes and extended at its length
+        held = len(next(iter(_WING_QUOTIENTS.values()))[0])
+        if held < window:
+            _WING_QUOTIENTS.clear()
+        else:
+            window = held
+    cols = {r: _wing_column(r, bp.n_max, window) for t in terms for r, _, _ in t}
     for n in range(bp.n_max + 1):
-        alpha = bp.alpha[n].coeffs
         beta = bp.beta[n].coeffs
         for p in (0, 1):
-            for r, (_, cs) in zip(rs[p], quots[p]):
-                _div_factor(cs, 1, n - r)
-                _div_factor(cs, 1, n + r)
-            cls = alpha[p:length:2]
-            if any(cls):
-                v = next(i for i, c in enumerate(cls) if c)
-                rs[p].append(n)
-                quots[p].append((v, _div_factors(list(cls[v:]), _Q, 2 * n)))
-            if _shifted_sum(quots[p], 0, len(cls)) != list(beta[p:length:2]):
+            rest = list(beta[p:length:2])
+            for r, e, c in terms[p]:
+                if r > n:
+                    break
+                # map stops at the end of rest, so the row needs no cut
+                row = cols[r][n - r]
+                if c == 1:
+                    rest[e:] = map(sub, rest[e:], row)
+                elif c == -1:
+                    rest[e:] = map(add, rest[e:], row)
+                else:
+                    rest[e:] = map(sub, rest[e:], map(mul, repeat(c), row))
+            if any(rest):
                 return False
     return True
 
@@ -213,14 +264,19 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     """Base doubling: every series is rescaled q -> q^2 and
     beta'_n = sum_r (-q; q)_{2r} q^(n-r) (q^2 -> q) beta_r / (q^2; q^2)_{n-r}.
 
-    The truncation order doubles along with the exponents; every series
-    stays on the half grid.  The new betas fill its even slots only, so
+    The pair's truncation order doubles along with the exponents, and
+    every new series is known to that order and stays on the half grid,
+    as after the other steps.  The new betas fill its even slots only, so
     they are computed as series in q: the half-grid slots of beta_r are
     the coefficients of its image under q -> q^2.
     """
     order = 2 * bp.order
     length = _slots(order, 1)
-    alpha = tuple(s.rescale(2) for s in bp.alpha)
+    alpha = []
+    for s in bp.alpha:
+        cs = [0] * _slots(order, 2)
+        cs[::2] = s.coeffs[:length]  # q^(j/2) becomes q^j, slot 2j
+        alpha.append(Series._unchecked(cs, order, 2))
     terms = []
     for r, s in enumerate(bp.beta):
         v, cs = _head(s, length)

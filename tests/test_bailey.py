@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -48,6 +49,38 @@ class TestUnitPair:
             unit_pair(-1, 10)
         with pytest.raises(ValueError, match="equally long"):
             BaileyPair((Series.one(10, 2),), ())
+        with pytest.raises(TypeError, match=r"^alpha\[0\] must be a Series, got int$"):
+            BaileyPair((1,), (1,))
+
+    @pytest.mark.parametrize("field, index", [("alpha", 0), ("alpha", 2), ("beta", 1)])
+    @pytest.mark.parametrize("entry", [1, None, (1, 0)])
+    def test_entries_must_be_series(self, field, index, entry):
+        """A non-Series entry is refused by name and index, not left to
+        fail inside the grid promotion."""
+        series = {"alpha": [Series.one(10, 2)] * 3, "beta": [Series.one(10, 2)] * 3}
+        series[field][index] = entry
+        want = f"^{field}\\[{index}\\] must be a Series, got {type(entry).__name__}$"
+        with pytest.raises(TypeError, match=want):
+            BaileyPair(tuple(series["alpha"]), tuple(series["beta"]))
+
+    def test_shared_order_needs_no_comparison(self):
+        """Every link of a chain gives all its series one order object,
+        and a pair whose series share one is built without comparing
+        orders; a pair of mixed orders still takes the least."""
+        for gp in ((2, 1), (7, 2)):
+            for label, bp in build_chain(gp, 6, 40):
+                assert len({id(s.order) for s in bp.alpha + bp.beta}) == 1, (gp, label)
+
+        class Uncomparable(Fraction):
+            def __lt__(self, other):
+                raise AssertionError("orders compared")
+            __le__ = __gt__ = __ge__ = __lt__
+
+        order = Uncomparable(10)
+        one = Series._unchecked([1] + [0] * 19, order, 2)
+        assert BaileyPair((one, one), (one, one)).order is order
+        longer = Series.one(Fraction(21, 2), 2)
+        assert BaileyPair((longer, Series.one(10, 2)), (longer, longer)).order == 10
 
     @pytest.mark.parametrize("n_max", [True, False, 2.0, "2", None])
     def test_n_max_must_be_an_int(self, n_max):
@@ -185,6 +218,96 @@ class TestCheckPairClasses:
                 cs[empty[0] + 2 * r] += 1
                 alpha = bp.alpha[:r] + (Series(cs, s.order, 2),) + bp.alpha[r + 1:]
                 assert not check_pair(BaileyPair(alpha, bp.beta)), (label, r)
+
+
+def _reference_beta(alpha, n, order) -> Series:
+    """sum_{r <= n} alpha_r / ((q; q)_{n-r} (q; q)_{n+r}), dense, by the
+    public Series operators."""
+    total = Series.zero(order, 2)
+    for r in range(n + 1):
+        total = total + alpha[r] * invert_poch(Q, order, n=n - r) * invert_poch(Q, order, n=n + r)
+    return total
+
+
+def _random_pair(seed: int) -> BaileyPair:
+    """A pair whose betas are exact below a window of 17-34 half-grid
+    slots, an odd or an even count; every alpha_r is sparse (odd seeds
+    dense) with coefficients in -3..3, and each series but beta_0, which
+    sets the window, has its own order at or past it, with random
+    coefficients past it."""
+    rng = random.Random(seed)
+    n_max, slots, dense = rng.randint(2, 5), rng.randint(17, 34), seed % 2
+    order = Fraction(slots, 2)
+
+    def extend(s: Series) -> Series:
+        """s with 0-3 more random half-grid slots past the window."""
+        extra = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+        return Series(list(s.coeffs) + extra, order + Fraction(len(extra), 2), 2)
+
+    alpha = []
+    for _ in range(n_max + 1):
+        if dense:
+            cs = [rng.randint(-3, 3) for _ in range(slots)]
+        else:
+            cs = [0] * slots
+            for slot in rng.sample(range(slots), 3):
+                cs[slot] = rng.choice((-3, -2, -1, 1, 2, 3))
+        alpha.append(extend(Series(cs, order, 2)))
+    beta = [_reference_beta(alpha, 0, order)]
+    beta += [extend(_reference_beta(alpha, n, order)) for n in range(1, n_max + 1)]
+    return BaileyPair(tuple(alpha), tuple(beta))
+
+
+def _replaced(pair: BaileyPair, field: str, n: int, s: Series) -> BaileyPair:
+    """pair with its alpha_n or beta_n (``field``) replaced by s."""
+    series = getattr(pair, field)
+    series = series[:n] + (s,) + series[n + 1:]
+    return BaileyPair(series, pair.beta) if field == "alpha" else BaileyPair(pair.alpha, series)
+
+
+class TestCheckPairReference:
+    """check_pair against the defining relation summed densely with the
+    public operators, on seeded pairs that no chain builds."""
+
+    SEEDS = range(8)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_exact_beta_passes_and_every_slot_change_fails(self, seed):
+        pair = _random_pair(seed)
+        assert check_pair(pair)
+        for field in ("alpha", "beta"):
+            for n, s in enumerate(getattr(pair, field)):
+                for slot in range(int(2 * pair.order)):
+                    for delta in (1, -1):
+                        cs = list(s.coeffs)
+                        cs[slot] += delta
+                        bp = _replaced(pair, field, n, Series(cs, s.order, 2))
+                        assert not check_pair(bp), (field, n, slot, delta)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_changes_past_the_window_pass(self, seed):
+        """A change at the first slot past the pair's window, in a series
+        that already holds it or by one more slot that raises the order of
+        a series other than beta_0, is outside what the check covers."""
+        pair = _random_pair(seed)
+        slots = int(2 * pair.order)
+        for field in ("alpha", "beta"):
+            for n, s in enumerate(getattr(pair, field)):
+                if (field, n) == ("beta", 0):
+                    continue
+                cs = list(s.coeffs)
+                if len(cs) > slots:
+                    cs[slots] += 1
+                    bp = _replaced(pair, field, n, Series(cs, s.order, 2))
+                else:
+                    bp = _replaced(pair, field, n, Series(cs + [1], s.order + Fraction(1, 2), 2))
+                assert bp.order == pair.order
+                assert check_pair(bp), (field, n)
+
+    def test_pairs_cover_odd_and_even_windows(self):
+        pairs = [_random_pair(seed) for seed in self.SEEDS]
+        assert {int(2 * p.order) % 2 for p in pairs} == {0, 1}
+        assert any(len({s.order for s in p.alpha + p.beta}) > 1 for p in pairs)
 
 
 class TestChain:

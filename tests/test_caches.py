@@ -5,20 +5,23 @@ from __future__ import annotations
 import pytest
 
 import qgordon
-from qgordon import identities, lattice_paths, partitions
+from qgordon import bailey, identities, lattice_paths, partitions
 
 
 def test_clear_caches_empties_every_cache():
     partitions.count_B(6, (3, 2))
     lattice_paths.enumerate_S_paths(6, (3, 2))
     identities.eval_product_side("AG", (3, 2), 10)
+    bailey.check_pair(bailey.unit_pair(2, 10))
     assert partitions._COUNT_TABLES
     assert lattice_paths._SPATH_CACHE
     assert identities._ETA_QUOTIENTS
+    assert bailey._WING_QUOTIENTS
     qgordon.clear_caches()
     assert not partitions._COUNT_TABLES
     assert not lattice_paths._SPATH_CACHE
     assert not identities._ETA_QUOTIENTS
+    assert not bailey._WING_QUOTIENTS
 
 
 def test_count_table_at_most_doubles():
@@ -42,6 +45,43 @@ def test_path_table_keeps_words():
     paths = lattice_paths.enumerate_S_paths(8, (3, 2))
     assert bound == 8 and all(type(w) is str for w in words)
     assert [(p.major_index, p.steps) for p in paths] == list(zip(majors, words))
+
+
+def _last_slot_raised(bp):
+    """bp with 1 added at the last half-grid slot of beta_n_max."""
+    cs = list(bp.beta[-1].coeffs)
+    cs[-1] += 1
+    return bailey.BaileyPair(bp.alpha, bp.beta[:-1] + (qgordon.Series(cs, bp.order, 2),))
+
+
+def test_wing_table_gives_one_answer_cold_or_warm():
+    """check_pair reads the same table rows whether the table is cold,
+    holds a longer window, or holds columns to a larger n_max; a check
+    extends the table but leaves every row it held as it was."""
+    links = [bp for _, bp in bailey.build_chain((5, 2), 6, 40)]
+    pairs = links + [_last_slot_raised(bp) for bp in links]
+    table = bailey._WING_QUOTIENTS
+
+    def results():
+        return [bailey.check_pair(bp) for bp in pairs]
+
+    qgordon.clear_caches()
+    cold = results()
+    assert cold == [True] * len(links) + [False] * len(links)
+    warmups = (
+        bailey.unit_pair(0, 60),  # a longer window, column 0 only
+        bailey.build_chain((5, 2), 6, 60)[-1][1],  # a longer window, every column the chain needs
+        bailey.build_chain((5, 2), 12, 40)[-1][1],  # the same window to n = 12
+    )
+    for warmup in warmups:
+        qgordon.clear_caches()
+        assert bailey.check_pair(warmup)
+        window = len(table[0][0])
+        held = {r: list(col) for r, col in table.items()}
+        assert results() == cold
+        assert {len(row) for col in table.values() for row in col} == {window}
+        for r, rows in held.items():
+            assert all(a is b for a, b in zip(rows, table[r])) and len(table[r]) >= len(rows), r
 
 
 @pytest.mark.parametrize("n", [True, -1, 2.0])
