@@ -328,9 +328,8 @@ def build_chain(gp, n_max: int, order) -> Tuple[Tuple[str, BaileyPair], ...]:
         Tuples (step label, pair), starting with ("unit", ...).
     """
     gp = _as_params(gp)
+    identities._tag_for("main", gp)  # the chain proves the Main row: refused outside its regime
     k, a = gp.k, gp.a
-    if (k - a) % 2 == 0:
-        raise ValueError(f"the chain needs k and a of opposite parity, got {gp}")
     trace = [("unit", unit_pair(n_max, _order(order) / 2))]
     trace.append(("D1", apply_D1(trace[-1][1])))
     for i in range(1, (k - a - 1) // 2 + 1):

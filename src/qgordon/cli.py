@@ -21,7 +21,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .bailey import build_chain, check_pair, closed_form_alpha
-from .identities import THEOREMS, IdentitySpec, VerificationReport, verify
+from .identities import THEOREMS, IdentitySpec, VerificationReport, _tag_for, verify
 from .lattice_paths import count_S, enumerate_S_paths, path_to_compact, path_to_json_obj, path_to_svg
 from .partitions import GordonParams, count_A, count_B, count_W, count_Wbar
 
@@ -34,14 +34,6 @@ _COUNTS = {"B": count_B, "A": count_A, "W": count_W, "Wbar": count_Wbar, "S": co
 # every +4 of the major index: the largest --n (enumerate-paths,
 # count --family S) and --order (verify --theorem paths) accepted
 _S_PATH_CAP = 40
-
-
-def _tag_for(name: str, gp: GordonParams) -> str:
-    """The one tag of the --theorem family ``name`` whose regime holds (k, a)."""
-    for tag, thm in THEOREMS.items():
-        if thm.family == name and thm.applies(gp.k, gp.a):
-            return tag
-    raise ValueError(f"theorem {name} does not apply to (k, a) = ({gp.k}, {gp.a})")
 
 
 def _check_S_cap(flag: str, value: int) -> None:

@@ -38,10 +38,13 @@ over the stored list.  The factor-by-factor builders
 
 The table :data:`THEOREMS` is the one place that says, for each tag,
 which (k, a) it applies to, both sides as data (a :class:`Ladder` and a
-:class:`Product`), what :func:`verify` compares, and the tag's name on
-the command line.  The ``eval_multisum_*`` functions read its ladders,
-:func:`eval_product_side` its products, and validation, :func:`verify`
-and the CLI its regimes.
+:class:`Product`), and the tag's name on the command line.  The
+``eval_multisum_*`` functions read its ladders and
+:func:`eval_product_side` its products, each through one check of the
+tag, the order and the regime; the sum sides, the Bailey chain and the
+CLI ask it which tag of a family holds (k, a).  :func:`verify` compares
+each row's sum with its product, except ``Paths``, whose exhaustive
+path counts it compares with the Main sum.
 """
 
 from __future__ import annotations
@@ -345,36 +348,33 @@ def _main_product(k: int, a: int) -> Product:
 # ---------------------------------------------------------------- sum sides
 
 
-def _read_ladder(tag: str, gp: GordonParams, order) -> Series:
-    return ladder_multisum(gp.k, order, **THEOREMS[tag].ladder(gp.k, gp.a)._asdict())
+def _sum_side(theorem: str, gp, order) -> Series:
+    """Sum side for a theorem tag: the row's :class:`Ladder` through
+    :func:`ladder_multisum`, refused as :func:`eval_product_side` refuses."""
+    thm, gp = _checked(theorem, gp, order)
+    return ladder_multisum(gp.k, order, **thm.ladder(gp.k, gp.a)._asdict())
 
 
 def eval_multisum_AG(gp, order) -> Series:
     """Sum side of the classic multisum (the ``AG`` row)."""
-    return _read_ladder("AG", _as_params(gp), order)
+    return _sum_side(_tag_for("ag", gp), gp, order)
 
 
 def eval_multisum_W(gp, order) -> Series:
     """Sum side of the even-parts-even-multiplicity family; both W rows
     share this ladder."""
-    return _read_ladder("W_same", _as_params(gp), order)
+    return _sum_side(_tag_for("w", gp), gp, order)
 
 
 def eval_multisum_Wbar(gp, order) -> Series:
     """Sum side of the odd-parts-even-multiplicity family; both Wbar
-    rows share this ladder, for k and a of opposite parity."""
-    gp = _as_params(gp)
-    if not _opposite_parity(gp.k, gp.a):
-        raise ValueError(f"this family needs k, a of opposite parity with a even iff k odd, got {gp}")
-    return _read_ladder("Wbar_odd_even", gp, order)
+    rows share this ladder."""
+    return _sum_side(_tag_for("wbar", gp), gp, order)
 
 
 def eval_multisum_main(gp, order) -> Series:
     """Sum side of the parity-restricted theorem (the ``Main`` row)."""
-    gp = _as_params(gp)
-    if not _opposite_parity(gp.k, gp.a):
-        raise ValueError(f"this sum needs k and a of opposite parity, got {gp}")
-    return _read_ladder("Main", gp, order)
+    return _sum_side(_tag_for("main", gp), gp, order)
 
 
 # ---------------------------------------------------------------- product sides
@@ -431,30 +431,15 @@ def eval_product_side(theorem: str, gp, order: int) -> Series:
 
 
 class Theorem(NamedTuple):
-    """One row of :data:`THEOREMS`.
-
-    ``ladder(k, a)`` and ``product(k, a)`` are the identity's two sides
-    as data; the ``eval_multisum_*`` functions and
-    :func:`eval_product_side` evaluate them.  :func:`verify` compares
-    ``sum_side(gp, order)`` with ``product_side(gp, order)``, which
-    reach those evaluators through this module's names at call time,
-    so wrappers installed there see every call.
-    """
+    """One row of :data:`THEOREMS`: the tag's command-line family, its
+    (k, a) regime, and ``ladder(k, a)`` and ``product(k, a)``, the
+    identity's two sides as data, which the ``eval_multisum_*``
+    functions and :func:`eval_product_side` evaluate."""
 
     family: str  # the command line's --theorem name
     applies: Callable[[int, int], bool]  # the (k, a) regime
     ladder: Callable[[int, int], Ladder]
     product: Callable[[int, int], Product]
-    sum_side: Callable[[GordonParams, int], Series]
-    product_side: Callable[[GordonParams, int], Series]
-
-
-def _product_side(tag: str):
-    return lambda gp, order: eval_product_side(tag, gp, order)
-
-
-def _path_counts(gp: GordonParams, order: int) -> Series:
-    return Series.from_terms(enumerate(_S_counts(order - 1, gp)), order)
 
 
 def _opposite_parity(k: int, a: int) -> bool:
@@ -464,33 +449,32 @@ def _opposite_parity(k: int, a: int) -> bool:
 #: Every theorem tag, in the order the command line lists and sweeps them.
 THEOREMS = MappingProxyType({
     "AG": Theorem(
-        "ag", lambda k, a: True, _ag_ladder, lambda k, a: Product(2 * k + 1, ((0, a),), (), (), (1,)),
-        lambda gp, n: eval_multisum_AG(gp, n), _product_side("AG")),
-    "W_same": Theorem(
-        "w", lambda k, a: (k - a) % 2 == 0, _w_ladder, _main_product,
-        lambda gp, n: eval_multisum_W(gp, n), _product_side("W_same")),
+        "ag", lambda k, a: True, _ag_ladder, lambda k, a: Product(2 * k + 1, ((0, a),), (), (), (1,))),
+    "W_same": Theorem("w", lambda k, a: (k - a) % 2 == 0, _w_ladder, _main_product),
     # (theta(m, a + 1) + q theta(m, a - 1)) E2 / (E1 E4 (1 + q)); at a = 1
     # theta(m, 0) vanishes, its terms for r and 1 - r cancelling
     "W_diff": Theorem(
         "w", _opposite_parity, _w_ladder,
-        lambda k, a: Product(2 * k + 2, ((0, a + 1), (1, a - 1)), (1,), (2,), (1, 4)),
-        lambda gp, n: eval_multisum_W(gp, n), _product_side("W_diff")),
+        lambda k, a: Product(2 * k + 2, ((0, a + 1), (1, a - 1)), (1,), (2,), (1, 4))),
     "Wbar_odd_even": Theorem(
         "wbar", lambda k, a: k % 2 == 1 and a % 2 == 0, _wbar_ladder,
-        lambda k, a: Product(2 * k + 2, ((0, a),), (), (4,), (2, 2)),
-        lambda gp, n: eval_multisum_Wbar(gp, n), _product_side("Wbar_odd_even")),
+        lambda k, a: Product(2 * k + 2, ((0, a),), (), (4,), (2, 2))),
     "Wbar_even_odd": Theorem(
         "wbar", lambda k, a: k % 2 == 0 and a % 2 == 1, _wbar_ladder,
-        lambda k, a: Product(2 * k + 2, ((0, a + 1),), (), (4,), (2, 2)),
-        lambda gp, n: eval_multisum_Wbar(gp, n), _product_side("Wbar_even_odd")),
-    "Main": Theorem(
-        "main", _opposite_parity, _main_ladder, _main_product,
-        lambda gp, n: eval_multisum_main(gp, n), _product_side("Main")),
-    # exhaustive path counts against the Main sum
-    "Paths": Theorem(
-        "paths", _opposite_parity, _main_ladder, _main_product,
-        _path_counts, lambda gp, n: eval_multisum_main(gp, n)),
+        lambda k, a: Product(2 * k + 2, ((0, a + 1),), (), (4,), (2, 2))),
+    "Main": Theorem("main", _opposite_parity, _main_ladder, _main_product),
+    # exhaustive path counts against the Main sum: verify's one exception
+    "Paths": Theorem("paths", _opposite_parity, _main_ladder, _main_product),
 })
+
+
+def _tag_for(name: str, gp) -> str:
+    """The one tag of the --theorem family ``name`` whose regime holds (k, a)."""
+    gp = _as_params(gp)
+    for tag, thm in THEOREMS.items():
+        if thm.family == name and thm.applies(gp.k, gp.a):
+            return tag
+    raise ValueError(f"theorem {name} does not apply to (k, a) = ({gp.k}, {gp.a})")
 
 
 def _checked(theorem: str, gp, order) -> Tuple[Theorem, GordonParams]:
@@ -561,9 +545,11 @@ def verify(spec: IdentitySpec) -> VerificationReport:
     """
     gp, order = spec.gp, spec.order
     t = spec.theorem
-    thm = THEOREMS[t]
-    lhs = thm.sum_side(gp, order)
-    rhs = thm.product_side(gp, order)
+    sums = _sum_side(t, gp, order)
+    if t == "Paths":  # the exhaustive path counts against the Main sum
+        lhs, rhs = Series.from_terms(enumerate(_S_counts(order - 1, gp)), order), sums
+    else:
+        lhs, rhs = sums, eval_product_side(t, gp, order)
     window = min(lhs.order, rhs.order)
     if window < order:
         raise ValueError(

@@ -558,7 +558,10 @@ def _un_move(steps: list[str], x: int, target: int) -> int:
     """Un-move the token at apex x back to weight ``target``; returns the
     number of elementary moves undone.  Mirrors the forward transfer: a
     left neighbour at gap exactly 2 whose weight is still >= target
-    takes over the token label after each undone move."""
+    takes over the token label after each undone move.  That walk never
+    lands on ``target``: a token's first move has nothing to transfer
+    to, the token on its right having moved first, and it leaves no
+    apex at the token's start weight."""
     count = 0
     while x > target:
         while (
@@ -568,8 +571,6 @@ def _un_move(steps: list[str], x: int, target: int) -> int:
             and steps[x - 2] == "S"
         ):
             x -= 2
-        if x <= target:
-            break
         x = _step_left(steps, x)
         count += 1
     return count

@@ -26,9 +26,14 @@ def _plus_q(series, e):
 
 @pytest.fixture
 def broken_ag_sum(monkeypatch):
-    """The AG sum side, one coefficient off at q^7."""
-    real = identities.eval_multisum_AG
-    monkeypatch.setattr(identities, "eval_multisum_AG", lambda gp, order: _plus_q(real(gp, order), 7))
+    """The AG sum side, one coefficient off at q^7, as verify reads it."""
+    real = identities._sum_side
+
+    def broken(tag, gp, order):
+        side = real(tag, gp, order)
+        return _plus_q(side, 7) if tag == "AG" else side
+
+    monkeypatch.setattr(identities, "_sum_side", broken)
 
 
 def _expected_tag(name, k, a):

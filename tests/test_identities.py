@@ -12,6 +12,7 @@ import pytest
 
 import qgordon
 from qgordon import cli, identities
+from qgordon.bailey import build_chain
 from qgordon.identities import (
     THEOREMS,
     IdentitySpec,
@@ -80,7 +81,7 @@ class TestLadder:
 
     def test_sum_side_refuses_a_bool_order(self):
         """eval_multisum_AG((3, 2), True) used to return 1 + O(q^1)."""
-        with pytest.raises(ValueError, match="^order, lin and nlin must be ints: True, "):
+        with pytest.raises(ValueError, match="^order must be a positive int, got True$"):
             eval_multisum_AG(GordonParams(3, 2), True)
 
     def test_needs_at_least_one_level(self):
@@ -273,9 +274,9 @@ class TestSumsAgainstCounting:
         assert [s.coefficient(n) for n in range(10)] == [1, 0, 0, 1, 1, 0, 0, 1, 2, 1]
 
     def test_wrong_parity_rejected(self):
-        with pytest.raises(ValueError, match="opposite parity"):
+        with pytest.raises(ValueError, match=r"^theorem main does not apply to \(k, a\) = \(3, 1\)$"):
             eval_multisum_main((3, 1), 10)
-        with pytest.raises(ValueError, match="a even iff k odd"):
+        with pytest.raises(ValueError, match=r"^theorem wbar does not apply to \(k, a\) = \(3, 1\)$"):
             eval_multisum_Wbar((3, 1), 10)
 
 
@@ -333,6 +334,51 @@ class TestLaddersAgainstThePaper:
                         got = SUM_SIDES[tag]((k, a), n)
                         for side in (got, row):
                             assert (side.coeffs, side.order) == (want.coeffs, want.order), (tag, k, a)
+
+
+class TestOneRefusalForBothSides:
+    """Both sides of a theorem are refused by the one check of its table
+    row, so the sum side, the product side, the Bailey chain and the
+    command line word each refusal alike."""
+
+    @pytest.mark.parametrize("order", [0, -3, 7.5, "7", None, True])
+    def test_sum_and_product_refuse_a_bad_order_alike(self, order):
+        for tag, applies in REGIMES.items():
+            if tag == "Paths":  # its sum is Main's, its other side the path counts
+                continue
+            gp = next((k, a) for k in range(2, 9) for a in range(1, k + 1) if applies(k, a))
+            with pytest.raises(ValueError) as product:
+                eval_product_side(tag, gp, order)
+            with pytest.raises(ValueError) as sums:
+                SUM_SIDES[tag](gp, order)
+            assert str(sums.value) == str(product.value), (tag, gp)
+
+    def test_a_refused_regime_reads_as_the_command_line_error(self, capsys):
+        """Every (k, a) with k <= 8 outside a family's regime: its sum
+        side, and for ``main`` the Bailey chain, raise the text that
+        ``qgordon verify`` (and ``bailey-chain``) print after ``error: ``."""
+        sums = {"ag": eval_multisum_AG, "w": eval_multisum_W, "wbar": eval_multisum_Wbar,
+                "main": eval_multisum_main}
+        refused = set()
+        for family, sum_side in sums.items():
+            for k in range(1, 9):
+                for a in range(1, k + 1):
+                    if any(t.family == family and t.applies(k, a) for t in THEOREMS.values()):
+                        continue
+                    refused.add(family)
+                    ka = ["--k", str(k), "--a", str(a)]
+                    assert cli.run(["verify", "--theorem", family, *ka]) == 2
+                    err = capsys.readouterr().err
+                    with pytest.raises(ValueError) as side:
+                        sum_side((k, a), 10)
+                    assert err == f"error: {side.value}\n", (family, k, a)
+                    if family == "main":
+                        assert cli.run(["bailey-chain", *ka]) == 2
+                        assert capsys.readouterr().err == err, (k, a)
+                        with pytest.raises(ValueError) as chain:
+                            build_chain((k, a), 4, 20)
+                        assert str(chain.value) == str(side.value), (k, a)
+        assert refused == {"wbar", "main"}
 
 
 class TestProducts:
@@ -537,9 +583,9 @@ class TestVerify:
     def test_short_side_is_refused(self, monkeypatch):
         """A side that stops short of the order must not pass vacuously
         on the window that is left."""
-        true_sum = identities.eval_multisum_AG
+        true_sum = identities._sum_side
         monkeypatch.setattr(
-            identities, "eval_multisum_AG", lambda gp, order: true_sum(gp, order).truncate(order - 1)
+            identities, "_sum_side", lambda tag, gp, order: true_sum(tag, gp, order).truncate(order - 1)
         )
         with pytest.raises(ValueError, match="short of q\\^20"):
             verify(IdentitySpec("AG", GordonParams(3, 1), 20))

@@ -705,7 +705,7 @@ class TestEdgeBranches:
 
     def test_other_operand_types_are_not_implemented(self):
         s = Series.one(3)
-        for op in (lambda: s + 1.5, lambda: 1.5 - s, lambda: s * 1.5):
+        for op in (lambda: s + 1.5, lambda: s - 1.5, lambda: 1.5 - s, lambda: s * 1.5):
             with pytest.raises(TypeError, match="unsupported operand"):
                 op()
         assert (s == "x") is False
