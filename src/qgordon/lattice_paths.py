@@ -558,10 +558,8 @@ def _un_move(steps: list[str], x: int, target: int) -> int:
     """Un-move the token at apex x back to weight ``target``; returns the
     number of elementary moves undone.  Mirrors the forward transfer: a
     left neighbour at gap exactly 2 whose weight is still >= target
-    takes over the token label after each undone move.  That walk never
-    lands on ``target``: a token's first move has nothing to transfer
-    to, the token on its right having moved first, and it leaves no
-    apex at the token's start weight."""
+    takes over the token label after each undone move.  The walk never
+    lands on ``target``: a token's first move moves its own peak."""
     count = 0
     while x > target:
         while (
