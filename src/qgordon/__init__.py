@@ -33,7 +33,10 @@ def clear_caches() -> None:
     long as the largest order asked), and the Bailey check's table of
     wing quotients 1 / ((q; q)_{n-r} (q; q)_{n+r}) (one int tuple per
     (r, n) up to the largest n_max checked, for each r whose alpha_r has
-    a term in the window, all as long as the longest window checked).
+    a term in the window, all as long as the longest window checked), and
+    the chain steps' columns 1 / ((spec)_n (row_spec)_n) (one int tuple
+    per n up to the largest n_max built, for each symbol pair a step
+    divides by, each pair's as long as its longest window).
     The count table
     keeps one int list per (family, k, a), at most twice as long as the
     largest n asked; the S-path table keeps, per (k, a), the step string
@@ -43,6 +46,7 @@ def clear_caches() -> None:
     lattice_paths._SPATH_CACHE.clear()
     identities._ETA_QUOTIENTS.clear()
     bailey._WING_QUOTIENTS.clear()
+    qseries._QUOTIENT_COLUMNS.clear()
 
 
 # each module's __all__ is the one list of its public names

@@ -21,7 +21,13 @@ odd slots and reads the quotients 1 / ((q; q)_{n-r} (q; q)_{n+r}), which
 do not depend on the pair, from one table that every check shares, and
 :func:`apply_D1`, whose betas fill the even slots only,
 computes them in q and lays them onto the even slots.  The half-weight
-step mixes the classes through (-q^(1/2); q) and stays in t.  In t the
+step mixes the classes through (-q^(1/2); q) and stays in t.  Every pair
+a chain builds has beta_0 = alpha_0 = 1, so term 0 of each step's sums of
+quotients is the same series in every chain, and
+:func:`qgordon.qseries._quotient_sums` reads it from a table shared by
+all of them.  A step builds its pair without the public constructor's
+checks, which cannot fail on the half-grid series, of one order, that
+the step just made.  In t the
 limit's sum is exactly
 the parity-restricted sum of :mod:`qgordon.identities` (the paper's
 closing substitution q -> q^2), so the limit reads that sum on the half
@@ -49,7 +55,7 @@ from typing import Tuple
 from . import identities
 from .partitions import _as_params
 from .qseries import (
-    PochSpec, Series, _div_factor, _mul_factors, _order, _quotient_sums, _slots, _theta_pair,
+    PochSpec, Series, _mul_factors, _order, _quotient_sums, _slots, _table_rows, _theta_pair,
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -73,6 +79,7 @@ __all__ = [
 _T2 = PochSpec(1, 2, 2)       # (t^2; t^2) = (q; q)
 _NEG_T = PochSpec(-1, 1, 2)   # (-t; t^2) = (-q^(1/2); q)
 # the symbols of the steps that run on one class of the half grid, in q
+_Q = PochSpec(1, 1, 1)        # (q; q)
 _Q2 = PochSpec(1, 2, 2)       # (q^2; q^2)
 _NEG_Q = PochSpec(-1, 1, 1)   # (-q; q)
 
@@ -107,6 +114,17 @@ class BaileyPair:
         if any(s.order is not order for s in alpha + beta):
             order = min(s.order for s in alpha + beta)
         object.__setattr__(self, "_order", order)
+
+    @classmethod
+    def _unchecked(cls, alpha: tuple, beta: tuple) -> "BaileyPair":
+        """A pair built unvalidated from a chain step's output: the caller
+        guarantees two equally long nonempty tuples of half-grid Series
+        that all share one order object."""
+        bp = object.__new__(cls)
+        object.__setattr__(bp, "alpha", alpha)
+        object.__setattr__(bp, "beta", beta)
+        object.__setattr__(bp, "_order", alpha[0].order)
+        return bp
 
     @property
     def n_max(self) -> int:
@@ -152,29 +170,10 @@ def _series(v: int, cs: list, order: Fraction) -> Series:
     return Series._unchecked([0] * v + cs, order, 2)
 
 
-#: r -> the rows 1 / ((q; q)_{n-r} (q; q)_{n+r}) for n = r, r + 1, ..., int
-#: tuples of one common length, the window in q; a check with a longer window
-#: empties the table first, so it is bounded by the largest chain checked.  A
-#: row is never mutated, so a caller may read it while another call extends
-#: or replaces the table
+#: r -> the rows 1 / ((q; q)_{n-r} (q; q)_{n+r}) for n = r, r + 1, ..., a
+#: table of :func:`qgordon.qseries._table_rows`, so one window in q, the
+#: longest checked, and bounded by the largest chain checked
 _WING_QUOTIENTS: dict = {}
-
-
-def _wing_column(r: int, n_max: int, window: int) -> list:
-    """Column r of the table, extended to row n = n_max by two passes per
-    row; the table's window must be ``window``."""
-    col = _WING_QUOTIENTS.get(r)
-    if col is None:
-        cs = [1] + [0] * (window - 1)
-        for s in range(1, 2 * r + 1):  # 1 / (q; q)_{2r}
-            _div_factor(cs, 1, s)
-        col = _WING_QUOTIENTS[r] = [tuple(cs)]
-    for n in range(r + len(col), n_max + 1):
-        cs = list(col[-1])
-        _div_factor(cs, 1, n - r)
-        _div_factor(cs, 1, n + r)
-        col.append(tuple(cs))
-    return col
 
 
 def check_pair(bp: BaileyPair) -> bool:
@@ -198,13 +197,9 @@ def check_pair(bp: BaileyPair) -> bool:
         cs = s.coeffs
         for slot in compress(range(length), cs):
             terms[slot % 2].append((r, slot // 2, cs[slot]))
-    if _WING_QUOTIENTS:  # a longer held window is read by prefixes and extended at its length
-        held = len(next(iter(_WING_QUOTIENTS.values()))[0])
-        if held < window:
-            _WING_QUOTIENTS.clear()
-        else:
-            window = held
-    cols = {r: _wing_column(r, bp.n_max, window) for t in terms for r, _, _ in t}
+    # row n - r of column r is G_{n-r,n+r}; a longer held window is read by prefixes
+    rs = {r for t in terms for r, _, _ in t}
+    cols = {r: _table_rows(_WING_QUOTIENTS, r, ((_Q, 0), (_Q, 2 * r)), bp.n_max - r, window) for r in rs}
     for n in range(bp.n_max + 1):
         beta = bp.beta[n].coeffs
         for p in (0, 1):
@@ -240,7 +235,7 @@ def _insert(bp: BaileyPair, w: int, row_spec) -> BaileyPair:
     heads = (_head(s, max(length - w * r * r, 0)) for r, s in enumerate(bp.beta))
     terms = [(v + w * r * r, cs) for r, (v, cs) in enumerate(heads)]
     sums = _quotient_sums(terms, _T2, length, row_spec=row_spec)
-    return BaileyPair(alpha, tuple(_series(v, cs, order) for v, cs in sums))
+    return BaileyPair._unchecked(tuple(alpha), tuple(_series(v, cs, order) for v, cs in sums))
 
 
 def apply_S1(bp: BaileyPair) -> BaileyPair:
@@ -287,7 +282,7 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
         even = [0] * _slots(order, 2)
         even[2 * v::2] = cs  # q^j is slot 2j
         beta.append(Series._unchecked(even, order, 2))
-    return BaileyPair(alpha, tuple(beta))
+    return BaileyPair._unchecked(tuple(alpha), tuple(beta))
 
 
 def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
@@ -304,13 +299,20 @@ def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
     if type(a_coef) is not int or a_coef < 2:
         raise ValueError(f"template coefficient a_coef must be an int >= 2, got {a_coef!r}")
     order = bp.order
+    length = _slots(order, 2)
     for m, s in enumerate(bp.alpha):
-        if s != _half_grid(_theta_pair(2, 4 * a_coef, m), order):
+        template = _half_grid(_theta_pair(2, 4 * a_coef, m), order)
+        # one grid and one order: the slots compare as tuples
+        if s.coeffs != template.coeffs if s.order == order else s != template:
             raise ValueError(
                 f"alpha_{m} does not match the swap template with A = {a_coef}"
             )
     alpha = tuple(_half_grid(_theta_pair(0, 4 * a_coef, m), order) for m in range(bp.n_max + 1))
-    return BaileyPair(alpha, tuple(s.shift(n).truncate(order) for n, s in enumerate(bp.beta)))
+    beta = []
+    for n, s in enumerate(bp.beta):  # q^n is 2n slots
+        pad = min(2 * n, length)
+        beta.append(Series._unchecked((0,) * pad + s.coeffs[:length - pad], order, 2))
+    return BaileyPair._unchecked(alpha, tuple(beta))
 
 
 # ---------------------------------------------------------------- the chain

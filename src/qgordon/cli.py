@@ -104,8 +104,10 @@ def _cmd_bailey_chain(args) -> int:
     chain = build_chain(gp, args.nmax, args.order)
     steps = []
     lines = []
-    for label, bp in chain:
-        ok = check_pair(bp)
+    # checked from the last link back, so the wing table is built once, at the final
+    # window, and the unit pair reads prefixes of it
+    oks = [check_pair(bp) for _, bp in reversed(chain)][::-1]
+    for (label, bp), ok in zip(chain, oks):
         steps.append({"label": label, "relation_ok": ok})
         lines.append(f"{label:<12} relation {'ok' if ok else 'BROKEN'}")
         if args.trace:

@@ -33,7 +33,8 @@ ascending recurrence over the terms to divide.
 :func:`_quotient_sums` builds the sums of quotients that the Bailey
 transformations need, keeping one running quotient per term and
 cutting it, before each division, to the window its row still needs
-below one common length.  Every such sum shifts term m of row n by
+below one common length; term 0's first coefficient reads a table
+shared by every call instead (:func:`_table_rows`).  Every such sum shifts term m of row n by
 q^(shift (n - m)) for one int shift >= 0: any part that depends on m
 alone rides on the term's own start.  (The multisums sum by q-Pascal cells
 instead and divide only once; see :func:`qgordon.identities.ladder_multisum`.)
@@ -54,6 +55,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Sequence, Tuple, Union
@@ -550,6 +552,41 @@ def _shifted_sum(terms: list, lo: int, length: int) -> list:
     return list(map(sum, zip(*rows))) if rows else [0] * (length - lo)
 
 
+def _table_rows(table: dict, key, symbols: tuple, last: int, window: int) -> list:
+    """Rows 0..last (at least) of ``table[key]``, where row i is
+    1 / prod (spec)_(start + i) over the (spec, start) pairs of ``symbols``,
+    as int tuples known below the table's one window.  Every such table
+    keeps one policy: the window is the longest asked of the table so far,
+    a shorter window reads prefixes, a larger ``last`` extends the rows by
+    one pass per symbol, and a longer window empties the table first.  A
+    row is never mutated, so a caller may keep reading one while another
+    call extends or replaces the table."""
+    if table:
+        held = len(next(iter(table.values()))[0])
+        if held < window:
+            table.clear()
+        else:
+            window = held
+    rows = table.get(key)
+    if rows is None:
+        cs = [1] + [0] * (window - 1)
+        for spec, start in symbols:
+            _div_factors(cs, spec, start)
+        rows = table[key] = [tuple(cs)]
+    for i in range(len(rows), last + 1):
+        cs = list(rows[-1])
+        for spec, start in symbols:
+            _div_factor(cs, spec.sign, spec.exponent + (start + i - 1) * spec.base)
+        rows.append(tuple(cs))
+    return rows
+
+
+#: (spec, row_spec) -> a table of :func:`_table_rows` whose one column, key 0,
+#: holds the quotients 1 / ((spec)_n (row_spec)_n) that term 0 of
+#: :func:`_quotient_sums` reads; each symbol pair keeps its own window
+_QUOTIENT_COLUMNS: dict = {}
+
+
 def _quotient_sums(terms: list, spec: PochSpec, length: int, shift: int = 0, row_spec=None) -> list:
     """sum_{m <= n} q^(shift (n - m)) * terms[m] / (spec)_{n-m} for each
     n < len(terms), as (v, cs) pairs standing for q^v * cs with cs known
@@ -560,13 +597,34 @@ def _quotient_sums(terms: list, spec: PochSpec, length: int, shift: int = 0, row
     becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
     window it still needs before each division, so every (n, m) costs
     one pass per factor.  ``shift`` must be >= 0, so a window only
-    shrinks as n grows.
+    shrinks as n grows.  Term 0's first coefficient c, at q^v, is read
+    instead as c times row n of 1 / ((spec)_n (row_spec)_n), which no
+    term changes: every call with the same symbols reads it from one
+    shared table (``_QUOTIENT_COLUMNS``).  The rest of term 0, from its
+    next nonzero coefficient on, keeps a running quotient; a Bailey
+    chain's beta_0 is 1, so there that rest is empty.
     """
     first, step = spec.exponent, spec.base
+    column = None
+    if terms and terms[0][1] and terms[0][0] < length:
+        v, cs = terms[0]
+        rest = next(compress(count(1), cs[1:]), len(cs))  # the next nonzero coefficient
+        terms[0] = (v + rest, cs[rest:])
+        if cs[0]:
+            symbols = ((spec, 0),) if row_spec is None else ((spec, 0), (row_spec, 0))
+            table = _QUOTIENT_COLUMNS.setdefault((spec, row_spec), {})
+            column = v, cs[0], _table_rows(table, 0, symbols, len(terms) - 1, length - v)
     out = []
     for n in range(len(terms)):
         row = []
         lo = length
+        if column:
+            v, c, rows = column
+            at = v + shift * n
+            if at < length:
+                cs = rows[n][:length - at]
+                row.append((at, cs if c == 1 else [c * x for x in cs]))
+                lo = at
         for m, (v, cs) in enumerate(terms[: n + 1]):
             at = v + shift * (n - m)
             del cs[max(length - at, 0):]

@@ -379,6 +379,59 @@ class TestChain:
             closed_form_alpha((5, 2), n, 10)
 
 
+_OPPOSITE = [(k, a) for k in range(2, 8) for a in range(1, k + 1) if (k - a) % 2]
+
+
+def _slots_of(bp):
+    """Every series of ``bp`` as (order, grid, coefficients)."""
+    return [(s.order, s.denom, s.coeffs) for s in bp.alpha + bp.beta]
+
+
+class TestStepPairs:
+    """The chain steps build their pairs without the public constructor's
+    checks; those checks must hold on every pair a step builds."""
+
+    @pytest.mark.parametrize("n_max, order", [(6, 40), (10, 80)])
+    def test_public_constructor_agrees_on_every_link(self, n_max, order):
+        for gp in _OPPOSITE:
+            for label, bp in build_chain(gp, n_max, order):
+                again = BaileyPair(bp.alpha, bp.beta)
+                assert again == bp and again.order == bp.order, (gp, label)
+                assert _slots_of(again) == _slots_of(bp), (gp, label)
+                assert type(bp.alpha) is tuple and type(bp.beta) is tuple, (gp, label)
+
+    def test_swap_refuses_one_wrong_slot(self):
+        """One slot off in any alpha_m is refused by name; the shifted
+        betas equal q^n beta_n cut to the pair's order."""
+        chain = build_chain((5, 2), 6, 40)
+        pair, swapped = chain[3][1], chain[4][1]  # the swap with A = 2 reads pair
+        out = apply_P41(pair, 2)
+        assert out == swapped and _slots_of(out) == _slots_of(swapped)
+        assert [s.coeffs for s in out.beta] == [s.shift(n).truncate(40).coeffs for n, s in enumerate(pair.beta)]
+        for m in (0, 3, 6):
+            cs = list(pair.alpha[m].coeffs)
+            cs[m + 7] += 1
+            alpha = pair.alpha[:m] + (Series(cs, 40, 2),) + pair.alpha[m + 1:]
+            with pytest.raises(ValueError, match=f"^alpha_{m} does not match the swap template with A = 2$"):
+                apply_P41(BaileyPair(alpha, pair.beta), 2)
+
+    def test_swap_compares_a_longer_alpha_as_series(self):
+        """An alpha_m known past the pair's order is compared as a Series,
+        below the pair's order: a match passes, one slot off is refused
+        with the same message."""
+        pair = build_chain((5, 2), 6, 40)[3][1]
+        m = 2
+        longer = Series(pair.alpha[m].coeffs + (5, -5), Fraction(41), 2)  # two slots past the order
+        alpha = pair.alpha[:m] + (longer,) + pair.alpha[m + 1:]
+        out = apply_P41(BaileyPair(alpha, pair.beta), 2)
+        assert _slots_of(out) == _slots_of(apply_P41(pair, 2))
+        cs = list(longer.coeffs)
+        cs[9] -= 1
+        alpha = pair.alpha[:m] + (Series(cs, Fraction(41), 2),) + pair.alpha[m + 1:]
+        with pytest.raises(ValueError, match=f"^alpha_{m} does not match the swap template with A = 2$"):
+            apply_P41(BaileyPair(alpha, pair.beta), 2)
+
+
 class TestLimit:
     def test_limit_holds_on_half_grid(self):
         for gp in ((2, 1), (3, 2)):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import qgordon
-from qgordon import bailey, identities, lattice_paths, partitions
+from qgordon import bailey, identities, lattice_paths, partitions, qseries
 
 
 def test_clear_caches_empties_every_cache():
@@ -13,15 +13,18 @@ def test_clear_caches_empties_every_cache():
     lattice_paths.enumerate_S_paths(6, (3, 2))
     identities.eval_product_side("AG", (3, 2), 10)
     bailey.check_pair(bailey.unit_pair(2, 10))
+    bailey.apply_S2(bailey.unit_pair(2, 10))
     assert partitions._COUNT_TABLES
     assert lattice_paths._SPATH_CACHE
     assert identities._ETA_QUOTIENTS
     assert bailey._WING_QUOTIENTS
+    assert qseries._QUOTIENT_COLUMNS
     qgordon.clear_caches()
     assert not partitions._COUNT_TABLES
     assert not lattice_paths._SPATH_CACHE
     assert not identities._ETA_QUOTIENTS
     assert not bailey._WING_QUOTIENTS
+    assert not qseries._QUOTIENT_COLUMNS
 
 
 def test_count_table_at_most_doubles():
@@ -82,6 +85,44 @@ def test_wing_table_gives_one_answer_cold_or_warm():
         assert {len(row) for col in table.values() for row in col} == {window}
         for r, rows in held.items():
             assert all(a is b for a, b in zip(rows, table[r])) and len(table[r]) >= len(rows), r
+
+
+def test_quotient_columns_give_one_answer_cold_or_warm():
+    """The chain steps read the same column rows 1 / ((spec)_n (row_spec)_n)
+    whether the table is cold, holds a longer window, or holds rows to a
+    larger n_max; a step extends a column but leaves every row it held
+    as it was, and never rebuilds a column at a shorter window."""
+    tables = qseries._QUOTIENT_COLUMNS
+
+    def results():
+        return [(label, [s.coeffs for s in bp.alpha], [s.coeffs for s in bp.beta])
+                for label, bp in bailey.build_chain((5, 2), 6, 40)]
+
+    qgordon.clear_caches()
+    cold = results()
+    # D1's (q^2; q^2), and S2's (t^2; t^2) with (-t; t^2)
+    assert set(tables) == {(bailey._Q2, None), (bailey._T2, bailey._NEG_T)}
+    for (spec, row_spec), table in tables.items():
+        window = len(table[0][0])
+        for n, row in enumerate(table[0]):
+            want = qseries.invert_poch(spec, window, n)
+            if row_spec is not None:
+                want = want * qseries.invert_poch(row_spec, window, n)
+            assert row == want.coeffs, (spec, n)
+    warmups = (
+        ((5, 2), 6, 60),  # a longer window
+        ((5, 2), 12, 40),  # the same window to n = 12
+        ((7, 2), 10, 80),  # both
+    )
+    for warmup in warmups:
+        qgordon.clear_caches()
+        bailey.build_chain(*warmup)
+        held = {key: list(table[0]) for key, table in tables.items()}
+        assert results() == cold
+        for key, rows in held.items():
+            column = tables[key][0]
+            assert {len(row) for row in column} == {len(rows[0])}, key
+            assert all(a is b for a, b in zip(rows, column)) and len(column) >= len(rows), key
 
 
 @pytest.mark.parametrize("n", [True, -1, 2.0])

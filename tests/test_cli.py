@@ -10,11 +10,13 @@ import dataclasses
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qgordon import cli, identities
+import qgordon
+from qgordon import bailey, cli, identities
 from qgordon.cli import run, sweep
 from qgordon.qseries import Series
 
@@ -256,6 +258,28 @@ class TestBaileyChainCommand:
                                  "S2           relation ok"]
             assert lines[3] == "endpoint alpha matches closed form for n <= 4: yes"
             assert len(out) == 4 + 6 * 3 * bool(trace)
+
+    def test_cold_chain_builds_the_wing_table_once(self, monkeypatch, capsys):
+        """The links are checked from the last back to the unit pair, so
+        the first check sizes the wing table at the final window and no
+        later check empties it; the lines still print in chain order."""
+        table = bailey._WING_QUOTIENTS
+        seen = []
+
+        def check_pair(bp):
+            ok = bailey.check_pair(bp)
+            seen.append((bp.order, table[0]))
+            return ok
+
+        monkeypatch.setattr(cli, "check_pair", check_pair)
+        qgordon.clear_caches()
+        code = run(["bailey-chain", "--k", "5", "--a", "2", "--nmax", "6", "--order", "41"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line.split()[0] for line in lines[:-1]] == ["unit", "D1", "S2", "S2", "P41(A=2)", "S2", "S2"]
+        assert [order for order, _ in seen] == [41] * 6 + [Fraction(41, 2)]
+        assert all(column is seen[0][1] for _, column in seen)
+        assert len(table[0][0]) == 41
 
     def test_trace_prints_series_heads(self, capsys):
         """--trace indents alpha_n and beta_n, n <= 2, under each link's line."""

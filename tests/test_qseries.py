@@ -683,6 +683,27 @@ class TestQuotientSums:
         assert shifts == {0, 1, 2, 3}
         assert empty_terms and emptied  # some term is empty, some window shrinks to nothing
 
+    @pytest.mark.parametrize("c", [1, 0, -3, 2**64 + 1])
+    @pytest.mark.parametrize("rest", [False, True])
+    def test_term_zero_at_exponent_zero(self, c, rest):
+        """Term 0 starting at q^0 with constant coefficient c, which the
+        kernel reads from its shared column, and a rest that is zero or
+        not: every row equals the direct sum, for every shift and
+        row_spec."""
+        rng = random.Random(f"{c}/{rest}")
+        for shift in range(4):
+            for row_spec in (None, *QUOTIENT_SPECS):
+                terms, spec, length, _, _ = _quotient_case(rng)
+                tail = [0] * (length - 1)
+                if rest and tail:
+                    gap = rng.randrange(len(tail))  # zeros before the rest's first nonzero
+                    tail[gap:] = [rng.choice((1, -2, 2**64 + 1))] + [_coefficient(rng) for _ in tail[gap + 1:]]
+                terms = [(0, [c] + tail)] + terms[:4]
+                want = _direct_quotient_sums(terms, spec, length, shift, row_spec)
+                got = _quotient_sums([(v, cs[:]) for v, cs in terms], spec, length, shift, row_spec)
+                assert [tuple([0] * lo + sums) for lo, sums in got] == want
+                assert all(lo + len(sums) == length for lo, sums in got)
+
 
 class TestEdgeBranches:
     """Refusals, the operators' NotImplemented fallbacks and the printed
