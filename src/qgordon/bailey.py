@@ -302,8 +302,9 @@ def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
     length = _slots(order, 2)
     for m, s in enumerate(bp.alpha):
         template = _half_grid(_theta_pair(2, 4 * a_coef, m), order)
-        # one grid and one order: the slots compare as tuples
-        if s.coeffs != template.coeffs if s.order == order else s != template:
+        # every series is on the half grid and known at least to the
+        # pair's order, so its first slots are those Series.__eq__ compares
+        if s.coeffs[:length] != template.coeffs:
             raise ValueError(
                 f"alpha_{m} does not match the swap template with A = {a_coef}"
             )

@@ -416,20 +416,21 @@ class TestStepPairs:
                 apply_P41(BaileyPair(alpha, pair.beta), 2)
 
     def test_swap_compares_a_longer_alpha_as_series(self):
-        """An alpha_m known past the pair's order is compared as a Series,
-        below the pair's order: a match passes, one slot off is refused
-        with the same message."""
+        """An alpha_m known past the pair's order is compared below the
+        pair's order, as Series equality compares it: a match passes, one
+        slot off is refused with the same message."""
         pair = build_chain((5, 2), 6, 40)[3][1]
         m = 2
         longer = Series(pair.alpha[m].coeffs + (5, -5), Fraction(41), 2)  # two slots past the order
         alpha = pair.alpha[:m] + (longer,) + pair.alpha[m + 1:]
         out = apply_P41(BaileyPair(alpha, pair.beta), 2)
         assert _slots_of(out) == _slots_of(apply_P41(pair, 2))
-        cs = list(longer.coeffs)
-        cs[9] -= 1
-        alpha = pair.alpha[:m] + (Series(cs, Fraction(41), 2),) + pair.alpha[m + 1:]
-        with pytest.raises(ValueError, match=f"^alpha_{m} does not match the swap template with A = 2$"):
-            apply_P41(BaileyPair(alpha, pair.beta), 2)
+        for slot in (9, 79):  # 79 is q^(79/2), the last slot below the order
+            cs = list(longer.coeffs)
+            cs[slot] -= 1
+            alpha = pair.alpha[:m] + (Series(cs, Fraction(41), 2),) + pair.alpha[m + 1:]
+            with pytest.raises(ValueError, match=f"^alpha_{m} does not match the swap template with A = 2$"):
+                apply_P41(BaileyPair(alpha, pair.beta), 2)
 
 
 class TestLimit:
