@@ -30,23 +30,17 @@ def clear_caches() -> None:
     """Empty every cache the package keeps between calls: the two
     counting oracles' tables, the product sides' table of eta
     quotients (at most four int lists, one per product shape, each as
-    long as the largest order asked), and the Bailey check's table of
-    wing quotients 1 / ((q; q)_{n-r} (q; q)_{n+r}) (one int tuple per
-    (r, n) up to the largest n_max checked, for each r whose alpha_r has
-    a term in the window, all as long as the longest window checked), and
-    the chain steps' columns 1 / ((spec)_n (row_spec)_n) (one int tuple
-    per n up to the largest n_max built, for each symbol pair a step
-    divides by, each pair's as long as its longest window).
-    The count table
-    keeps one int list per (family, k, a), at most twice as long as the
-    largest n asked; the S-path table keeps, per (k, a), the step string
-    and major index of every path found by the largest search.  Timings
-    taken after this call are cold."""
+    long as the largest order asked), and the Bailey check's and chain
+    steps' table of quotient rows (per key of symbols, one int tuple per
+    row to the largest n asked of that key, all as long as its longest
+    window).  The count table keeps one int list per (family, k, a), at
+    most twice as long as the largest n asked; the S-path table keeps,
+    per (k, a), the step string and major index of every path found by
+    the largest search.  Timings taken after this call are cold."""
     partitions._COUNT_TABLES.clear()
     lattice_paths._SPATH_CACHE.clear()
     identities._ETA_QUOTIENTS.clear()
-    bailey._WING_QUOTIENTS.clear()
-    qseries._QUOTIENT_COLUMNS.clear()
+    qseries._QUOTIENT_ROWS.clear()
 
 
 # each module's __all__ is the one list of its public names

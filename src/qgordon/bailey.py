@@ -12,26 +12,26 @@ chain steps introduce q^{n^2/2} weights and the factor (-q^{1/2}; q)_n.
 The chain starts from the unit pair, doubles the base variable once,
 and then alternates half-weight insertions with a template swap on
 alpha; its closed-form endpoint feeds the telescoped limit.  The
-integer- and half-weight insertions share one body.  The code works in t = q^(1/2), where a half-grid slot s is the
-exponent of t^s and every symbol has int exponents, and reads the half
-grid only where it builds a Series.  The steps whose only factors are
-(q; q) or (q^2; q^2) run on one class of slots at a time, as series in
-q: :func:`check_pair` splits every alpha and beta into its even and its
-odd slots and reads the quotients 1 / ((q; q)_{n-r} (q; q)_{n+r}), which
-do not depend on the pair, from one table that every check shares, and
-:func:`apply_D1`, whose betas fill the even slots only,
-computes them in q and lays them onto the even slots.  The half-weight
-step mixes the classes through (-q^(1/2); q) and stays in t.  Every pair
-a chain builds has beta_0 = alpha_0 = 1, so term 0 of each step's sums of
-quotients is the same series in every chain, and
-:func:`qgordon.qseries._quotient_sums` reads it from a table shared by
-all of them.  A step builds its pair without the public constructor's
-checks, which cannot fail on the half-grid series, of one order, that
-the step just made.  In t the
-limit's sum is exactly
-the parity-restricted sum of :mod:`qgordon.identities` (the paper's
-closing substitution q -> q^2), so the limit reads that sum on the half
-grid.
+integer- and half-weight insertions share one body.  The code works in
+t = q^(1/2), where a half-grid slot s is the exponent of t^s and every
+symbol has int exponents, and reads the half grid only where it builds
+a Series.  The steps whose only factors are (q; q) or (q^2; q^2) run on
+one class of slots at a time, as series in q: :func:`check_pair` splits
+every alpha and beta into its even and its odd slots, and
+:func:`apply_D1`, whose betas fill the even slots only, computes them in
+q and lays them onto the even slots.  The half-weight step mixes the
+classes through (-q^(1/2); q) and stays in t.
+
+Two kinds of quotient do not depend on the pair: the check's
+1 / ((q; q)_{n-r} (q; q)_{n+r}), and term 0 of each step's sums of
+quotients (:func:`qgordon.qseries._quotient_sums`), because every pair a
+chain builds has beta_0 = alpha_0 = 1.  Both are read from the one table
+of quotient rows, :func:`qgordon.qseries._table_rows`, keyed by their
+symbols.  The unit pair and every step build their pair without the
+public constructor's checks, which cannot fail on the half-grid series,
+of one order, that they just made.  In t the limit's sum is exactly the
+parity-restricted sum of :mod:`qgordon.identities` (the paper's closing
+substitution q -> q^2), so the limit reads that sum on the half grid.
 
 Every alpha along the chain has one shape, the terms r = +-m of a theta
 series (:func:`qgordon.qseries._theta_pair`):
@@ -79,7 +79,6 @@ __all__ = [
 _T2 = PochSpec(1, 2, 2)       # (t^2; t^2) = (q; q)
 _NEG_T = PochSpec(-1, 1, 2)   # (-t; t^2) = (-q^(1/2); q)
 # the symbols of the steps that run on one class of the half grid, in q
-_Q = PochSpec(1, 1, 1)        # (q; q)
 _Q2 = PochSpec(1, 2, 2)       # (q^2; q^2)
 _NEG_Q = PochSpec(-1, 1, 1)   # (-q; q)
 
@@ -108,17 +107,13 @@ class BaileyPair:
             raise ValueError(
                 f"alpha and beta must be equally long and nonempty, got {len(alpha)} and {len(beta)}"
             )
-        # read on every step and check; not a field, so equality ignores it.  A chain
-        # step gives every series one order object, which needs no comparison
-        order = alpha[0].order
-        if any(s.order is not order for s in alpha + beta):
-            order = min(s.order for s in alpha + beta)
-        object.__setattr__(self, "_order", order)
+        # read on every step and check; not a field, so equality ignores it
+        object.__setattr__(self, "_order", min(s.order for s in alpha + beta))
 
     @classmethod
     def _unchecked(cls, alpha: tuple, beta: tuple) -> "BaileyPair":
-        """A pair built unvalidated from a chain step's output: the caller
-        guarantees two equally long nonempty tuples of half-grid Series
+        """A pair built unvalidated, for the unit pair and the chain steps:
+        the caller guarantees two equally long nonempty tuples of half-grid Series
         that all share one order object."""
         bp = object.__new__(cls)
         object.__setattr__(bp, "alpha", alpha)
@@ -154,7 +149,8 @@ def unit_pair(n_max: int, order) -> BaileyPair:
         raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
     order = _order(order)
     alpha = tuple(_half_grid(_theta_pair(0, 2, n), order) for n in range(n_max + 1))
-    return BaileyPair(alpha, (Series.one(order, 2),) + (Series.zero(order, 2),) * n_max)
+    beta = (_half_grid([(0, 1)], order),) + (_half_grid((), order),) * n_max
+    return BaileyPair._unchecked(alpha, beta)
 
 
 def _head(s: Series, length: int) -> Tuple[int, list]:
@@ -170,12 +166,6 @@ def _series(v: int, cs: list, order: Fraction) -> Series:
     return Series._unchecked([0] * v + cs, order, 2)
 
 
-#: r -> the rows 1 / ((q; q)_{n-r} (q; q)_{n+r}) for n = r, r + 1, ..., a
-#: table of :func:`qgordon.qseries._table_rows`, so one window in q, the
-#: longest checked, and bounded by the largest chain checked
-_WING_QUOTIENTS: dict = {}
-
-
 def check_pair(bp: BaileyPair) -> bool:
     """Whether the defining relation holds for every n up to n_max,
     within each series' truncation window.
@@ -185,8 +175,9 @@ def check_pair(bp: BaileyPair) -> bool:
     relation between series in q.  Each nonzero slot c q^e of alpha_r on
     a class contributes c q^e G_{n-r,n+r} to beta_n there, where
     G_{n-r,n+r} = 1 / ((q; q)_{n-r} (q; q)_{n+r}) does not depend on the
-    pair: every check reads it from one shared table
-    (``_WING_QUOTIENTS``), whose window is the longest asked so far.
+    pair: every check reads it from the table of quotient rows
+    (:func:`qgordon.qseries._table_rows`), keyed by (q; q) from 0 and
+    (q; q) from 2r.
     Per class and n, every such term is subtracted from that class of
     beta_n, one pass over the window each, and what is left must be 0.
     """
@@ -197,9 +188,10 @@ def check_pair(bp: BaileyPair) -> bool:
         cs = s.coeffs
         for slot in compress(range(length), cs):
             terms[slot % 2].append((r, slot // 2, cs[slot]))
-    # row n - r of column r is G_{n-r,n+r}; a longer held window is read by prefixes
+    # row n - r of the key (q; q) from 0, (q; q) from 2r is G_{n-r,n+r}; a longer held
+    # window is read by prefixes
     rs = {r for t in terms for r, _, _ in t}
-    cols = {r: _table_rows(_WING_QUOTIENTS, r, ((_Q, 0), (_Q, 2 * r)), bp.n_max - r, window) for r in rs}
+    cols = {r: _table_rows(((1, 1, 1, 0), (1, 1, 1, 2 * r)), bp.n_max - r, window) for r in rs}
     for n in range(bp.n_max + 1):
         beta = bp.beta[n].coeffs
         for p in (0, 1):

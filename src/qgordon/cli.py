@@ -104,8 +104,8 @@ def _cmd_bailey_chain(args) -> int:
     chain = build_chain(gp, args.nmax, args.order)
     steps = []
     lines = []
-    # checked from the last link back, so the wing table is built once, at the final
-    # window, and the unit pair reads prefixes of it
+    # checked from the last link back, so each key of the quotient rows the check reads
+    # is built once, at the final window, and the unit pair reads prefixes of it
     oks = [check_pair(bp) for _, bp in reversed(chain)][::-1]
     for (label, bp), ok in zip(chain, oks):
         steps.append({"label": label, "relation_ok": ok})

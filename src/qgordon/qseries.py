@@ -33,11 +33,12 @@ ascending recurrence over the terms to divide.
 :func:`_quotient_sums` builds the sums of quotients that the Bailey
 transformations need, keeping one running quotient per term and
 cutting it, before each division, to the window its row still needs
-below one common length; term 0's first coefficient reads a table
-shared by every call instead (:func:`_table_rows`).  Every such sum shifts term m of row n by
-q^(shift (n - m)) for one int shift >= 0: any part that depends on m
-alone rides on the term's own start.  (The multisums sum by q-Pascal cells
-instead and divide only once; see :func:`qgordon.identities.ladder_multisum`.)
+below one common length; term 0's first coefficient reads the one table
+of quotient rows instead (:func:`_table_rows`), which the Bailey check
+reads too.  Every such sum shifts term m of row n by q^(shift (n - m))
+for one int shift >= 0: any part that depends on m alone rides on the
+term's own start.  (The multisums sum by q-Pascal cells instead and
+divide only once; see :func:`qgordon.identities.ladder_multisum`.)
 :func:`_shifted_sum` adds a row's shifted terms in one column pass:
 padded to a common window, they are summed column by column with the
 builtin ``sum``, which adds ints in a C long while they fit, so a
@@ -260,7 +261,7 @@ class Series:
         return other.__add__(-self)
 
     def __mul__(self, other) -> "Series":
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):  # a bool is not an int here
             return Series(tuple(c * other for c in self.coeffs), self.order, self.denom)
         if not isinstance(other, Series):
             return NotImplemented
@@ -395,10 +396,13 @@ class Series:
 
     @classmethod
     def from_wire(cls, d: dict) -> "Series":
-        """The series :meth:`to_wire` wrote.  The order fields and the
-        grid must be ints, the denominators positive, each slot an int
+        """The series :meth:`to_wire` wrote.  The document must be a dict,
+        the order fields and the grid ints, the denominators positive,
+        ``coeffs`` a list of [slot, coefficient] pairs, each slot an int
         below the slot count given once, and each coefficient an int or
         a decimal-integer string; anything else raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a series document must be a dict, got {type(d).__name__}")
         for field in ("order_num", "order_den", "denom"):
             if type(d.get(field)) is not int:
                 raise ValueError(f"{field} must be an int, got {d.get(field)!r}")
@@ -406,8 +410,14 @@ class Series:
             raise ValueError(f"order_den and denom must be positive, got {d['order_den']}, {d['denom']}")
         order = Fraction(d["order_num"], d["order_den"])
         cs = [0] * _slots(order, d["denom"])
+        coeffs = d.get("coeffs")
+        if not isinstance(coeffs, (list, tuple)):
+            raise ValueError(f"coeffs must be a list, got {coeffs!r}")
         seen = set()
-        for s, c in d["coeffs"]:
+        for entry in coeffs:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise ValueError(f"each coefficient must be a [slot, coefficient] pair, got {entry!r}")
+            s, c = entry
             if type(s) is not int or not 0 <= s < len(cs):
                 raise ValueError(f"coefficient slot {s!r} is not an int in 0..{len(cs) - 1}")
             if s in seen:
@@ -552,39 +562,33 @@ def _shifted_sum(terms: list, lo: int, length: int) -> list:
     return list(map(sum, zip(*rows))) if rows else [0] * (length - lo)
 
 
-def _table_rows(table: dict, key, symbols: tuple, last: int, window: int) -> list:
-    """Rows 0..last (at least) of ``table[key]``, where row i is
-    1 / prod (spec)_(start + i) over the (spec, start) pairs of ``symbols``,
-    as int tuples known below the table's one window.  Every such table
-    keeps one policy: the window is the longest asked of the table so far,
+#: symbols -> the rows of :func:`_table_rows` for that key, each a list of
+#: int tuples known below the longest window asked of the key
+_QUOTIENT_ROWS: dict = {}
+
+
+def _table_rows(symbols: tuple, last: int, window: int) -> list:
+    """Rows 0..last (at least) of the one table of quotient rows, where
+    row i is 1 / prod (sign q^exponent; q^base)_(start + i) over the
+    (sign, exponent, base, start) int tuples of ``symbols``, the key.  A
+    key's rows are int tuples known below the longest window asked of it:
     a shorter window reads prefixes, a larger ``last`` extends the rows by
-    one pass per symbol, and a longer window empties the table first.  A
+    one pass per symbol, and a longer window rebuilds that key alone.  A
     row is never mutated, so a caller may keep reading one while another
-    call extends or replaces the table."""
-    if table:
-        held = len(next(iter(table.values()))[0])
-        if held < window:
-            table.clear()
-        else:
-            window = held
-    rows = table.get(key)
-    if rows is None:
+    call extends or rebuilds its key."""
+    rows = _QUOTIENT_ROWS.get(symbols)
+    if rows is None or len(rows[0]) < window:
         cs = [1] + [0] * (window - 1)
-        for spec, start in symbols:
-            _div_factors(cs, spec, start)
-        rows = table[key] = [tuple(cs)]
+        for sign, first, step, start in symbols:
+            for s in range(first, min(window, first + start * step), step):
+                _div_factor(cs, sign, s)
+        rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]
     for i in range(len(rows), last + 1):
         cs = list(rows[-1])
-        for spec, start in symbols:
-            _div_factor(cs, spec.sign, spec.exponent + (start + i - 1) * spec.base)
+        for sign, first, step, start in symbols:
+            _div_factor(cs, sign, first + (start + i - 1) * step)
         rows.append(tuple(cs))
     return rows
-
-
-#: (spec, row_spec) -> a table of :func:`_table_rows` whose one column, key 0,
-#: holds the quotients 1 / ((spec)_n (row_spec)_n) that term 0 of
-#: :func:`_quotient_sums` reads; each symbol pair keeps its own window
-_QUOTIENT_COLUMNS: dict = {}
 
 
 def _quotient_sums(terms: list, spec: PochSpec, length: int, shift: int = 0, row_spec=None) -> list:
@@ -599,10 +603,10 @@ def _quotient_sums(terms: list, spec: PochSpec, length: int, shift: int = 0, row
     one pass per factor.  ``shift`` must be >= 0, so a window only
     shrinks as n grows.  Term 0's first coefficient c, at q^v, is read
     instead as c times row n of 1 / ((spec)_n (row_spec)_n), which no
-    term changes: every call with the same symbols reads it from one
-    shared table (``_QUOTIENT_COLUMNS``).  The rest of term 0, from its
-    next nonzero coefficient on, keeps a running quotient; a Bailey
-    chain's beta_0 is 1, so there that rest is empty.
+    term changes: every call with the same symbols reads it from the
+    table of quotient rows (:func:`_table_rows`).  The rest of term 0,
+    from its next nonzero coefficient on, keeps a running quotient; a
+    Bailey chain's beta_0 is 1, so there that rest is empty.
     """
     first, step = spec.exponent, spec.base
     column = None
@@ -611,9 +615,9 @@ def _quotient_sums(terms: list, spec: PochSpec, length: int, shift: int = 0, row
         rest = next(compress(count(1), cs[1:]), len(cs))  # the next nonzero coefficient
         terms[0] = (v + rest, cs[rest:])
         if cs[0]:
-            symbols = ((spec, 0),) if row_spec is None else ((spec, 0), (row_spec, 0))
-            table = _QUOTIENT_COLUMNS.setdefault((spec, row_spec), {})
-            column = v, cs[0], _table_rows(table, 0, symbols, len(terms) - 1, length - v)
+            specs = (spec,) if row_spec is None else (spec, row_spec)
+            symbols = tuple((x.sign, x.exponent, x.base, 0) for x in specs)
+            column = v, cs[0], _table_rows(symbols, len(terms) - 1, length - v)
     out = []
     for n in range(len(terms)):
         row = []

@@ -63,22 +63,12 @@ class TestUnitPair:
         with pytest.raises(TypeError, match=want):
             BaileyPair(tuple(series["alpha"]), tuple(series["beta"]))
 
-    def test_shared_order_needs_no_comparison(self):
+    def test_one_order_per_link_and_the_least_of_mixed_orders(self):
         """Every link of a chain gives all its series one order object,
-        and a pair whose series share one is built without comparing
-        orders; a pair of mixed orders still takes the least."""
+        and a pair of mixed orders takes the least."""
         for gp in ((2, 1), (7, 2)):
             for label, bp in build_chain(gp, 6, 40):
                 assert len({id(s.order) for s in bp.alpha + bp.beta}) == 1, (gp, label)
-
-        class Uncomparable(Fraction):
-            def __lt__(self, other):
-                raise AssertionError("orders compared")
-            __le__ = __gt__ = __ge__ = __lt__
-
-        order = Uncomparable(10)
-        one = Series._unchecked([1] + [0] * 19, order, 2)
-        assert BaileyPair((one, one), (one, one)).order is order
         longer = Series.one(Fraction(21, 2), 2)
         assert BaileyPair((longer, Series.one(10, 2)), (longer, longer)).order == 10
 

@@ -8,7 +8,25 @@ import qgordon
 from qgordon import bailey, identities, lattice_paths, partitions, qseries
 
 
+def _key(*specs, starts=None):
+    """The row table's key for the symbols ``specs``, from ``starts``
+    (all 0 when omitted)."""
+    starts = starts or (0,) * len(specs)
+    return tuple((x.sign, x.exponent, x.base, start) for x, start in zip(specs, starts))
+
+
+Q = qseries.PochSpec(1, 1, 1)
+
+
+def _check_key(r):
+    """The key of check_pair's rows 1 / ((q; q)_{n-r} (q; q)_{n+r})."""
+    return _key(Q, Q, starts=(0, 2 * r))
+
+
 def test_clear_caches_empties_every_cache():
+    """The check and a chain step fill the one table of quotient rows,
+    each under its own key, and clearing empties it with the others."""
+    qgordon.clear_caches()
     partitions.count_B(6, (3, 2))
     lattice_paths.enumerate_S_paths(6, (3, 2))
     identities.eval_product_side("AG", (3, 2), 10)
@@ -17,14 +35,13 @@ def test_clear_caches_empties_every_cache():
     assert partitions._COUNT_TABLES
     assert lattice_paths._SPATH_CACHE
     assert identities._ETA_QUOTIENTS
-    assert bailey._WING_QUOTIENTS
-    assert qseries._QUOTIENT_COLUMNS
+    checks = {_check_key(r) for r in range(3)}
+    assert set(qseries._QUOTIENT_ROWS) == checks | {_key(bailey._T2, bailey._NEG_T)}
     qgordon.clear_caches()
     assert not partitions._COUNT_TABLES
     assert not lattice_paths._SPATH_CACHE
     assert not identities._ETA_QUOTIENTS
-    assert not bailey._WING_QUOTIENTS
-    assert not qseries._QUOTIENT_COLUMNS
+    assert not qseries._QUOTIENT_ROWS
 
 
 def test_count_table_at_most_doubles():
@@ -57,13 +74,28 @@ def _last_slot_raised(bp):
     return bailey.BaileyPair(bp.alpha, bp.beta[:-1] + (qgordon.Series(cs, bp.order, 2),))
 
 
+def _held(table):
+    """A copy of each key's list of rows."""
+    return {key: list(rows) for key, rows in table.items()}
+
+
+def _kept(table, held):
+    """Whether every held key still has its rows, the same objects, all
+    of one length, and at least as many."""
+    for key, rows in held.items():
+        now = table[key]
+        assert {len(row) for row in now} == {len(rows[0])}, key
+        assert all(a is b for a, b in zip(rows, now)) and len(now) >= len(rows), key
+    return True
+
+
 def test_wing_table_gives_one_answer_cold_or_warm():
-    """check_pair reads the same table rows whether the table is cold,
-    holds a longer window, or holds columns to a larger n_max; a check
-    extends the table but leaves every row it held as it was."""
+    """check_pair reads the same rows of the quotient table whether it is
+    cold, holds a longer window, or holds rows to a larger n_max; a check
+    extends a key's rows but leaves every row it held as it was."""
     links = [bp for _, bp in bailey.build_chain((5, 2), 6, 40)]
     pairs = links + [_last_slot_raised(bp) for bp in links]
-    table = bailey._WING_QUOTIENTS
+    table = qseries._QUOTIENT_ROWS
 
     def results():
         return [bailey.check_pair(bp) for bp in pairs]
@@ -79,20 +111,18 @@ def test_wing_table_gives_one_answer_cold_or_warm():
     for warmup in warmups:
         qgordon.clear_caches()
         assert bailey.check_pair(warmup)
-        window = len(table[0][0])
-        held = {r: list(col) for r, col in table.items()}
+        assert table and set(table) <= {_check_key(r) for r in range(len(warmup.alpha))}
+        held = _held(table)
         assert results() == cold
-        assert {len(row) for col in table.values() for row in col} == {window}
-        for r, rows in held.items():
-            assert all(a is b for a, b in zip(rows, table[r])) and len(table[r]) >= len(rows), r
+        assert _kept(table, held)
 
 
 def test_quotient_columns_give_one_answer_cold_or_warm():
-    """The chain steps read the same column rows 1 / ((spec)_n (row_spec)_n)
-    whether the table is cold, holds a longer window, or holds rows to a
-    larger n_max; a step extends a column but leaves every row it held
-    as it was, and never rebuilds a column at a shorter window."""
-    tables = qseries._QUOTIENT_COLUMNS
+    """The chain steps read the same rows 1 / ((spec)_n (row_spec)_n) of
+    the quotient table whether it is cold, holds a longer window, or holds
+    rows to a larger n_max; a step extends a key's rows but leaves every
+    row it held as it was, and never rebuilds a key at a shorter window."""
+    table = qseries._QUOTIENT_ROWS
 
     def results():
         return [(label, [s.coeffs for s in bp.alpha], [s.coeffs for s in bp.beta])
@@ -101,14 +131,14 @@ def test_quotient_columns_give_one_answer_cold_or_warm():
     qgordon.clear_caches()
     cold = results()
     # D1's (q^2; q^2), and S2's (t^2; t^2) with (-t; t^2)
-    assert set(tables) == {(bailey._Q2, None), (bailey._T2, bailey._NEG_T)}
-    for (spec, row_spec), table in tables.items():
-        window = len(table[0][0])
-        for n, row in enumerate(table[0]):
-            want = qseries.invert_poch(spec, window, n)
-            if row_spec is not None:
-                want = want * qseries.invert_poch(row_spec, window, n)
-            assert row == want.coeffs, (spec, n)
+    assert set(table) == {_key(bailey._Q2), _key(bailey._T2, bailey._NEG_T)}
+    for key, rows in table.items():
+        window = len(rows[0])
+        for n, row in enumerate(rows):
+            want = qseries.Series.one(window)
+            for sign, exponent, base, start in key:
+                want = want * qseries.invert_poch(qseries.PochSpec(sign, exponent, base), window, start + n)
+            assert row == want.coeffs, (key, n)
     warmups = (
         ((5, 2), 6, 60),  # a longer window
         ((5, 2), 12, 40),  # the same window to n = 12
@@ -117,12 +147,35 @@ def test_quotient_columns_give_one_answer_cold_or_warm():
     for warmup in warmups:
         qgordon.clear_caches()
         bailey.build_chain(*warmup)
-        held = {key: list(table[0]) for key, table in tables.items()}
+        held = _held(table)
         assert results() == cold
-        for key, rows in held.items():
-            column = tables[key][0]
-            assert {len(row) for row in column} == {len(rows[0])}, key
-            assert all(a is b for a, b in zip(rows, column)) and len(column) >= len(rows), key
+        assert _kept(table, held)
+
+
+def test_a_longer_window_rebuilds_that_key_alone():
+    """A key asked at a longer window gets new rows to that window, while
+    its old rows stay as they were and every other key keeps its rows;
+    a shorter window then reads prefixes of the new rows."""
+    qgordon.clear_caches()
+    table = qseries._QUOTIENT_ROWS
+    key = _check_key(1)
+    others = (_check_key(0), _check_key(2), _key(bailey._T2, bailey._NEG_T))
+    short = qseries._table_rows(key, 4, 10)
+    short_values = list(short)
+    for other in others:
+        qseries._table_rows(other, 3, 10)
+    held = _held(table)
+    del held[key]
+    rows = qseries._table_rows(key, 2, 25)
+    assert rows is table[key] and rows is not short and len(rows) == 3
+    assert {len(row) for row in rows} == {25}
+    assert short == short_values and [row[:10] for row in rows] == short[:3]
+    assert set(table) == {key, *others} and _kept(table, held)
+    assert all(table[other][0] is held[other][0] for other in others)
+    assert qseries._table_rows(key, 5, 10) is rows and {len(row) for row in rows} == {25}
+    for n, row in enumerate(rows):
+        want = qseries.invert_poch(Q, 25, n) * qseries.invert_poch(Q, 25, 2 + n)
+        assert row == want.coeffs, n
 
 
 @pytest.mark.parametrize("n", [True, -1, 2.0])

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qgordon
-from qgordon import bailey, cli, identities
+from qgordon import bailey, cli, identities, qseries
 from qgordon.cli import run, sweep
 from qgordon.qseries import Series
 
@@ -261,14 +261,15 @@ class TestBaileyChainCommand:
 
     def test_cold_chain_builds_the_wing_table_once(self, monkeypatch, capsys):
         """The links are checked from the last back to the unit pair, so
-        the first check sizes the wing table at the final window and no
-        later check empties it; the lines still print in chain order."""
-        table = bailey._WING_QUOTIENTS
+        the first check builds each of its keys of the quotient table at
+        the final window and no later check rebuilds one; the lines still
+        print in chain order."""
+        table = qseries._QUOTIENT_ROWS
         seen = []
 
         def check_pair(bp):
             ok = bailey.check_pair(bp)
-            seen.append((bp.order, table[0]))
+            seen.append((bp.order, dict(table)))
             return ok
 
         monkeypatch.setattr(cli, "check_pair", check_pair)
@@ -278,8 +279,9 @@ class TestBaileyChainCommand:
         assert code == 0
         assert [line.split()[0] for line in lines[:-1]] == ["unit", "D1", "S2", "S2", "P41(A=2)", "S2", "S2"]
         assert [order for order, _ in seen] == [41] * 6 + [Fraction(41, 2)]
-        assert all(column is seen[0][1] for _, column in seen)
-        assert len(table[0][0]) == 41
+        first = seen[0][1]
+        assert all(rows is first[key] for _, held in seen for key, rows in held.items() if key in first)
+        assert len(table[((1, 1, 1, 0), (1, 1, 1, 0))][0]) == 41
 
     def test_trace_prints_series_heads(self, capsys):
         """--trace indents alpha_n and beta_n, n <= 2, under each link's line."""

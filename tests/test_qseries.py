@@ -437,6 +437,33 @@ class TestWireFormat:
         with pytest.raises(ValueError, match=r"^coefficient at slot 1 must be an int or a decimal-integer string"):
             Series.from_wire(self._wire((0, "1"), (1, c)))
 
+    @pytest.mark.parametrize("document, message", [
+        ({"denom": 1, "order_num": 5, "order_den": 1}, "coeffs must be a list, got None"),
+        ({"denom": 1, "order_num": 5, "order_den": 1, "coeffs": None}, "coeffs must be a list, got None"),
+        ({"denom": 1, "order_num": 5, "order_den": 1, "coeffs": 5}, "coeffs must be a list, got 5"),
+        ([], "a series document must be a dict, got list"),
+    ])
+    def test_malformed_document_refused(self, document, message):
+        """A missing ``coeffs`` raised KeyError, a non-list one TypeError,
+        and a document that is not a dict AttributeError."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Series.from_wire(document)
+
+    @pytest.mark.parametrize("entry", [5, None, [1], [1, "2", "3"], "12", {"0": "1"}])
+    def test_malformed_coefficient_pair_refused(self, entry):
+        """An entry that is not a [slot, coefficient] pair raised TypeError,
+        or unpacked a two-letter string as a slot and a coefficient."""
+        wire = self._wire((0, "1"))
+        wire["coeffs"].append(entry)
+        with pytest.raises(ValueError, match=r"^each coefficient must be a \[slot, coefficient\] pair, got "):
+            Series.from_wire(wire)
+
+    @pytest.mark.parametrize("text", ["[]", "null", "5", '"series"', "{"])
+    def test_from_json_refuses_what_is_not_a_series_document(self, text):
+        """json.loads("[]") gave a list, whose missing .get raised AttributeError."""
+        with pytest.raises(ValueError):
+            Series.from_json(text)
+
     def test_int_and_string_coefficients_load(self):
         """Plain JSON ints load as well as the strings to_wire writes."""
         f = Series.from_wire(self._wire((0, 3), (1, "-7"), (4, str(-(10**30)))))
@@ -730,6 +757,14 @@ class TestEdgeBranches:
             with pytest.raises(TypeError, match="unsupported operand"):
                 op()
         assert (s == "x") is False
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_bool_scalar_is_refused(self, scalar):
+        """A bool is not read as 1 or 0 by *, as + and == refuse it."""
+        s = Series((1, 2), 3)
+        for op in (lambda: s * scalar, lambda: scalar * s, lambda: s + scalar):
+            with pytest.raises(TypeError):
+                op()
 
     def test_shift_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="shift exponent must be nonnegative"):
