@@ -20,7 +20,8 @@ one class of slots at a time, as series in q: :func:`check_pair` splits
 every alpha and beta into its even and its odd slots, and
 :func:`apply_D1`, whose betas fill the even slots only, computes them in
 q and lays them onto the even slots.  The half-weight step mixes the
-classes through (-q^(1/2); q) and stays in t.
+classes through (-q^(1/2); q) and stays in t.  Every step lays out its
+series through :func:`_half_grid`, :func:`_series` or :func:`_even`.
 
 Two kinds of quotient do not depend on the pair: the check's
 1 / ((q; q)_{n-r} (q; q)_{n+r}), and term 0 of each step's sums of
@@ -166,6 +167,14 @@ def _series(v: int, cs: list, order: Fraction) -> Series:
     return Series._unchecked([0] * v + cs, order, 2)
 
 
+def _even(v: int, cs, order: Fraction) -> Series:
+    """q^v * cs, a series in q, on the even slots of the half grid (q^j is
+    slot 2j); v + len(cs) must be its slot count on the integer grid."""
+    even = [0] * _slots(order, 2)
+    even[2 * v::2] = cs
+    return Series._unchecked(even, order, 2)
+
+
 def check_pair(bp: BaileyPair) -> bool:
     """Whether the defining relation holds for every n up to n_max,
     within each series' truncation window.
@@ -259,22 +268,11 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     """
     order = 2 * bp.order
     length = _slots(order, 1)
-    alpha = []
-    for s in bp.alpha:
-        cs = [0] * _slots(order, 2)
-        cs[::2] = s.coeffs[:length]  # q^(j/2) becomes q^j, slot 2j
-        alpha.append(Series._unchecked(cs, order, 2))
-    terms = []
-    for r, s in enumerate(bp.beta):
-        v, cs = _head(s, length)
-        terms.append((v, _mul_factors(cs, _NEG_Q, 2 * r)))
+    alpha = tuple(_even(0, s.coeffs[:length], order) for s in bp.alpha)  # q^(j/2) becomes q^j
+    heads = (_head(s, length) for s in bp.beta)
+    terms = [(v, _mul_factors(cs, _NEG_Q, 2 * r)) for r, (v, cs) in enumerate(heads)]
     sums = _quotient_sums(terms, _Q2, length, 1)
-    beta = []
-    for v, cs in sums:
-        even = [0] * _slots(order, 2)
-        even[2 * v::2] = cs  # q^j is slot 2j
-        beta.append(Series._unchecked(even, order, 2))
-    return BaileyPair._unchecked(tuple(alpha), tuple(beta))
+    return BaileyPair._unchecked(alpha, tuple(_even(v, cs, order) for v, cs in sums))
 
 
 def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
@@ -304,7 +302,7 @@ def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
     beta = []
     for n, s in enumerate(bp.beta):  # q^n is 2n slots
         pad = min(2 * n, length)
-        beta.append(Series._unchecked((0,) * pad + s.coeffs[:length - pad], order, 2))
+        beta.append(_series(pad, list(s.coeffs[:length - pad]), order))
     return BaileyPair._unchecked(alpha, tuple(beta))
 
 

@@ -686,7 +686,7 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
 
 # ---------------------------------------------------------------- serialization
 
-_COMPACT_RE = re.compile(r"^h=(\d+):([NSE]*)$")
+_COMPACT_RE = re.compile(r"h=([0-9]+):([NSE]*)")
 
 
 def path_to_compact(path: LatticePath) -> str:
@@ -695,7 +695,8 @@ def path_to_compact(path: LatticePath) -> str:
 
 
 def path_from_compact(text: str) -> LatticePath:
-    m = _COMPACT_RE.match(text.strip())
+    """The path :func:`path_to_compact` wrote, in ASCII digits; ValueError otherwise."""
+    m = isinstance(text, str) and _COMPACT_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"not a compact path (want h=<height>:<NSE steps>): {text!r}")
     return LatticePath(int(m.group(1)), m.group(2))
@@ -714,8 +715,10 @@ def path_to_json_obj(path: LatticePath) -> dict:
 
 
 def path_from_json_obj(obj: dict) -> LatticePath:
-    """The path :func:`path_to_json_obj` wrote; ValueError naming the
-    field unless ``start`` is an int and ``steps`` a str."""
+    """The path :func:`path_to_json_obj` wrote; ValueError unless it is a
+    dict, naming the field unless ``start`` is an int and ``steps`` a str."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a path document must be a dict, got {type(obj).__name__}")
     for name, kind in (("start", int), ("steps", str)):
         if type(obj.get(name)) is not kind:
             raise ValueError(f"path field {name!r} must be {kind.__name__}, got {obj.get(name)!r}")

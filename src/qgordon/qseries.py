@@ -47,7 +47,9 @@ The kernels know no grid: list index i is q^i.  ``Series.__mul__`` and
 ``Series.inverse`` stay as the dense reference the kernels are tested
 against.  The builders here, the sides in :mod:`qgordon.identities` and
 the chain in :mod:`qgordon.bailey` wrap the int lists they made with
-the private :meth:`Series._unchecked`; the public constructor checks.
+the private :meth:`Series._unchecked`; the public constructor and
+``from_terms`` check.  ``+``, ``-``, ``*`` and ``first_discrepancy``
+read both operands from one :meth:`Series._window`.
 """
 
 from __future__ import annotations
@@ -101,6 +103,21 @@ def _slots(order: Fraction, denom: int) -> int:
     return -((-num) // den)
 
 
+def _grid(order: QExp, denom: int) -> Tuple[Fraction, int]:
+    """A checked order, as a Fraction, and its slot count on grid 1/denom."""
+    order = _order(order)
+    if type(denom) is not int or denom < 1:
+        raise ValueError(f"denom must be a positive int, got {denom!r}")
+    return order, _slots(order, denom)
+
+
+def _coefficient(c: int) -> int:
+    """``c``; TypeError unless it is an int (a bool is not an int here)."""
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
+    return c
+
+
 class Series:
     """Exact truncated power series in q.
 
@@ -114,18 +131,9 @@ class Series:
     __slots__ = ("coeffs", "order", "denom")
 
     def __init__(self, coeffs: Sequence[int], order: QExp, denom: int = 1):
-        order = _order(order)
-        if type(denom) is not int or denom < 1:
-            raise ValueError(f"denom must be a positive int, got {denom!r}")
-        n = _slots(order, denom)
-        cs = list(coeffs)
-        if len(cs) > n:
-            cs = cs[:n]
-        elif len(cs) < n:
-            cs.extend([0] * (n - len(cs)))
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):  # a bool is not an int here
-                raise TypeError(f"coefficients must be ints, got {type(c).__name__}")
+        order, n = _grid(order, denom)
+        cs = [_coefficient(c) for c in list(coeffs)[:n]]
+        cs.extend([0] * (n - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "denom", denom)
@@ -159,11 +167,12 @@ class Series:
 
     @classmethod
     def from_terms(cls, terms: Iterable[Tuple[QExp, int]], order: QExp, denom: int = 1) -> "Series":
-        """Build a series on grid 1/denom from (exponent, coefficient)
-        pairs; terms at or above the truncation order are dropped."""
-        order = _frac(order, "order")
-        cs = [0] * _slots(order, denom)
+        """Build a series on grid 1/denom from (exponent, coefficient) pairs,
+        checked as the constructor checks; terms at or above the order drop."""
+        order, n = _grid(order, denom)
+        cs = [0] * n
         for e, c in terms:
+            _coefficient(c)
             e = _frac(e)
             if e < 0:
                 raise ValueError(f"negative exponent {e} in series")
@@ -172,7 +181,7 @@ class Series:
                 if s.denominator != 1:
                     raise ValueError(f"exponent {e} does not lie on grid 1/{denom}")
                 cs[int(s)] += c
-        return cls(cs, order, denom)
+        return cls._unchecked(cs, order, denom)
 
     # ------------------------------------------------------------ queries
 
@@ -218,9 +227,13 @@ class Series:
         return Series._unchecked(cs, self.order, denom)
 
     @staticmethod
-    def _align(f: "Series", g: "Series") -> Tuple["Series", "Series"]:
+    def _window(f: "Series", g: "Series") -> Tuple[tuple, tuple, Fraction, int]:
+        """Both operands promoted to their common grid, as their slot
+        tuples below the smaller order, with that order and grid."""
         d = lcm(f.denom, g.denom)
-        return f._promote(d), g._promote(d)
+        order = min(f.order, g.order)
+        n = _slots(order, d)
+        return f._promote(d).coeffs[:n], g._promote(d).coeffs[:n], order, d
 
     def _lift(self, other) -> "Series":
         if isinstance(other, Series):
@@ -229,19 +242,16 @@ class Series:
             return Series.from_int(other, self.order, self.denom)
         return NotImplemented
 
-    def __add__(self, other) -> "Series":
+    def _slotwise(self, other, op) -> "Series":
+        """``op`` slot by slot over the window of self and other."""
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        f, g = Series._align(self, other)
-        order = min(f.order, g.order)
-        n = _slots(order, f.denom)
-        cs = [0] * n
-        for s in range(min(n, len(f.coeffs))):
-            cs[s] = f.coeffs[s]
-        for s in range(min(n, len(g.coeffs))):
-            cs[s] += g.coeffs[s]
-        return Series(cs, order, f.denom)
+        fc, gc, order, d = Series._window(self, other)
+        return Series(map(op, fc, gc), order, d)
+
+    def __add__(self, other) -> "Series":
+        return self._slotwise(other, _add)
 
     __radd__ = __add__
 
@@ -249,35 +259,27 @@ class Series:
         return Series(tuple(-c for c in self.coeffs), self.order, self.denom)
 
     def __sub__(self, other) -> "Series":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(-other)
+        return self._slotwise(other, _sub)
 
     def __rsub__(self, other) -> "Series":
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__add__(-self)
+        lifted = self._lift(other)
+        return NotImplemented if lifted is NotImplemented else lifted._slotwise(self, _sub)
 
     def __mul__(self, other) -> "Series":
         if isinstance(other, int) and not isinstance(other, bool):  # a bool is not an int here
             return Series(tuple(c * other for c in self.coeffs), self.order, self.denom)
         if not isinstance(other, Series):
             return NotImplemented
-        f, g = Series._align(self, other)
-        order = min(f.order, g.order)
-        n = _slots(order, f.denom)
+        fc, gc, order, d = Series._window(self, other)
+        n = len(fc)
         cs = [0] * n
-        fc, gc = f.coeffs, g.coeffs
         for i, a in enumerate(fc):
-            if a and i < n:
-                top = min(len(gc), n - i)
-                for j in range(top):
+            if a:
+                for j in range(n - i):
                     b = gc[j]
                     if b:
                         cs[i + j] += a * b
-        return Series(cs, order, f.denom)
+        return Series(cs, order, d)
 
     __rmul__ = __mul__
 
@@ -345,12 +347,10 @@ class Series:
         lifted = self._lift(other)
         if lifted is NotImplemented:
             raise TypeError(f"cannot compare a Series with {type(other).__name__}")
-        f, g = Series._align(self, lifted)
-        n = _slots(min(f.order, g.order), f.denom)
-        fc, gc = f.coeffs[:n], g.coeffs[:n]
+        fc, gc, _, d = Series._window(self, lifted)
         if fc == gc:
             return None
-        return Fraction(next(s for s, (a, b) in enumerate(zip(fc, gc)) if a != b), f.denom)
+        return Fraction(next(s for s, (a, b) in enumerate(zip(fc, gc)) if a != b), d)
 
     # ------------------------------------------------------------ formatting
 

@@ -1,0 +1,197 @@
+"""Mutation check: each entry breaks the package in one known way, and
+the tests it names must then fail.
+
+    python tests/mutants.py                 # run every mutant
+    python tests/mutants.py --list          # name each mutant and its tests
+    python tests/mutants.py --only NAME     # run one (repeat for more)
+
+For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied
+into a temporary directory, the mutant's old text in its module is
+replaced by its new text, and ``pytest -x -q`` runs the mutant's tests
+there.  Only pytest's exit code 1 (a test failed) kills a mutant: a
+mutant whose tests pass survived, and one whose copy cannot be
+collected or run is an error.  An old text that does not occur exactly
+once in its module is an error too, so a change that rewrites a line a
+mutant names restates that mutant here.  Exits 1 naming every mutant
+that survived or could not be run, 2 for an unknown name, 0 otherwise.
+
+A change that adds a check, or changes what one checks, adds the
+mutants it kills to :data:`MUTANTS`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a module of the qgordon package
+    old: str  # must occur exactly once in the module
+    new: str
+    tests: Tuple[str, ...]  # pytest arguments, relative to the repository root
+
+
+_ROWS_KEYED = """\
+    rows = _QUOTIENT_ROWS.get(symbols)
+    if rows is None or len(rows[0]) < window:
+        cs = [1] + [0] * (window - 1)
+        for sign, first, step, start in symbols:
+            for s in range(first, min(window, first + start * step), step):
+                _div_factor(cs, sign, s)
+        rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]
+"""
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # Series._window: the window both operands are read on
+    Mutant(
+        "window-one-slot-short", "qseries",
+        "        n = _slots(order, d)\n",
+        "        n = _slots(order, d) - 1\n",
+        ("tests/test_qseries.py",),
+    ),
+    Mutant(
+        "window-promotes-one-operand", "qseries",
+        "g._promote(d).coeffs[:n]",
+        "g.coeffs[:n]",
+        ("tests/test_qseries.py",),
+    ),
+    # Series.from_terms: each coefficient checked as the constructor checks it
+    Mutant(
+        "from-terms-adds-a-bool", "qseries",
+        "            _coefficient(c)\n",
+        "            if not isinstance(c, int):\n"
+        "                raise TypeError(f\"coefficients must be ints, got {type(c).__name__}\")\n",
+        ("tests/test_qseries.py",),
+    ),
+    # the one table of quotient rows
+    Mutant(
+        "row-key-without-start", "qseries",
+        _ROWS_KEYED,
+        _ROWS_KEYED.replace(".get(symbols)", ".get(tuple(x[:3] for x in symbols))")
+        .replace("[symbols]", "[tuple(x[:3] for x in symbols)]"),
+        ("tests/test_caches.py", "tests/test_bailey.py"),
+    ),
+    Mutant(
+        "longer-window-not-rebuilt", "qseries",
+        "    if rows is None or len(rows[0]) < window:\n",
+        "    if rows is None:\n",
+        ("tests/test_caches.py",),
+    ),
+    Mutant(
+        "rebuild-empties-every-key", "qseries",
+        "        rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]\n",
+        "        _QUOTIENT_ROWS.clear()\n        rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]\n",
+        ("tests/test_caches.py",),
+    ),
+    # the Bailey steps' half-grid layouts
+    Mutant(
+        "even-slots-written-odd", "bailey",
+        "    even[2 * v::2] = cs\n",
+        "    even[2 * v + 1::2] = cs\n",
+        ("tests/test_bailey.py",),
+    ),
+    Mutant(
+        "p41-pad-one-slot-off", "bailey",
+        "        pad = min(2 * n, length)\n",
+        "        pad = min(2 * n + 1, length)\n",
+        ("tests/test_bailey.py",),
+    ),
+    # the path readers
+    Mutant(
+        "compact-height-any-digit", "lattice_paths",
+        'r"h=([0-9]+):([NSE]*)"',
+        'r"h=(\\d+):([NSE]*)"',
+        ("tests/test_lattice_paths.py",),
+    ),
+    Mutant(
+        "path-document-not-checked", "lattice_paths",
+        "    if not isinstance(obj, dict):\n",
+        "    if False:\n",
+        ("tests/test_lattice_paths.py",),
+    ),
+)
+
+
+def module_path(root: Path, mutant: Mutant) -> Path:
+    return root / "src" / "qgordon" / f"{mutant.module}.py"
+
+
+def apply(mutant: Mutant, source: str) -> str:
+    """``source`` with the mutant's old text replaced; ValueError unless
+    the old text occurs exactly once."""
+    found = source.count(mutant.old)
+    if found != 1:
+        raise ValueError(f"{mutant.name}: its old text occurs {found} times in {mutant.module}.py, not once")
+    return source.replace(mutant.old, mutant.new)
+
+
+def run(mutant: Mutant) -> str | None:
+    """None if the mutant's tests fail on the mutated copy; otherwise why
+    the mutant was not killed."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = module_path(copy, mutant)
+        try:
+            path.write_text(apply(mutant, path.read_text()))
+        except ValueError as exc:
+            return str(exc)
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+    if done.returncode == 1:
+        return None
+    if done.returncode == 0:
+        return "survived: every listed test passed"
+    tail = "\n".join(done.stdout.splitlines()[-5:])
+    return f"pytest exited {done.returncode}, so no test failed on the mutant:\n{tail}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--list", action="store_true", help="name each mutant and its tests, and run none")
+    parser.add_argument("--only", action="append", metavar="NAME", help="run only this mutant (repeatable)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.only or () if name not in by_name]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in args.only] if args.only else list(MUTANTS)
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}  ({m.module}.py)  {' '.join(m.tests)}")
+        return 0
+    failed = []
+    for m in chosen:
+        start = time.perf_counter()
+        why = run(m)
+        print(f"{'killed' if why is None else 'NOT KILLED'}  {m.name}  ({time.perf_counter() - start:.1f} s)")
+        if why is not None:
+            print(f"  {why}")
+            failed.append(m.name)
+    if failed:
+        print(f"{len(failed)} of {len(chosen)} mutants not killed: {', '.join(failed)}")
+        return 1
+    print(f"all {len(chosen)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -793,6 +793,32 @@ class TestJsonObj:
         for p in paths:
             assert path_from_json_obj(json.loads(json.dumps(path_to_json_obj(p)))) == p
 
+    @pytest.mark.parametrize("obj", [[], None, "h=1:S", 1, [["start", 1], ["steps", "S"]]])
+    def test_what_is_not_a_dict_is_refused(self, obj):
+        """A document that is not a dict gets ValueError, not AttributeError."""
+        with pytest.raises(ValueError, match=f"^a path document must be a dict, got {type(obj).__name__}$"):
+            path_from_json_obj(obj)
+
+
+class TestCompactReader:
+    @pytest.mark.parametrize("text", [123, None, b"h=1:S", ["h=1:S"]])
+    def test_what_is_not_a_str_is_refused(self, text):
+        """Not AttributeError or TypeError from the pattern match."""
+        with pytest.raises(ValueError, match="^not a compact path"):
+            path_from_compact(text)
+
+    @pytest.mark.parametrize("text", ["h=\u0661:S", "h=\uff11:S", "h=\u00b9:S", "h=1\u0660:SS", "h=-1:S", "h=+1:S"])
+    def test_height_is_ascii_digits(self, text):
+        """Arabic-Indic, fullwidth and superscript digits match \\d but are not a height."""
+        with pytest.raises(ValueError, match="^not a compact path"):
+            path_from_compact(text)
+
+    def test_ascii_heights_and_surrounding_space_read(self):
+        assert path_from_compact(" h=10:SSSSSSSSSS\n") == LatticePath(10, "S" * 10)
+        assert path_from_compact("h=007:SSSSSSS") == LatticePath(7, "S" * 7)
+        with pytest.raises(ValueError, match="^not a compact path"):
+            path_from_compact("h=1:S\nS")
+
 
 class TestBoolsRefused:
     """A bool is not an int to the path code: a start of True would

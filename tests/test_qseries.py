@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from fractions import Fraction
@@ -150,6 +151,46 @@ class TestConstruction:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Series.from_terms([(-1, 1)], 5)
+
+    @pytest.mark.parametrize("denom", [0, -2, 1.0, True, None])
+    @pytest.mark.parametrize("terms", [[], [(0, 1)], [(Fraction(1, 2), 1)], [(-1, 1)]])
+    def test_from_terms_checks_the_grid_first(self, denom, terms):
+        """A bad grid gets the constructor's ValueError, whatever the
+        terms: not an IndexError, a sequence error or a term's message."""
+        with pytest.raises(ValueError, match=f"^denom must be a positive int, got {re.escape(repr(denom))}$"):
+            Series.from_terms(terms, 3, denom)
+
+    @pytest.mark.parametrize("order, error, message", [
+        (0, ValueError, "truncation order must be positive, got 0"),
+        (-2, ValueError, "truncation order must be positive, got -2"),
+        (True, TypeError, "expected an int or Fraction order, got bool"),
+        (2.5, TypeError, "expected an int or Fraction order, got float"),
+    ])
+    def test_from_terms_checks_the_order_first(self, order, error, message):
+        """A bad order gets the constructor's error before any term is read."""
+        for terms in ([], [(-1, 1)], [(Fraction(1, 3), 1)]):
+            with pytest.raises(error, match=f"^{message}$"):
+                Series.from_terms(terms, order)
+            with pytest.raises(error, match=f"^{message}$"):
+                Series((), order)
+
+    @pytest.mark.parametrize("c", [True, False, 1.0, Fraction(1), "1", None])
+    @pytest.mark.parametrize("e", [0, 1, 7])
+    def test_from_terms_refuses_what_is_not_an_int_coefficient(self, c, e):
+        """A bool is not stored as 1, nor a float as an int: every term's
+        coefficient, even one past the order, gets the constructor's
+        TypeError."""
+        want = f"^coefficients must be ints, got {type(c).__name__}$"
+        with pytest.raises(TypeError, match=want):
+            Series.from_terms([(0, 2), (e, c)], 3)
+        with pytest.raises(TypeError, match=want):
+            Series((c,), 3)
+
+    def test_from_terms_keeps_int_coefficients(self):
+        """Int terms at one exponent add up, and the result is an int series."""
+        f = Series.from_terms([(0, 2), (1, -1), (1, 2 ** 70), (Fraction(1, 2), 4)], Fraction(3, 2), 2)
+        assert (f.coeffs, f.order, f.denom) == ((2, 4, 2 ** 70 - 1), Fraction(3, 2), 2)
+        assert all(type(c) is int for c in f.coeffs)
 
 
 class TestArithmetic:
@@ -524,7 +565,7 @@ def _scan(f: Series, g: Series) -> Fraction | None:
 # few coefficient values, so that windows often agree
 small_grid_series = st.builds(
     lambda denom, n, cs: Series(cs, Fraction(n, denom), denom),
-    st.sampled_from((1, 2)),
+    st.sampled_from((1, 2, 3)),
     st.integers(min_value=1, max_value=8),
     st.lists(st.integers(min_value=0, max_value=1), max_size=8),
 )
@@ -534,8 +575,8 @@ class TestComparison:
     @settings(max_examples=300)
     @given(f=small_grid_series, g=st.one_of(small_grid_series, st.integers(min_value=0, max_value=1)))
     def test_equality_is_no_first_discrepancy(self, f, g):
-        """f == g iff first_discrepancy finds nothing, over grids 1 and 2,
-        unequal orders and int operands (an int c is c + O(q^order) on
+        """f == g iff first_discrepancy finds nothing, over grids 1, 2 and
+        3, unequal orders and int operands (an int c is c + O(q^order) on
         the other operand's order and grid)."""
         h = g if isinstance(g, Series) else Series.from_int(g, f.order, f.denom)
         first = f.first_discrepancy(g)
@@ -546,6 +587,38 @@ class TestComparison:
     def test_first_discrepancy_refuses_other_types(self):
         with pytest.raises(TypeError, match="float"):
             Series.one(3).first_discrepancy(1.0)
+
+
+def _slotwise_reference(f: Series, g: Series, op) -> tuple:
+    """(order, grid, coefficients) of op(f, g), with op one of +, - and
+    *, read one coefficient at a time on the finer of the two grids below
+    the smaller order, as :func:`_scan` reads them."""
+    step = Fraction(1, lcm(f.denom, g.denom))
+    order = min(f.order, g.order)
+    es = [i * step for i in range(_slots(order, step.denominator))]
+    if op is operator.mul:
+        cs = [sum(f.coefficient(x) * g.coefficient(e - x) for x in es if x <= e) for e in es]
+    else:
+        cs = [op(f.coefficient(e), g.coefficient(e)) for e in es]
+    return order, step.denominator, tuple(cs)
+
+
+class TestWindowedArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(f=small_grid_series, g=st.one_of(small_grid_series, st.integers(min_value=-2, max_value=2)))
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_operators_match_a_coefficient_read(self, op, f, g):
+        """f + g, f - g and f * g, over grids 1, 2 and 3 and unequal
+        orders, hold the coefficients read one at a time on the finer grid
+        below the smaller order, at that order and on that grid; an int c
+        is c + O(q^order) on the other operand's order and grid, on
+        either side of the operator."""
+        h = g if isinstance(g, Series) else Series.from_int(g, f.order, f.denom)
+        r = op(f, g)
+        assert (r.order, r.denom, r.coeffs) == _slotwise_reference(f, h, op)
+        if not isinstance(g, Series):
+            r = op(g, f)
+            assert (r.order, r.denom, r.coeffs) == _slotwise_reference(h, f, op)
 
 
 # every symbol the package expands or divides by
