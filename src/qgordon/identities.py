@@ -11,7 +11,10 @@ two int lists each, cut to the window the outer levels leave below
 the order), and for every k only the final sum over N_1 divides, by
 Horner; at k = 2 the innermost level is level 1 and has no cells.
 Every row and cell is an int list that starts at its least exponent,
-so neither the additions nor the divisions pass over leading zeros.
+so neither the additions nor the divisions pass over leading zeros.  A
+row may end before its window, and the slots past its end are zeros:
+the innermost rows of AG, W and Wbar, each a monomial q^e, are kept as
+the one-entry list [1].
 
 Every product side is a theta series times an eta quotient.  Write
 E_b = (q^b; q^b)_inf and theta(m, r) = sum_j (-1)^j q^(m j(j-1)/2 + r j).
@@ -89,7 +92,8 @@ _NEG_Q_ODD = PochSpec(-1, 1, 2)   # (-q; q^2)
 def _pascal_rows(z: list, x: int, c: int, stops: list) -> list:
     """P_n = sum_m [n m]_(q^x) q^(c (n - m)) z_m for each n < len(stops),
     cut below q^stops[n].  Each z_m and each P_n is a pair (v, cs): the
-    int list cs holds the coefficients of q^v, q^(v+1), ...; ``z`` is
+    int list cs holds the coefficients of q^v, q^(v+1), ..., and may
+    end before its window, the slots past its end being zeros; ``z`` is
     only read.
 
     The cells Y_m start at z_m.  Step j + 1 sets Y_m to
@@ -99,7 +103,8 @@ def _pascal_rows(z: list, x: int, c: int, stops: list) -> list:
     least c (n - j - m), so while stops[n] - c n does not grow with n,
     the cell is cut below stops[j + m].  A cell starts at the least
     start of its two nonempty parents, so no list carries the zeros
-    below it.
+    below it, and a cell is padded with zeros only up to the end of the
+    shifted parent added into it.
     """
     ys = [(v, cs[:stop - v] if stop > v else []) for (v, cs), stop in zip(z, stops)]
     out = []
@@ -165,12 +170,14 @@ def ladder_multisum(
     :func:`_pascal_rows` adds P_n up from q-Pascal cells, each one
     shifted addition of two int lists, cut to the window the floor
     lemma leaves the rows it reaches.  Every row and every cell is a
-    pair (v, cs) whose list cs starts at q^v, its least exponent: a
+    pair (v, cs) whose list cs starts at q^v, its least exponent, and
+    may end before its window: the slots past its end are zeros.  A
     row of level i is (g_i(n) + v, cs) for P_n = (v, cs).  The
     innermost K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n / (q^inner; q^inner)_n
     is (e_(k-1)(n, 0), a copy of one running list), the list given one
-    factor of each symbol per row (none of the two that cancel when
-    ``inner`` is ``base``).  Only the result
+    factor of each symbol per row.  When ``inner`` is ``base`` and there
+    is no numerator, those factors cancel, the row is the monomial
+    q^(e_(k-1)(n, 0)), and it is kept as (e_(k-1)(n, 0), [1]).  Only the result
     sum_n K_1[n] / (x; x)_n divides, by Horner: one pass per row of
     level 1, from the top row down, each over the exponents from the
     least start of the rows added so far up to the order.
@@ -246,6 +253,9 @@ def ladder_multisum(
     rows = level_rows(k - 1, 1)
     table = []
     run = [1] + [0] * (order - 1)
+    # with inner == base and no numerator every row is the monomial q^e,
+    # kept as [1]: the slots past a row's end are zeros
+    monomial = inner == base and numer is None
     for n, g in enumerate(rows):
         e = g + nlin[-1] * n
         del run[max(order - floor(k - 1, n) - e, 0):]
@@ -256,7 +266,7 @@ def ladder_multisum(
             if numer is not None:
                 _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
         if run:
-            table.append((e, run[:]))
+            table.append((e, run[:1] if monomial else run[:]))
     # level i: K_i[n] = q^(g_i(n)) P_n, P_n added up from the q-Pascal
     # cells of K_(i+1) below the window the floor leaves row n
     for i in range(k - 2, 0, -1):

@@ -168,10 +168,15 @@ class Series:
     @classmethod
     def from_terms(cls, terms: Iterable[Tuple[QExp, int]], order: QExp, denom: int = 1) -> "Series":
         """Build a series on grid 1/denom from (exponent, coefficient) pairs,
-        checked as the constructor checks; terms at or above the order drop."""
+        checked as the constructor checks; terms at or above the order drop.
+        A term that is not a 2-tuple or 2-list raises ValueError naming its
+        index and value."""
         order, n = _grid(order, denom)
         cs = [0] * n
-        for e, c in terms:
+        for i, term in enumerate(terms):
+            if not isinstance(term, (tuple, list)) or len(term) != 2:
+                raise ValueError(f"term {i} is not an (exponent, coefficient) pair: {term!r}")
+            e, c = term
             _coefficient(c)
             e = _frac(e)
             if e < 0:

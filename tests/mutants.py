@@ -66,12 +66,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         "g.coeffs[:n]",
         ("tests/test_qseries.py",),
     ),
-    # Series.from_terms: each coefficient checked as the constructor checks it
+    # Series.from_terms: each term a pair, each coefficient checked as the constructor checks it
     Mutant(
         "from-terms-adds-a-bool", "qseries",
         "            _coefficient(c)\n",
         "            if not isinstance(c, int):\n"
         "                raise TypeError(f\"coefficients must be ints, got {type(c).__name__}\")\n",
+        ("tests/test_qseries.py",),
+    ),
+    Mutant(
+        "from-terms-pair-unchecked", "qseries",
+        "            if not isinstance(term, (tuple, list)) or len(term) != 2:\n",
+        "            if False:\n",
         ("tests/test_qseries.py",),
     ),
     # the one table of quotient rows
@@ -105,6 +111,45 @@ MUTANTS: Tuple[Mutant, ...] = (
         "p41-pad-one-slot-off", "bailey",
         "        pad = min(2 * n, length)\n",
         "        pad = min(2 * n + 1, length)\n",
+        ("tests/test_bailey.py",),
+    ),
+    # the ladder's innermost rows: a monomial only when inner == base and
+    # there is no numerator, kept as [1]; a short row padded in the cells
+    Mutant(
+        "trim-with-unlike-inner", "identities",
+        "    monomial = inner == base and numer is None\n",
+        "    monomial = numer is None\n",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "trim-with-numerator", "identities",
+        "    monomial = inner == base and numer is None\n",
+        "    monomial = inner == base\n",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "monomial-row-empty", "identities",
+        "run[:1] if monomial else run[:]",
+        "[] if monomial else run[:]",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "cell-padding-dropped", "identities",
+        "                if hi > len(y):\n                    y += [0] * (hi - len(y))\n",
+        "",
+        ("tests/test_identities.py",),
+    ),
+    # the ladder's Horner division, and S1's weight
+    Mutant(
+        "horner-divisor-one-off", "identities",
+        "_div_factor(total, 1, base * n)",
+        "_div_factor(total, 1, base * (n + 1))",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "s1-without-weight", "bailey",
+        "    return _insert(bp, 2, None)\n",
+        "    return _insert(bp, 0, None)\n",
         ("tests/test_bailey.py",),
     ),
     # the path readers

@@ -211,6 +211,67 @@ class TestOffsetCells:
             evaluated += 1
         assert evaluated >= 30
 
+    @pytest.mark.parametrize("shape", ["monomial", "inner unlike base", "numerator"])
+    def test_each_innermost_shape_matches_direct_sum(self, shape):
+        """At least 15 seeded ladders, k = 2..6, of one innermost shape:
+        the monomial q^e (inner == base, no numerator), whose rows are
+        kept as [1]; inner != base; and a numerator with inner == base.
+        Every other draw takes an order that leaves some innermost row n
+        a window of one slot, order - f_(k-1)(n) - e_(k-1)(n, 0) = 1."""
+        rng = random.Random(30)
+        evaluated = one_slot = 0
+        for draw in range(60):
+            k = 2 + draw % 5
+            base = rng.randint(1, 3)
+            if shape == "inner unlike base":
+                inner, numer = rng.choice([b for b in (1, 2, 4) if b != base]), rng.choice((None, NEG_Q_ODD))
+            else:
+                inner, numer = base, NEG_Q_ODD if shape == "numerator" else None
+            lin = [rng.randint(-2, 3) for _ in range(k - 1)]
+            nlin = [rng.randint(0, 2) for _ in range(k - 1)]
+
+            def window(n, order):
+                floor = max((k - 2) * n * n + sum(lin[:-1]) * n, 0)
+                return order - floor - (n * n + (lin[-1] + nlin[-1]) * n)
+
+            order = rng.randint(10, 50 if k < 5 else 30)
+            if draw % 2:
+                order = 1 - window(rng.randint(1, 3), 0)
+                if not 2 <= order <= 60:
+                    continue
+            args = dict(lin=lin, nlin=nlin, base=base, inner=inner, numer=numer)
+            try:
+                got = ladder_multisum(k, order, **args)
+            except ValueError:
+                continue
+            want = _direct_ladder(k, order, **args)
+            assert (got.coeffs, got.order) == (want.coeffs, want.order), (k, order, args)
+            evaluated += 1
+            # row n keeps min(window(m) for m <= n) slots
+            ws = [window(n, order) for n in range(isqrt(order) + 3)]
+            one_slot += any(w == 1 and min(ws[:n]) >= 1 for n, w in enumerate(ws) if n)
+        assert evaluated >= 30 and one_slot >= 15, (evaluated, one_slot)
+
+    def test_monomial_rows_carry_no_trailing_zeros(self, monkeypatch):
+        """AG, W_same and Wbar_even_odd have inner == base and no
+        numerator, so every innermost row is a monomial: the rows handed
+        to the first level of cells are each [1], with no zeros out to
+        the row's window."""
+        calls = []
+        pascal_rows = identities._pascal_rows
+
+        def recording(z, x, c, stops):
+            calls.append([cs for _, cs in z])
+            return pascal_rows(z, x, c, stops)
+
+        monkeypatch.setattr(identities, "_pascal_rows", recording)
+        for evaluate, gp in ((eval_multisum_AG, (8, 3)), (eval_multisum_W, (8, 4)), (eval_multisum_Wbar, (8, 3))):
+            calls.clear()
+            evaluate(gp, 400)
+            assert len(calls) == 6, evaluate
+            first = calls[0]
+            assert len(first) > 5 and all(cs and cs[-1] != 0 for cs in first), evaluate
+
     @pytest.mark.parametrize("k, order, lin, nlin, level_denom, innermost, numer", [
         (4, 5, [0, 2, -1], [0, 1, 2], Q2, Q, None),  # a cell of level 2 is cut to empty
         (3, 30, [-2, 40], [1, 0], Q2, Q4, NEG_Q_ODD),  # level 1's row 1 has g = -1

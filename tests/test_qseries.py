@@ -192,6 +192,26 @@ class TestConstruction:
         assert (f.coeffs, f.order, f.denom) == ((2, 4, 2 ** 70 - 1), Fraction(3, 2), 2)
         assert all(type(c) is int for c in f.coeffs)
 
+    @pytest.mark.parametrize("bad", [1, None, (0, 1, 2), (0,), (), "ab", {0: 1}, frozenset((0, 1))])
+    def test_from_terms_refuses_what_is_not_a_pair(self, bad):
+        """A term that is not an (exponent, coefficient) pair gets a
+        ValueError naming its index and value, not Python's unpacking
+        error; the order and the grid are still checked first, and the
+        terms before it in order."""
+        message = f"term 1 is not an (exponent, coefficient) pair: {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Series.from_terms([(0, 1), bad, (1, 1)], 3)
+        with pytest.raises(ValueError, match="^truncation order must be positive, got 0$"):
+            Series.from_terms([(0, 1), bad], 0)
+        with pytest.raises(ValueError, match="^denom must be a positive int, got 0$"):
+            Series.from_terms([(0, 1), bad], 3, 0)
+        with pytest.raises(TypeError, match="^coefficients must be ints, got float$"):
+            Series.from_terms([(0, 1.0), bad], 3)
+
+    def test_from_terms_reads_lists_as_pairs(self):
+        f = Series.from_terms([[0, 1], (2, 3), [2, -1]], 4)
+        assert (f.coeffs, f.order) == ((1, 0, 2, 0), 4)
+
 
 class TestArithmetic:
     def test_add_truncates_to_smaller_order(self):
