@@ -23,7 +23,16 @@ steps (see :func:`is_S_admissible`).
 The second half of the module implements the staged construction that
 maps a tuple of sum data (peak counts per stage, an E-block partition,
 an uplift choice, and per-stage right-move budgets) onto exactly one
-admissible path, together with its exact inverse.
+admissible path, together with its exact inverse.  Both read a stage's
+right moves off the step string.  A right move first transfers along
+peaks at gap 2, which edits nothing; then each of its swaps NSE -> ENS,
+NSN -> NNS and NSS -> SNS carries the token's apex pair past the one
+letter after it, which lies outside every apex pair (else the transfer
+would have gone on), and at the end of the string it inserts an E.  So
+the forward map inserts a token with budget b directly after the b-th
+such free letter of the uplifted string, E steps standing in past its
+end, and the reverse map reads x - 1 - 2p, the free letters before a
+token at apex x with p peaks to its left, as its budget.
 """
 
 from __future__ import annotations
@@ -362,23 +371,6 @@ def _step_right(steps: list[str], x: int) -> int:
     return x + 1
 
 
-def _step_left(steps: list[str], x: int) -> int:
-    """Exact inverse of :func:`_step_right` for the apex at x."""
-    if x < 2:
-        raise ValueError("cannot move a peak left past the start")
-    before = steps[x - 2]
-    if before == "E":
-        if x == len(steps) - 1:
-            del steps[x - 2]
-        else:
-            steps[x - 2 : x + 1] = ["N", "S", "E"]
-    elif before == "N":
-        steps[x - 1], steps[x] = "S", "N"
-    else:
-        steps[x - 2], steps[x - 1] = "N", "S"
-    return x - 1
-
-
 def right_move(path: LatticePath, peak_index: int) -> Tuple[LatticePath, int]:
     """Apply one elementary right move to the peak_index-th peak.
 
@@ -520,7 +512,9 @@ def _build(data: ConstructionData) -> Tuple[int, str]:
     without validating its walk.
 
     Occurrences of "NS" never overlap, so uplifting every standing peak
-    is ``replace("NS", "NNSS")``; only the moves edit a list of steps.
+    is ``replace("NS", "NNSS")``; :func:`_place_tokens` then puts each
+    token where its moves end, after the b-th free letter for budget b
+    (see the module docstring).
     """
     k, a = data.gp.k, data.gp.a
     start = 2
@@ -535,43 +529,34 @@ def _build(data: ConstructionData) -> Tuple[int, str]:
         placed = 4 * shift
     s = "".join(parts)
     for j in range(k - 2, 0, -1):
-        nj = data.n[j - 1]
-        s = "NS" * nj + s.replace("NS", "NNSS")
-        budgets = data.right_moves[j - 1]
-        if budgets and budgets[0]:  # budgets are nonincreasing
-            steps = list(s)
-            for idx, budget in enumerate(budgets):
-                x = 2 * (nj - idx) - 1
-                for _ in range(budget):
-                    x = _step_right(steps, x)
-            s = "".join(steps)
+        s = _place_tokens(s.replace("NS", "NNSS"), data.right_moves[j - 1])
         if j >= a and (j - a) % 2 == 0:
             s = "SS" + s
             start += 2
     return start, s
 
 
+def _place_tokens(u: str, budgets: Tuple[int, ...]) -> str:
+    """``u`` with a token NS inserted after its b-th free letter for each
+    nonincreasing budget b, E steps standing in past its end.  The apex
+    pair q of ``u`` has xs[q] - 1 - 2q free letters before it; a token
+    beside an apex pair spells NSNS either way."""
+    if not budgets or budgets[0] == 0:  # budgets are nonincreasing
+        return "NS" * len(budgets) + u
+    xs = _apexes(u)
+    u += "E" * (budgets[0] + 2 * len(xs) - len(u))
+    parts = []
+    q = cut = 0
+    for b in reversed(budgets):
+        while q < len(xs) and xs[q] - 1 - 2 * q < b:
+            q += 1
+        parts += (u[cut : b + 2 * q], "NS")
+        cut = b + 2 * q
+    parts.append(u[cut:])
+    return "".join(parts)
+
+
 # ---------------------------------------------------------------- reverse map
-
-
-def _un_move(steps: list[str], x: int, target: int) -> int:
-    """Un-move the token at apex x back to weight ``target``; returns the
-    number of elementary moves undone.  Mirrors the forward transfer: a
-    left neighbour at gap exactly 2 whose weight is still >= target
-    takes over the token label after each undone move.  The walk never
-    lands on ``target``: a token's first move moves its own peak."""
-    count = 0
-    while x > target:
-        while (
-            x - 2 >= target
-            and x >= 3
-            and steps[x - 3] == "N"
-            and steps[x - 2] == "S"
-        ):
-            x -= 2
-        x = _step_left(steps, x)
-        count += 1
-    return count
 
 
 def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
@@ -621,10 +606,20 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
     So a move keeps the list of relative heights, or swaps the token's
     1 with the value on its right, and every other peak keeps its order.
     At reverse stage j, the standing peaks therefore read the relative
-    heights >= j of ``path``, lowered by j - 1, in the same order.  The
-    closing check, that the recovered data rebuilds ``path``, covers the
-    per-stage rescans this replaces and the per-stage patterns as well:
-    data that rebuilds the path is its preimage, whatever a stage read.
+    heights >= j of ``path``, lowered by j - 1, in the same order.
+
+    A token's budget is its count of free letters (module docstring),
+    x - 1 - 2p at apex x with p peaks to its left.  Where a move passes
+    the token's 1 to a twin, the twin's apex pair follows the token's,
+    NSNS, and the next move transfers to it, so the peak reading 1 gives
+    the same budget, and the same string once deleted.  Deleting each
+    token's NS leaves the uplifted string and, past every apex and the
+    last E block, the E steps that stood in past its end: no later
+    budget and no block of the final stage reads them, so they stay.
+    The closing check, that the recovered data rebuilds ``path``, covers
+    the per-stage rescans this replaces and the per-stage patterns as
+    well: data that rebuilds the path is its preimage, whatever a stage
+    read.
     """
     gp = _as_params(gp)
     if (gp.k - gp.a) % 2 == 0:
@@ -642,17 +637,12 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
         nj = rels.count(j)
         budgets: Tuple[int, ...] = ()
         if nj:
-            tokens = [x for x, r in zip(_apexes(s), rels) if r == j]
-            # un-move leftmost first; each un-move edits only steps left
-            # of the next token
-            steps = list(s)
-            disp = []
-            for ell, x in enumerate(tokens):
-                disp.append(_un_move(steps, x, 2 * ell + 1))
-            s = "".join(steps)
-            budgets = tuple(reversed(disp))
+            tokens = [(p, x) for p, (x, r) in enumerate(zip(_apexes(s), rels)) if r == j]
+            budgets = tuple(x - 1 - 2 * p for p, x in reversed(tokens))
+            for _, x in reversed(tokens):
+                s = s[: x - 1] + s[x + 1 :]
             rels = [r for r in rels if r > j]
-        s = s[2 * nj :].replace("NS", "")
+        s = s.replace("NS", "")
         n.append(nj)
         right_moves.append(budgets)
 

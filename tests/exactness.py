@@ -31,6 +31,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+# this checkout's package first, as ``python tests/exactness.py`` runs it
+# from a checkout with nothing installed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from qgordon import (
     BaileyPair,
     GordonParams,

@@ -152,6 +152,52 @@ MUTANTS: Tuple[Mutant, ...] = (
         "    return _insert(bp, 0, None)\n",
         ("tests/test_bailey.py",),
     ),
+    # the bijection's closed forms: a token's budget is the number of free
+    # letters before its apex pair, E steps standing in past the end
+    Mutant(
+        "reverse-budget-off-by-two", "lattice_paths",
+        "x - 1 - 2 * p",
+        "x + 1 - 2 * p",
+        ("tests/test_lattice_paths.py",),
+    ),
+    Mutant(
+        "token-padding-dropped", "lattice_paths",
+        '    u += "E" * (budgets[0] + 2 * len(xs) - len(u))\n',
+        "",
+        ("tests/test_lattice_paths.py",),
+    ),
+    Mutant(
+        "fast-path-reads-last-budget", "lattice_paths",
+        "budgets[0] == 0",
+        "budgets[-1] == 0",
+        ("tests/test_lattice_paths.py",),
+    ),
+    Mutant(
+        "weight-off-past-12", "lattice_paths",
+        "        return total\n",
+        "        return total + (total > 12)\n",
+        ("tests/test_lattice_paths.py",),
+    ),
+    # a ladder cell shifted one row too far, a row-table window one slot
+    # short, and a partition search field too narrow
+    Mutant(
+        "cell-shift-one-row-more", "identities",
+        "v += x * m + c",
+        "v += x * (m + 1) + c",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "row-table-window-short", "qseries",
+        "cs = [1] + [0] * (window - 1)",
+        "cs = [1] + [0] * (window - 2)",
+        ("tests/test_bailey.py", "tests/test_qseries.py"),
+    ),
+    Mutant(
+        "partition-field-too-narrow", "partitions",
+        "4 * isqrt(n_max) + 5",
+        "2 * isqrt(n_max) + 5",
+        ("tests/test_partitions.py",),
+    ),
     # the path readers
     Mutant(
         "compact-height-any-digit", "lattice_paths",

@@ -15,8 +15,7 @@ from qgordon.lattice_paths import (
     _SPATH_CACHE,
     ConstructionData,
     _S_counts,
-    _step_left,
-    _un_move,
+    _step_right,
     LatticePath,
     count_S,
     enumerate_S_paths,
@@ -494,6 +493,56 @@ ROUND_TRIP_BOUNDS = tuple(
 )
 
 
+def _step_left(steps: list[str], x: int) -> int:
+    """Exact inverse of ``_step_right`` for the apex at x."""
+    if x < 2:
+        raise ValueError("cannot move a peak left past the start")
+    before = steps[x - 2]
+    if before == "E":
+        if x == len(steps) - 1:
+            del steps[x - 2]
+        else:
+            steps[x - 2 : x + 1] = ["N", "S", "E"]
+    elif before == "N":
+        steps[x - 1], steps[x] = "S", "N"
+    else:
+        steps[x - 2], steps[x - 1] = "N", "S"
+    return x - 1
+
+
+def _un_move(steps: list[str], x: int, target: int) -> int:
+    """Un-move the token at apex x back to weight ``target``; returns the
+    number of elementary moves undone.  Mirrors the forward transfer: a
+    left neighbour at gap exactly 2 whose weight is still >= target
+    takes over the token label after each undone move.  The walk never
+    lands on ``target``: a token's first move moves its own peak."""
+    count = 0
+    while x > target:
+        while (
+            x - 2 >= target
+            and x >= 3
+            and steps[x - 3] == "N"
+            and steps[x - 2] == "S"
+        ):
+            x -= 2
+        x = _step_left(steps, x)
+        count += 1
+    return count
+
+
+def _moving_tokens(u: str, budgets) -> str:
+    """A stage's tokens placed by their definition: inserted at the origin
+    of the uplifted string ``u``, then moved one elementary right move at
+    a time, rightmost token first."""
+    nj = len(budgets)
+    steps = list("NS" * nj + u)
+    for idx, budget in enumerate(budgets):
+        x = 2 * (nj - idx) - 1
+        for _ in range(budget):
+            x = _step_right(steps, x)
+    return "".join(steps)
+
+
 def _rescanning_reverse(path, gp, stages=None) -> ConstructionData:
     """The reverse map written stage by stage from its definition: the
     tokens of each stage are the peaks of relative height 1, rescanned
@@ -741,25 +790,34 @@ class TestBijectionBeyondExhaustiveReach:
     """Criterion 07 and the round-trip tests list every path up to major
     index about 20; seeded draws reach weights in the thousands."""
 
-    def test_seeded_draws_round_trip(self):
+    def test_seeded_draws_round_trip(self, monkeypatch):
+        """The closed forms agree with their step-by-step definitions: the
+        built paths with the moves made one at a time, and the recovered
+        data with the rescanning reverse map."""
         rng = random.Random(12)
+        draws = []
         for (k, a), _ in ROUND_TRIP_BOUNDS * 63:  # 1,008 draws
             data = _draw_data(rng, k, a)
             path = forward_construct(data)
             assert is_S_admissible(path, data.gp), data
             assert path.major_index == data.weight(), data
             assert reverse_deconstruct(path, data.gp) == data
+            assert _rescanning_reverse(path, (k, a)) == data
+            draws.append((data, path))
+        monkeypatch.setattr(lattice_paths, "_place_tokens", _moving_tokens)
+        for data, path in draws:
+            assert lattice_paths._build(data) == (path.start, path.steps), data
 
 
 class TestRebuildGuard:
     """The reverse map's one guard after admissibility: the recovered
     data must rebuild the path."""
 
-    def test_miscounted_un_moves_fail_the_rebuild(self, monkeypatch):
+    def test_miscounted_moves_fail_the_rebuild(self, monkeypatch):
         """Two extra moves per token keep every budget even and
         nonincreasing, so only the rebuild can catch them."""
-        real = lattice_paths._un_move
-        monkeypatch.setattr(lattice_paths, "_un_move", lambda steps, x, target: real(steps, x, target) + 2)
+        real = lattice_paths._place_tokens
+        monkeypatch.setattr(lattice_paths, "_place_tokens", lambda u, budgets: real(u, tuple(b + 2 for b in budgets)))
         path = LatticePath(4, EXAMPLE_STEPS)
         with pytest.raises(ValueError, match="does not rebuild"):
             reverse_deconstruct(path, EXAMPLE_DATA.gp)
