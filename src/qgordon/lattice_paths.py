@@ -23,16 +23,16 @@ steps (see :func:`is_S_admissible`).
 The second half of the module implements the staged construction that
 maps a tuple of sum data (peak counts per stage, an E-block partition,
 an uplift choice, and per-stage right-move budgets) onto exactly one
-admissible path, together with its exact inverse.  Both read a stage's
-right moves off the step string.  A right move first transfers along
-peaks at gap 2, which edits nothing; then each of its swaps NSE -> ENS,
-NSN -> NNS and NSS -> SNS carries the token's apex pair past the one
-letter after it, which lies outside every apex pair (else the transfer
-would have gone on), and at the end of the string it inserts an E.  So
-the forward map inserts a token with budget b directly after the b-th
-such free letter of the uplifted string, E steps standing in past its
-end, and the reverse map reads x - 1 - 2p, the free letters before a
-token at apex x with p peaks to its left, as its budget.
+admissible path, together with its exact inverse.  A right move first
+transfers along peaks at gap 2, which edits nothing; then each of its
+swaps NSE -> ENS, NSN -> NNS and NSS -> SNS carries the token's apex
+pair past the one letter after it, which lies outside every apex pair
+(else the transfer would have gone on), and at the end of the string it
+inserts an E.  So the forward map inserts a token with budget b directly
+after the b-th such free letter of the uplifted string, E steps standing
+in past its end.  The reverse map reads every budget, E block and uplift
+off one scan of the path's peaks, in closed form (see
+:func:`reverse_deconstruct`).
 """
 
 from __future__ import annotations
@@ -211,9 +211,12 @@ class LatticePath:
 # ---------------------------------------------------------------- admissibility
 
 
-def _S_rels(path: LatticePath, gp: GordonParams) -> list[int] | None:
-    """Relative heights of the peaks of an S(k, a) path, left to right,
-    or None if the path is not in S(k, a); one scan of its peaks."""
+def _S_scan(path: LatticePath, gp: GordonParams) -> Tuple[list, list, list] | None:
+    """Abscissa, relative height and E steps before it of each peak of an
+    S(k, a) path, as three lists, or None if the path is not in S(k, a);
+    one scan of its peaks.  TypeError unless ``path`` is a LatticePath."""
+    if not isinstance(path, LatticePath):
+        raise TypeError(f"path must be a LatticePath, got {type(path).__name__}")
     k = gp.k
     if path.start != k + 1 - gp.a or not path.is_terminal:
         return None
@@ -222,14 +225,14 @@ def _S_rels(path: LatticePath, gp: GordonParams) -> list[int] | None:
     for x, y, r, e in zip(xs, ys, rels, es):
         if y > k or (x - r) % 2 or (r >= k - 1 and e % 4):
             return None
-    return rels
+    return xs, rels, es
 
 
 def is_S_admissible(path: LatticePath, gp) -> bool:
     """Membership test for the path family S(k, a).
 
     Args:
-        path: the candidate path.
+        path: the candidate path; TypeError unless a LatticePath.
         gp: GordonParams or (k, a).
 
     Returns:
@@ -238,7 +241,7 @@ def is_S_admissible(path: LatticePath, gp) -> bool:
         relative height mod 2, and has a multiple-of-4 count of E steps
         strictly before each peak of relative height k or k - 1.
     """
-    return _S_rels(path, _as_params(gp)) is not None
+    return _S_scan(path, _as_params(gp)) is not None
 
 
 # ---------------------------------------------------------------- enumeration
@@ -502,8 +505,11 @@ def forward_construct(data: ConstructionData) -> LatticePath:
     (rightmost peak first) and applies the chosen uplifts.  Each later
     stage uplifts everything standing, inserts its unit peaks at the
     origin, spends the right-move budgets rightmost-token-first, and
-    prepends a SE pair when j >= a with j = a mod 2.
+    prepends a SE pair when j >= a with j = a mod 2.  TypeError if
+    ``data`` is not a ConstructionData.
     """
+    if not isinstance(data, ConstructionData):
+        raise TypeError(f"data must be a ConstructionData, got {type(data).__name__}")
     return LatticePath(*_build(data))
 
 
@@ -572,6 +578,7 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
     Raises:
         ValueError: if k and a have the same parity, the path is not in
             S(k, a), or the recovered data does not rebuild the path.
+        TypeError: if ``path`` is not a LatticePath.
 
     One scan of the path's relative heights serves every stage, by this
     lemma: a forward stage raises the relative height of every standing
@@ -608,66 +615,57 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
     At reverse stage j, the standing peaks therefore read the relative
     heights >= j of ``path``, lowered by j - 1, in the same order.
 
-    A token's budget is its count of free letters (module docstring),
-    x - 1 - 2p at apex x with p peaks to its left.  Where a move passes
-    the token's 1 to a twin, the twin's apex pair follows the token's,
-    NSNS, and the next move transfers to it, so the peak reading 1 gives
-    the same budget, and the same string once deleted.  Deleting each
-    token's NS leaves the uplifted string and, past every apex and the
-    last E block, the E steps that stood in past its end: no later
-    budget and no block of the final stage reads them, so they stay.
-    The closing check, that the recovered data rebuilds ``path``, covers
-    the per-stage rescans this replaces and the per-stage patterns as
-    well: data that rebuilds the path is its preimage, whatever a stage
-    read.
+    Every stage's data is then read off the one scan (xs, rels, es).
+    Reverse stage j' strips its SE pair when j' >= a and j' = a mod 2,
+    s(j) = max(0, floor((j - a) / 2) + 1) times up to stage j, and
+    deletes one NS for each peak standing at j': its tokens, and its
+    uplift undone.  A standing peak loses 2 letters for each such peak
+    to its left and 1 just before its own apex.  So at stage j = r_i,
+    token i has its apex at x_i - 2 s(j) - (j - 1) - 2 sum_{l<i}
+    min(r_l, j - 1) and p = #{l < i : r_l >= j} peaks to its left, and
+    its budget, apex - 1 - 2p free letters (module docstring), is
+
+        x_i - r_i - 2 (s(r_i) + sum_{l<i} min(r_l, r_i)).
+
+    Where a move passes the token's 1 to a twin, the twin's apex pair
+    follows the token's, NSNS, and the next move transfers to it, so the
+    peak reading 1 gives the same budget.  No stage deletes an E step,
+    so the E steps before the l-th final peak (relative height k - 1,
+    or k if uplifted) number 4 (c_1 + ... + c_l); those a move made at
+    the end lie past every peak standing then, and no block counts them.
+    The closing check stands for every per-stage check: data that
+    rebuilds ``path`` is its preimage, whatever a stage read.
     """
     gp = _as_params(gp)
     if (gp.k - gp.a) % 2 == 0:
         raise ValueError(f"construction needs k and a of opposite parity, got {gp}")
-    rels = _S_rels(path, gp)
-    if rels is None:
+    scan = _S_scan(path, gp)
+    if scan is None:
         raise ValueError(f"path is not in the construction's image: not S({gp.k},{gp.a})-admissible")
     k, a = gp.k, gp.a
-    s = path.steps
-    n: list[int] = []
-    right_moves: list[Tuple[int, ...]] = []
-    for j in range(1, k - 1):
-        if j >= a and (j - a) % 2 == 0:
-            s = s[2:]
-        nj = rels.count(j)
-        budgets: Tuple[int, ...] = ()
-        if nj:
-            tokens = [(p, x) for p, (x, r) in enumerate(zip(_apexes(s), rels)) if r == j]
-            budgets = tuple(x - 1 - 2 * p for p, x in reversed(tokens))
-            for _, x in reversed(tokens):
-                s = s[: x - 1] + s[x + 1 :]
-            rels = [r for r in rels if r > j]
-        s = s.replace("NS", "")
-        n.append(nj)
-        right_moves.append(budgets)
-
-    # last stage: peaks of relative height k - 1 (kept) or k (uplifted)
-    m = len(rels)
-    n.append(m)
-    uplift = frozenset(m - i for i, r in enumerate(rels) if r == k)
-    if uplift:
-        for x, r in zip(reversed(_apexes(s)), reversed(rels)):
-            if r == k:
-                s = s[: x - 1] + s[x + 1 :]
-    # SS E^(c_1) NS ... E^(c_m) NS; the prefix sums c_1 + ... + c_l are
-    # the multiples of 4 that place the unit peaks
+    xs, rels, es = scan
+    # above[h]: how many peaks left of peak i have relative height > h,
+    # so that sum(above[:r]) is the sum of min(r_l, r) over them
+    above = [0] * k
+    for r in rels:
+        for h in range(r):
+            above[h] += 1
+    # right to left: the budgets, E blocks and uplifts in the data's order
+    rows: list[list[int]] = [[] for _ in range(k - 2)]
     east: list[int] = []
-    prefix = 0
-    for block in s[2:].split("NS")[:m]:
-        prefix += len(block)
-        east.append(prefix // 4)
-    data = ConstructionData(
-        gp=gp,
-        n=tuple(n),
-        east_partition=tuple(reversed(east)),
-        uplift_set=uplift,
-        right_moves=tuple(right_moves),
-    )
+    uplift: list[int] = []
+    for i in range(len(rels) - 1, -1, -1):
+        r = rels[i]
+        for h in range(r):
+            above[h] -= 1
+        if r < k - 1:
+            rows[r - 1].append(xs[i] - r - 2 * (max(0, (r - a) // 2 + 1) + sum(above[:r])))
+        else:
+            east.append(es[i] // 4)
+            if r == k:
+                uplift.append(len(east))
+    # ConstructionData makes tuples of the lists
+    data = ConstructionData(gp, [*map(len, rows), len(east)], east, uplift, rows)
     # a valid path equal to the rebuilt one makes the rebuilt walk valid
     if _build(data) != (path.start, path.steps):
         raise ValueError("path is not in the construction's image: the recovered data does not rebuild the path")
@@ -716,7 +714,9 @@ def path_from_json_obj(obj: dict) -> LatticePath:
 
 
 def path_to_svg(path: LatticePath, unit: int = 20) -> str:
-    """Plain SVG rendering: the path polyline with peaks marked."""
+    """Plain SVG rendering, ``unit`` (an int >= 1) pixels a step, peaks marked."""
+    if type(unit) is not int or unit < 1:  # bools are not ints here
+        raise ValueError(f"unit must be an int >= 1, got {unit!r}")
     hs = path.heights()
     top = max(max(hs), 1)
     w = (len(hs) + 1) * unit

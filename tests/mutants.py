@@ -153,11 +153,37 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/test_bailey.py",),
     ),
     # the bijection's closed forms: a token's budget is the number of free
-    # letters before its apex pair, E steps standing in past the end
+    # letters before its apex pair, E steps standing in past the end; the
+    # reverse map reads it, the E blocks and the uplifts off one peak scan
     Mutant(
         "reverse-budget-off-by-two", "lattice_paths",
-        "x - 1 - 2 * p",
-        "x + 1 - 2 * p",
+        "append(xs[i] - r - 2 * (",
+        "append(xs[i] - r + 2 - 2 * (",
+        ("tests/test_lattice_paths.py",),
+    ),
+    Mutant(
+        "strip-counted-one-stage-late", "lattice_paths",
+        "max(0, (r - a) // 2 + 1)",
+        "max(0, (r - 1 - a) // 2 + 1)",
+        ("tests/test_lattice_paths.py",),
+    ),
+    # the sum of max(r_l, r) over the peaks to the left, not of min(r_l, r)
+    Mutant(
+        "left-peaks-max-for-min", "lattice_paths",
+        " + sum(above[:r])))",
+        " + sum(above) + r * above[0] - sum(above[:r])))",
+        ("tests/test_lattice_paths.py",),
+    ),
+    Mutant(
+        "east-blocks-halved", "lattice_paths",
+        "east.append(es[i] // 4)",
+        "east.append(es[i] // 2)",
+        ("tests/test_lattice_paths.py",),
+    ),
+    Mutant(
+        "uplift-read-one-lower", "lattice_paths",
+        "            if r == k:\n",
+        "            if r == k - 1:\n",
         ("tests/test_lattice_paths.py",),
     ),
     Mutant(

@@ -100,6 +100,16 @@ class TestPathBasics:
         svg = path_to_svg(LatticePath(2, "SSNS"))
         assert svg.startswith("<svg") and "polyline" in svg and "circle" in svg
 
+    @pytest.mark.parametrize("unit", [0, -5, True, 2.5, "20", None])
+    def test_svg_unit_must_be_a_positive_int(self, unit):
+        """A unit of 0 or -5 would write width="0" or width="-20"."""
+        with pytest.raises(ValueError, match=re.escape(f"unit must be an int >= 1, got {unit!r}")):
+            path_to_svg(LatticePath(2, "SSNS"), unit)
+
+    def test_svg_unit_scales_the_drawing(self):
+        assert 'width="6" height="4"' in path_to_svg(LatticePath(2, "SSNS"), 1)
+        assert 'width="12" height="8"' in path_to_svg(LatticePath(2, "SSNS"), 2)
+
 
 def _reference_heights(start, steps):
     hs = [start]
@@ -441,6 +451,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="entries must be ints"):
             ConstructionData(gp=GordonParams(3, 2), **fields)
 
+    @pytest.mark.parametrize("path", ["h=2:SS", (2, "SS"), None])
+    def test_path_must_be_a_lattice_path(self, path):
+        """TypeError naming the type, not AttributeError on ``.start``."""
+        message = f"^path must be a LatticePath, got {type(path).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            is_S_admissible(path, (3, 2))
+        with pytest.raises(TypeError, match=message):
+            reverse_deconstruct(path, (3, 2))
+
+    @pytest.mark.parametrize("data", [{}, None, (GordonParams(3, 2), (0, 0))])
+    def test_data_must_be_construction_data(self, data):
+        with pytest.raises(TypeError, match=f"^data must be a ConstructionData, got {type(data).__name__}$"):
+            forward_construct(data)
+
     def test_reverse_rejects_foreign_paths(self):
         with pytest.raises(ValueError, match="not in the construction's image|admissible"):
             reverse_deconstruct(LatticePath(1, "S"), (3, 2))
@@ -629,6 +653,29 @@ class TestOneScanReverse:
                 _rescanning_reverse(p, gp, stages)
                 for j, q in stages:
                     assert q.relative_heights() == tuple(r - j + 1 for r in rels if r >= j), (p, j)
+
+    def test_stage_apexes_are_the_original_ones_shifted(self):
+        """At reverse stage j every standing peak's apex sits at x - 2 s(j)
+        - sum over j' < j of (2 L(j') + 1), s(j) counting the SE pairs
+        stripped by then and L(j') the peaks to its left of relative
+        height >= j'.  No stage deletes an E step, so the E blocks are the
+        path's E counts before its final peaks, over 4."""
+        for (k, a), bound in ROUND_TRIP_BOUNDS:
+            for p in enumerate_S_paths(bound, (k, a)):
+                xs = [x for x, _ in p.peaks()]
+                rels = p.relative_heights()
+                stages = []
+                data = _rescanning_reverse(p, (k, a), stages)
+                for j, q in stages:
+                    strips = len(range(a, min(j, k - 2) + 1, 2))
+                    want = [
+                        x - 2 * strips - sum(2 * sum(1 for l in rels[:i] if l >= jj) + 1 for jj in range(1, j))
+                        for i, (x, r) in enumerate(zip(xs, rels))
+                        if r >= j
+                    ]
+                    assert [x for x, _ in q.peaks()] == want, (p, j)
+                finals = [x for x, r in zip(xs, rels) if r >= k - 1]
+                assert data.east_partition[::-1] == tuple(p.steps[:x].count("E") // 4 for x in finals), p
 
     @settings(max_examples=300, deadline=None)
     @given(valid_paths())
