@@ -27,20 +27,21 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every cache the package keeps between calls: the two
-    counting oracles' tables, the product sides' table of eta
-    quotients (at most four int lists, one per product shape, each as
-    long as the largest order asked), and the Bailey check's and chain
-    steps' table of quotient rows (per key of symbols, one int tuple per
-    row to the largest n asked of that key, all as long as its longest
-    window).  The count table keeps one int list per (family, k, a), at
-    most twice as long as the largest n asked; the S-path table keeps,
-    per (k, a), the step string and major index of every path found by
-    the largest search.  Timings taken after this call are cold."""
+    """Empty every cache the package keeps between calls, each beside
+    its one reader: the two counting oracles' tables, the product sides'
+    table of eta quotients (at most four int lists, one per product
+    shape, each as long as the largest order asked), and the Bailey
+    check's and chain steps' table of quotient rows (per key of symbols,
+    one int tuple per row to the largest n asked of that key, all as
+    long as its longest window).  The count table keeps one int list per
+    (family, k, a), at most twice as long as the largest n asked; the
+    S-path table keeps, per (k, a), the step string of every path found
+    by the largest search and the path count at each major index up to
+    its bound.  Timings taken after this call are cold."""
     partitions._COUNT_TABLES.clear()
     lattice_paths._SPATH_CACHE.clear()
     identities._ETA_QUOTIENTS.clear()
-    qseries._QUOTIENT_ROWS.clear()
+    bailey._QUOTIENT_ROWS.clear()
 
 
 # each module's __all__ is the one list of its public names

@@ -23,16 +23,18 @@ q and lays them onto the even slots.  The half-weight step mixes the
 classes through (-q^(1/2); q) and stays in t.  Every step lays out its
 series through :func:`_half_grid`, :func:`_series` or :func:`_even`.
 
-Two kinds of quotient do not depend on the pair: the check's
-1 / ((q; q)_{n-r} (q; q)_{n+r}), and term 0 of each step's sums of
-quotients (:func:`qgordon.qseries._quotient_sums`), because every pair a
-chain builds has beta_0 = alpha_0 = 1.  Both are read from the one table
-of quotient rows, :func:`qgordon.qseries._table_rows`, keyed by their
-symbols.  The unit pair and every step build their pair without the
-public constructor's checks, which cannot fail on the half-grid series,
-of one order, that they just made.  In t the limit's sum is exactly the
-parity-restricted sum of :mod:`qgordon.identities` (the paper's closing
-substitution q -> q^2), so the limit reads that sum on the half grid.
+Every step divides by (x^2; x^2) in its own variable, x = t for S1 and
+S2 and x = q for D1, keeping one running quotient per term
+(:func:`_quotient_sums`).  Two kinds of quotient do not depend on the
+pair: the check's 1 / ((q; q)_{n-r} (q; q)_{n+r}), and term 0 of each
+step's sums, because every pair a chain builds has beta_0 = alpha_0 = 1.
+Both are read from the one table of quotient rows (:func:`_table_rows`),
+keyed by their symbols.  The unit pair and every step build their pair
+without the public constructor's checks, which cannot fail on the
+half-grid series, of one order, that they just made.  In t the limit's
+sum is exactly the parity-restricted sum of :mod:`qgordon.identities`
+(the paper's closing substitution q -> q^2), so the limit reads that sum
+on the half grid.
 
 Every alpha along the chain has one shape, the terms r = +-m of a theta
 series (:func:`qgordon.qseries._theta_pair`):
@@ -49,15 +51,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import add, mul, sub
 from typing import Tuple
 
 from . import identities
 from .partitions import _as_params
-from .qseries import (
-    PochSpec, Series, _mul_factors, _order, _quotient_sums, _slots, _table_rows, _theta_pair,
-)
+from .qseries import PochSpec, Series, _div_factor, _mul_factors, _order, _slots, _theta_pair
 
 # imported for perfbench/tracing.py, which wraps these names on this module
 from .identities import ladder_multisum  # noqa: F401
@@ -76,12 +76,10 @@ __all__ = [
     "limit_identity",
 ]
 
-# the chain's symbols in t = q^(1/2), whose exponents are the half-grid slots
-_T2 = PochSpec(1, 2, 2)       # (t^2; t^2) = (q; q)
-_NEG_T = PochSpec(-1, 1, 2)   # (-t; t^2) = (-q^(1/2); q)
-# the symbols of the steps that run on one class of the half grid, in q
-_Q2 = PochSpec(1, 2, 2)       # (q^2; q^2)
-_NEG_Q = PochSpec(-1, 1, 1)   # (-q; q)
+# every step's divisor, in its own variable x: t = q^(1/2) for S1 and S2, q for D1
+_X2 = PochSpec(1, 2, 2)       # (x^2; x^2)
+_NEG_T = PochSpec(-1, 1, 2)   # (-t; t^2) = (-q^(1/2); q), S2's second divisor
+_NEG_Q = PochSpec(-1, 1, 1)   # (-q; q), D1's numerator
 
 
 @dataclass(frozen=True)
@@ -175,6 +173,106 @@ def _even(v: int, cs, order: Fraction) -> Series:
     return Series._unchecked(even, order, 2)
 
 
+# ---------------------------------------------------------------- quotient rows
+
+
+def _shifted_sum(terms: list, lo: int, length: int) -> list:
+    """sum q^at * cs over the (at, cs) pairs in ``terms``, as the
+    coefficients of q^lo .. q^(length - 1); each nonempty term must lie
+    in that window.  The terms are padded to the window and summed
+    column by column by the builtin ``sum``, which keeps its running
+    total in a C long while it fits, so a column of t small ints makes
+    one new int, not t."""
+    rows = []
+    for at, cs in terms:
+        if cs:
+            row = [0] * (length - lo)
+            row[at - lo:at - lo + len(cs)] = cs
+            rows.append(row)
+    return list(map(sum, zip(*rows))) if rows else [0] * (length - lo)
+
+
+#: symbols -> the rows of :func:`_table_rows` for that key, each a list of
+#: int tuples known below the longest window asked of the key
+_QUOTIENT_ROWS: dict = {}
+
+
+def _table_rows(symbols: tuple, last: int, window: int) -> list:
+    """Rows 0..last (at least) of the one table of quotient rows, where
+    row i is 1 / prod (sign q^exponent; q^base)_(start + i) over the
+    (sign, exponent, base, start) int tuples of ``symbols``, the key.  A
+    key's rows are int tuples known below the longest window asked of it:
+    a shorter window reads prefixes, a larger ``last`` extends the rows by
+    one pass per symbol, and a longer window rebuilds that key alone.  A
+    row is never mutated, so a caller may keep reading one while another
+    call extends or rebuilds its key."""
+    rows = _QUOTIENT_ROWS.get(symbols)
+    if rows is None or len(rows[0]) < window:
+        cs = [1] + [0] * (window - 1)
+        for sign, first, step, start in symbols:
+            for s in range(first, min(window, first + start * step), step):
+                _div_factor(cs, sign, s)
+        rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]
+    for i in range(len(rows), last + 1):
+        cs = list(rows[-1])
+        for sign, first, step, start in symbols:
+            _div_factor(cs, sign, first + (start + i - 1) * step)
+        rows.append(tuple(cs))
+    return rows
+
+
+def _quotient_sums(terms: list, length: int, shift: int = 0, row_spec=None) -> list:
+    """sum_{m <= n} x^(shift (n - m)) * terms[m] / (x^2; x^2)_{n-m} for
+    each n < len(terms), as (v, cs) pairs standing for x^v * cs with cs
+    known below exponent ``length``; a PochSpec ``row_spec`` also divides
+    term m by (row_spec)_n / (row_spec)_m, so by its factor n - 1 at row n.
+    Any part of a weight that depends on m alone rides on term m's start.
+
+    ``terms`` holds (v, cs) pairs of the same form and is consumed: each
+    becomes the running quotient terms[m] / (x^2; x^2)_{n-m}, cut to the
+    window it still needs before each division by 1 - x^(2 (n - m)), so
+    every (n, m) costs one pass per factor.  ``shift`` must be >= 0, so a
+    window only shrinks as n grows.  Term 0's first coefficient c, at
+    x^v, is read instead as c times row n of
+    1 / ((x^2; x^2)_n (row_spec)_n), which no term changes, from the
+    table of quotient rows.  The rest of term 0, from its next nonzero
+    coefficient on, keeps a running quotient, so any beta_0 is served.
+    """
+    column = None
+    if terms and terms[0][1] and terms[0][0] < length:
+        v, cs = terms[0]
+        rest = next(compress(count(1), cs[1:]), len(cs))  # the next nonzero coefficient
+        terms[0] = (v + rest, cs[rest:])
+        if cs[0]:
+            specs = (_X2,) if row_spec is None else (_X2, row_spec)
+            symbols = tuple((x.sign, x.exponent, x.base, 0) for x in specs)
+            column = v, cs[0], _table_rows(symbols, len(terms) - 1, length - v)
+    out = []
+    for n in range(len(terms)):
+        row = []
+        lo = length
+        if column:
+            v, c, rows = column
+            at = v + shift * n
+            if at < length:
+                cs = rows[n][:length - at]
+                row.append((at, cs if c == 1 else [c * x for x in cs]))
+                lo = at
+        for m, (v, cs) in enumerate(terms[: n + 1]):
+            at = v + shift * (n - m)
+            del cs[max(length - at, 0):]
+            if not cs:
+                continue
+            if m < n:
+                _div_factor(cs, 1, 2 * (n - m))
+                if row_spec is not None:
+                    _div_factor(cs, row_spec.sign, row_spec.exponent + (n - 1) * row_spec.base)
+            row.append((at, cs))
+            lo = min(lo, at)
+        out.append((lo, _shifted_sum(row, lo, length)))
+    return out
+
+
 def check_pair(bp: BaileyPair) -> bool:
     """Whether the defining relation holds for every n up to n_max,
     within each series' truncation window.
@@ -185,8 +283,7 @@ def check_pair(bp: BaileyPair) -> bool:
     a class contributes c q^e G_{n-r,n+r} to beta_n there, where
     G_{n-r,n+r} = 1 / ((q; q)_{n-r} (q; q)_{n+r}) does not depend on the
     pair: every check reads it from the table of quotient rows
-    (:func:`qgordon.qseries._table_rows`), keyed by (q; q) from 0 and
-    (q; q) from 2r.
+    (:func:`_table_rows`), keyed by (q; q) from 0 and (q; q) from 2r.
     Per class and n, every such term is subtracted from that class of
     beta_n, one pass over the window each, and what is left must be 0.
     """
@@ -235,7 +332,7 @@ def _insert(bp: BaileyPair, w: int, row_spec) -> BaileyPair:
         alpha.append(_series(pad, list(s.coeffs[:length - pad]), order))
     heads = (_head(s, max(length - w * r * r, 0)) for r, s in enumerate(bp.beta))
     terms = [(v + w * r * r, cs) for r, (v, cs) in enumerate(heads)]
-    sums = _quotient_sums(terms, _T2, length, row_spec=row_spec)
+    sums = _quotient_sums(terms, length, row_spec=row_spec)
     return BaileyPair._unchecked(tuple(alpha), tuple(_series(v, cs, order) for v, cs in sums))
 
 
@@ -271,7 +368,7 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     alpha = tuple(_even(0, s.coeffs[:length], order) for s in bp.alpha)  # q^(j/2) becomes q^j
     heads = (_head(s, length) for s in bp.beta)
     terms = [(v, _mul_factors(cs, _NEG_Q, 2 * r)) for r, (v, cs) in enumerate(heads)]
-    sums = _quotient_sums(terms, _Q2, length, 1)
+    sums = _quotient_sums(terms, length, 1)
     return BaileyPair._unchecked(alpha, tuple(_even(v, cs, order) for v, cs in sums))
 
 

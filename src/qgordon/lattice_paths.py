@@ -38,7 +38,6 @@ off one scan of the path's peaks, in closed form (see
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -246,8 +245,9 @@ def is_S_admissible(path: LatticePath, gp) -> bool:
 
 # ---------------------------------------------------------------- enumeration
 
-#: (k, a) -> (bound searched, the paths' step strings and their major
-#: indices, both sorted by major index and then by steps)
+#: (k, a) -> (the step strings of the paths found by the largest search,
+#: sorted by major index and then by steps; the number of those paths at
+#: each major index 0..the bound searched)
 _SPATH_CACHE: dict = {}
 
 
@@ -269,17 +269,16 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     gp = _as_params(gp)
     _check_bound(n_max)
     k, a = gp.k, gp.a
-    start = k + 1 - a
-    bound, words, majors = _SPATH_CACHE.get((k, a), (-1, (), ()))
-    if bound < n_max:
-        words, majors = _search_S(n_max, gp)
-        _SPATH_CACHE[(k, a)] = n_max, words, majors
-    return tuple(LatticePath._unchecked(start, w) for w in words[: bisect_right(majors, n_max)])
+    words, counts = _SPATH_CACHE.get((k, a), ((), []))
+    if len(counts) <= n_max:
+        words, counts = _SPATH_CACHE[(k, a)] = _search_S(n_max, gp)
+    return tuple(LatticePath._unchecked(k + 1 - a, w) for w in words[:sum(counts[:n_max + 1])])
 
 
-def _search_S(n_max: int, gp: GordonParams) -> tuple[tuple, tuple]:
-    """The step strings and major indices of the S(k, a) paths of major
-    index <= n_max, sorted by major index and then by steps."""
+def _search_S(n_max: int, gp: GordonParams) -> tuple[tuple, list]:
+    """The step strings of the S(k, a) paths of major index <= n_max,
+    sorted by major index and then by steps, and the number of them at
+    each major index 0..n_max."""
     k = gp.k
     start = k + 1 - gp.a
     found: list[tuple[int, str]] = []
@@ -309,23 +308,26 @@ def _search_S(n_max: int, gp: GordonParams) -> tuple[tuple, tuple]:
 
     rec(start, 0)
     found.sort()
-    return tuple(w for _, w in found), tuple(m for m, _ in found)
+    counts = [0] * (n_max + 1)
+    for major, _ in found:
+        counts[major] += 1
+    return tuple(w for _, w in found), counts
 
 
-def _S_majors(n: int, gp) -> tuple:
-    """The sorted major indices of a search of S(k, a) to at least n."""
+def _S_table(n: int, gp) -> list[int]:
+    """The path counts by major index of a search of S(k, a) to at
+    least n."""
     gp = _as_params(gp)
     _check_bound(n)
-    if _SPATH_CACHE.get((gp.k, gp.a), (-1,))[0] < n:
+    if len(_SPATH_CACHE.get((gp.k, gp.a), ((), []))[1]) <= n:
         # through the public name, so perfbench's tracer sees the search
         enumerate_S_paths(n, gp)
-    return _SPATH_CACHE[(gp.k, gp.a)][2]
+    return _SPATH_CACHE[(gp.k, gp.a)][1]
 
 
 def count_S(n: int, gp) -> int:
     """Number of S(k, a) paths of major index exactly n."""
-    majors = _S_majors(n, gp)
-    return bisect_right(majors, n) - bisect_left(majors, n)
+    return _S_table(n, gp)[n]
 
 
 def _S_counts(n_max: int, gp) -> list[int]:
@@ -333,13 +335,7 @@ def _S_counts(n_max: int, gp) -> list[int]:
     negative int n_max, and count_S's ValueError for any other non-int."""
     if type(n_max) is int and n_max < 0:
         return []
-    majors = _S_majors(n_max, gp)
-    counts = [0] * (n_max + 1)
-    for m in majors:
-        if m > n_max:
-            break
-        counts[m] += 1
-    return counts
+    return _S_table(n_max, gp)[:n_max + 1]
 
 
 # ---------------------------------------------------------------- move primitives

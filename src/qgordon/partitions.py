@@ -68,9 +68,12 @@ class GordonParams:
 
 
 def _as_params(gp) -> GordonParams:
-    """``gp`` itself, or a GordonParams built from a (k, a) pair."""
+    """``gp`` itself, or a GordonParams built from a (k, a) tuple or list;
+    anything else raises ValueError naming it."""
     if isinstance(gp, GordonParams):
         return gp
+    if not isinstance(gp, (tuple, list)) or len(gp) != 2:
+        raise ValueError(f"{gp!r} is not a GordonParams or a (k, a) pair")
     k, a = gp
     return GordonParams(k, a)
 

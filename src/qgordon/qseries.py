@@ -30,19 +30,6 @@ multiply, an ascending ``cs[i] += sign * cs[i - s]`` to divide.
 E_b = (q^b; q^b)_inf through Euler's pentagonal theorem, which leaves
 O(sqrt(length / b)) terms: one shifted pass per term to multiply, one
 ascending recurrence over the terms to divide.
-:func:`_quotient_sums` builds the sums of quotients that the Bailey
-transformations need, keeping one running quotient per term and
-cutting it, before each division, to the window its row still needs
-below one common length; term 0's first coefficient reads the one table
-of quotient rows instead (:func:`_table_rows`), which the Bailey check
-reads too.  Every such sum shifts term m of row n by q^(shift (n - m))
-for one int shift >= 0: any part that depends on m alone rides on the
-term's own start.  (The multisums sum by q-Pascal cells instead and
-divide only once; see :func:`qgordon.identities.ladder_multisum`.)
-:func:`_shifted_sum` adds a row's shifted terms in one column pass:
-padded to a common window, they are summed column by column with the
-builtin ``sum``, which adds ints in a C long while they fit, so a
-column of t terms makes one new int instead of t.
 The kernels know no grid: list index i is q^i.  ``Series.__mul__`` and
 ``Series.inverse`` stay as the dense reference the kernels are tested
 against.  The builders here, the sides in :mod:`qgordon.identities` and
@@ -58,7 +45,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
 from math import gcd, lcm
 from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Sequence, Tuple, Union
@@ -549,104 +535,6 @@ def _div_eta(cs: list, b: int) -> list:
             t -= cs[i - e]
         cs[i] = t
     return cs
-
-
-def _shifted_sum(terms: list, lo: int, length: int) -> list:
-    """sum q^at * cs over the (at, cs) pairs in ``terms``, as the
-    coefficients of q^lo .. q^(length - 1); each nonempty term must lie
-    in that window.  The terms are padded to the window and summed
-    column by column by the builtin ``sum``, which keeps its running
-    total in a C long while it fits, so a column of t small ints makes
-    one new int, not t."""
-    rows = []
-    for at, cs in terms:
-        if cs:
-            row = [0] * (length - lo)
-            row[at - lo:at - lo + len(cs)] = cs
-            rows.append(row)
-    return list(map(sum, zip(*rows))) if rows else [0] * (length - lo)
-
-
-#: symbols -> the rows of :func:`_table_rows` for that key, each a list of
-#: int tuples known below the longest window asked of the key
-_QUOTIENT_ROWS: dict = {}
-
-
-def _table_rows(symbols: tuple, last: int, window: int) -> list:
-    """Rows 0..last (at least) of the one table of quotient rows, where
-    row i is 1 / prod (sign q^exponent; q^base)_(start + i) over the
-    (sign, exponent, base, start) int tuples of ``symbols``, the key.  A
-    key's rows are int tuples known below the longest window asked of it:
-    a shorter window reads prefixes, a larger ``last`` extends the rows by
-    one pass per symbol, and a longer window rebuilds that key alone.  A
-    row is never mutated, so a caller may keep reading one while another
-    call extends or rebuilds its key."""
-    rows = _QUOTIENT_ROWS.get(symbols)
-    if rows is None or len(rows[0]) < window:
-        cs = [1] + [0] * (window - 1)
-        for sign, first, step, start in symbols:
-            for s in range(first, min(window, first + start * step), step):
-                _div_factor(cs, sign, s)
-        rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]
-    for i in range(len(rows), last + 1):
-        cs = list(rows[-1])
-        for sign, first, step, start in symbols:
-            _div_factor(cs, sign, first + (start + i - 1) * step)
-        rows.append(tuple(cs))
-    return rows
-
-
-def _quotient_sums(terms: list, spec: PochSpec, length: int, shift: int = 0, row_spec=None) -> list:
-    """sum_{m <= n} q^(shift (n - m)) * terms[m] / (spec)_{n-m} for each
-    n < len(terms), as (v, cs) pairs standing for q^v * cs with cs known
-    below exponent ``length``; a PochSpec ``row_spec`` also divides term
-    m by (row_spec)_n / (row_spec)_m, so by its factor n - 1 at row n.
-
-    ``terms`` holds (v, cs) pairs of the same form and is consumed: each
-    becomes the running quotient terms[m] / (spec)_{n-m}, cut to the
-    window it still needs before each division, so every (n, m) costs
-    one pass per factor.  ``shift`` must be >= 0, so a window only
-    shrinks as n grows.  Term 0's first coefficient c, at q^v, is read
-    instead as c times row n of 1 / ((spec)_n (row_spec)_n), which no
-    term changes: every call with the same symbols reads it from the
-    table of quotient rows (:func:`_table_rows`).  The rest of term 0,
-    from its next nonzero coefficient on, keeps a running quotient; a
-    Bailey chain's beta_0 is 1, so there that rest is empty.
-    """
-    first, step = spec.exponent, spec.base
-    column = None
-    if terms and terms[0][1] and terms[0][0] < length:
-        v, cs = terms[0]
-        rest = next(compress(count(1), cs[1:]), len(cs))  # the next nonzero coefficient
-        terms[0] = (v + rest, cs[rest:])
-        if cs[0]:
-            specs = (spec,) if row_spec is None else (spec, row_spec)
-            symbols = tuple((x.sign, x.exponent, x.base, 0) for x in specs)
-            column = v, cs[0], _table_rows(symbols, len(terms) - 1, length - v)
-    out = []
-    for n in range(len(terms)):
-        row = []
-        lo = length
-        if column:
-            v, c, rows = column
-            at = v + shift * n
-            if at < length:
-                cs = rows[n][:length - at]
-                row.append((at, cs if c == 1 else [c * x for x in cs]))
-                lo = at
-        for m, (v, cs) in enumerate(terms[: n + 1]):
-            at = v + shift * (n - m)
-            del cs[max(length - at, 0):]
-            if not cs:
-                continue
-            if m < n:
-                _div_factor(cs, spec.sign, first + (n - m - 1) * step)
-                if row_spec is not None:
-                    _div_factor(cs, row_spec.sign, row_spec.exponent + (n - 1) * row_spec.base)
-            row.append((at, cs))
-            lo = min(lo, at)
-        out.append((lo, _shifted_sum(row, lo, length)))
-    return out
 
 
 def _unit_times(kernel, spec: PochSpec, n: int | None, order: QExp) -> Series:

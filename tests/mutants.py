@@ -82,23 +82,30 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     # the one table of quotient rows
     Mutant(
-        "row-key-without-start", "qseries",
+        "row-key-without-start", "bailey",
         _ROWS_KEYED,
         _ROWS_KEYED.replace(".get(symbols)", ".get(tuple(x[:3] for x in symbols))")
         .replace("[symbols]", "[tuple(x[:3] for x in symbols)]"),
         ("tests/test_caches.py", "tests/test_bailey.py"),
     ),
     Mutant(
-        "longer-window-not-rebuilt", "qseries",
+        "longer-window-not-rebuilt", "bailey",
         "    if rows is None or len(rows[0]) < window:\n",
         "    if rows is None:\n",
         ("tests/test_caches.py",),
     ),
     Mutant(
-        "rebuild-empties-every-key", "qseries",
+        "rebuild-empties-every-key", "bailey",
         "        rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]\n",
         "        _QUOTIENT_ROWS.clear()\n        rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]\n",
         ("tests/test_caches.py",),
+    ),
+    # the chain steps' one divisor, (x^2; x^2): term m of row n divides by 1 - x^(2 (n - m))
+    Mutant(
+        "step-divisor-one-off", "bailey",
+        "_div_factor(cs, 1, 2 * (n - m))",
+        "_div_factor(cs, 1, 2 * (n - m) + 2)",
+        ("tests/test_bailey.py",),
     ),
     # the Bailey steps' half-grid layouts
     Mutant(
@@ -213,16 +220,30 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/test_identities.py",),
     ),
     Mutant(
-        "row-table-window-short", "qseries",
+        "row-table-window-short", "bailey",
         "cs = [1] + [0] * (window - 1)",
         "cs = [1] + [0] * (window - 2)",
-        ("tests/test_bailey.py", "tests/test_qseries.py"),
+        ("tests/test_bailey.py",),
     ),
     Mutant(
         "partition-field-too-narrow", "partitions",
         "4 * isqrt(n_max) + 5",
         "2 * isqrt(n_max) + 5",
         ("tests/test_partitions.py",),
+    ),
+    # (k, a) read only from a GordonParams or a tuple or list pair, and the
+    # S-path table's counts by major index
+    Mutant(
+        "params-pair-unchecked", "partitions",
+        "    if not isinstance(gp, (tuple, list)) or len(gp) != 2:\n",
+        "    if False:\n",
+        ("tests/test_partitions.py",),
+    ),
+    Mutant(
+        "path-binned-one-major-late", "lattice_paths",
+        "        counts[major] += 1\n",
+        "        counts[min(major + 1, n_max)] += 1\n",
+        ("tests/test_lattice_paths.py",),
     ),
     # the path readers
     Mutant(

@@ -56,6 +56,8 @@ MAIN_PAIRS = tuple(
     (k, a) for k in range(2, 7) for a in range(1, k + 1) if (k - a) % 2 == 1
 )
 CHAIN_PAIRS = ((2, 1), (3, 2), (4, 1), (5, 2))
+# criteria 01-04 compare each sum with its product, and with its counts, below q^ORDER
+ORDER = 400
 
 
 def _criterion(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -64,19 +66,19 @@ def _criterion(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_parity_multisum_equals_product():
-    """Opposite-parity (k, a) up to k = 6: multisum = product below q^60."""
+    """Opposite-parity (k, a) up to k = 6: multisum = product below q^400."""
     failures = []
     for k, a in MAIN_PAIRS:
         gp = GordonParams(k, a)
-        lhs = eval_multisum_main(gp, 60)
-        rhs = eval_product_side("Main", gp, 60)
-        if min(lhs.order, rhs.order) < 60:
+        lhs = eval_multisum_main(gp, ORDER)
+        rhs = eval_product_side("Main", gp, ORDER)
+        if min(lhs.order, rhs.order) < ORDER:
             failures.append(f"(k={k}, a={a}) compared only below q^{min(lhs.order, rhs.order)}")
         elif lhs != rhs:
             failures.append(f"(k={k}, a={a}) differs at q^{lhs.first_discrepancy(rhs)}")
     _criterion(
         1,
-        f"parity-restricted multisum equals its product below q^60 "
+        f"parity-restricted multisum equals its product below q^{ORDER} "
         f"for all {len(MAIN_PAIRS)} opposite-parity pairs with k <= 6",
         not failures,
         "; ".join(failures),
@@ -84,60 +86,62 @@ def test_criterion_01_parity_multisum_equals_product():
 
 
 def test_criterion_02_andrews_gordon_sum_product_and_oracles():
-    """AG for k <= 5, all a: sum = product below q^60, both = counts for n < 60."""
+    """AG for k <= 5, all a: sum = product below q^400, both = counts for n < 400."""
     failures = []
     for k in range(2, 6):
         for a in range(1, k + 1):
             gp = GordonParams(k, a)
-            lhs = eval_multisum_AG(gp, 60)
-            rhs = eval_product_side("AG", gp, 60)
-            if min(lhs.order, rhs.order) < 60:
+            lhs = eval_multisum_AG(gp, ORDER)
+            rhs = eval_product_side("AG", gp, ORDER)
+            if min(lhs.order, rhs.order) < ORDER:
                 failures.append(f"(k={k}, a={a}) compared only below q^{min(lhs.order, rhs.order)}")
                 continue
             if lhs != rhs:
                 failures.append(f"(k={k}, a={a}) sides differ")
                 continue
-            for n in range(60):
+            for n in range(ORDER):
                 c = lhs.coefficient(n)
                 if c != count_B(n, gp) or c != count_A(n, gp):
                     failures.append(f"(k={k}, a={a}) oracle mismatch at n={n}")
                     break
     _criterion(
         2,
-        "Andrews-Gordon sum equals product below q^60 and both match the "
-        "count_B and count_A oracles for every n < 60 (14 pairs)",
+        f"Andrews-Gordon sum equals product below q^{ORDER} and both match the "
+        f"count_B and count_A oracles for every n < {ORDER} (14 pairs)",
         not failures,
         "; ".join(failures),
     )
 
 
 def test_criterion_03_even_part_parity_identities():
-    """Even parts with even multiplicity, k <= 5, both parity regimes."""
+    """Even parts with even multiplicity, k <= 5, both parity regimes:
+    sum = product below q^400, both = count_W for n < 400."""
     failures = []
     for k in range(2, 6):
         for a in range(1, k + 1):
             gp = GordonParams(k, a)
             tag = "W_same" if (k - a) % 2 == 0 else "W_diff"
-            report = verify(IdentitySpec(tag, gp, 40))
+            report = verify(IdentitySpec(tag, gp, ORDER))
             if not report.equal:
                 failures.append(f"{tag} (k={k}, a={a}) sides differ")
                 continue
-            for n in range(40):
+            for n in range(ORDER):
                 if report.lhs.coefficient(n) != count_W(n, gp):
                     failures.append(f"{tag} (k={k}, a={a}) count_W mismatch at n={n}")
                     break
     _criterion(
         3,
         "even-multiplicity-of-even-parts multisum equals its product "
-        "(one product for k = a mod 2, a sum of two otherwise) below q^40 "
-        "and matches count_W for every n < 40 and every (k, a) with k <= 5",
+        f"(one product for k = a mod 2, a sum of two otherwise) below q^{ORDER} "
+        f"and matches count_W for every n < {ORDER} and every (k, a) with k <= 5",
         not failures,
         "; ".join(failures),
     )
 
 
 def test_criterion_04_odd_part_parity_identities():
-    """Odd parts with even multiplicity, k <= 5, both stated regimes."""
+    """Odd parts with even multiplicity, k <= 5, both stated regimes:
+    sum = product below q^400, both = count_Wbar for n < 400."""
     failures = []
     regimes = [
         ("Wbar_odd_even", [(3, 2), (5, 2), (5, 4)]),
@@ -146,18 +150,18 @@ def test_criterion_04_odd_part_parity_identities():
     for tag, pairs in regimes:
         for k, a in pairs:
             gp = GordonParams(k, a)
-            report = verify(IdentitySpec(tag, gp, 40))
+            report = verify(IdentitySpec(tag, gp, ORDER))
             if not report.equal:
                 failures.append(f"{tag} (k={k}, a={a}) sides differ")
                 continue
-            for n in range(40):
+            for n in range(ORDER):
                 if report.lhs.coefficient(n) != count_Wbar(n, gp):
                     failures.append(f"{tag} (k={k}, a={a}) count_Wbar mismatch at n={n}")
                     break
     _criterion(
         4,
         "even-multiplicity-of-odd-parts multisum equals its product below "
-        "q^40 and matches count_Wbar for every n < 40 in both parity regimes, k <= 5",
+        f"q^{ORDER} and matches count_Wbar for every n < {ORDER} in both parity regimes, k <= 5",
         not failures,
         "; ".join(failures),
     )

@@ -10,6 +10,7 @@ import pytest
 
 from qgordon.bailey import (
     BaileyPair,
+    _quotient_sums,
     apply_D1,
     apply_P41,
     apply_S1,
@@ -21,7 +22,7 @@ from qgordon.bailey import (
     unit_pair,
 )
 from qgordon.identities import eval_multisum_AG, eval_multisum_main, eval_product_side
-from qgordon.qseries import PochSpec, Series, invert_poch, mul, poch_infinite, rescale, theta_sum
+from qgordon.qseries import PochSpec, Series, invert_poch, mul, poch_finite, poch_infinite, rescale, theta_sum
 
 Q = PochSpec(1, 1, 1)
 Q2 = PochSpec(1, 2, 2)
@@ -208,6 +209,98 @@ class TestCheckPairClasses:
                 cs[empty[0] + 2 * r] += 1
                 alpha = bp.alpha[:r] + (Series(cs, s.order, 2),) + bp.alpha[r + 1:]
                 assert not check_pair(BaileyPair(alpha, bp.beta)), (label, r)
+
+
+ROW_SPECS = (PochSpec(1, 1, 1), PochSpec(1, 2, 2), PochSpec(-1, 1, 2), PochSpec(-1, 3, 1), PochSpec(1, 4, 4))
+
+
+def _coefficient(rng):
+    """Small, negative, near 2^62 (a column of them overflows a C long)
+    or past +-2^64."""
+    return rng.choice((
+        rng.randint(-3, 3), 0, 2**62 + rng.randint(0, 9), -(2**62) - rng.randint(0, 9),
+        rng.randint(-(2**100), 2**100), rng.choice((1, -1)) * (2**64 + rng.randint(0, 9)),
+    ))
+
+
+def _quotient_case(rng):
+    """Random arguments for _quotient_sums: a shift of 0 to 3, so every
+    window length - v - shift (n - m) shrinks with n, and a row_spec or
+    none; the divisor (x^2; x^2) is the kernel's own.  Term m reaches the
+    end of its window in row m, the first that reads it, and is empty
+    when that window is."""
+    length = rng.randint(1, 40)
+    terms = []
+    for _ in range(rng.randint(0, 7)):
+        v = rng.randint(0, 30)
+        window = length - v
+        terms.append((v, [_coefficient(rng) for _ in range(max(window, 0) + rng.randint(0, 3) * (window > 0))]))
+    row_spec = rng.choice((None, rng.choice(ROW_SPECS)))
+    return terms, length, rng.randint(0, 3), row_spec
+
+
+def _direct_quotient_sums(terms, length, shift, row_spec):
+    """Each row of _quotient_sums in Series arithmetic: term m read as
+    q^v * cs, times q^(shift (n - m)) / (q^2; q^2)_(n-m) and, for a
+    row_spec, (row_spec)_m / (row_spec)_n, below ``length``."""
+    rows = []
+    for n in range(len(terms)):
+        total = Series.zero(length)
+        for m, (v, cs) in enumerate(terms[: n + 1]):
+            f = Series.from_terms([(v + i, x) for i, x in enumerate(cs)], length)
+            f = f * invert_poch(Q2, length, n - m)
+            if row_spec is not None:
+                f = f * invert_poch(row_spec, length, n) * poch_finite(row_spec, m, length)
+            total = total + f.shift(shift * (n - m)).truncate(length)
+        rows.append(total.coeffs)
+    return rows
+
+
+class TestQuotientSums:
+    """The row kernel against a direct sum of Series quotients."""
+
+    def test_matches_direct_sum(self):
+        rng = random.Random(15)
+        empty_terms = emptied = 0
+        shifts = set()
+        for case in range(400):
+            terms, length, shift, row_spec = _quotient_case(rng)
+            if case == 0:
+                terms = []
+            want = _direct_quotient_sums(terms, length, shift, row_spec)
+            got = _quotient_sums([(v, cs[:]) for v, cs in terms], length, shift, row_spec)
+            assert len(got) == len(terms)
+            for (lo, sums), row in zip(got, want):
+                assert lo + len(sums) == length
+                assert tuple([0] * lo + sums) == row
+            shifts.add(shift)
+            empty_terms += any(not cs for _, cs in terms)
+            emptied += any(cs and length <= v + shift * (n - m)
+                           for m, (v, cs) in enumerate(terms)
+                           for n in range(m + 1, len(terms)))
+        assert shifts == {0, 1, 2, 3}
+        assert empty_terms and emptied  # some term is empty, some window shrinks to nothing
+
+    @pytest.mark.parametrize("c", [1, 0, -3, 2**64 + 1])
+    @pytest.mark.parametrize("rest", [False, True])
+    def test_term_zero_at_exponent_zero(self, c, rest):
+        """Term 0 starting at q^0 with constant coefficient c, which the
+        kernel reads from its shared column, and a rest that is zero or
+        not: every row equals the direct sum, for every shift and
+        row_spec."""
+        rng = random.Random(f"{c}/{rest}")
+        for shift in range(4):
+            for row_spec in (None, *ROW_SPECS):
+                terms, length, _, _ = _quotient_case(rng)
+                tail = [0] * (length - 1)
+                if rest and tail:
+                    gap = rng.randrange(len(tail))  # zeros before the rest's first nonzero
+                    tail[gap:] = [rng.choice((1, -2, 2**64 + 1))] + [_coefficient(rng) for _ in tail[gap + 1:]]
+                terms = [(0, [c] + tail)] + terms[:4]
+                want = _direct_quotient_sums(terms, length, shift, row_spec)
+                got = _quotient_sums([(v, cs[:]) for v, cs in terms], length, shift, row_spec)
+                assert [tuple([0] * lo + sums) for lo, sums in got] == want
+                assert all(lo + len(sums) == length for lo, sums in got)
 
 
 def _reference_beta(alpha, n, order) -> Series:

@@ -36,12 +36,12 @@ def test_clear_caches_empties_every_cache():
     assert lattice_paths._SPATH_CACHE
     assert identities._ETA_QUOTIENTS
     checks = {_check_key(r) for r in range(3)}
-    assert set(qseries._QUOTIENT_ROWS) == checks | {_key(bailey._T2, bailey._NEG_T)}
+    assert set(bailey._QUOTIENT_ROWS) == checks | {_key(bailey._X2, bailey._NEG_T)}
     qgordon.clear_caches()
     assert not partitions._COUNT_TABLES
     assert not lattice_paths._SPATH_CACHE
     assert not identities._ETA_QUOTIENTS
-    assert not qseries._QUOTIENT_ROWS
+    assert not bailey._QUOTIENT_ROWS
 
 
 def test_count_table_at_most_doubles():
@@ -57,14 +57,18 @@ def test_count_table_at_most_doubles():
 
 
 def test_path_table_keeps_words():
-    """The S-path table holds each path's step string and major index;
-    the paths themselves are built only when they are asked for."""
+    """The S-path table holds each path's step string and the number of
+    paths at each major index up to its bound; the paths themselves are
+    built only when they are asked for, sorted by major index and then
+    by steps."""
     qgordon.clear_caches()
     lattice_paths.count_S(8, (3, 2))
-    bound, words, majors = lattice_paths._SPATH_CACHE[(3, 2)]
+    words, counts = lattice_paths._SPATH_CACHE[(3, 2)]
     paths = lattice_paths.enumerate_S_paths(8, (3, 2))
-    assert bound == 8 and all(type(w) is str for w in words)
-    assert [(p.major_index, p.steps) for p in paths] == list(zip(majors, words))
+    keyed = [(p.major_index, p.steps) for p in paths]
+    assert len(counts) == 9 and all(type(w) is str for w in words)
+    assert keyed == sorted(keyed) and [w for _, w in keyed] == list(words)
+    assert counts == [sum(m == n for m, _ in keyed) for n in range(9)]
 
 
 def _last_slot_raised(bp):
@@ -95,7 +99,7 @@ def test_wing_table_gives_one_answer_cold_or_warm():
     extends a key's rows but leaves every row it held as it was."""
     links = [bp for _, bp in bailey.build_chain((5, 2), 6, 40)]
     pairs = links + [_last_slot_raised(bp) for bp in links]
-    table = qseries._QUOTIENT_ROWS
+    table = bailey._QUOTIENT_ROWS
 
     def results():
         return [bailey.check_pair(bp) for bp in pairs]
@@ -118,11 +122,11 @@ def test_wing_table_gives_one_answer_cold_or_warm():
 
 
 def test_quotient_columns_give_one_answer_cold_or_warm():
-    """The chain steps read the same rows 1 / ((spec)_n (row_spec)_n) of
+    """The chain steps read the same rows 1 / ((x^2; x^2)_n (row_spec)_n) of
     the quotient table whether it is cold, holds a longer window, or holds
     rows to a larger n_max; a step extends a key's rows but leaves every
     row it held as it was, and never rebuilds a key at a shorter window."""
-    table = qseries._QUOTIENT_ROWS
+    table = bailey._QUOTIENT_ROWS
 
     def results():
         return [(label, [s.coeffs for s in bp.alpha], [s.coeffs for s in bp.beta])
@@ -130,8 +134,8 @@ def test_quotient_columns_give_one_answer_cold_or_warm():
 
     qgordon.clear_caches()
     cold = results()
-    # D1's (q^2; q^2), and S2's (t^2; t^2) with (-t; t^2)
-    assert set(table) == {_key(bailey._Q2), _key(bailey._T2, bailey._NEG_T)}
+    # D1's (x^2; x^2) in q, and S2's in t with (-t; t^2)
+    assert set(table) == {_key(bailey._X2), _key(bailey._X2, bailey._NEG_T)}
     for key, rows in table.items():
         window = len(rows[0])
         for n, row in enumerate(rows):
@@ -157,22 +161,22 @@ def test_a_longer_window_rebuilds_that_key_alone():
     its old rows stay as they were and every other key keeps its rows;
     a shorter window then reads prefixes of the new rows."""
     qgordon.clear_caches()
-    table = qseries._QUOTIENT_ROWS
+    table = bailey._QUOTIENT_ROWS
     key = _check_key(1)
-    others = (_check_key(0), _check_key(2), _key(bailey._T2, bailey._NEG_T))
-    short = qseries._table_rows(key, 4, 10)
+    others = (_check_key(0), _check_key(2), _key(bailey._X2, bailey._NEG_T))
+    short = bailey._table_rows(key, 4, 10)
     short_values = list(short)
     for other in others:
-        qseries._table_rows(other, 3, 10)
+        bailey._table_rows(other, 3, 10)
     held = _held(table)
     del held[key]
-    rows = qseries._table_rows(key, 2, 25)
+    rows = bailey._table_rows(key, 2, 25)
     assert rows is table[key] and rows is not short and len(rows) == 3
     assert {len(row) for row in rows} == {25}
     assert short == short_values and [row[:10] for row in rows] == short[:3]
     assert set(table) == {key, *others} and _kept(table, held)
     assert all(table[other][0] is held[other][0] for other in others)
-    assert qseries._table_rows(key, 5, 10) is rows and {len(row) for row in rows} == {25}
+    assert bailey._table_rows(key, 5, 10) is rows and {len(row) for row in rows} == {25}
     for n, row in enumerate(rows):
         want = qseries.invert_poch(Q, 25, n) * qseries.invert_poch(Q, 25, 2 + n)
         assert row == want.coeffs, n

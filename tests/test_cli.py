@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qgordon
-from qgordon import bailey, cli, identities, qseries
+from qgordon import bailey, cli, identities
 from qgordon.cli import run, sweep
 from qgordon.qseries import Series
 
@@ -264,7 +264,7 @@ class TestBaileyChainCommand:
         the first check builds each of its keys of the quotient table at
         the final window and no later check rebuilds one; the lines still
         print in chain order."""
-        table = qseries._QUOTIENT_ROWS
+        table = bailey._QUOTIENT_ROWS
         seen = []
 
         def check_pair(bp):

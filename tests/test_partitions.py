@@ -8,8 +8,11 @@ sides they count.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from qgordon.bailey import build_chain
 from qgordon.identities import (
     eval_multisum_AG,
     eval_multisum_W,
@@ -29,6 +32,7 @@ from qgordon.partitions import (
     is_gordon_admissible,
     partitions_of,
 )
+from qgordon.lattice_paths import LatticePath, is_S_admissible
 
 
 class TestEnumeration:
@@ -93,6 +97,26 @@ class TestGordonAdmissible:
     def test_bool_params_refused(self):
         with pytest.raises(TypeError, match="k and a must be ints"):
             GordonParams(True, True)
+
+    @pytest.mark.parametrize("gp", [5, None, "32", (3,), (3, 2, 1), {3: 0, 2: 0}, {3, 2}], ids=repr)
+    def test_params_must_be_a_pair(self, gp):
+        """Anything but a GordonParams or a (k, a) tuple or list is refused
+        by name wherever (k, a) is read: a dict or a set used to be read
+        in its iteration order, and the rest raised unpacking errors."""
+        message = f"^{re.escape(repr(gp))} is not a GordonParams or a \\(k, a\\) pair$"
+        for call in (lambda: count_B(5, gp), lambda: is_S_admissible(LatticePath(2, "SS"), gp),
+                     lambda: build_chain(gp, 2, 10), lambda: eval_multisum_AG(gp, 10)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_pair_entries_keep_their_errors(self):
+        """A tuple or list pair is read as (k, a), and GordonParams refuses
+        its entries as it refuses them itself."""
+        assert count_B(9, [3, 2]) == count_B(9, (3, 2)) == count_B(9, GordonParams(3, 2))
+        with pytest.raises(TypeError, match="k and a must be ints"):
+            count_B(5, (3, 2.0))
+        with pytest.raises(ValueError, match="need 1 <= a <= k, got k=2, a=3"):
+            count_B(5, [2, 3])
 
 
 class TestCounts:
