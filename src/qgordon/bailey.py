@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
-from operator import add, mul, sub
+from operator import add, mul as times, sub  # ``mul`` is qseries.mul, imported below
 from typing import Tuple
 
 from . import identities
@@ -312,7 +312,7 @@ def check_pair(bp: BaileyPair) -> bool:
                 elif c == -1:
                     rest[e:] = map(add, rest[e:], row)
                 else:
-                    rest[e:] = map(sub, rest[e:], map(mul, repeat(c), row))
+                    rest[e:] = map(sub, rest[e:], map(times, repeat(c), row))
             if any(rest):
                 return False
     return True

@@ -476,6 +476,23 @@ class ConstructionData:
             if row != tuple(sorted(row, reverse=True)):
                 raise ValueError(f"stage {j} budgets must be nonincreasing, got {row}")
 
+    @classmethod
+    def _unchecked(cls, gp, n, east_partition, uplift_set, right_moves) -> "ConstructionData":
+        """Data known valid, built without validating it, so that
+        :func:`reverse_deconstruct` builds its result once.  The caller
+        passes the fields as the constructor stores them (a GordonParams
+        of opposite parity, tuples of ints, a tuple of them per stage, a
+        frozenset) and meeting every condition it checks; the reverse
+        map's scan fixes all but the budgets' sign and order, as its
+        docstring shows, and it checks those two."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "gp", gp)
+        object.__setattr__(data, "n", n)
+        object.__setattr__(data, "east_partition", east_partition)
+        object.__setattr__(data, "uplift_set", uplift_set)
+        object.__setattr__(data, "right_moves", right_moves)
+        return data
+
     def weight(self) -> int:
         """Major index of the constructed path, straight from the data."""
         a = self.gp.a
@@ -573,7 +590,8 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
 
     Raises:
         ValueError: if k and a have the same parity, the path is not in
-            S(k, a), or the recovered data does not rebuild the path.
+            S(k, a), a stage's recovered budgets are negative or increase,
+            or the recovered data does not rebuild the path.
         TypeError: if ``path`` is not a LatticePath.
 
     One scan of the path's relative heights serves every stage, by this
@@ -631,6 +649,20 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
     the end lie past every peak standing then, and no block counts them.
     The closing check stands for every per-stage check: data that
     rebuilds ``path`` is its preimage, whatever a stage read.
+
+    The data is built once, unvalidated (:meth:`ConstructionData._unchecked`),
+    since the scan fixes every condition of the constructor but one:
+
+    * n, the budget rows and the E blocks come from one list per stage,
+      so n has length k - 1, there are k - 2 rows, and each row and the
+      E blocks have their stage's length;
+    * E counts grow from left to right and are read from right to left,
+      so the E blocks are nonnegative and do not increase;
+    * an uplift is the position of the E block just read, in 1..n_(k-1);
+    * admissibility makes x_i - r_i even, so every budget is even.
+
+    Left open is each stage's budgets being nonnegative and not
+    increasing, checked with the constructor's messages in its order.
     """
     gp = _as_params(gp)
     if (gp.k - gp.a) % 2 == 0:
@@ -660,8 +692,16 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
             east.append(es[i] // 4)
             if r == k:
                 uplift.append(len(east))
-    # ConstructionData makes tuples of the lists
-    data = ConstructionData(gp, [*map(len, rows), len(east)], east, uplift, rows)
+    # the one condition the scan leaves open, with ConstructionData's
+    # messages in its order
+    for j, row in enumerate(rows, 1):
+        if row and min(row) < 0:
+            raise ValueError(f"stage {j} budgets must be nonnegative evens, got {tuple(row)}")
+        if row != sorted(row, reverse=True):
+            raise ValueError(f"stage {j} budgets must be nonincreasing, got {tuple(row)}")
+    data = ConstructionData._unchecked(
+        gp, (*map(len, rows), len(east)), tuple(east), frozenset(uplift), tuple(map(tuple, rows))
+    )
     # a valid path equal to the rebuilt one makes the rebuilt walk valid
     if _build(data) != (path.start, path.steps):
         raise ValueError("path is not in the construction's image: the recovered data does not rebuild the path")

@@ -107,6 +107,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         "_div_factor(cs, 1, 2 * (n - m) + 2)",
         ("tests/test_bailey.py",),
     ),
+    # check_pair subtracts each alpha slot's row, scaled by ints where c is not 1 or -1
+    Mutant(
+        "check-pair-scaled-term-added", "bailey",
+        "map(sub, rest[e:], map(times, repeat(c), row))",
+        "map(add, rest[e:], map(times, repeat(c), row))",
+        ("tests/test_bailey.py",),
+    ),
     # the Bailey steps' half-grid layouts
     Mutant(
         "even-slots-written-odd", "bailey",
@@ -191,6 +198,22 @@ MUTANTS: Tuple[Mutant, ...] = (
         "uplift-read-one-lower", "lattice_paths",
         "            if r == k:\n",
         "            if r == k - 1:\n",
+        ("tests/test_lattice_paths.py",),
+    ),
+    # the reverse map builds its data unvalidated and checks only what the
+    # scan leaves open: each stage's budgets are nonnegative and do not increase
+    Mutant(
+        "reverse-budget-sign-unchecked", "lattice_paths",
+        "        if row and min(row) < 0:\n"
+        '            raise ValueError(f"stage {j} budgets must be nonnegative evens, got {tuple(row)}")\n',
+        "",
+        ("tests/test_lattice_paths.py",),
+    ),
+    Mutant(
+        "reverse-budget-order-unchecked", "lattice_paths",
+        "        if row != sorted(row, reverse=True):\n"
+        '            raise ValueError(f"stage {j} budgets must be nonincreasing, got {tuple(row)}")\n',
+        "",
         ("tests/test_lattice_paths.py",),
     ),
     Mutant(

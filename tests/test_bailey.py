@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgordon import bailey
 from qgordon.bailey import (
     BaileyPair,
     _quotient_sums,
@@ -386,6 +387,20 @@ class TestCheckPairReference:
                     bp = _replaced(pair, field, n, Series(cs + [1], s.order + Fraction(1, 2), 2))
                 assert bp.order == pair.order
                 assert check_pair(bp), (field, n)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scaled_terms_multiply_ints(self, seed, monkeypatch):
+        """An alpha slot c other than 1 or -1 scales its row by ints with
+        operator.mul, not with the module's ``mul``, which is qseries.mul
+        (kept there for tracing)."""
+        pair = _random_pair(seed)
+        assert any(abs(c) > 1 for s in pair.alpha for c in s.coeffs)
+
+        def refuse(*args):
+            raise AssertionError("check_pair called qseries.mul")
+
+        monkeypatch.setattr(bailey, "mul", refuse)
+        assert check_pair(pair)
 
     def test_pairs_cover_odd_and_even_windows(self):
         pairs = [_random_pair(seed) for seed in self.SEEDS]

@@ -631,15 +631,33 @@ def _rescanning_reverse(path, gp, stages=None) -> ConstructionData:
     )
 
 
+def _typed(v):
+    """``v`` with the type of every value it holds, so that == compares
+    type by type."""
+    if isinstance(v, (tuple, frozenset)):
+        return type(v), type(v)(map(_typed, v))
+    return type(v), v
+
+
+def _as_constructed(data: ConstructionData) -> bool:
+    """Whether ``data`` equals, field by field and type by type, what the
+    public constructor builds from its fields."""
+    built = ConstructionData(**vars(data))
+    return {f: _typed(v) for f, v in vars(data).items()} == {f: _typed(v) for f, v in vars(built).items()}
+
+
 class TestOneScanReverse:
     """The reverse map reads every stage's tokens off one scan of the
     path's relative heights; these pin it to the rescanning definition."""
 
     def test_matches_rescanning_reverse(self):
+        """The data also equals, type by type, what the public
+        constructor builds from its fields."""
         total = 0
         for gp, bound in ROUND_TRIP_BOUNDS:
             for p in enumerate_S_paths(bound, gp):
-                assert reverse_deconstruct(p, gp) == _rescanning_reverse(p, gp), (gp, p)
+                got = reverse_deconstruct(p, gp)
+                assert got == _rescanning_reverse(p, gp) and _as_constructed(got), (gp, p)
                 total += 1
         assert total == 4272
 
@@ -848,7 +866,8 @@ class TestBijectionBeyondExhaustiveReach:
             path = forward_construct(data)
             assert is_S_admissible(path, data.gp), data
             assert path.major_index == data.weight(), data
-            assert reverse_deconstruct(path, data.gp) == data
+            got = reverse_deconstruct(path, data.gp)
+            assert got == data and _as_constructed(got), data
             assert _rescanning_reverse(path, (k, a)) == data
             draws.append((data, path))
         monkeypatch.setattr(lattice_paths, "_place_tokens", _moving_tokens)
@@ -877,6 +896,38 @@ class TestRebuildGuard:
             forward_construct(EXAMPLE_DATA)
         with pytest.raises(ValueError, match="does not rebuild"):
             reverse_deconstruct(LatticePath(4, EXAMPLE_STEPS), EXAMPLE_DATA.gp)
+
+
+class TestReverseBuildsDataOnce:
+    """The reverse map builds its data unvalidated; the scan fixes every
+    condition of the constructor but the budgets' sign and order, which
+    it checks with the constructor's messages.  The round-trip tests
+    compare its data with the constructor's (:func:`_as_constructed`)."""
+
+    def test_typed_comparison_tells_types_apart(self):
+        assert _typed((1, (2,))) != _typed((True, (2,)))
+        assert _typed(((2,),)) != _typed(([2],))
+        assert _typed(frozenset({1})) != _typed(frozenset({1.0}))
+
+    @pytest.mark.parametrize("gp, scan, rows", [
+        # one stage: a negative budget (the row also increases, and its sign is read first)
+        ((3, 2), ([1, 1], [1, 1], [0, 0]), ((-2, 0),)),
+        # one stage: an increasing row
+        ((3, 2), ([5, 3], [1, 1], [0, 0]), ((0, 4),)),
+        # stage 1 increases and stage 2 is negative: stage 1 is read first
+        ((4, 1), ([2, 7, 7], [2, 1, 1], [0, 0, 0]), ((0, 2), (-2,))),
+    ])
+    def test_budget_refusals_use_the_constructor_messages(self, gp, scan, rows, monkeypatch):
+        """A scan that reads budgets no ConstructionData holds is
+        refused with the message the constructor gives the same rows."""
+        n = (*map(len, rows), 0)
+        with pytest.raises(ValueError) as want:
+            ConstructionData(GordonParams(*gp), n, right_moves=rows)
+        monkeypatch.setattr(lattice_paths, "_S_scan", lambda path, gp: scan)
+        with pytest.raises(ValueError) as got:
+            reverse_deconstruct(LatticePath(0, ""), gp)
+        assert str(got.value) == str(want.value)
+        assert "budgets must be" in str(got.value)
 
 
 class TestJsonObj:
