@@ -1,6 +1,6 @@
 """Exact q-series toolkit for Gordon-style partition identities.
 
-Five layers, each usable on its own:
+Five layers; each imports only layers above it, the first two none:
 
 * :mod:`qgordon.qseries` -- truncated power series in q with exact
   integer coefficients, Pochhammer symbols, and the triple product.
@@ -8,10 +8,10 @@ Five layers, each usable on its own:
   partition families the identities talk about.
 * :mod:`qgordon.lattice_paths` -- weighted paths, peak moves, and the
   staged construction matching paths with sum-side data.
-* :mod:`qgordon.bailey` -- Bailey pairs, the chain transformations,
-  and the telescoped limit.
 * :mod:`qgordon.identities` -- sum and product sides of each theorem
   tag plus windowed verification.
+* :mod:`qgordon.bailey` -- Bailey pairs, the chain transformations,
+  and the telescoped limit.
 
 The ``qgordon`` command line fronts the same operations.
 """

@@ -50,14 +50,14 @@ e3 in t, that is doubled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import add, mul as times, sub  # ``mul`` is qseries.mul, imported below
 from typing import Tuple
 
 from . import identities
 from .partitions import _as_params
-from .qseries import PochSpec, Series, _div_factor, _mul_factors, _order, _slots, _theta_pair
+from .qseries import PochSpec, QExp, Series, _div_factor, _div_factors, _mul_factors, _order, _slots
+from .qseries import _theta_pair
 
 # imported for perfbench/tracing.py, which wraps these names on this module
 from .identities import ladder_multisum  # noqa: F401
@@ -125,7 +125,7 @@ class BaileyPair:
         return len(self.alpha) - 1
 
     @property
-    def order(self) -> Fraction:
+    def order(self) -> QExp:
         """The smallest truncation order over every alpha and beta."""
         return self._order
 
@@ -160,12 +160,12 @@ def _head(s: Series, length: int) -> Tuple[int, list]:
     return v, list(cs[v:])
 
 
-def _series(v: int, cs: list, order: Fraction) -> Series:
+def _series(v: int, cs: list, order: QExp) -> Series:
     """q^(v/2) * cs on the half grid; v + len(cs) must be its slot count."""
     return Series._unchecked([0] * v + cs, order, 2)
 
 
-def _even(v: int, cs, order: Fraction) -> Series:
+def _even(v: int, cs, order: QExp) -> Series:
     """q^v * cs, a series in q, on the even slots of the half grid (q^j is
     slot 2j); v + len(cs) must be its slot count on the integer grid."""
     even = [0] * _slots(order, 2)
@@ -210,8 +210,7 @@ def _table_rows(symbols: tuple, last: int, window: int) -> list:
     if rows is None or len(rows[0]) < window:
         cs = [1] + [0] * (window - 1)
         for sign, first, step, start in symbols:
-            for s in range(first, min(window, first + start * step), step):
-                _div_factor(cs, sign, s)
+            _div_factors(cs, PochSpec(sign, first, step), start)
         rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]
     for i in range(len(rows), last + 1):
         cs = list(rows[-1])
@@ -445,7 +444,8 @@ def closed_form_alpha(gp, n: int, order) -> Series:
 
 
 def limit_identity(gp, order) -> Tuple[Series, Series]:
-    """Both sides of the telescoped chain limit, on the half grid.
+    """The Main row's two sides on the half grid, as the chain's limit
+    states them; criterion 09 of the tests reads that limit off the chain.
 
     The left side is the parity-restricted sum
     :func:`qgordon.identities.eval_multisum_main` in t = q^(1/2): the

@@ -53,7 +53,6 @@ path counts it compares with the Main sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
 from types import MappingProxyType
@@ -62,7 +61,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 from .lattice_paths import _S_counts
 from .partitions import GordonParams, _as_params
 from .qseries import (
-    PochSpec, Series, _div_eta, _div_factor, _mul_eta, _mul_factor, _order, _theta_walk,
+    PochSpec, QExp, Series, _div_eta, _div_factor, _mul_eta, _mul_factor, _order, _theta_walk,
 )
 
 # imported for perfbench/tracing.py, which wraps these names on this module
@@ -154,12 +153,12 @@ def ladder_multisum(
         / prod_{i<k-1} (q^base; q^base)_{n_i}
 
     with n_i = N_i - N_{i+1} and n_{k-1} = N_{k-1}.  ``k``, ``order`` and
-    the k - 1 entries of ``lin`` and ``nlin`` must be ints, not bools,
-    and those of ``nlin`` nonnegative; ``base`` and ``inner`` must be
-    positive ints, not bools (anything else raises ValueError naming
-    the arguments).  The result is on the integer grid.  A sum with
-    half squares is the same sum in t = q^(1/2): the Bailey chain's limit
-    reads :func:`eval_multisum_main` that way.  For k = 1 the sum is
+    the k - 1 entries of ``lin`` and ``nlin`` must be ints, not bools, and
+    those of ``nlin`` nonnegative; ``base`` and ``inner`` must be positive
+    ints, not bools, and ``numer`` None or a PochSpec (anything else raises
+    ValueError naming the arguments).  The result is on the integer grid.  A
+    sum with half squares is the same sum in t = q^(1/2): the Bailey chain's
+    limit reads :func:`eval_multisum_main` that way.  For k = 1 the sum is
     empty and equals 1.
 
     The sum is built on x = q^base.  Write H_i[n] for the sum of levels
@@ -219,6 +218,8 @@ def ladder_multisum(
         raise ValueError(f"base and inner must be positive ints: {base!r}, {inner!r}")
     if any(v < 0 for v in nlin):
         raise ValueError(f"nlin entries must be >= 0, got {nlin!r}")
+    if numer is not None and not isinstance(numer, PochSpec):
+        raise ValueError(f"numer must be None or a PochSpec, got {numer!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1:
@@ -434,7 +435,7 @@ def eval_product_side(theorem: str, gp, order: int) -> Series:
     for s, r in p.thetas:
         for e, c in _theta_walk(r, p.m, order - s):
             cs[e + s:] = map(add if c == 1 else sub, cs[e + s:], eta)
-    return Series._unchecked(cs, Fraction(order), 1)
+    return Series._unchecked(cs, _order(order), 1)
 
 
 # ---------------------------------------------------------------- theorem table
@@ -527,7 +528,7 @@ class VerificationReport:
     lhs: Series
     rhs: Series
     equal: bool
-    first_discrepancy: Optional[Fraction]
+    first_discrepancy: Optional[QExp]
 
     def to_json_obj(self) -> dict:
         return {

@@ -9,12 +9,11 @@ chain's series in t = q^(1/2) are read).  All coefficients are Python
 ints, so every computation is exact at arbitrary size.
 
 Pochhammer symbols are described by :class:`PochSpec`, a triple of ints
-(sign, exponent, base) standing for (sign * q^exponent ; q^base).  A
-symbol with a rational exponent is written in t = q^(1/d) instead, and
-the series it builds is read back by ``rescale(Fraction(1, d))``.  The
-module-level helpers build finite and infinite products and reciprocals
-on the integer grid, and Jacobi triple products and theta sums on the
-grid their exponents need.
+(sign, exponent, base) standing for (sign * q^exponent ; q^base).  The
+module-level helpers build finite and infinite products, reciprocals,
+Jacobi triple products and theta sums, all from int exponents and on the
+integer grid.  A rational exponent is written in t = q^(1/d) instead,
+and the series built in t is read back by ``rescale(Fraction(1, d))``.
 
 The theta sum is written once: :func:`_theta_pair` gives its terms
 r = +-m, (-1)^m (q^(e3 m(m-1)/2 + e1 m) + q^(e3 m(m+1)/2 - e1 m)), and
@@ -537,10 +536,14 @@ def _div_eta(cs: list, b: int) -> list:
     return cs
 
 
-def _unit_times(kernel, spec: PochSpec, n: int | None, order: QExp) -> Series:
-    """1 multiplied or divided (``kernel``) by (spec)_n on the integer grid."""
+def _unit_times(kernel, specs: Sequence[PochSpec], n: int | None, order: QExp) -> Series:
+    """1 multiplied or divided (``kernel``) by (spec)_n for each spec in
+    ``specs``, on the integer grid."""
     order = _order(order)
-    return Series._unchecked(kernel([1] + [0] * (_slots(order, 1) - 1), spec, n), order, 1)
+    cs = [1] + [0] * (_slots(order, 1) - 1)
+    for spec in specs:
+        kernel(cs, spec, n)
+    return Series._unchecked(cs, order, 1)
 
 
 def poch_finite(spec: PochSpec, n: int, order: QExp) -> Series:
@@ -555,7 +558,7 @@ def poch_finite(spec: PochSpec, n: int, order: QExp) -> Series:
         The product of the first n factors, truncated.
     """
     _check_length(n)
-    return _unit_times(_mul_factors, spec, n, order)
+    return _unit_times(_mul_factors, (spec,), n, order)
 
 
 def poch_infinite(spec: PochSpec, order: QExp) -> Series:
@@ -566,7 +569,7 @@ def poch_infinite(spec: PochSpec, order: QExp) -> Series:
     never what a generating-function identity means.
     """
     _check_infinite(spec)
-    return _unit_times(_mul_factors, spec, None, order)
+    return _unit_times(_mul_factors, (spec,), None, order)
 
 
 def _check_length(n) -> None:
@@ -585,7 +588,7 @@ def invert_poch(spec: PochSpec, order: QExp, n: int | None = None) -> Series:
         _check_infinite(spec)
     else:
         _check_length(n)
-    return _unit_times(_div_factors, spec, n, order)
+    return _unit_times(_div_factors, (spec,), n, order)
 
 
 # ---------------------------------------------------------------- products
@@ -601,39 +604,34 @@ def rescale(f: Series, factor: QExp) -> Series:
     return f.rescale(factor)
 
 
-def triple_product(e1: QExp, e2: QExp, e3: QExp, order: QExp) -> Series:
+def triple_product(e1: int, e2: int, e3: int, order: QExp) -> Series:
     """(q^e1 ; q^e3)_inf (q^e2 ; q^e3)_inf (q^e3 ; q^e3)_inf for e1 + e2 = e3.
 
-    Requires 0 < e1 <= e3 and 0 < e2 <= e3.  This is the factor-by-factor
+    Requires ints (:class:`PochSpec` refuses anything else) with
+    0 < e1 <= e3 and 0 < e2 <= e3.  This is the factor-by-factor
     reference for Jacobi's triple product, which says it equals the
     alternating theta sum sum_{r in Z} (-1)^r q^{e3 r(r-1)/2 + e1 r}
     (:func:`theta_sum`); the product sides use the theta sum, and the
     tests hold them to this product.
     """
-    e1, e2, e3 = _frac(e1), _frac(e2), _frac(e3)
     if not (0 < e1 <= e3 and 0 < e2 <= e3):
         raise ValueError(f"need 0 < e1, e2 <= e3; got e1={e1}, e2={e2}, e3={e3}")
     if e1 + e2 != e3:
         raise ValueError(f"triple product requires e1 + e2 = e3; got {e1} + {e2} != {e3}")
-    order, denom = _frac(order, "order"), lcm(e1.denominator, e3.denominator)
-    cs = [1] + [0] * (_slots(order, denom) - 1)
-    for e in (e1, e2, e3):
-        _mul_factors(cs, PochSpec(1, int(e * denom), int(e3 * denom)), None)
-    return Series(cs, order, denom)
+    return _unit_times(_mul_factors, [PochSpec(1, e, e3) for e in (e1, e2, e3)], None, order)
 
 
-def _theta_pair(e1, e3, m: int) -> list:
+def _theta_pair(e1: int, e3: int, m: int) -> list:
     """The terms r = m and r = -m of the theta series
     sum_{r in Z} (-1)^r q^(e3 r(r-1)/2 + e1 r), as (exponent, sign)
-    pairs; just the 1 at m = 0.  The exponents may be ints (grid slots)
-    or Fractions."""
+    pairs of ints; just the 1 at m = 0."""
     if m == 0:
         return [(0, 1)]
     sign = -1 if m % 2 else 1
     return [(e3 * (m * (m - 1) // 2) + e1 * m, sign), (e3 * (m * (m + 1) // 2) - e1 * m, sign)]
 
 
-def _theta_walk(e1, e3, stop) -> Iterator[Tuple[QExp, int]]:
+def _theta_walk(e1: int, e3: int, stop) -> Iterator[Tuple[int, int]]:
     """The theta series' terms with exponent below ``stop``, walking the
     pairs r = +-m outward.  For 0 <= e1 <= e3 with e3 > 0 the exponent
     grows with |r| on each side, so the walk ends at the first m whose
@@ -647,14 +645,14 @@ def _theta_walk(e1, e3, stop) -> Iterator[Tuple[QExp, int]]:
         m += 1
 
 
-def theta_sum(e1: QExp, e3: QExp, order: QExp) -> Series:
+def theta_sum(e1: int, e3: int, order: QExp) -> Series:
     """sum_{r in Z} (-1)^r q^{e3 r(r-1)/2 + e1 r} truncated at ``order``.
 
-    Requires 0 <= e1 <= e3 so that every exponent is nonnegative and
-    :func:`_theta_walk` can sum the pairs r = +-m outward.
+    Requires ints 0 <= e1 <= e3, not bools, so that every exponent is a
+    nonnegative int and :func:`_theta_walk` can sum the pairs outward.
     """
-    e1, e3 = _frac(e1), _frac(e3)
+    if type(e1) is not int or type(e3) is not int:
+        raise ValueError(f"theta sum exponents must be ints, got {e1!r}, {e3!r}; write the sum in t = q^(1/d)")
     if e3 <= 0 or not 0 <= e1 <= e3:
         raise ValueError(f"theta sum needs 0 <= e1 <= e3 with e3 > 0; got e1={e1}, e3={e3}")
-    order = _frac(order, "order")
-    return Series.from_terms(_theta_walk(e1, e3, order), order, lcm(e1.denominator, e3.denominator))
+    return Series.from_terms(_theta_walk(e1, e3, order), order)

@@ -47,8 +47,7 @@ _ROWS_KEYED = """\
     if rows is None or len(rows[0]) < window:
         cs = [1] + [0] * (window - 1)
         for sign, first, step, start in symbols:
-            for s in range(first, min(window, first + start * step), step):
-                _div_factor(cs, sign, s)
+            _div_factors(cs, PochSpec(sign, first, step), start)
         rows = _QUOTIENT_ROWS[symbols] = [tuple(cs)]
 """
 
@@ -80,6 +79,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            if False:\n",
         ("tests/test_qseries.py",),
     ),
+    # theta_sum takes int exponents only: from_terms alone would take a bool or an integral Fraction
+    Mutant(
+        "theta-sum-exponent-unchecked", "qseries",
+        "    if type(e1) is not int or type(e3) is not int:\n",
+        "    if False:\n",
+        ("tests/test_qseries.py",),
+    ),
     # the one table of quotient rows
     Mutant(
         "row-key-without-start", "bailey",
@@ -87,6 +93,12 @@ MUTANTS: Tuple[Mutant, ...] = (
         _ROWS_KEYED.replace(".get(symbols)", ".get(tuple(x[:3] for x in symbols))")
         .replace("[symbols]", "[tuple(x[:3] for x in symbols)]"),
         ("tests/test_caches.py", "tests/test_bailey.py"),
+    ),
+    Mutant(
+        "row-zero-one-factor-short", "bailey",
+        "_div_factors(cs, PochSpec(sign, first, step), start)",
+        "_div_factors(cs, PochSpec(sign, first, step), start - 1)",
+        ("tests/test_bailey.py", "tests/test_caches.py"),
     ),
     Mutant(
         "longer-window-not-rebuilt", "bailey",
@@ -145,6 +157,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         "monomial-row-empty", "identities",
         "run[:1] if monomial else run[:]",
         "[] if monomial else run[:]",
+        ("tests/test_identities.py",),
+    ),
+    # ladder_multisum refuses a numerator that is not None or a PochSpec, before the k = 1 return
+    Mutant(
+        "ladder-numer-unchecked", "identities",
+        "    if numer is not None and not isinstance(numer, PochSpec):\n",
+        "    if False:\n",
         ("tests/test_identities.py",),
     ),
     Mutant(

@@ -4,12 +4,13 @@ Every comparison here is exact.  Series coefficients are Python ints,
 partition counts come from a dynamic program over the families'
 frequency conditions (checked against enumeration in
 ``test_partitions.py``), path counts come from exhaustive search, and
-the tolerance everywhere is zero.  Each test prints a single
+the tolerance everywhere is zero.  Each criterion prints a single
 
     [PASS] <number>. <what was checked>
 
 line (run with ``-s`` to see them all; a failing criterion also fails
-its test).  Orders are chosen so the whole file runs in a couple of
+its test; criterion 09's negative controls are a test of their
+own, which prints nothing).  Orders are chosen so the whole file runs in a couple of
 minutes on a laptop.
 """
 
@@ -21,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 from qgordon import (
+    BaileyPair,
     ConstructionData,
     GordonParams,
     IdentitySpec,
@@ -283,14 +285,57 @@ def test_criterion_08_bailey_chain_links():
     )
 
 
+NEG_T = PochSpec(-1, 1, 2)  # (-t; t^2) in t = q^(1/2)
+# criterion 09 reads the chain's limit below t^LIMIT_ORDER from pairs with n_max = LIMIT_NMAX
+LIMIT_ORDER, LIMIT_NMAX = 201, 14
+
+
+def _lemma_limit_sides(pair, order: int, with_poch: bool = True):
+    """Both sides of Bailey's lemma at n -> infinity for an S2 step taken
+    from ``pair``, as series in t = q^(1/2) on the integer grid below
+    t^order, each half-grid slot s read as t^s:
+
+    * the beta side, sum_n (-t; t^2)_n t^(n^2) beta_n;
+    * the alpha side, (-t; t^2)_inf / (t^2; t^2)_inf * sum_n t^(n^2) alpha_n.
+
+    A term with n > n_max starts at t^((n_max + 1)^2), so both sides are
+    known below t^order only when (n_max + 1)^2 >= order, which is
+    asserted.  ``with_poch=False`` drops (-t; t^2)_n, a negative control."""
+    reach = len(pair.beta) ** 2
+    assert reach >= order, f"terms past n_max start at t^{reach}, below t^{order}"
+    beta_side = alpha_side = Series.zero(order)
+    for n, (alpha, beta) in enumerate(zip(pair.alpha, pair.beta)):
+        term = rescale(beta, 2).shift(n * n)
+        beta_side += term * poch_finite(NEG_T, n, order) if with_poch else term
+        alpha_side += rescale(alpha, 2).shift(n * n)
+    prefactor = poch_infinite(NEG_T, order) * invert_poch(PochSpec(1, 2, 2), order)
+    return beta_side, prefactor * alpha_side
+
+
+def _chain_pair(gp, n_max: int, order: int, at: int = -2):
+    """Pair ``at`` of the chain for gp, by default the one before its
+    final S2, with every series known below t^order."""
+    return build_chain(gp, n_max, Fraction(order, 2))[at][1]
+
+
 def test_criterion_09_chain_limit_reproduces_identity():
-    """The chain reaches its limit, and q -> q^2 in the limit gives both
+    """The chain's own limit, by Bailey's lemma at n -> infinity, gives
+    the Main sum and product in t = q^(1/2); beta_20 reaches the limit's
+    sum side, and the half-grid limit rescaled by q -> q^2 gives both
     sides of the parity identity."""
     failures = []
+    for k, a in CHAIN_PAIRS:
+        gp = GordonParams(k, a)
+        sides = _lemma_limit_sides(_chain_pair(gp, LIMIT_NMAX, LIMIT_ORDER), LIMIT_ORDER)
+        mains = eval_multisum_main(gp, LIMIT_ORDER), eval_product_side("Main", gp, LIMIT_ORDER)
+        for name, side, main in zip(("beta side", "alpha side"), sides, mains):
+            if side.order < LIMIT_ORDER:
+                failures.append(f"(k={k}, a={a}) the {name} is known only below t^{side.order}")
+            elif side != main:
+                first = side.first_discrepancy(main)
+                failures.append(f"(k={k}, a={a}) the {name} differs from the Main row at t^{first}")
     # (-q^(1/2); q)_inf (q; q)_inf below q^20; the first is (-t; t^2)_inf in t = q^(1/2)
-    limit_factor = rescale(poch_infinite(PochSpec(-1, 1, 2), 40), Fraction(1, 2)) * poch_infinite(
-        PochSpec(1, 1, 1), 20
-    )
+    limit_factor = rescale(poch_infinite(NEG_T, 40), Fraction(1, 2)) * poch_infinite(PochSpec(1, 1, 1), 20)
     for k, a in CHAIN_PAIRS:
         gp = GordonParams(k, a)
         half_lhs, half_rhs = limit_identity(gp, 20)
@@ -312,13 +357,33 @@ def test_criterion_09_chain_limit_reproduces_identity():
             failures.append(f"(k={k}, a={a}) rescaled product side differs")
     _criterion(
         9,
-        "for the four chain pairs, beta_20 of the chain times "
-        "(-q^(1/2); q)_inf (q; q)_inf equals the limit's sum side below "
-        "q^20, and rescaling the limit identity by q -> q^2 reproduces both "
-        "sides of the parity-restricted identity below q^40",
+        "for the four chain pairs, Bailey's lemma at n -> infinity read off "
+        f"the pair before the final S2 (n_max = {LIMIT_NMAX}) gives the Main sum "
+        f"and product below t^{LIMIT_ORDER}, t = q^(1/2); beta_20 of the chain "
+        "times (-q^(1/2); q)_inf (q; q)_inf equals the limit's sum side below "
+        "q^20, and the limit identity rescaled by q -> q^2 gives both sides "
+        "of the parity-restricted identity below q^40",
         not failures,
         "; ".join(failures),
     )
+
+
+def test_criterion_09_chain_limit_is_not_vacuous():
+    """At (7, 2) below t^101 with n_max = 10: a flipped alpha_3 fails the
+    alpha side only, a dropped (-t; t^2)_n the beta side only, and the
+    pair one S2 earlier fails both."""
+    gp, order = GordonParams(7, 2), 101
+    main = eval_multisum_main(gp, order), eval_product_side("Main", gp, order)
+
+    def matches(pair, **kw):
+        return tuple(side == want for side, want in zip(_lemma_limit_sides(pair, order, **kw), main))
+
+    pair = _chain_pair(gp, 10, order)
+    flipped = BaileyPair(pair.alpha[:3] + (-pair.alpha[3],) + pair.alpha[4:], pair.beta)
+    assert matches(pair) == (True, True)
+    assert matches(flipped) == (True, False)
+    assert matches(pair, with_poch=False) == (False, True)
+    assert matches(_chain_pair(gp, 10, order, at=-3)) == (False, False)
 
 
 def test_criterion_10_property_suites():

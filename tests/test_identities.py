@@ -130,6 +130,16 @@ class TestLadder:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ladder_multisum(3, 9, lin=[0, 0], nlin=[0, 0], base=base, inner=inner)
 
+    @pytest.mark.parametrize("k, order", [(1, 9), (2, 1), (3, 9)])
+    @pytest.mark.parametrize("numer", ["x", (-1, 1, 2), True, 2])
+    def test_numer_must_be_a_pochspec(self, k, order, numer):
+        """numer is None or a PochSpec.  A tuple or a bool used to raise
+        AttributeError once a row n >= 1 existed, and a string passed
+        silently at k = 1 or order 1, where no row reads it."""
+        message = f"numer must be None or a PochSpec, got {numer!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ladder_multisum(k, order, lin=[0] * (k - 1), nlin=[0] * (k - 1), base=1, inner=2, numer=numer)
+
 
 def _direct_ladder(k, order, lin, nlin, base, inner, numer=None) -> Series:
     """The ladder sum term by term: every N_1 >= ... >= N_(k-1) >= 0 whose

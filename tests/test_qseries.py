@@ -383,20 +383,25 @@ class TestTripleProduct:
 
         For e1 > e3 / 2 the term r = -m is the smaller one of its pair:
         at (4, 1, 5) the r = -4 term sits at q^34, below order 35 while
-        r = 4 sits at q^46, and at (5/2, 1/2, 3) the r = -4 term sits at
-        q^20, below order 25 while r = 4 sits at q^28."""
+        r = 4 sits at q^46.  The last two cases are the exponents
+        (1/2, 5/2, 3) and (5/2, 1/2, 3) written in t = q^(1/2) and read
+        back with rescale: at (5, 1, 6) the r = -4 term sits at t^40 =
+        q^20, below order 50 in t while r = 4 sits at t^56."""
         cases = [
-            (1, 4, 5, 45),
-            (2, 3, 5, 45),
-            (1, 6, 7, 45),
-            (3, 4, 7, 45),
-            (2, 6, 8, 45),
-            (Fraction(1, 2), Fraction(5, 2), 3, 45),
-            (4, 1, 5, 35),
-            (Fraction(5, 2), Fraction(1, 2), 3, 25),
+            (1, 4, 5, 45, 1),
+            (2, 3, 5, 45, 1),
+            (1, 6, 7, 45, 1),
+            (3, 4, 7, 45, 1),
+            (2, 6, 8, 45, 1),
+            (1, 5, 6, 90, 2),
+            (4, 1, 5, 35, 1),
+            (5, 1, 6, 50, 2),
         ]
-        for e1, e2, e3, order in cases:
-            assert triple_product(e1, e2, e3, order) == theta_sum(e1, e3, order), (e1, e2, e3)
+        for e1, e2, e3, order, d in cases:
+            product = rescale(triple_product(e1, e2, e3, order), Fraction(1, d))
+            theta = rescale(theta_sum(e1, e3, order), Fraction(1, d))
+            assert product == theta, (e1, e2, e3)
+            assert (product.denom, product.order) == (theta.denom, theta.order) == (d, Fraction(order, d))
 
     def test_euler_as_triple_product(self):
         """(q,q^2,q^3;q^3)_inf regroups to (q;q)_inf."""
@@ -409,6 +414,16 @@ class TestTripleProduct:
             triple_product(0, 5, 5, 10)
         with pytest.raises(ValueError):
             triple_product(6, -1, 5, 10)
+
+    @pytest.mark.parametrize("e1, e2, e3", [
+        (Fraction(1, 2), Fraction(5, 2), 3), (Fraction(1), 2, 3), (1.0, 2, 3), (1, 2, 3.0), (True, 1, 2),
+        (1, True, 2),
+    ])
+    def test_exponents_must_be_ints(self, e1, e2, e3):
+        """A rational exponent is written in t = q^(1/d): PochSpec refuses
+        anything but an int, a bool and an integral Fraction included."""
+        with pytest.raises(ValueError, match="write the symbol in t = q\\^\\(1/d\\)"):
+            triple_product(e1, e2, e3, 10)
 
 
 class TestWireFormat:
@@ -787,6 +802,17 @@ class TestEdgeBranches:
     @pytest.mark.parametrize("e1, e3", [(3, 2), (-1, 2), (0, 0), (1, -1)])
     def test_theta_sum_arguments(self, e1, e3):
         with pytest.raises(ValueError, match="theta sum needs 0 <= e1 <= e3 with e3 > 0"):
+            theta_sum(e1, e3, 10)
+
+    @pytest.mark.parametrize("e1, e3", [
+        (True, 2), (1, True), (Fraction(1), 2), (1, Fraction(2)), (Fraction(1, 2), 3), (1.0, 2), (1, 2.0),
+    ])
+    def test_theta_sum_exponents_must_be_ints(self, e1, e3):
+        """A bool or an integral Fraction would give the same terms as
+        the int, and from_terms alone would take them; the int check
+        refuses them, naming the t spelling."""
+        message = f"theta sum exponents must be ints, got {e1!r}, {e3!r}; write the sum in t = q^(1/d)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             theta_sum(e1, e3, 10)
 
 
