@@ -21,7 +21,7 @@ every alpha and beta into its even and its odd slots, and
 :func:`apply_D1`, whose betas fill the even slots only, computes them in
 q and lays them onto the even slots.  The half-weight step mixes the
 classes through (-q^(1/2); q) and stays in t.  Every step lays out its
-series through :func:`_half_grid`, :func:`_series` or :func:`_even`.
+betas through :func:`_series` or :func:`_even`.
 
 Every step divides by (x^2; x^2) in its own variable, x = t for S1 and
 S2 and x = q for D1, keeping one running quotient per term
@@ -44,7 +44,13 @@ series (:func:`qgordon.qseries._theta_pair`):
 with (e1, e3) = (0, 1) for the unit pair, (1, 2A) before and (0, 2A)
 after the swap with coefficient A, and (a/2, k+1) at the endpoint,
 whose sum over m is the limit's theta series.  The code passes e1 and
-e3 in t, that is doubled.
+e3 in t, that is doubled.  So a pair holds each alpha as its terms, its
+nonzero (slot, c) pairs below the pair's slot count, and the steps map
+the terms: S1 and S2 add w r^2 to each slot of alpha_r and drop the
+slots that reach the order, D1 doubles each slot, and the swap compares
+the terms with its template and puts in the next template's.  The check
+reads them as they are.  Only reading ``BaileyPair.alpha`` builds
+Series from them (:func:`_half_grid`).
 """
 
 from __future__ import annotations
@@ -88,6 +94,12 @@ class BaileyPair:
 
     Only the unit base is supported: the defining relation above has
     (q; q) factors on both wings.
+
+    Each alpha is held as its terms: the (slot, c) pairs of its nonzero
+    half-grid slots below the pair's slot count, by ascending slot, which
+    is all that the steps and the check read.  A pair the chain built
+    holds no other alpha: ``alpha`` builds its Series from the terms, at
+    the pair's order, on first read.
     """
 
     alpha: Tuple[Series, ...]
@@ -108,21 +120,34 @@ class BaileyPair:
             )
         # read on every step and check; not a field, so equality ignores it
         object.__setattr__(self, "_order", min(s.order for s in alpha + beta))
+        length = _slots(self._order, 2)  # slots past the pair's order are outside every check
+        terms = tuple(tuple((i, s.coeffs[i]) for i in compress(range(length), s.coeffs)) for s in alpha)
+        object.__setattr__(self, "_terms", terms)
 
     @classmethod
     def _unchecked(cls, alpha: tuple, beta: tuple) -> "BaileyPair":
         """A pair built unvalidated, for the unit pair and the chain steps:
-        the caller guarantees two equally long nonempty tuples of half-grid Series
-        that all share one order object."""
+        the caller guarantees equally long nonempty tuples of alpha's
+        terms, below the slot count, and of half-grid betas that all share
+        one order object."""
         bp = object.__new__(cls)
-        object.__setattr__(bp, "alpha", alpha)
+        object.__setattr__(bp, "_terms", alpha)
         object.__setattr__(bp, "beta", beta)
-        object.__setattr__(bp, "_order", alpha[0].order)
+        object.__setattr__(bp, "_order", beta[0].order)
         return bp
+
+    def __getattr__(self, name):
+        """Called only for a name the pair does not hold: ``alpha``, on
+        its first read from a pair the chain built."""
+        if name != "alpha":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        alpha = tuple(_half_grid(t, self._order) for t in self._terms)
+        object.__setattr__(self, "alpha", alpha)
+        return alpha
 
     @property
     def n_max(self) -> int:
-        return len(self.alpha) - 1
+        return len(self._terms) - 1
 
     @property
     def order(self) -> QExp:
@@ -147,16 +172,24 @@ def unit_pair(n_max: int, order) -> BaileyPair:
     if type(n_max) is not int or n_max < 0:  # a bool is not an int here
         raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
     order = _order(order)
-    alpha = tuple(_half_grid(_theta_pair(0, 2, n), order) for n in range(n_max + 1))
+    length = _slots(order, 2)
+    alpha = tuple(_template(0, 2, n, length) for n in range(n_max + 1))
     beta = (_half_grid([(0, 1)], order),) + (_half_grid((), order),) * n_max
     return BaileyPair._unchecked(alpha, beta)
+
+
+def _template(e1: int, e3: int, m: int, length: int) -> tuple:
+    """alpha_m of the theta template with e1 and e3 in t (:func:`_theta_pair`),
+    as its terms below slot ``length``; its two slots ascend and differ,
+    because every template here has 0 <= 2 e1 < e3."""
+    return tuple(t for t in _theta_pair(e1, e3, m) if t[0] < length)
 
 
 def _head(s: Series, length: int) -> Tuple[int, list]:
     """(v, cs) with s = q^(v/2) * cs on the half grid, v the first
     nonzero slot and cs known below slot ``length``."""
     cs = s.coeffs[:length]
-    v = next((i for i, c in enumerate(cs) if c), len(cs))
+    v = next(compress(count(), cs), len(cs))
     return v, list(cs[v:])
 
 
@@ -289,10 +322,9 @@ def check_pair(bp: BaileyPair) -> bool:
     length = _slots(bp.order, 2)
     window = (length + 1) // 2  # the even class's slots
     terms = ([], [])  # per class: (r, e, c) for each nonzero slot c q^e of alpha_r
-    for r, s in enumerate(bp.alpha):
-        cs = s.coeffs
-        for slot in compress(range(length), cs):
-            terms[slot % 2].append((r, slot // 2, cs[slot]))
+    for r, t in enumerate(bp._terms):
+        for slot, c in t:
+            terms[slot % 2].append((r, slot // 2, c))
     # row n - r of the key (q; q) from 0, (q; q) from 2r is G_{n-r,n+r}; a longer held
     # window is read by prefixes
     rs = {r for t in terms for r, _, _ in t}
@@ -326,9 +358,9 @@ def _insert(bp: BaileyPair, w: int, row_spec) -> BaileyPair:
     order = bp.order
     length = _slots(order, 2)
     alpha = []
-    for r, s in enumerate(bp.alpha):
-        pad = min(w * r * r, length)
-        alpha.append(_series(pad, list(s.coeffs[:length - pad]), order))
+    for r, t in enumerate(bp._terms):
+        pad = w * r * r
+        alpha.append(tuple((s + pad, c) for s, c in t if s + pad < length))
     heads = (_head(s, max(length - w * r * r, 0)) for r, s in enumerate(bp.beta))
     terms = [(v + w * r * r, cs) for r, (v, cs) in enumerate(heads)]
     sums = _quotient_sums(terms, length, row_spec=row_spec)
@@ -364,7 +396,8 @@ def apply_D1(bp: BaileyPair) -> BaileyPair:
     """
     order = 2 * bp.order
     length = _slots(order, 1)
-    alpha = tuple(_even(0, s.coeffs[:length], order) for s in bp.alpha)  # q^(j/2) becomes q^j
+    # q^(s/2) becomes q^s, below the new order since s is below the old one
+    alpha = tuple(tuple((2 * s, c) for s, c in t) for t in bp._terms)
     heads = (_head(s, length) for s in bp.beta)
     terms = [(v, _mul_factors(cs, _NEG_Q, 2 * r)) for r, (v, cs) in enumerate(heads)]
     sums = _quotient_sums(terms, length, 1)
@@ -386,15 +419,13 @@ def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
         raise ValueError(f"template coefficient a_coef must be an int >= 2, got {a_coef!r}")
     order = bp.order
     length = _slots(order, 2)
-    for m, s in enumerate(bp.alpha):
-        template = _half_grid(_theta_pair(2, 4 * a_coef, m), order)
-        # every series is on the half grid and known at least to the
-        # pair's order, so its first slots are those Series.__eq__ compares
-        if s.coeffs[:length] != template.coeffs:
+    for m, t in enumerate(bp._terms):
+        # both are the nonzero slots below the pair's order, by ascending slot
+        if t != _template(2, 4 * a_coef, m, length):
             raise ValueError(
                 f"alpha_{m} does not match the swap template with A = {a_coef}"
             )
-    alpha = tuple(_half_grid(_theta_pair(0, 4 * a_coef, m), order) for m in range(bp.n_max + 1))
+    alpha = tuple(_template(0, 4 * a_coef, m, length) for m in range(bp.n_max + 1))
     beta = []
     for n, s in enumerate(bp.beta):  # q^n is 2n slots
         pad = min(2 * n, length)

@@ -75,6 +75,8 @@ def _frac(x: QExp, what: str = "exponent") -> Fraction:
 
 def _order(order: QExp) -> Fraction:
     """A truncation order as a Fraction; it must be positive."""
+    if type(order) is int and order > 0:  # the common case, without _frac's checks
+        return Fraction(order)
     order = _frac(order, "order")
     if order <= 0:
         raise ValueError(f"truncation order must be positive, got {order}")

@@ -126,6 +126,31 @@ MUTANTS: Tuple[Mutant, ...] = (
         "map(add, rest[e:], map(times, repeat(c), row))",
         ("tests/test_bailey.py",),
     ),
+    # alpha held as its terms: the steps map them, and the check reads both classes of slots
+    Mutant(
+        "alpha-shift-linear", "bailey",
+        "        pad = w * r * r\n",
+        "        pad = w * r\n",
+        ("tests/test_bailey.py",),
+    ),
+    Mutant(
+        "d1-alpha-slots-kept", "bailey",
+        "tuple((2 * s, c) for s, c in t)",
+        "tuple((s, c) for s, c in t)",
+        ("tests/test_bailey.py",),
+    ),
+    Mutant(
+        "check-pair-odd-alpha-dropped", "bailey",
+        "            terms[slot % 2].append((r, slot // 2, c))\n",
+        "            if slot % 2 == 0:\n                terms[0].append((r, slot // 2, c))\n",
+        ("tests/test_bailey.py",),
+    ),
+    Mutant(
+        "p41-template-one-term", "bailey",
+        "        if t != _template(2, 4 * a_coef, m, length):\n",
+        "        if t[:1] != _template(2, 4 * a_coef, m, length)[:1]:\n",
+        ("tests/test_bailey.py",),
+    ),
     # the Bailey steps' half-grid layouts
     Mutant(
         "even-slots-written-odd", "bailey",

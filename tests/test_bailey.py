@@ -531,6 +531,48 @@ class TestStepPairs:
                 apply_P41(BaileyPair(alpha, pair.beta), 2)
 
 
+class TestAlphaTerms:
+    """A pair holds each alpha as its terms, the nonzero (slot, c) pairs
+    below its slot count; ``alpha`` builds them as Series on first read."""
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_chain_holds_no_dense_alpha(self, k):
+        """No link of an opposite-parity chain, nor an S1 pair, holds a
+        dense alpha after the steps and the check have read it; the
+        series built on first read, once, are those the public
+        constructor holds for them, and its terms are the link's."""
+        chains = [build_chain((k, a), 12, 60) for a in range(1, k + 1) if (k - a) % 2]
+        chains.append([("S1", apply_S1(unit_pair(12, 30)))])
+        for chain in chains:
+            for label, bp in chain:
+                assert check_pair(bp), label
+            for label, bp in chain:
+                assert "alpha" not in vars(bp), label
+                again = BaileyPair(bp.alpha, bp.beta)
+                assert "alpha" in vars(bp) and bp.alpha is bp.alpha, label
+                assert again._terms == bp._terms, label
+                assert _slots_of(again) == _slots_of(bp), label
+
+    def test_alpha_past_the_order_is_ignored(self):
+        """Nonzero alpha slots past the pair's order stay in the series
+        ``alpha`` returns but not in the terms, so the check and the
+        steps read the pair as they read it without them; a change below
+        the order still fails the check."""
+        for label, bp in build_chain((5, 2), 6, 40):
+            longer = tuple(Series(s.coeffs + (1, -2, 3), bp.order + Fraction(3, 2), 2) for s in bp.alpha)
+            pair = BaileyPair(longer, bp.beta)
+            assert pair.order == bp.order and pair.alpha == longer, label
+            assert pair._terms == bp._terms, label
+            assert check_pair(pair), label
+            for step in (apply_S1, apply_S2, apply_D1):
+                assert _slots_of(step(pair)) == _slots_of(step(bp)), (label, step.__name__)
+            r = pair.n_max // 2
+            cs = list(longer[r].coeffs)
+            cs[int(2 * bp.order) - 1] += 1  # the last slot below the order
+            broken = longer[:r] + (Series(cs, longer[r].order, 2),) + longer[r + 1:]
+            assert not check_pair(BaileyPair(broken, bp.beta)), label
+
+
 class TestLimit:
     def test_limit_holds_on_half_grid(self):
         for gp in ((2, 1), (3, 2)):

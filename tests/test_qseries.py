@@ -23,6 +23,7 @@ from qgordon.qseries import (
     _mul_eta,
     _mul_factor,
     _mul_factors,
+    _order,
     _slots,
     invert_poch,
     poch_finite,
@@ -64,6 +65,24 @@ class TestConstruction:
         """A bool is not read as the order 1."""
         with pytest.raises(TypeError, match="^expected an int or Fraction order, got bool$"):
             call()
+
+    @pytest.mark.parametrize("order, error, message", [
+        (True, TypeError, "expected an int or Fraction order, got bool"),
+        (0, ValueError, "truncation order must be positive, got 0"),
+        (-3, ValueError, "truncation order must be positive, got -3"),
+        (1.5, TypeError, "expected an int or Fraction order, got float"),
+        (Fraction(0), ValueError, "truncation order must be positive, got 0"),
+    ])
+    def test_order_refusals(self, order, error, message):
+        """An int order takes a shorter path; it refuses what the checked
+        path refuses, with the same exception and message."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            _order(order)
+
+    @pytest.mark.parametrize("order", [1, 200, 2**70, Fraction(3, 2), Fraction(4)])
+    def test_order_is_a_fraction(self, order):
+        got = _order(order)
+        assert type(got) is Fraction and got == order
 
     def test_bool_exponent_is_refused(self):
         """A bool is not read as slot 1."""
