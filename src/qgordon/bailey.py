@@ -25,7 +25,9 @@ betas through :func:`_series` or :func:`_even`.
 
 Every step divides by (x^2; x^2) in its own variable, x = t for S1 and
 S2 and x = q for D1, keeping one running quotient per term
-(:func:`_quotient_sums`).  Two kinds of quotient do not depend on the
+(:func:`_quotient_sums`): each row of a step is read on its own, so one
+division of the whole sum at the end, as the ladder sums do, would not
+serve them.  Two kinds of quotient do not depend on the
 pair: the check's 1 / ((q; q)_{n-r} (q; q)_{n+r}), and term 0 of each
 step's sums, because every pair a chain builds has beta_0 = alpha_0 = 1.
 Both are read from the one table of quotient rows (:func:`_table_rows`),
@@ -61,7 +63,7 @@ from operator import add, mul as times, sub  # ``mul`` is qseries.mul, imported 
 from typing import Tuple
 
 from . import identities
-from .partitions import _as_params
+from .partitions import _as_params, _check_n_max
 from .qseries import PochSpec, QExp, Series, _div_factor, _div_factors, _mul_factors, _order, _slots
 from .qseries import _theta_pair
 
@@ -169,8 +171,7 @@ def _half_grid(terms, order) -> Series:
 def unit_pair(n_max: int, order) -> BaileyPair:
     """The pair every chain starts from: beta_n = [n == 0] and
     alpha_n = (-1)^n (q^((n^2-n)/2) + q^((n^2+n)/2))."""
-    if type(n_max) is not int or n_max < 0:  # a bool is not an int here
-        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
+    _check_n_max(n_max)
     order = _order(order)
     length = _slots(order, 2)
     alpha = tuple(_template(0, 2, n, length) for n in range(n_max + 1))
@@ -183,6 +184,19 @@ def _template(e1: int, e3: int, m: int, length: int) -> tuple:
     as its terms below slot ``length``; its two slots ascend and differ,
     because every template here has 0 <= 2 e1 < e3."""
     return tuple(t for t in _theta_pair(e1, e3, m) if t[0] < length)
+
+
+def _mismatch(bp: BaileyPair, e1: int, e3: int) -> int | None:
+    """The first m whose alpha_m differs from the theta template with e1
+    and e3 in t below the pair's slot count, or None if every one matches."""
+    length = _slots(bp.order, 2)
+    # both are the nonzero slots below the pair's order, by ascending slot
+    return next((m for m, t in enumerate(bp._terms) if t != _template(e1, e3, m, length)), None)
+
+
+def _alpha(bp: BaileyPair, n: int) -> Series:
+    """alpha_n as ``bp.alpha[n]`` reads it, built from its terms alone."""
+    return _half_grid(bp._terms[n], bp.order)
 
 
 def _head(s: Series, length: int) -> Tuple[int, list]:
@@ -233,8 +247,10 @@ _QUOTIENT_ROWS: dict = {}
 def _table_rows(symbols: tuple, last: int, window: int) -> list:
     """Rows 0..last (at least) of the one table of quotient rows, where
     row i is 1 / prod (sign q^exponent; q^base)_(start + i) over the
-    (sign, exponent, base, start) int tuples of ``symbols``, the key.  A
-    key's rows are int tuples known below the longest window asked of it:
+    (sign, exponent, base, start) int tuples of ``symbols``, the key: int
+    tuples, because a tuple of PochSpecs hashes in Python code (0.66
+    against 0.11 us per hash of a two-symbol key, Python 3.11).  A key's
+    rows are int tuples known below the longest window asked of it:
     a shorter window reads prefixes, a larger ``last`` extends the rows by
     one pass per symbol, and a longer window rebuilds that key alone.  A
     row is never mutated, so a caller may keep reading one while another
@@ -417,14 +433,11 @@ def apply_P41(bp: BaileyPair, a_coef: int) -> BaileyPair:
     """
     if type(a_coef) is not int or a_coef < 2:
         raise ValueError(f"template coefficient a_coef must be an int >= 2, got {a_coef!r}")
+    m = _mismatch(bp, 2, 4 * a_coef)
+    if m is not None:
+        raise ValueError(f"alpha_{m} does not match the swap template with A = {a_coef}")
     order = bp.order
     length = _slots(order, 2)
-    for m, t in enumerate(bp._terms):
-        # both are the nonzero slots below the pair's order, by ascending slot
-        if t != _template(2, 4 * a_coef, m, length):
-            raise ValueError(
-                f"alpha_{m} does not match the swap template with A = {a_coef}"
-            )
     alpha = tuple(_template(0, 4 * a_coef, m, length) for m in range(bp.n_max + 1))
     beta = []
     for n, s in enumerate(bp.beta):  # q^n is 2n slots

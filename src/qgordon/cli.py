@@ -20,11 +20,10 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from .bailey import _half_grid, _template, build_chain, check_pair
+from .bailey import _alpha, _mismatch, build_chain, check_pair
 from .identities import THEOREMS, IdentitySpec, VerificationReport, _tag_for, verify
 from .lattice_paths import count_S, enumerate_S_paths, path_to_compact, path_to_json_obj, path_to_svg
 from .partitions import GordonParams, count_A, count_B, count_W, count_Wbar
-from .qseries import _slots
 
 __all__ = ["run", "sweep", "main"]
 
@@ -111,16 +110,12 @@ def _cmd_bailey_chain(args) -> int:
     for (label, bp), ok in zip(chain, oks):
         steps.append({"label": label, "relation_ok": ok})
         lines.append(f"{label:<12} relation {'ok' if ok else 'BROKEN'}")
-        if args.trace:  # alpha_n built from its terms alone, as bp.alpha[n] would read it
+        if args.trace:  # no dense alpha beyond the ones printed
             for n in range(min(bp.n_max, 2) + 1):
-                lines.append(f"  alpha_{n} = {_half_grid(bp._terms[n], bp.order)}")
+                lines.append(f"  alpha_{n} = {_alpha(bp, n)}")
                 lines.append(f"  beta_{n}  = {bp.beta[n]}")
-    # the endpoint's terms against closed_form_alpha's, below the final pair's slot count
-    final = chain[-1][1]
-    length = _slots(final.order, 2)
-    closed_ok = all(
-        final._terms[n] == _template(gp.a, 2 * gp.k + 2, n, length) for n in range(args.nmax + 1)
-    )
+    # the endpoint's alpha against closed_form_alpha's template
+    closed_ok = _mismatch(chain[-1][1], gp.a, 2 * gp.k + 2) is None
     lines.append(
         f"endpoint alpha matches closed form for n <= {args.nmax}: "
         f"{'yes' if closed_ok else 'NO'}"

@@ -9,7 +9,9 @@ innermost index.  :func:`ladder_multisum` evaluates that shape once:
 each level is a triangle of q-Pascal cells (one shifted addition of
 two int lists each, cut to the window the outer levels leave below
 the order), and for every k only the final sum over N_1 divides, by
-Horner; at k = 2 the innermost level is level 1 and has no cells.
+Horner, because a division is an ascending Python loop where a
+multiplication is a shifted ``map`` in C; at k = 2 the innermost level
+is level 1 and has no cells.
 Every row and cell is an int list that starts at its least exponent,
 so neither the additions nor the divisions pass over leading zeros.  A
 row may end before its window, and the slots past its end are zeros:

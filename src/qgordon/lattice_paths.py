@@ -39,9 +39,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Sequence, Tuple
 
-from .partitions import GordonParams, _as_params
+from .partitions import GordonParams, _as_params, _check_n_max
 
 __all__ = [
     "LatticePath",
@@ -251,11 +253,6 @@ def is_S_admissible(path: LatticePath, gp) -> bool:
 _SPATH_CACHE: dict = {}
 
 
-def _check_bound(n_max) -> None:
-    if type(n_max) is not int or n_max < 0:
-        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
-
-
 def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     """All S(k, a) paths with major index <= n_max, by exhaustive search.
 
@@ -267,7 +264,7 @@ def enumerate_S_paths(n_max: int, gp) -> Tuple[LatticePath, ...]:
     only builds the paths.
     """
     gp = _as_params(gp)
-    _check_bound(n_max)
+    _check_n_max(n_max)
     k, a = gp.k, gp.a
     words, counts = _SPATH_CACHE.get((k, a), ((), []))
     if len(counts) <= n_max:
@@ -318,7 +315,7 @@ def _S_table(n: int, gp) -> list[int]:
     """The path counts by major index of a search of S(k, a) to at
     least n."""
     gp = _as_params(gp)
-    _check_bound(n)
+    _check_n_max(n)
     if len(_SPATH_CACHE.get((gp.k, gp.a), ((), []))[1]) <= n:
         # through the public name, so perfbench's tracer sees the search
         enumerate_S_paths(n, gp)
@@ -370,6 +367,15 @@ def _step_right(steps: list[str], x: int) -> int:
     return x + 1
 
 
+def _apex(path: LatticePath, peak_index: int) -> int:
+    """The abscissa of the peak_index-th peak's apex; ValueError unless
+    ``peak_index`` is an int naming one of the path's peaks."""
+    xs = _apexes(path.steps)
+    if type(peak_index) is not int or not 0 <= peak_index < len(xs):
+        raise ValueError(f"no peak with index {peak_index}; path has {len(xs)} peaks")
+    return xs[peak_index]
+
+
 def right_move(path: LatticePath, peak_index: int) -> Tuple[LatticePath, int]:
     """Apply one elementary right move to the peak_index-th peak.
 
@@ -382,11 +388,8 @@ def right_move(path: LatticePath, peak_index: int) -> Tuple[LatticePath, int]:
         When the addressed peak sits at a weight gap of exactly 2 from
         its right neighbour the move chains to that neighbour.
     """
-    xs = _apexes(path.steps)
-    if type(peak_index) is not int or not 0 <= peak_index < len(xs):
-        raise ValueError(f"no peak with index {peak_index}; path has {len(xs)} peaks")
     steps = list(path.steps)
-    new_x = _step_right(steps, xs[peak_index])
+    new_x = _step_right(steps, _apex(path, peak_index))
     new_path = LatticePath(path.start, "".join(steps))
     return new_path, _apexes(new_path.steps).index(new_x)
 
@@ -398,10 +401,7 @@ def volcanic_uplift(path: LatticePath, peak_index: int) -> LatticePath:
     2, so the major index grows by 2r - 1 when the peak is r-th from
     the right.
     """
-    xs = _apexes(path.steps)
-    if type(peak_index) is not int or not 0 <= peak_index < len(xs):
-        raise ValueError(f"no peak with index {peak_index}; path has {len(xs)} peaks")
-    x = xs[peak_index]
+    x = _apex(path, peak_index)
     return LatticePath(path.start, path.steps[:x] + "NS" + path.steps[x:])
 
 
@@ -416,6 +416,30 @@ def _ints(values, what: str) -> tuple:
         if type(v) is not int:
             raise ValueError(f"{what} entries must be ints, got {vals!r}")
     return vals
+
+
+def _construction_params(gp) -> GordonParams:
+    """``gp`` as a GordonParams; ValueError unless k and a have opposite
+    parity, the construction's one regime."""
+    gp = _as_params(gp)
+    if (gp.k - gp.a) % 2 == 0:
+        raise ValueError(f"construction needs k and a of opposite parity, got {gp}")
+    return gp
+
+
+def _check_budgets(rows: tuple, n: tuple) -> None:
+    """ValueError unless, for each stage j, the int tuple ``rows[j - 1]``
+    holds n_j budgets that are nonnegative evens and do not increase.
+    The stages are checked in order, each by its length, then its signs
+    and parity, then its order."""
+    for j, row in enumerate(rows, 1):
+        if len(row) != n[j - 1]:
+            raise ValueError(f"stage {j} has {n[j - 1]} tokens but {len(row)} budgets")
+        # an OR of ints is negative iff one of them is, and odd iff one is
+        if row and ((bits := reduce(or_, row)) < 0 or bits & 1):
+            raise ValueError(f"stage {j} budgets must be nonnegative evens, got {row}")
+        if len(row) > 1 and row != tuple(sorted(row, reverse=True)):
+            raise ValueError(f"stage {j} budgets must be nonincreasing, got {row}")
 
 
 @dataclass(frozen=True)
@@ -442,10 +466,8 @@ class ConstructionData:
     right_moves: Tuple[Tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        gp = _as_params(self.gp)
+        gp = _construction_params(self.gp)
         object.__setattr__(self, "gp", gp)
-        if (gp.k - gp.a) % 2 == 0:
-            raise ValueError(f"construction needs k and a of opposite parity, got {gp}")
         n = _ints(self.n, "n")
         object.__setattr__(self, "n", n)
         if len(n) != gp.k - 1:
@@ -467,14 +489,7 @@ class ConstructionData:
         object.__setattr__(self, "right_moves", rm)
         if len(rm) != gp.k - 2:
             raise ValueError(f"right_moves needs one row per stage 1..{gp.k - 2}, got {len(rm)}")
-        for j, row in enumerate(rm, 1):
-            if len(row) != n[j - 1]:
-                raise ValueError(f"stage {j} has {n[j - 1]} tokens but {len(row)} budgets")
-            for v in row:
-                if v < 0 or v % 2:
-                    raise ValueError(f"stage {j} budgets must be nonnegative evens, got {row}")
-            if row != tuple(sorted(row, reverse=True)):
-                raise ValueError(f"stage {j} budgets must be nonincreasing, got {row}")
+        _check_budgets(rm, n)
 
     @classmethod
     def _unchecked(cls, gp, n, east_partition, uplift_set, right_moves) -> "ConstructionData":
@@ -484,7 +499,8 @@ class ConstructionData:
         of opposite parity, tuples of ints, a tuple of them per stage, a
         frozenset) and meeting every condition it checks; the reverse
         map's scan fixes all but the budgets' sign and order, as its
-        docstring shows, and it checks those two."""
+        docstring shows, and it runs the constructor's budget check
+        (:func:`_check_budgets`) for those two."""
         data = object.__new__(cls)
         object.__setattr__(data, "gp", gp)
         object.__setattr__(data, "n", n)
@@ -662,11 +678,10 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
     * admissibility makes x_i - r_i even, so every budget is even.
 
     Left open is each stage's budgets being nonnegative and not
-    increasing, checked with the constructor's messages in its order.
+    increasing: the map runs the constructor's own budget check
+    (:func:`_check_budgets`), whose parity test the scan makes moot.
     """
-    gp = _as_params(gp)
-    if (gp.k - gp.a) % 2 == 0:
-        raise ValueError(f"construction needs k and a of opposite parity, got {gp}")
+    gp = _construction_params(gp)
     scan = _S_scan(path, gp)
     if scan is None:
         raise ValueError(f"path is not in the construction's image: not S({gp.k},{gp.a})-admissible")
@@ -692,16 +707,10 @@ def reverse_deconstruct(path: LatticePath, gp) -> ConstructionData:
             east.append(es[i] // 4)
             if r == k:
                 uplift.append(len(east))
-    # the one condition the scan leaves open, with ConstructionData's
-    # messages in its order
-    for j, row in enumerate(rows, 1):
-        if row and min(row) < 0:
-            raise ValueError(f"stage {j} budgets must be nonnegative evens, got {tuple(row)}")
-        if row != sorted(row, reverse=True):
-            raise ValueError(f"stage {j} budgets must be nonincreasing, got {tuple(row)}")
-    data = ConstructionData._unchecked(
-        gp, (*map(len, rows), len(east)), tuple(east), frozenset(uplift), tuple(map(tuple, rows))
-    )
+    budgets = tuple(map(tuple, rows))
+    n = (*map(len, rows), len(east))
+    _check_budgets(budgets, n)  # the one condition the scan leaves open
+    data = ConstructionData._unchecked(gp, n, tuple(east), frozenset(uplift), budgets)
     # a valid path equal to the rebuilt one makes the rebuilt walk valid
     if _build(data) != (path.start, path.steps):
         raise ValueError("path is not in the construction's image: the recovered data does not rebuild the path")

@@ -83,6 +83,13 @@ def _check_n(n) -> None:
         raise ValueError(f"cannot partition {n!r}")
 
 
+def _check_n_max(n_max) -> None:
+    """ValueError unless ``n_max``, the S-path search's bound or a Bailey
+    pair's last index, is an int >= 0."""
+    if type(n_max) is not int or n_max < 0:  # a bool is not an int here
+        raise ValueError(f"n_max must be an int >= 0, got {n_max!r}")
+
+
 def partitions_of(n: int) -> Tuple[FreqPairs, ...]:
     """All partitions of n, each as ((part, multiplicity), ...) descending.
 
@@ -90,7 +97,8 @@ def partitions_of(n: int) -> Tuple[FreqPairs, ...]:
         n: the number being partitioned, n >= 0.
 
     Returns:
-        A tuple over all p(n) partitions.
+        A tuple over all p(n) partitions, listed anew on each call: no
+        cache holds them.
     """
     _check_n(n)
     out: list[FreqPairs] = []

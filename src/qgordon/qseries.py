@@ -128,7 +128,12 @@ class Series:
     @classmethod
     def _unchecked(cls, coeffs: Sequence[int], order: Fraction, denom: int) -> "Series":
         """A series built unvalidated: the caller guarantees ints only,
-        exactly ``_slots(order, denom)`` of them, and a Fraction order."""
+        exactly ``_slots(order, denom)`` of them, and a Fraction order.
+        Its callers wrap lists that the package's own int arithmetic
+        made, where a second check costs time alone (under cProfile, a
+        quarter of a chain replay's).  Every series holds one coefficient
+        per slot, so :meth:`_window` reads both operands slot for slot
+        with no length guard."""
         s = object.__new__(cls)
         object.__setattr__(s, "coeffs", tuple(coeffs))
         object.__setattr__(s, "order", order)
@@ -137,6 +142,11 @@ class Series:
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checking constructor: a pickled
+        # document is outside input, and the slots refuse __setattr__
+        return Series, (self.coeffs, self.order, self.denom)
 
     # ------------------------------------------------------------ builders
 

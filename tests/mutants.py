@@ -5,8 +5,9 @@ the tests it names must then fail.
     python tests/mutants.py --list          # name each mutant and its tests
     python tests/mutants.py --only NAME     # run one (repeat for more)
 
-For each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied
-into a temporary directory, the mutant's old text in its module is
+For each mutant, ``src/``, ``tests/``, ``pyproject.toml`` and
+``README.md`` (whose examples the CLI tests replay) are copied into a
+temporary directory, the mutant's old text in its module is
 replaced by its new text, and ``pytest -x -q`` runs the mutant's tests
 there.  Only pytest's exit code 1 (a test failed) kills a mutant: a
 mutant whose tests pass survived, and one whose copy cannot be
@@ -79,6 +80,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            if False:\n",
         ("tests/test_qseries.py",),
     ),
+    # copy and pickle go through the checking constructor
+    Mutant(
+        "series-reduce-dropped", "qseries",
+        "    def __reduce__(self):\n",
+        "    def _reduce(self):\n",
+        ("tests/test_qseries.py",),
+    ),
     # theta_sum takes int exponents only: from_terms alone would take a bool or an integral Fraction
     Mutant(
         "theta-sum-exponent-unchecked", "qseries",
@@ -145,11 +153,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            if slot % 2 == 0:\n                terms[0].append((r, slot // 2, c))\n",
         ("tests/test_bailey.py",),
     ),
+    # one template comparison serves the swap and the command line's endpoint line
     Mutant(
         "p41-template-one-term", "bailey",
-        "        if t != _template(2, 4 * a_coef, m, length):\n",
-        "        if t[:1] != _template(2, 4 * a_coef, m, length)[:1]:\n",
-        ("tests/test_bailey.py",),
+        "if t != _template(e1, e3, m, length)",
+        "if t[:1] != _template(e1, e3, m, length)[:1]",
+        ("tests/test_bailey.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "endpoint-template-e1-off-by-one", "cli",
+        "_mismatch(chain[-1][1], gp.a, 2 * gp.k + 2)",
+        "_mismatch(chain[-1][1], gp.a + 1, 2 * gp.k + 2)",
+        ("tests/test_cli.py",),
     ),
     # the Bailey steps' half-grid layouts
     Mutant(
@@ -244,20 +259,27 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            if r == k - 1:\n",
         ("tests/test_lattice_paths.py",),
     ),
-    # the reverse map builds its data unvalidated and checks only what the
-    # scan leaves open: each stage's budgets are nonnegative and do not increase
+    # the reverse map builds its data unvalidated and runs the constructor's
+    # one budget check, for what the scan leaves open: each stage's budgets
+    # are nonnegative and do not increase
     Mutant(
         "reverse-budget-sign-unchecked", "lattice_paths",
-        "        if row and min(row) < 0:\n"
-        '            raise ValueError(f"stage {j} budgets must be nonnegative evens, got {tuple(row)}")\n',
-        "",
+        "if row and ((bits := reduce(or_, row)) < 0 or bits & 1):",
+        "if row and (bits := reduce(or_, row)) & 1:",
         ("tests/test_lattice_paths.py",),
     ),
     Mutant(
         "reverse-budget-order-unchecked", "lattice_paths",
-        "        if row != sorted(row, reverse=True):\n"
-        '            raise ValueError(f"stage {j} budgets must be nonincreasing, got {tuple(row)}")\n',
+        "        if len(row) > 1 and row != tuple(sorted(row, reverse=True)):\n"
+        '            raise ValueError(f"stage {j} budgets must be nonincreasing, got {row}")\n',
         "",
+        ("tests/test_lattice_paths.py",),
+    ),
+    # right_move and volcanic_uplift share one peak lookup
+    Mutant(
+        "peak-index-one-past-the-end", "lattice_paths",
+        "not 0 <= peak_index < len(xs)",
+        "not 0 <= peak_index <= len(xs)",
         ("tests/test_lattice_paths.py",),
     ),
     Mutant(
@@ -350,6 +372,7 @@ def run(mutant: Mutant) -> str | None:
         shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
+        shutil.copy(ROOT / "README.md", copy)
         path = module_path(copy, mutant)
         try:
             path.write_text(apply(mutant, path.read_text()))

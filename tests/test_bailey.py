@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -571,6 +573,30 @@ class TestAlphaTerms:
             cs[int(2 * bp.order) - 1] += 1  # the last slot below the order
             broken = longer[:r] + (Series(cs, longer[r].order, 2),) + longer[r + 1:]
             assert not check_pair(BaileyPair(broken, bp.beta)), label
+
+
+    def test_other_names_are_refused(self):
+        """``__getattr__`` builds ``alpha`` alone: any other name the pair
+        does not hold gets the standard AttributeError, and builds nothing."""
+        bp = build_chain((5, 2), 6, 40)[-1][1]
+        with pytest.raises(AttributeError, match="^'BaileyPair' object has no attribute 'nope'$"):
+            bp.nope
+        assert not hasattr(bp, "nope")
+        assert "alpha" not in vars(bp)
+
+    @pytest.mark.parametrize("read_alpha", [False, True], ids=["terms-only", "alpha-read"])
+    def test_copy_and_pickle_round_trip(self, read_alpha):
+        """Every link of a chain copies and pickles, before and after its
+        first read of ``alpha``: the copy holds what the link held, passes
+        the check and equals the link."""
+        for label, bp in build_chain((7, 2), 8, 40):
+            if read_alpha:
+                bp.alpha
+            for again in (copy.copy(bp), copy.deepcopy(bp), pickle.loads(pickle.dumps(bp))):
+                assert ("alpha" in vars(again)) == read_alpha, label
+                assert again._terms == bp._terms and again.order == bp.order, label
+                assert check_pair(again), label
+                assert again == bp and _slots_of(again) == _slots_of(bp), label
 
 
 class TestLimit:

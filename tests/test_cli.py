@@ -259,6 +259,27 @@ class TestBaileyChainCommand:
             assert lines[3] == "endpoint alpha matches closed form for n <= 4: yes"
             assert len(out) == 4 + 6 * 3 * bool(trace)
 
+    def test_endpoint_off_in_one_term_reads_no(self, monkeypatch, capsys):
+        """An endpoint alpha_1 whose second template term is off fails the
+        endpoint line: every term is compared, not the first alone."""
+        real = cli.build_chain
+
+        def build_chain(gp, n_max, order):
+            chain = list(real(gp, n_max, order))
+            label, bp = chain[-1]
+            alpha = list(bp.alpha)
+            (e, _), (last, _) = alpha[1].terms()
+            assert e < last
+            alpha[1] = _plus_q(alpha[1], last)
+            chain[-1] = (label, dataclasses.replace(bp, alpha=tuple(alpha)))
+            return tuple(chain)
+
+        monkeypatch.setattr(cli, "build_chain", build_chain)
+        code = run(["bailey-chain", "--k", "2", "--a", "1", "--nmax", "4", "--order", "20"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out[-1] == "endpoint alpha matches closed form for n <= 4: NO"
+
     def test_cold_chain_builds_the_wing_table_once(self, monkeypatch, capsys):
         """The links are checked from the last back to the unit pair, so
         the first check builds each of its keys of the quotient table at
@@ -389,13 +410,18 @@ class TestSweepCommand:
             sweep(kmax)
 
 
+#: (language, body) of each fenced block of README.md
+README_BLOCKS = re.findall(
+    r"^```(\w*)\n(.*?)^```", (Path(__file__).resolve().parent.parent / "README.md").read_text(), re.M | re.S
+)
+
+
 def _readme_examples():
     """(argv, expected stdout lines) for every ``$ qgordon ...`` line in
     README.md's fenced blocks; the output runs to the next ``$`` line or
     the end of the block, trailing blank lines dropped."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     examples = []
-    for block in re.findall(r"^```\w*\n(.*?)^```", text, re.M | re.S):
+    for _, block in README_BLOCKS:
         for chunk in re.split(r"^(?=\$ )", block, flags=re.M)[1:]:
             command, *out = chunk.rstrip("\n").split("\n")
             argv = shlex.split(command[2:])
@@ -420,6 +446,19 @@ def test_readme_example_replays(argv, expected, capsys):
     pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in expected)
     assert code == 0
     assert re.fullmatch(pattern, out), out
+
+
+README_PYTHON = [block for language, block in README_BLOCKS if language == "python"]
+
+
+def test_readme_has_python_blocks():
+    assert len(README_PYTHON) >= 2
+
+
+@pytest.mark.parametrize("block", README_PYTHON, ids=lambda b: b.split("\n")[0])
+def test_readme_python_block_runs(block):
+    """Each python block runs as it stands; its asserts are its checks."""
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
 
 
 if __name__ == "__main__":

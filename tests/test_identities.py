@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -610,6 +613,17 @@ class TestVerify:
         r = verify(IdentitySpec(theorem, GordonParams(k, a), 26))
         assert isinstance(r, VerificationReport)
         assert r.equal and r.first_discrepancy is None
+
+    def test_report_copies_and_pickles(self):
+        """A report holds two Series, so it copies, pickles and turns into
+        a dict with ``dataclasses.asdict``."""
+        report = verify(IdentitySpec("Main", GordonParams(5, 2), 60))
+        for again in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert again == report and again.to_json_obj() == report.to_json_obj()
+            assert again.lhs.coeffs == report.lhs.coeffs and again.rhs.order == report.rhs.order
+        fields = dataclasses.asdict(report)
+        assert fields["spec"] == {"theorem": "Main", "gp": {"k": 5, "a": 2}, "order": 60}
+        assert fields["lhs"] == report.lhs and fields["rhs"] == report.rhs and fields["equal"]
 
     def test_paths_tag_counts_paths(self):
         r = verify(IdentitySpec("Paths", GordonParams(3, 2), 10))

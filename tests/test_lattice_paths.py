@@ -267,6 +267,15 @@ class TestMoves:
         with pytest.raises(ValueError, match="no peak"):
             volcanic_uplift(LatticePath(2, "SS"), 0)
 
+    @pytest.mark.parametrize("edit", [right_move, volcanic_uplift], ids=lambda f: f.__name__)
+    def test_one_past_the_last_peak_is_refused(self, edit):
+        """Both edits read the peak through one lookup, which names the
+        index and the number of peaks."""
+        with pytest.raises(ValueError, match="^no peak with index 3; path has 3 peaks$"):
+            edit(LatticePath(0, "NSNSNS"), 3)
+        with pytest.raises(ValueError, match="^no peak with index -1; path has 3 peaks$"):
+            edit(LatticePath(0, "NSNSNS"), -1)
+
 
 class TestAdmissibility:
     def test_start_height_must_match(self):
@@ -912,6 +921,8 @@ class TestReverseBuildsDataOnce:
     @pytest.mark.parametrize("gp, scan, rows", [
         # one stage: a negative budget (the row also increases, and its sign is read first)
         ((3, 2), ([1, 1], [1, 1], [0, 0]), ((-2, 0),)),
+        # one stage: a negative budget in a nonincreasing row
+        ((3, 2), ([-1, 3], [1, 1], [0, 0]), ((0, -2),)),
         # one stage: an increasing row
         ((3, 2), ([5, 3], [1, 1], [0, 0]), ((0, 4),)),
         # stage 1 increases and stage 2 is negative: stage 1 is read first
@@ -920,14 +931,14 @@ class TestReverseBuildsDataOnce:
     def test_budget_refusals_use_the_constructor_messages(self, gp, scan, rows, monkeypatch):
         """A scan that reads budgets no ConstructionData holds is
         refused with the message the constructor gives the same rows."""
-        n = (*map(len, rows), 0)
-        with pytest.raises(ValueError) as want:
-            ConstructionData(GordonParams(*gp), n, right_moves=rows)
         monkeypatch.setattr(lattice_paths, "_S_scan", lambda path, gp: scan)
         with pytest.raises(ValueError) as got:
             reverse_deconstruct(LatticePath(0, ""), gp)
-        assert str(got.value) == str(want.value)
         assert "budgets must be" in str(got.value)
+        n = (*map(len, rows), 0)
+        with pytest.raises(ValueError) as want:
+            ConstructionData(GordonParams(*gp), n, right_moves=rows)
+        assert str(got.value) == str(want.value)
 
 
 class TestJsonObj:

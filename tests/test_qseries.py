@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import operator
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -443,6 +445,27 @@ class TestTripleProduct:
         anything but an int, a bool and an integral Fraction included."""
         with pytest.raises(ValueError, match="write the symbol in t = q\\^\\(1/d\\)"):
             triple_product(e1, e2, e3, 10)
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("f", [
+        Series([1, -2, 2 ** 70, 0, 5], 7),
+        Series.from_terms([(0, 1), (Fraction(1, 2), 3), (Fraction(7, 2), -4)], Fraction(9, 2), 2),
+    ], ids=["integer-grid", "half-grid"])
+    def test_round_trips(self, f):
+        copies = [copy.copy(f), copy.deepcopy(f)]
+        copies += [pickle.loads(pickle.dumps(f, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for g in copies:
+            assert type(g) is Series and g == f
+            assert (g.coeffs, g.order, g.denom) == (f.coeffs, f.order, f.denom)
+
+    def test_a_pickle_is_read_through_the_constructor(self):
+        """An unpickled series is outside input: a coefficient that is
+        not an int is refused as ``Series(...)`` refuses it."""
+        f = Series([1, 2], 3)
+        object.__setattr__(f, "coeffs", (1, 2.5, 0))
+        with pytest.raises(TypeError, match="^coefficients must be ints, got float$"):
+            pickle.loads(pickle.dumps(f))
 
 
 class TestWireFormat:

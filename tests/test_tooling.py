@@ -1,9 +1,11 @@
 """The repository's tools: the mutation check's table stays applicable
 (``python tests/mutants.py`` runs the mutants themselves, which takes a
-minute or more), and the code-line count skips prose."""
+minute or more), the code-line count skips prose, and each refusal
+message of the package is raised from one place."""
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,16 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
         "    y = 2",
     ])
     assert code_lines(source) == 7
+
+
+def test_each_refusal_is_raised_from_one_place():
+    """Two ``raise X(message)`` statements under src/ with the same
+    message (its first argument, unparsed) restate one rule: the rule
+    gets one function, and its callers call it."""
+    seen: dict = {}
+    for path in sorted((mutants.ROOT / "src" / "qgordon").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                seen.setdefault(ast.unparse(node.exc.args[0]), []).append(f"{path.name}:{node.lineno}")
+    assert len(seen) > 80  # the scan reads the package's raises
+    assert {message: at for message, at in seen.items() if len(at) > 1} == {}
