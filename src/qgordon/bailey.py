@@ -477,10 +477,12 @@ def build_chain(gp, n_max: int, order) -> Tuple[Tuple[str, BaileyPair], ...]:
 def closed_form_alpha(gp, n: int, order) -> Series:
     """Endpoint alpha of the chain:
     (-1)^n q^((k+1) n^2 / 2) (q^(-(k-a+1) n / 2) + q^((k-a+1) n / 2)),
-    the theta template with e1 = a/2, e3 = k+1, which is 1 at n = 0."""
+    the theta template with e1 = a/2, e3 = k+1, which is 1 at n = 0;
+    refused, as by :func:`build_chain`, outside the Main row's regime."""
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be an int >= 0, got {n!r}")
     gp = _as_params(gp)
+    identities._tag_for("main", gp)
     return _half_grid(_theta_pair(gp.a, 2 * gp.k + 2, n), order)
 
 

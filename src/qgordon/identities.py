@@ -105,17 +105,22 @@ def _pascal_rows(z: list, x: int, c: int, stops: list) -> list:
     the cell is cut below stops[j + m].  A cell starts at the least
     start of its two nonempty parents, so no list carries the zeros
     below it, and a cell is padded with zeros only up to the end of the
-    shifted parent added into it.
+    shifted parent added into it.  The cells' starts and lists are two
+    parallel lists.
     """
-    ys = [(v, cs[:stop - v] if stop > v else []) for (v, cs), stop in zip(z, stops)]
+    vs = [v for v, _ in z[:len(stops)]]
+    ys = [cs[:stop - v] if stop > v else [] for (v, cs), stop in zip(z, stops)]
     out = []
     for j in range(len(stops)):
-        out.append(ys[0] if ys else (0, []))
+        out.append((vs[0], ys[0]) if ys else (0, []))
         for m in range(min(len(ys), len(stops) - j - 1)):
             stop = stops[j + 1 + m]
-            v, cs = ys[m]
-            v += x * m + c
-            u, ds = ys[m + 1] if m + 1 < len(ys) else (v, [])
+            v = vs[m] + x * m + c
+            cs = ys[m]
+            if m + 1 < len(ys):
+                u, ds = vs[m + 1], ys[m + 1]
+            else:
+                u, ds = v, []
             # (u, ds) is the parent that starts lower, or the nonempty one;
             # the cell is y = ds + q^(v-u) cs below q^(stop-u), from q^u.
             # Plain comparisons, not min() and max(): this runs per cell
@@ -131,8 +136,9 @@ def _pascal_rows(z: list, x: int, c: int, stops: list) -> list:
                 if hi > len(y):
                     y += [0] * (hi - len(y))
                 y[off:hi] = map(add, y[off:hi], cs)
-            ys[m] = (u, y)
-        del ys[len(stops) - j - 1:]
+            vs[m] = u
+            ys[m] = y
+        del vs[len(stops) - j - 1:], ys[len(stops) - j - 1:]
     return out
 
 
@@ -173,15 +179,22 @@ def ladder_multisum(
     lemma leaves the rows it reaches.  Every row and every cell is a
     pair (v, cs) whose list cs starts at q^v, its least exponent, and
     may end before its window: the slots past its end are zeros.  A
-    row of level i is (g_i(n) + v, cs) for P_n = (v, cs).  The
-    innermost K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n / (q^inner; q^inner)_n
-    is (e_(k-1)(n, 0), a copy of one running list), the list given one
-    factor of each symbol per row.  When ``inner`` is ``base`` and there
-    is no numerator, those factors cancel, the row is the monomial
-    q^(e_(k-1)(n, 0)), and it is kept as (e_(k-1)(n, 0), [1]).  Only the result
-    sum_n K_1[n] / (x; x)_n divides, by Horner: one pass per row of
-    level 1, from the top row down, each over the exponents from the
-    least start of the rows added so far up to the order.
+    row of level i is (g_i(n) + v, cs) for P_n = (v, cs).
+
+    Each level, innermost first, takes one pass over its rows n with
+    g_i(n) < order: it checks each row's least exponent, at
+    m = min(n, width - 1) with width the count of level i + 1's rows (1
+    innermost), and, with f_i(n) inlined, gives the rows' windows
+    stop = order - f_i(n) - g_i(n), the cells' cuts.  The innermost
+    K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n / (q^inner; q^inner)_n
+    is (e_(k-1)(n, 0), a copy of one running list), the list cut to the
+    row's window and given one factor of each symbol per row.  When
+    ``inner`` is ``base`` and there is no numerator, those factors
+    cancel, and each row is read off the window test as the monomial
+    (e_(k-1)(n, 0), [1]).  Only the result sum_n K_1[n] / (x; x)_n
+    divides, by Horner: one pass per row of level 1, from the top row
+    down, each over the exponents from the least start of the rows
+    added so far up to the order.
 
     Floor lemma.  Write g_j(N) = N^2 + lin[j-1] * N and
     e_j(N, M) = g_j(N) + nlin[j-1] * (N - M) for the exponent level j
@@ -229,61 +242,46 @@ def ladder_multisum(
     if len(lin) != k - 1 or len(nlin) != k - 1:
         raise ValueError("lin and nlin need one entry per level 1..k-1")
 
-    def level_rows(i: int, width: int) -> list:
-        """Row exponents n^2 + lin * n of level i for every n below the
-        order; the exponent of (n, m) adds nlin * (n - m), least at
-        m = min(n, width - 1), which is checked."""
-        li, c = lin[i - 1], nlin[i - 1]
-        rows = []
-        n = 0
-        while (base := n * n + li * n) < order:
-            if base + c * (n - min(n, width - 1)) < 0:
-                raise ValueError(f"negative exponent in level {i} at N = {n}")
-            rows.append(base)
-            n += 1
-        return rows
-
     lin_sums = list(accumulate(lin, initial=0))
-
-    def floor(i: int, n: int) -> int:
-        """f_i(n), the least exponent levels 1..i-1 add to N_i = n."""
-        return max((i - 1) * n * n + lin_sums[i - 1] * n, 0)
-
-    # the innermost level: K_(k-1)[n] = q^(e_(k-1)(n, 0)) (x; x)_n numer_n
-    # / (q^inner; q^inner)_n from one running list, cut to row n's window and
-    # then given factor n of each symbol; rows are kept until it runs
-    # empty
-    rows = level_rows(k - 1, 1)
-    table = []
-    run = [1] + [0] * (order - 1)
-    # with inner == base and no numerator every row is the monomial q^e,
-    # kept as [1]: the slots past a row's end are zeros
     monomial = inner == base and numer is None
-    for n, g in enumerate(rows):
-        e = g + nlin[-1] * n
-        del run[max(order - floor(k - 1, n) - e, 0):]
-        if n:
-            if inner != base:
-                _mul_factor(run, 1, base * n)
-                _div_factor(run, 1, inner * n)
-            if numer is not None:
-                _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
-        if run:
-            table.append((e, run[:1] if monomial else run[:]))
-    # level i: K_i[n] = q^(g_i(n)) P_n, P_n added up from the q-Pascal
-    # cells of K_(i+1) below the window the floor leaves row n
-    for i in range(k - 2, 0, -1):
-        width = len(rows)
-        rows = level_rows(i, width)
-        c = nlin[i - 1]
-        stops = []
-        for n, g in enumerate(rows):
-            if (stop := order - floor(i, n) - g) <= c * (n - min(n, width - 1)):
-                break
-            stops.append(stop)
-        sums = _pascal_rows(table, base, c, stops)
-        # g < 0 needs lin < 0, and validation keeps g + v >= 0
-        table = [(g + v, cs) for g, (v, cs) in zip(rows, sums)]
+    width = 1
+    for i in range(k - 1, 0, -1):
+        li, c, outer, lsum = lin[i - 1], nlin[i - 1], i - 1, lin_sums[i - 1]
+        gs, stops = [], []
+        live = True
+        n = 0
+        while (g := n * n + li * n) < order:
+            low = c * (n - width + 1) if n >= width else 0
+            if g + low < 0:
+                raise ValueError(f"negative exponent in level {i} at N = {n}")
+            if live:
+                f = outer * n * n + lsum * n
+                stop = order - g - f if f > 0 else order - g
+                if stop <= low:
+                    live = False
+                else:
+                    gs.append(g)
+                    stops.append(stop)
+            n += 1
+        width = n
+        if i < k - 1:
+            sums = _pascal_rows(table, base, c, stops)
+            # g < 0 needs lin < 0, and validation keeps g + v >= 0
+            table = [(g + v, cs) for g, (v, cs) in zip(gs, sums)]
+        elif monomial:
+            table = [(g + c * n, [1]) for n, g in enumerate(gs)]
+        else:
+            table = []
+            run = [1] + [0] * (order - 1)
+            for n, (g, stop) in enumerate(zip(gs, stops)):
+                del run[stop - c * n:]
+                if n:
+                    if inner != base:
+                        _mul_factor(run, 1, base * n)
+                        _div_factor(run, 1, inner * n)
+                    if numer is not None:
+                        _mul_factor(run, numer.sign, numer.exponent + (n - 1) * numer.base)
+                table.append((g + c * n, run[:]))
     # Horner: sum_n K_1[n] / (x; x)_n as total = (total + K_1[n]) / (1 - x^n)
     # from the top row down, with no division after row 0; total holds
     # q^lo .. q^(order-1), lo the least start added so far, so no

@@ -8,12 +8,13 @@ the tests it names must then fail.
 For each mutant, ``src/``, ``tests/``, ``pyproject.toml`` and
 ``README.md`` (whose examples the CLI tests replay) are copied into a
 temporary directory, the mutant's old text in its module is
-replaced by its new text, and ``pytest -x -q`` runs the mutant's tests
-there.  Only pytest's exit code 1 (a test failed) kills a mutant: a
-mutant whose tests pass survived, and one whose copy cannot be
-collected or run is an error.  An old text that does not occur exactly
-once in its module is an error too, so a change that rewrites a line a
-mutant names restates that mutant here.  Exits 1 naming every mutant
+replaced by its new text, and ``pytest -x -q`` runs each of the
+mutant's test files there on its own.  Only pytest's exit code 1 (a
+test failed) in every file kills a mutant: a mutant that some listed
+file passes survived, and is named with each such file, and one whose
+copy cannot be collected or run is an error.  An old text that does
+not occur exactly once in its module is an error too, so a change that
+rewrites a line a mutant names restates that mutant here.  Exits 1 naming every mutant
 that survived or could not be run, 2 for an unknown name, 0 otherwise.
 
 A change that adds a check, or changes what one checks, adds the
@@ -160,6 +161,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         "if t[:1] != _template(e1, e3, m, length)[:1]",
         ("tests/test_bailey.py", "tests/test_cli.py"),
     ),
+    # the endpoint alpha only where a chain ends: the Main row's regime
+    Mutant(
+        "closed-form-alpha-any-regime", "bailey",
+        '    identities._tag_for("main", gp)\n    return _half_grid(',
+        "    return _half_grid(",
+        ("tests/test_bailey.py",),
+    ),
     Mutant(
         "endpoint-template-e1-off-by-one", "cli",
         "_mismatch(chain[-1][1], gp.a, 2 * gp.k + 2)",
@@ -195,8 +203,29 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     Mutant(
         "monomial-row-empty", "identities",
-        "run[:1] if monomial else run[:]",
-        "[] if monomial else run[:]",
+        "table = [(g + c * n, [1]) for n, g in enumerate(gs)]",
+        "table = [(g + c * n, []) for n, g in enumerate(gs)]",
+        ("tests/test_identities.py",),
+    ),
+    # the one pass per level: the floor counts the i - 1 levels outside
+    # level i, the row check and the window test take the least nlin term
+    # at m = min(n, width - 1), and a window of no slots ends the rows
+    Mutant(
+        "floor-one-level-short", "identities",
+        "nlin[i - 1], i - 1, lin_sums[i - 1]",
+        "nlin[i - 1], i - 2, lin_sums[i - 1]",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "window-column-one-more", "identities",
+        "low = c * (n - width + 1) if n >= width else 0",
+        "low = c * (n - width) if n > width else 0",
+        ("tests/test_identities.py",),
+    ),
+    Mutant(
+        "empty-window-kept", "identities",
+        "                if stop <= low:\n",
+        "                if stop < low:\n",
         ("tests/test_identities.py",),
     ),
     # ladder_multisum refuses a numerator that is not None or a PochSpec, before the k = 1 return
@@ -304,8 +333,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     # short, and a partition search field too narrow
     Mutant(
         "cell-shift-one-row-more", "identities",
-        "v += x * m + c",
-        "v += x * (m + 1) + c",
+        "v = vs[m] + x * m + c",
+        "v = vs[m] + x * (m + 1) + c",
         ("tests/test_identities.py",),
     ),
     Mutant(
@@ -364,8 +393,8 @@ def apply(mutant: Mutant, source: str) -> str:
 
 
 def run(mutant: Mutant) -> str | None:
-    """None if the mutant's tests fail on the mutated copy; otherwise why
-    the mutant was not killed."""
+    """None if each of the mutant's test files fails on the mutated copy,
+    run on its own; otherwise why the mutant was not killed."""
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
@@ -379,16 +408,20 @@ def run(mutant: Mutant) -> str | None:
         except ValueError as exc:
             return str(exc)
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-    if done.returncode == 1:
-        return None
-    if done.returncode == 0:
-        return "survived: every listed test passed"
-    tail = "\n".join(done.stdout.splitlines()[-5:])
-    return f"pytest exited {done.returncode}, so no test failed on the mutant:\n{tail}"
+        passed, errors = [], []
+        for test in mutant.tests:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test],
+                cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            if done.returncode == 0:
+                passed.append(test)
+            elif done.returncode != 1:
+                tail = "\n".join(done.stdout.splitlines()[-5:])
+                errors.append(f"{test}: pytest exited {done.returncode}, so no test failed on the mutant:\n{tail}")
+    if passed:
+        errors.insert(0, f"survived: every test in {', '.join(passed)} passed")
+    return "\n  ".join(errors) if errors else None
 
 
 def main(argv=None) -> int:

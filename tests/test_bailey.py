@@ -472,6 +472,14 @@ class TestChain:
         with pytest.raises(ValueError, match=f"^n_max must be an int >= 0, got {n_max!r}$"):
             build_chain((3, 2), n_max, 10)
 
+    @pytest.mark.parametrize("gp", [(4, 2), (3, 1), (5, 5)])
+    def test_closed_form_alpha_same_parity_rejected(self, gp):
+        """No chain ends at a same-parity (k, a), so there is no endpoint
+        alpha to give: (4, 2) used to read -q - q^4 + O(q^10) at n = 1."""
+        message = rf"^theorem main does not apply to \(k, a\) = \({gp[0]}, {gp[1]}\)$"
+        with pytest.raises(ValueError, match=message):
+            closed_form_alpha(gp, 1, 10)
+
     @pytest.mark.parametrize("n", [-1, -3, 1.0, 2.5, "1", None, True, False])
     def test_closed_form_alpha_needs_a_nonnegative_int_index(self, n):
         """A negative n is refused, not read as alpha_|n|."""

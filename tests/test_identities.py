@@ -193,6 +193,28 @@ class TestLadderAgainstDirectSum:
         assert (got.coeffs, got.order, got.denom) == (want.coeffs, want.order, want.denom)
 
 
+def _floor_windows(k, order, lin, nlin) -> list:
+    """The windows of levels k - 2, ..., 1 by the floor lemma, for lin >= 0:
+    row n of level i gets order - f_i(n) - g_i(n), with g_j(n) = n^2 + lin_j n
+    and f_i(n) = sum_(j<i) g_j(n), and the rows end where that is at most
+    nlin_i (n - min(n, width - 1)), width the count of level i + 1's rows
+    with g_(i+1)(n) below the order."""
+    def g(j, n):
+        return n * n + lin[j - 1] * n
+
+    windows = []
+    for i in range(k - 2, 0, -1):
+        width = sum(1 for n in range(order) if g(i + 1, n) < order)
+        stops = []
+        for n in range(order):
+            stop = order - sum(g(j, n) for j in range(1, i)) - g(i, n)
+            if g(i, n) >= order or stop <= nlin[i - 1] * (n - min(n, width - 1)):
+                break
+            stops.append(stop)
+        windows.append(stops)
+    return windows
+
+
 def _offset_series(v, cs, order) -> Series:
     """The pair (v, cs) as a series: cs holds the coefficients of q^v, q^(v+1), ..."""
     return Series.from_terms([(v + i, c) for i, c in enumerate(cs)], order)
@@ -284,6 +306,31 @@ class TestOffsetCells:
             assert len(calls) == 6, evaluate
             first = calls[0]
             assert len(first) > 5 and all(cs and cs[-1] != 0 for cs in first), evaluate
+
+    @pytest.mark.parametrize("order", [40, 400])
+    def test_windows_follow_the_floor_lemma(self, monkeypatch, order):
+        """The stops each level of cells receives are the floor lemma's
+        windows, for every AG, W, Wbar and Main row with k <= 8.  A window
+        longer than that leaves the sum correct and only costs time, so
+        the direct-sum comparisons cannot see it."""
+        calls = []
+        pascal_rows = identities._pascal_rows
+
+        def recording(z, x, c, stops):
+            calls.append(list(stops))
+            return pascal_rows(z, x, c, stops)
+
+        monkeypatch.setattr(identities, "_pascal_rows", recording)
+        checked = 0
+        for tag, thm in THEOREMS.items():
+            for k, a in ((k, a) for k in range(3, 9) for a in range(1, k + 1)):
+                if tag != "Paths" and thm.applies(k, a):
+                    ladder = thm.ladder(k, a)
+                    calls.clear()
+                    ladder_multisum(k, order, **ladder._asdict())
+                    assert calls == _floor_windows(k, order, ladder.lin, ladder.nlin), (tag, k, a)
+                    checked += 1
+        assert checked == 96
 
     @pytest.mark.parametrize("k, order, lin, nlin, level_denom, innermost, numer", [
         (4, 5, [0, 2, -1], [0, 1, 2], Q2, Q, None),  # a cell of level 2 is cut to empty

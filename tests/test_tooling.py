@@ -6,6 +6,7 @@ message of the package is raised from one place."""
 from __future__ import annotations
 
 import ast
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,28 @@ def test_names_are_unique_and_tests_exist():
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     for m in mutants.MUTANTS:
         assert m.tests and all((mutants.ROOT / Path(t.split("::")[0])).is_file() for t in m.tests), m.name
+
+
+@pytest.mark.parametrize("failing, why", [
+    ({"tests/test_bailey.py", "tests/test_cli.py"}, None),
+    ({"tests/test_bailey.py"}, "survived: every test in tests/test_cli.py passed"),
+    (set(), "survived: every test in tests/test_bailey.py, tests/test_cli.py passed"),
+], ids=["both-fail", "cli-passes", "both-pass"])
+def test_a_mutant_is_killed_only_when_each_listed_file_fails(monkeypatch, failing, why):
+    """Each listed file runs on its own and must fail: a mutant that one
+    caller's tests miss is not killed by the other caller's."""
+    runs = []
+
+    def pytest_run(argv, **kwargs):
+        files = [a for a in argv if a.startswith("tests/")]
+        runs.append(files)
+        return subprocess.CompletedProcess(argv, 1 if failing & set(files) else 0, stdout="")
+
+    monkeypatch.setattr(mutants.subprocess, "run", pytest_run)
+    mutant = next(m for m in mutants.MUTANTS if m.name == "p41-template-one-term")
+    assert mutant.tests == ("tests/test_bailey.py", "tests/test_cli.py")
+    assert mutants.run(mutant) == why
+    assert runs == [["tests/test_bailey.py"], ["tests/test_cli.py"]]
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
